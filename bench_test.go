@@ -282,9 +282,9 @@ func BenchmarkE13_ClusterScaling(b *testing.B) { benchExperiment(b, "E13") }
 func BenchmarkE14_ModelAccuracy(b *testing.B)  { benchExperiment(b, "E14") }
 func BenchmarkE15_Energy(b *testing.B)         { benchExperiment(b, "E15") }
 
-// BenchmarkLockFreeVsMutexPool compares the two executor deques on a
-// steal-heavy graph.
-func BenchmarkLockFreeVsMutexPool(b *testing.B) {
+// BenchmarkExecPoolSteal runs the executor pool on a steal-heavy graph:
+// 256 independent eight-task chains, seeded round-robin across the deques.
+func BenchmarkExecPoolSteal(b *testing.B) {
 	bld := task.NewBuilder("steal")
 	objs := make([]task.ObjectID, 256)
 	for i := range objs {
@@ -298,22 +298,13 @@ func BenchmarkLockFreeVsMutexPool(b *testing.B) {
 		}
 	}
 	g := bld.Build()
-	b.Run("mutex", func(b *testing.B) {
-		p := exec.NewPool(8)
-		for i := 0; i < b.N; i++ {
-			if err := p.Run(g); err != nil {
-				b.Fatal(err)
-			}
+	p := exec.NewPool(8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Run(g); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("lockfree", func(b *testing.B) {
-		p := exec.NewLockFreePool(8)
-		for i := 0; i < b.N; i++ {
-			if err := p.Run(g); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkE16_ChunkGranularity(b *testing.B) { benchExperiment(b, "E16") }
@@ -377,7 +368,7 @@ func BenchmarkClusterFailover(b *testing.B) {
 // object) pair on every task completion while the loop is enabled, so
 // like prof.Record it must stay allocation-free in steady state.
 func BenchmarkFeedbackObserve(b *testing.B) {
-	e := feedback.New(feedback.DefaultConfig(), 4, 64)
+	e := feedback.New(4, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,12 +7,14 @@
 //
 //	tahoe-calibrate -nvm bw:0.5
 //	tahoe-calibrate -nvm optane -interval 2000
+//	tahoe-calibrate -nvm optane -cxl 64 -dram 32
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	tahoe "repro"
 	"repro/internal/cliutil"
@@ -20,18 +22,16 @@ import (
 
 func main() {
 	var (
-		nvm      = flag.String("nvm", "bw:0.5", "NVM device: bw:<frac>, lat:<mult>, optane, pcram, sttram, reram")
-		dramMB   = flag.Int64("dram", 128, "DRAM capacity in MB")
+		machine  = cliutil.MachineFlags(flag.CommandLine)
 		interval = flag.Int64("interval", 0, "counter sampling interval in accesses (0 = default 1000)")
 	)
 	flag.Parse()
 
-	dev, err := cliutil.ParseNVM(*nvm)
+	h, err := machine.Build()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tahoe-calibrate: %v\n", err)
 		os.Exit(1)
 	}
-	h := tahoe.NewHMS(tahoe.DRAM(), dev, *dramMB*tahoe.MB)
 	pc := tahoe.DefaultProfiler()
 	if *interval > 0 {
 		pc.SamplingInterval = *interval
@@ -41,7 +41,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tahoe-calibrate: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("machine   DRAM + %s\n", dev.Name)
+	names := make([]string, 0, h.NumTiers())
+	for t := h.Fastest(); t >= 0; t-- {
+		names = append(names, h.Device(t).Name)
+	}
+	fmt.Printf("machine   %s\n", strings.Join(names, " + "))
 	fmt.Printf("sampling  every %d accesses\n", pc.SamplingInterval)
 	fmt.Printf("CF_bw     %.4f\n", f.CFBw)
 	fmt.Printf("CF_lat    %.4f\n", f.CFLat)

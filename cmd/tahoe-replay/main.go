@@ -8,7 +8,7 @@
 //
 //	tahoe-replay -record rec.jsonl -workload cg -policy tahoe
 //	tahoe-replay -replay rec.jsonl -policy nvm
-//	tahoe-replay -replay rec.jsonl -bw 0.25
+//	tahoe-replay -replay rec.jsonl -nvm bw:0.25
 //	tahoe-replay -check -workload heat
 //
 // -record runs the workload with recording enabled and saves the
@@ -46,15 +46,12 @@ func main() {
 		check    = flag.Bool("check", false, "in-memory record/save/load/replay fidelity check")
 		workload = flag.String("workload", "cg", "workload name (-record and -check)")
 		policy   = flag.String("policy", "tahoe", "placement policy (recorded or replayed)")
-		dramMB   = flag.Int64("dram", 128, "DRAM capacity in MB")
-		frac     = flag.Float64("bw", 0.5, "NVM bandwidth as a fraction of DRAM")
-		lat      = flag.Float64("lat", 0, "NVM latency multiplier (0 = use -bw machine)")
+		machine  = cliutil.MachineFlags(flag.CommandLine)
 		workers  = flag.Int("workers", 8, "simulated workers")
-		cxlMB    = flag.Int64("cxl", 0, "CXL middle-tier capacity in MB (0 = classic two-tier machine)")
 		csvPath  = flag.String("csv", "", "with -record: also export the event log as CSV here")
 		faults   = flag.String("faults", "", `fault schedule for -record/-check, e.g. "rate=1,seed=7,horizon=2"`)
 		sampling = flag.String("sampling", "", `profiler sampling, e.g. "interval=100000,jitter=0.4,adaptive" ("" = defaults)`)
-		feedback = flag.String("feedback", "", `observed-vs-predicted correction loop, e.g. "on" or "on,budget=6" ("" = off)`)
+		feedback = flag.String("feedback", "", `observed-vs-predicted correction loop: "on" ("" = off)`)
 	)
 	flag.Parse()
 
@@ -77,25 +74,12 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	// The -bw/-lat pair is sugar over the shared machine-spec syntax.
-	machine := func() tahoe.HMS {
-		spec := cliutil.MachineSpec{
-			NVM:    fmt.Sprintf("bw:%g", *frac),
-			DRAMMB: *dramMB,
-			CXLMB:  *cxlMB,
-		}
-		if *lat > 0 {
-			spec.NVM = fmt.Sprintf("lat:%g", *lat)
-		}
-		h, err := spec.Build()
-		if err != nil {
-			fail("%v", err)
-		}
-		return h
+	h, err := machine.Build()
+	if err != nil {
+		fail("%v", err)
 	}
 
 	buildCfg := func(pol tahoe.Policy) core.Config {
-		h := machine()
 		f, err := tahoe.Calibrate(h, tahoe.DefaultProfiler())
 		if err != nil {
 			fail("calibrate: %v", err)

@@ -5,6 +5,7 @@
 // Usage:
 //
 //	tahoe-trace -workload wave -policy tahoe -dram 128
+//	tahoe-trace -workload heat -nvm optane -cxl 64 -dram 32
 //	tahoe-trace -workload cg -csv > events.csv
 package main
 
@@ -22,8 +23,7 @@ func main() {
 	var (
 		workload = flag.String("workload", "wave", "workload name")
 		policy   = flag.String("policy", "tahoe", "placement policy")
-		dramMB   = flag.Int64("dram", 128, "DRAM capacity in MB")
-		frac     = flag.Float64("bw", 0.5, "NVM bandwidth as a fraction of DRAM")
+		machine  = cliutil.MachineFlags(flag.CommandLine)
 		workers  = flag.Int("workers", 8, "simulated workers")
 		cols     = flag.Int("cols", 100, "timeline width")
 		csv      = flag.Bool("csv", false, "dump the raw event log as CSV")
@@ -35,7 +35,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tahoe-trace: %v\n", err)
 		os.Exit(1)
 	}
-	h := tahoe.NewHMS(tahoe.DRAM(), tahoe.NVMBandwidth(*frac), *dramMB*tahoe.MB)
+	h, err := machine.Build()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tahoe-trace: %v\n", err)
+		os.Exit(1)
+	}
 	w, err := tahoe.BuildWorkload(*workload, tahoe.WorkloadParams{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tahoe-trace: %v\n", err)

@@ -34,7 +34,7 @@ func main() {
 		rpn       = flag.Int("ranks-per-node", 1, "ranks per node in -cluster mode")
 		clFaults  = flag.String("cluster-faults", "", `cluster fault schedule, e.g. "nodes=4,node-rate=10,dev-rate=5,seed=7,horizon=0.05" ("" = none)`)
 		sampling  = flag.String("sampling", "", `profiler sampling, e.g. "interval=100000,jitter=0.4,adaptive" ("" = defaults)`)
-		feedback  = flag.String("feedback", "", `observed-vs-predicted correction loop, e.g. "on" or "on,alpha=0.25,budget=6" ("" = off)`)
+		feedback  = flag.String("feedback", "", `observed-vs-predicted correction loop: "on" ("" = off)`)
 		list      = flag.Bool("list", false, "list workloads and exit")
 	)
 	flag.Parse()

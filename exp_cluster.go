@@ -240,7 +240,7 @@ func modelAccuracy(g *Graph, h mem.HMS) (med, p90, worst float64, n int) {
 			if occ := dNVM.ObjSecOf(obj); occ > 0 {
 				bwCons = (loads + stores) * 64 / occ
 			}
-			pred := params.BenefitProfiled(loads, stores, bwCons)
+			pred := params.BenefitProfiledBetween(loads, stores, bwCons, 0, h.Fastest())
 			e := pred - truth
 			if e < 0 {
 				e = -e

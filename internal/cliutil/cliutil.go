@@ -4,6 +4,7 @@ package cliutil
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -27,18 +28,28 @@ func ParseNVM(s string) (mem.DeviceSpec, error) {
 		return mem.ReRAM(), nil
 	}
 	if v, ok := strings.CutPrefix(s, "bw:"); ok {
-		f, err := strconv.ParseFloat(v, 64)
+		f, err := parseFinite(v)
 		if err != nil || f <= 0 || f > 1 {
 			return mem.DeviceSpec{}, fmt.Errorf("bad bandwidth fraction %q", v)
 		}
 		return mem.NVMBandwidth(f), nil
 	}
 	if v, ok := strings.CutPrefix(s, "lat:"); ok {
-		f, err := strconv.ParseFloat(v, 64)
+		f, err := parseFinite(v)
 		if err != nil || f < 1 {
 			return mem.DeviceSpec{}, fmt.Errorf("bad latency multiplier %q", v)
 		}
 		return mem.NVMLatency(f), nil
 	}
 	return mem.DeviceSpec{}, fmt.Errorf("unknown NVM spec %q (want bw:<frac>, lat:<mult>, optane, pcram, sttram or reram)", s)
+}
+
+// parseFinite is strconv.ParseFloat restricted to finite values: the
+// spellings "NaN" and "Inf" parse, but no spec value means either.
+func parseFinite(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("non-finite value %q", s)
+	}
+	return f, err
 }

@@ -39,6 +39,7 @@ func TestParseNVMScaled(t *testing.T) {
 func TestParseNVMErrors(t *testing.T) {
 	for _, bad := range []string{
 		"", "dax", "bw:", "bw:0", "bw:1.5", "bw:x", "lat:", "lat:0.5", "lat:y",
+		"bw:NaN", "bw:Inf", "lat:NaN", "lat:Inf", "lat:+Inf",
 	} {
 		if _, err := ParseNVM(bad); err == nil {
 			t.Fatalf("%q accepted", bad)

@@ -95,6 +95,22 @@ func ParseFaults(s string) (*fault.Schedule, error) { return fault.ParseSpec(s) 
 // "none" = no schedule).
 func ParseClusterFaults(s string) (*fault.ClusterSchedule, error) { return fault.ParseClusterSpec(s) }
 
+// ParseFeedback overlays the shared -feedback spec onto a feedback
+// configuration: "on" enables the observed-vs-predicted correction loop,
+// whose estimator constants are fixed (see internal/feedback). ""
+// returns cfg unchanged, so callers can pass the flag through
+// unconditionally.
+func ParseFeedback(s string, cfg feedback.Config) (feedback.Config, error) {
+	switch strings.TrimSpace(s) {
+	case "":
+		return cfg, nil
+	case "on":
+		cfg.Enabled = true
+		return cfg, nil
+	}
+	return cfg, fmt.Errorf("bad feedback spec %q (want \"on\" or empty; the estimator constants are not configurable)", s)
+}
+
 // ParseSampling overlays the shared -sampling spec onto a profiler
 // configuration: a comma-separated list of
 //
@@ -106,64 +122,6 @@ func ParseClusterFaults(s string) (*fault.ClusterSchedule, error) { return fault
 //
 // "" returns cfg unchanged, so callers can pass the flag through
 // unconditionally.
-// ParseFeedback overlays the shared -feedback spec onto a feedback
-// configuration: "on" alone enables the loop with defaults, or a
-// comma-separated list of
-//
-//	on               enable the observed-vs-predicted correction loop
-//	alpha=<F>        EWMA gain on each execution's observed/predicted seconds
-//	deadband=<F>     multiplicative dead zone around factor 1.0
-//	threshold=<F>    factor movement (vs the last plan) that triggers a replan
-//	budget=<N>       feedback-triggered replans allowed per run
-//
-// Any non-empty spec enables the loop. "" returns cfg unchanged, so
-// callers can pass the flag through unconditionally.
-func ParseFeedback(s string, cfg feedback.Config) (feedback.Config, error) {
-	if s == "" {
-		return cfg, nil
-	}
-	cfg.Enabled = true
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" || part == "on" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return cfg, fmt.Errorf("bad feedback option %q (want key=value or on)", part)
-		}
-		switch k {
-		case "alpha":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f <= 0 || f > 1 {
-				return cfg, fmt.Errorf("bad feedback alpha %q", v)
-			}
-			cfg.Alpha = f
-		case "deadband":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
-				return cfg, fmt.Errorf("bad feedback deadband %q", v)
-			}
-			cfg.Deadband = f
-		case "threshold":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
-				return cfg, fmt.Errorf("bad feedback threshold %q", v)
-			}
-			cfg.ReplanThreshold = f
-		case "budget":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return cfg, fmt.Errorf("bad feedback budget %q", v)
-			}
-			cfg.ReplanBudget = n
-		default:
-			return cfg, fmt.Errorf("unknown feedback option %q", k)
-		}
-	}
-	return cfg, nil
-}
-
 func ParseSampling(s string, cfg prof.Config) (prof.Config, error) {
 	if s == "" {
 		return cfg, nil
@@ -189,7 +147,7 @@ func ParseSampling(s string, cfg prof.Config) (prof.Config, error) {
 			}
 			cfg.SamplingInterval = n
 		case "jitter":
-			f, err := strconv.ParseFloat(v, 64)
+			f, err := parseFinite(v)
 			if err != nil || f < 0 {
 				return cfg, fmt.Errorf("bad sampling jitter %q", v)
 			}

@@ -130,7 +130,7 @@ func (r *runner) adaptSampling() (boosted int) {
 				if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
 					firstUse = nu
 				}
-				cost = r.params.MigrationCost(size, r.overlapSec(r.frontier()-1, firstUse))
+				cost = r.params.MigrationCostBetween(size, r.overlapSec(r.frontier()-1, firstUse), 0, r.fastTier)
 			}
 			items = append(items, placement.Item{Ref: ref, Size: size, Weight: per - cost})
 		}

@@ -205,28 +205,18 @@ func AllTechniques() Techniques {
 	}
 }
 
-// Overheads are the runtime's own costs, charged into the simulated
-// makespan so the "pure runtime cost" accounting is honest.
-type Overheads struct {
-	// ProfilingFrac inflates a task's time while its kind is being
+// The runtime's own costs, charged into the simulated makespan so the
+// "pure runtime cost" accounting is honest. The magnitudes match what
+// the paper reports (sub-3% total runtime cost); the placement solver's
+// cost per item is solverItemSec (plan.go).
+const (
+	// profilingFrac inflates a task's time while its kind is being
 	// profiled (counter multiplexing and sampling interrupts).
-	ProfilingFrac float64
-	// PlanPerItemSec is the placement solver's cost per candidate item.
-	PlanPerItemSec float64
-	// SyncPerRequestSec is the main-thread cost of queueing or checking
+	profilingFrac = 0.02
+	// syncPerRequestSec is the main-thread cost of queueing or checking
 	// one helper-thread request.
-	SyncPerRequestSec float64
-}
-
-// DefaultOverheads matches the magnitudes the paper reports (sub-3%
-// total runtime cost).
-func DefaultOverheads() Overheads {
-	return Overheads{
-		ProfilingFrac:     0.02,
-		PlanPerItemSec:    20e-6,
-		SyncPerRequestSec: 2e-6,
-	}
-}
+	syncPerRequestSec = 2e-6
+)
 
 // Config describes one run.
 type Config struct {
@@ -236,7 +226,6 @@ type Config struct {
 	Scheduler Scheduler
 	Tech      Techniques
 	Prof      prof.Config
-	Overheads Overheads
 	// Feedback configures the observed-vs-predicted correction loop
 	// (profiling policies only). Disabled — the zero value — runs
 	// bit-identically to a build without the subsystem.
@@ -255,8 +244,6 @@ type Config struct {
 	// RunKernels executes each task's real kernel during the simulation
 	// (slower; used by correctness tests and examples).
 	RunKernels bool
-	// PageSize is the HWCache policy's cache-block granularity.
-	PageSize int64
 	// Pin selects the objects (by name) the Pinned policy places in DRAM.
 	Pin func(objName string) bool
 	// Trace, if non-nil, records the run's task, migration and planning
@@ -289,10 +276,8 @@ func DefaultConfig(h mem.HMS) Config {
 		Scheduler: WorkSteal,
 		Tech:      AllTechniques(),
 		Prof:      prof.DefaultConfig(),
-		Overheads: DefaultOverheads(),
 		Lookahead: 16,
 		MaxChunks: 16,
-		PageSize:  4096,
 	}
 }
 
@@ -313,11 +298,5 @@ func (c Config) Validate() error {
 	if c.Policy == Pinned && c.Pin == nil {
 		return fmt.Errorf("core: Pinned policy needs a Pin selector")
 	}
-	if err := c.Faults.Validate(c.HMS.NumTiers()); err != nil {
-		return err
-	}
-	if err := c.Feedback.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return c.Faults.Validate(c.HMS.NumTiers())
 }

@@ -109,7 +109,7 @@ func TestChunkingEnablesPartialResidency(t *testing.T) {
 	var frac float64
 	var chunks int
 	testHook = func(r *runner) {
-		frac = r.st.DRAMFraction(task.ObjectID(0)) // "A" is object 0
+		frac = r.st.TierFraction(task.ObjectID(0), r.fastTier) // "A" is object 0
 		chunks = r.st.Chunks(task.ObjectID(0))
 	}
 	runPolicy(t, tg, h, Tahoe)

@@ -305,8 +305,8 @@ func TestReadWriteDistinctionOnAsymmetricNVM(t *testing.T) {
 	defer func() { testHook = nil }()
 	var rdFrac, wrFrac float64
 	testHook = func(r *runner) {
-		rdFrac = r.st.DRAMFraction(readHeavy)
-		wrFrac = r.st.DRAMFraction(writeHeavy)
+		rdFrac = r.st.TierFraction(readHeavy, r.fastTier)
+		wrFrac = r.st.TierFraction(writeHeavy, r.fastTier)
 	}
 	runPolicy(t, tg, h, Tahoe)
 	if wrFrac <= rdFrac {

@@ -7,17 +7,14 @@ import (
 	"repro/internal/task"
 )
 
-// The feedback loop (internal/feedback) is the third — and cheapest —
-// of the runtime's three drift responses, and the only one that can see
+// The feedback loop (internal/feedback) is the second — and cheaper —
+// of the runtime's two drift responses, and the only one that can see
 // calibration error:
 //
 //   - prof's count-level audit (complete()'s Record path): periodic
 //     audit samples whose counts disagree with the stored profile
 //     re-open the kind — the profile itself is wrong, so it is
 //     discarded and re-learned.
-//   - prof's duration drift detector (checkDrift / prof.DriftFactor):
-//     a sustained residue beyond what placement and contention explain
-//     also re-opens the kind.
 //   - feedback (this file): the observed-vs-predicted estimator keeps
 //     the profile and instead rescales what the planner derives from it
 //     — correcting errors re-profiling cannot fix, because a wrong
@@ -26,12 +23,12 @@ import (
 //
 // Observation piggybacks on the completion hook the profiler already
 // uses and charges no modeled overhead; corrections enter the planner
-// through benefitPerExec/benefitPerExecTo — the single choke point both
-// the incremental planner, the reference planner (plan_ref.go) and the
-// N-tier planner funnel through — so the planAudit bit-identity
-// contract holds with corrections active. An effective-factor change
-// invalidates the kind through the same pt.invalidateKind hooks the
-// profiler's Record path uses, keeping replans O(Δ).
+// through benefitPerExecTo — the single choke point the incremental
+// planner, the reference planner (plan_ref.go) and the N-tier planner
+// all funnel through — so the planAudit bit-identity contract holds
+// with corrections active. An effective-factor change invalidates the
+// kind through the same pt.invalidateKind hooks the profiler's Record
+// path uses, keeping replans O(Δ).
 
 // observeFeedback folds one completed task into the feedback estimator:
 // for each distinct object the task touched, the observed per-object
@@ -89,7 +86,7 @@ func (r *runner) observeFeedback(t *task.Task, ki int, d model.Demand) {
 	// A factor moving past the threshold requests one replan, against the
 	// feedback budget — separate from maxReplans, which still bounds the
 	// total. maybePlan's cooldown applies as usual.
-	if trip && !r.needReplan && r.fbReplans < r.fbCfg.ReplanBudget {
+	if trip && !r.needReplan && r.fbReplans < feedback.ReplanBudget {
 		r.fbReplans++
 		r.needReplan = true
 	}

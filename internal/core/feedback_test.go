@@ -70,11 +70,8 @@ func TestFeedbackNoOpWithoutModelError(t *testing.T) {
 			}
 			base, baseSHA := build(nil)
 			for name, mutate := range map[string]func(*Config){
-				"off-again": func(cfg *Config) { cfg.Feedback = feedback.Config{} },
-				"on-zero-error": func(cfg *Config) {
-					cfg.Feedback = feedback.DefaultConfig()
-					cfg.Feedback.Enabled = true
-				},
+				"off-again":     func(cfg *Config) { cfg.Feedback = feedback.Config{} },
+				"on-zero-error": func(cfg *Config) { cfg.Feedback = feedback.Config{Enabled: true} },
 			} {
 				got, gotSHA := build(mutate)
 				if got.FeedbackCorrections != 0 || got.FeedbackReplans != 0 {

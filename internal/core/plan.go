@@ -177,7 +177,7 @@ type plannerState struct {
 	// per-plan recount.
 	futureUses []int32
 
-	// Per-(kind, object) benefit cache: benefitPerExec is pure given the
+	// Per-(kind, object) benefit cache: benefitPerExecTo is pure given the
 	// profiler's state for the kind, so entries are invalidated whenever
 	// the kind records a profile or is marked stale.
 	pairB  []float64 // nk * nobj
@@ -333,13 +333,13 @@ func (p *plannerState) invalidateKindName(kind string) {
 	}
 }
 
-// benefit is the cached benefitPerExec for a (kind, object) pair. Cached
-// values were produced by the same pure computation on the same profiler
-// state, so they are bit-identical to a fresh call.
+// benefit is the cached fastest-tier benefitPerExecTo for a (kind,
+// object) pair. Cached values were produced by the same pure computation
+// on the same profiler state, so they are bit-identical to a fresh call.
 func (p *plannerState) benefit(r *runner, k int32, obj task.ObjectID) float64 {
 	ix := int(k)*p.nobj + int(obj)
 	if !p.pairOK[ix] {
-		p.pairB[ix] = r.benefitPerExec(p.kindNames[k], obj)
+		p.pairB[ix] = r.benefitPerExecTo(p.kindNames[k], obj, r.fastTier)
 		p.pairOK[ix] = true
 	}
 	return p.pairB[ix]
@@ -364,20 +364,21 @@ func (p *plannerState) refreshTotals(r *runner) {
 	p.dirty = p.dirty[:0]
 }
 
-// benefitPerExec returns the modeled seconds saved per execution of kind
-// if obj were DRAM-resident instead of NVM-resident, using the sampled
-// profile: classify sensitivity from the equation-(1) bandwidth
-// consumption estimate, then apply the benefit equations. With feedback
-// enabled the result passes through the CorrectedEstimates view — this
-// is the single choke point every planner (incremental, reference,
-// N-tier) funnels through, so corrections reach all of them identically
-// and the planAudit bit-identity contract holds.
-func (r *runner) benefitPerExec(kind string, obj task.ObjectID) float64 {
+// benefitPerExecTo returns the modeled seconds saved per execution of
+// kind if obj lived on tier `to` instead of the slow default tier 0,
+// using the sampled profile: the equation-(1) bandwidth-consumption
+// estimate feeds the profiled benefit equation
+// (model.BenefitProfiledBetween). With feedback enabled the result
+// passes through the CorrectedEstimates view — this is the single choke
+// point every planner (incremental, reference, N-tier) funnels through,
+// so corrections reach all of them identically and the planAudit
+// bit-identity contract holds.
+func (r *runner) benefitPerExecTo(kind string, obj task.ObjectID, to mem.Tier) float64 {
 	est, ok := r.profiler.EstimateFor(kind, obj, r.g.Object(obj).Size)
 	if !ok {
 		return 0
 	}
-	b := r.params.BenefitProfiled(est.Loads, est.Stores, est.BWCons)
+	b := r.params.BenefitProfiledBetween(est.Loads, est.Stores, est.BWCons, 0, to)
 	if r.fb != nil {
 		b = r.fbView.Apply(int(r.pt.kindIx[kind]), obj, b)
 	}
@@ -475,7 +476,7 @@ func (r *runner) computeGlobalPlan(future []*task.Task) planResult {
 				if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
 					firstUse = nu
 				}
-				cost = r.params.MigrationCost(size, r.overlapSec(r.frontier()-1, firstUse))
+				cost = r.params.MigrationCostBetween(size, r.overlapSec(r.frontier()-1, firstUse), 0, r.fastTier)
 			}
 			items = append(items, placement.Item{Ref: ref, Size: size, Weight: per - cost})
 		}
@@ -638,7 +639,7 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 					if pu2, ok := r.g.PrevUser(obj, t.ID); ok {
 						from = pu2
 					}
-					w -= r.params.MigrationCost(size, r.overlapSec(from, t.ID))
+					w -= r.params.MigrationCostBetween(size, r.overlapSec(from, t.ID), 0, r.fastTier)
 					if residentBytes+size > capacity {
 						// Paper's extra_COST: demote just enough.
 						w -= float64(size) / r.cfg.HMS.CopyBW
@@ -752,7 +753,7 @@ func (r *runner) computeLevelPlan(future []*task.Task) planResult {
 				size := p.chunkSize[base+i]
 				w := each
 				if !resident.has(base + i) {
-					w -= r.params.MigrationCost(size, 0)
+					w -= r.params.MigrationCostBetween(size, 0, 0, r.fastTier)
 				}
 				cand = append(cand, placement.Item{Ref: ref, Size: size, Weight: w})
 			}

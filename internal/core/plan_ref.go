@@ -37,7 +37,7 @@ type refPlanResult struct {
 	solverSec float64
 }
 
-// refObjBenefitTotals sums, per object, benefitPerExec over the future
+// refObjBenefitTotals sums, per object, benefitPerExecTo over the future
 // tasks that actually touch it.
 func (r *runner) refObjBenefitTotals(future []*task.Task) map[task.ObjectID]float64 {
 	totals := make(map[task.ObjectID]float64)
@@ -47,7 +47,7 @@ func (r *runner) refObjBenefitTotals(future []*task.Task) map[task.ObjectID]floa
 			k := benefitKey{t.Kind, a.Obj}
 			b, ok := cache[k]
 			if !ok {
-				b = r.benefitPerExec(t.Kind, a.Obj)
+				b = r.benefitPerExecTo(t.Kind, a.Obj, r.fastTier)
 				cache[k] = b
 			}
 			totals[a.Obj] += b
@@ -66,7 +66,7 @@ func (r *runner) refEstTaskSec(t *task.Task, target chunkSet) float64 {
 	}
 	for _, a := range t.Accesses {
 		if r.refTargetFraction(a.Obj, target) == 1 {
-			dur -= r.benefitPerExec(t.Kind, a.Obj)
+			dur -= r.benefitPerExecTo(t.Kind, a.Obj, r.fastTier)
 		}
 	}
 	if dur < 0 {
@@ -120,7 +120,7 @@ func (r *runner) refComputeGlobalPlan(future []*task.Task) refPlanResult {
 				if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
 					firstUse = nu
 				}
-				cost = r.params.MigrationCost(size, r.overlapSec(r.frontier()-1, firstUse))
+				cost = r.params.MigrationCostBetween(size, r.overlapSec(r.frontier()-1, firstUse), 0, r.fastTier)
 			}
 			items = append(items, placement.Item{
 				Ref:    ref,
@@ -238,7 +238,7 @@ func (r *runner) refComputeLocalPlan(future []*task.Task) refPlanResult {
 					if pu2, ok := r.g.PrevUser(obj, t.ID); ok {
 						from = pu2
 					}
-					w -= r.params.MigrationCost(size, r.overlapSec(from, t.ID))
+					w -= r.params.MigrationCostBetween(size, r.overlapSec(from, t.ID), 0, r.fastTier)
 					if residentBytes+size > capacity {
 						// Paper's extra_COST: demote just enough.
 						w -= float64(size) / r.cfg.HMS.CopyBW
@@ -301,7 +301,7 @@ func (r *runner) refComputeLevelPlan(future []*task.Task) refPlanResult {
 		agg := make(map[task.ObjectID]float64)
 		for _, t := range tasks {
 			for _, a := range t.Accesses {
-				agg[a.Obj] += r.benefitPerExec(t.Kind, a.Obj)
+				agg[a.Obj] += r.benefitPerExecTo(t.Kind, a.Obj, r.fastTier)
 			}
 		}
 		// Deterministic candidate order (the one deviation from the
@@ -324,7 +324,7 @@ func (r *runner) refComputeLevelPlan(future []*task.Task) refPlanResult {
 				size := r.st.ChunkSize(ref)
 				w := each
 				if !resident[ref] {
-					w -= r.params.MigrationCost(size, 0)
+					w -= r.params.MigrationCostBetween(size, 0, 0, r.fastTier)
 				}
 				cand = append(cand, placement.Item{Ref: ref, Size: size, Weight: w})
 			}

@@ -6,10 +6,10 @@ import (
 	"repro/internal/task"
 )
 
-// This file is the planner's N-tier extension, used only on machines
-// with more than two tiers (r.st.NumTiers() > 2). Two-tier machines
-// never enter these paths — their planning stays bit-identical to the
-// legacy global/local searches in plan.go.
+// This file is the planner's N-tier search, used only on machines with
+// more than two tiers (r.st.NumTiers() > 2). On two tiers a tier
+// assignment is a DRAM target set, which the global and local searches
+// in plan.go already cover.
 //
 // The tier plan generalizes the global search: one multiple-choice
 // knapsack (placement.AssignTiers) assigns every chunk a tier, weighing
@@ -19,22 +19,6 @@ import (
 // (model.MigrationCostBetween). The fastest tier's winners double as the
 // reactive target set (plan.global), so dispatch-time promotion and the
 // per-task request path work unchanged.
-
-// benefitPerExecTo is benefitPerExec generalized to an arbitrary
-// destination tier: the modeled seconds saved per execution of kind if
-// obj lived on tier `to` instead of tier 0. For to == Fastest() it
-// computes the same expression as benefitPerExec.
-func (r *runner) benefitPerExecTo(kind string, obj task.ObjectID, to mem.Tier) float64 {
-	est, ok := r.profiler.EstimateFor(kind, obj, r.g.Object(obj).Size)
-	if !ok {
-		return 0
-	}
-	b := r.params.BenefitProfiledBetween(est.Loads, est.Stores, est.BWCons, 0, to)
-	if r.fb != nil {
-		b = r.fbView.Apply(int(r.pt.kindIx[kind]), obj, b)
-	}
-	return b
-}
 
 // computeTierPlan runs the whole-graph search over N tiers and returns a
 // plan of kind "tier": per-chunk tier assignments in tierTo, with the

@@ -53,7 +53,7 @@ func NewPlannerBench(g *task.Graph, cfg Config) (*PlannerBench, error) {
 // invalidation that every Record triggers.
 func (pb *PlannerBench) record(t *task.Task) {
 	r := pb.r
-	d := model.TaskDemand(t, r.machineHMS(), r.dramFrac)
+	d := model.TaskDemandTiered(t, r.machineHMS(), r.tierFrac)
 	dur := d.TotalSec()
 	obs := make([]prof.AccessObs, 0, len(t.Accesses))
 	for _, a := range t.Accesses {

@@ -101,23 +101,15 @@ func (r *runner) applyInitialPlacement() error {
 	return nil
 }
 
-// placeIfFits promotes an object's chunks while they fit, free of charge.
-// On machines with more than two tiers a chunk that misses the fastest
-// tier falls to the next one down instead of staying on the slow default
-// tier; two-tier machines keep the exact legacy fastest-or-nothing rule.
+// placeIfFits places each of an object's chunks, free of charge, on the
+// fastest tier with room for it; a chunk that fits on no tier above the
+// slow default tier 0 stays there.
 func (r *runner) placeIfFits(obj task.ObjectID) {
-	nt := r.st.NumTiers()
 	for _, ref := range r.st.Refs(obj) {
-		if r.st.CanPromote(ref) {
-			_ = r.st.Move(ref, r.st.Fastest())
-			continue
-		}
-		if nt > 2 {
-			for t := r.st.Fastest() - 1; t >= 1; t-- {
-				if r.st.CanMoveTo(ref, t) {
-					_ = r.st.Move(ref, t)
-					break
-				}
+		for t := r.st.Fastest(); t >= 1; t-- {
+			if r.st.CanMoveTo(ref, t) {
+				_ = r.st.Move(ref, t)
+				break
 			}
 		}
 	}
@@ -136,14 +128,15 @@ func (r *runner) placeXMem() error {
 			continue
 		}
 		// Offline profiling classifies the aggregate pattern; the oracle
-		// uses the true per-access character via the MLP-weighted mean.
+		// uses the true per-access character via the MLP-weighted mean:
+		// a latency-bound object is weighed by the latency equation, any
+		// other by the bandwidth equation.
 		loads, stores := float64(agg.Loads), float64(agg.Stores)
-		lat, bw := model.AccessTime(loads, stores, agg.MLP, r.cfg.HMS.NVM)
-		sens := model.BandwidthSensitive
+		lat, bw := model.AccessTime(loads, stores, agg.MLP, r.cfg.HMS.Device(0))
+		w := params.BenefitBWBetween(loads, stores, 0, r.fastTier)
 		if lat > bw {
-			sens = model.LatencySensitive
+			w = params.BenefitLatBetween(loads, stores, 0, r.fastTier)
 		}
-		w := params.Benefit(loads, stores, sens)
 		items = append(items, placement.Item{
 			Ref:    heap.ChunkRef{Obj: o.ID},
 			Size:   o.Size,
@@ -198,10 +191,7 @@ func (r *runner) placeByReferenceCount() error {
 // working set exceeds the cache; conflict and cold misses cap the hit
 // ratio below one even when it fits.
 func (r *runner) hwCacheHitRatio() float64 {
-	page := r.cfg.PageSize
-	if page <= 0 {
-		page = 4096
-	}
+	const page = 4096 // cache-block granularity
 	frames := r.cfg.HMS.DRAMCapacity / page
 	var pages int64
 	for _, o := range r.g.Objects {

@@ -155,7 +155,6 @@ type runner struct {
 	planned    bool
 	needReplan bool
 	replans    int
-	slowStreak []int // per kind index
 	dynamicJ   float64
 	// promoBlock blacklists chunks whose promotion just failed (no room);
 	// retries wait until some task completes, preventing a same-instant
@@ -217,10 +216,9 @@ type runner struct {
 	// profiles; every consumer is gated so feedback-off runs stay
 	// bit-identical). fb holds the per-(kind, object) correction factors,
 	// fbView the planner-facing corrected-estimates view, fbReplans the
-	// feedback-triggered replan count against fbCfg.ReplanBudget.
+	// feedback-triggered replan count against feedback.ReplanBudget.
 	fb        *feedback.Estimator
 	fbView    feedback.CorrectedEstimates
-	fbCfg     feedback.Config
 	fbReplans int
 
 	// Fault-injection state (all nil/zero without cfg.Faults, and every
@@ -446,7 +444,6 @@ func (r *runner) setup() error {
 		}
 	}
 	r.totalPairs = r.pairsNeeded
-	r.slowStreak = make([]int, nk)
 	r.kindSinceAudit = make([]int, nk)
 	r.auditDrift = make([]int, nk)
 	r.promoBlock = make([]bool, r.st.TotalChunks())
@@ -456,9 +453,8 @@ func (r *runner) setup() error {
 			r.kindBoosted = make([]bool, nk)
 			r.adaptObjRel = make([]float64, nobj)
 		}
-		r.fbCfg = r.cfg.Feedback.WithDefaults()
-		if r.fbCfg.Enabled {
-			r.fb = feedback.New(r.fbCfg, nk, nobj)
+		if r.cfg.Feedback.Enabled {
+			r.fb = feedback.New(nk, nobj)
 			r.fbView = r.fb.View()
 		}
 	}
@@ -514,20 +510,7 @@ func (r *runner) frontier() task.TaskID {
 	return task.TaskID(r.frontierIdx)
 }
 
-// dramFrac is the placement view the timing model sees.
-func (r *runner) dramFrac(obj task.ObjectID) float64 {
-	switch r.cfg.Policy {
-	case DRAMOnly:
-		return 1
-	case HWCache:
-		return r.hwFrac
-	default:
-		return r.st.DRAMFraction(obj)
-	}
-}
-
-// tierFrac is the per-tier placement view the timing model sees on
-// machines with more than two tiers.
+// tierFrac is the per-tier placement view the timing model sees.
 func (r *runner) tierFrac(obj task.ObjectID, t mem.Tier) float64 {
 	switch r.cfg.Policy {
 	case DRAMOnly:
@@ -715,10 +698,8 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 	var d model.Demand
 	if r.cfg.Policy == HWCache {
 		d = model.HWCacheDemand(t, r.machineHMS(), r.hwFrac)
-	} else if r.st.NumTiers() > 2 {
-		d = model.TaskDemandTiered(t, r.machineHMS(), r.tierFrac)
 	} else {
-		d = model.TaskDemand(t, r.machineHMS(), r.dramFrac)
+		d = model.TaskDemandTiered(t, r.machineHMS(), r.tierFrac)
 	}
 	for tier := 0; tier < r.st.NumTiers(); tier++ {
 		dev := r.cfg.HMS.Device(mem.Tier(tier))
@@ -745,14 +726,14 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 	coverage := r.profilesKinds() && !windowOpen && (audit || !r.allPairsSeen(t))
 	profiling := windowOpen || coverage
 	if profiling {
-		frac := r.cfg.Overheads.ProfilingFrac
+		frac := profilingFrac
 		if coverage {
 			frac /= 4
 		}
 		if r.cfg.Prof.Adaptive {
 			// The adaptive profiler is rate-aware end to end: the
 			// profiling tax scales with the kind's sampling rate,
-			// anchored at the default interval ProfilingFrac was
+			// anchored at the default interval profilingFrac was
 			// calibrated for. Gated on Adaptive: the fixed-rate path
 			// keeps the flat calibrated fraction and stays bit-identical.
 			frac *= float64(prof.DefaultSamplingInterval) / float64(r.profiler.IntervalFor(t.Kind))
@@ -763,7 +744,7 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 		r.overheadProf += over
 	}
 	if r.cfg.Policy == Tahoe || r.cfg.Policy == PhaseBased {
-		over := r.cfg.Overheads.SyncPerRequestSec * float64(len(t.Accesses))
+		over := syncPerRequestSec * float64(len(t.Accesses))
 		fixed += over
 		r.overheadSec += over
 		r.overheadSync += over
@@ -786,7 +767,6 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 			Time: now, Kind: trace.TaskStart, Task: t.ID, TaskKind: t.Kind, Worker: w, OK: true,
 		})
 	}
-	load := r.cfg.Workers - len(r.freeWorkers) + 1
 	// The label is only ever read by the engine's optional trace hook;
 	// formatting it unconditionally was a per-task allocation for nothing.
 	label := ""
@@ -805,7 +785,7 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 		tf.flow.OnDone = tf.onDone
 	}
 	tf.t, tf.began, tf.w = t, now, w
-	tf.d, tf.load, tf.profiled = d, load, profiling
+	tf.d, tf.profiled = d, profiling
 	tf.flow.Label = label
 	tf.stages[0] = sim.Stage{Fixed: fixed}
 	tf.stages[1] = sim.Stage{Res: r.memRes, Bytes: memSec, MaxRate: maxRate}
@@ -826,22 +806,22 @@ type taskFlow struct {
 	stages   [2]sim.Stage
 	t        *task.Task
 	began    float64
-	w, load  int
+	w        int
 	d        model.Demand
 	profiled bool
 }
 
 func (tf *taskFlow) onDone(end float64) {
-	r, t, began, w, d, load, profiled := tf.r, tf.t, tf.began, tf.w, tf.d, tf.load, tf.profiled
+	r, t, began, w, d, profiled := tf.r, tf.t, tf.began, tf.w, tf.d, tf.profiled
 	tf.t = nil
 	tf.d = model.Demand{}
 	r.flowPool = append(r.flowPool, tf)
-	r.complete(end, began, w, t, d, load, profiled)
+	r.complete(end, began, w, t, d, profiled)
 }
 
 // machineHMS returns the device view the timing model should use: for
 // DRAMOnly the NVM tier never sees traffic anyway; for HWCache misses go
-// to NVM per dramFrac, which is exactly the blended view. Under fault
+// to NVM per the hit ratio, which is exactly the blended view. Under fault
 // injection it is the degraded view of the live fault windows — a task
 // starting during a tier's bandwidth sag is charged at the sagged rate.
 func (r *runner) machineHMS() mem.HMS {
@@ -858,7 +838,7 @@ func (r *runner) profilesKinds() bool {
 
 // complete finishes task t: profiling, drift detection, dependence
 // release, planning trigger, proactive scan, and redispatch.
-func (r *runner) complete(end, began float64, w int, t *task.Task, d model.Demand, load int, profiled bool) {
+func (r *runner) complete(end, began float64, w int, t *task.Task, d model.Demand, profiled bool) {
 	if r.cfg.Trace != nil {
 		r.cfg.Trace.Add(trace.Event{
 			Time: end, Kind: trace.TaskEnd, Task: t.ID, TaskKind: t.Kind, Worker: w, OK: true,
@@ -920,10 +900,6 @@ func (r *runner) complete(end, began float64, w int, t *task.Task, d model.Deman
 			} else if dev <= auditDevThreshold {
 				r.auditDrift[ki] = 0
 			}
-		} else if r.planned && r.checkDrift(t, dur, d, load) {
-			// Duration-level drift beyond what placement and contention
-			// explain: re-open profiling and re-plan.
-			r.reopenKind(ki)
 		}
 		if r.fb != nil {
 			r.observeFeedback(t, ki, d)
@@ -998,7 +974,7 @@ const maxReplans = 8
 // (kind, object) pair has been observed — or unconditionally past 15%
 // completion, so graphs whose pairs keep appearing (shifting hot sets,
 // one-shot pipelines) still get a plan. Replans need only a short
-// cool-down (the drift detector's streak already filters noise).
+// cool-down (the count audit's two-strike rule already filters noise).
 func (r *runner) maybePlan(now float64) {
 	if r.planned && !r.needReplan {
 		return
@@ -1045,36 +1021,6 @@ func (r *runner) maybePlan(now float64) {
 	r.lastPlanAt = r.completed
 	r.decidePlacement(now)
 	r.adaptSampling()
-}
-
-// checkDrift is the placement- and contention-aware duration drift
-// detector: a task is "slow" only relative to what the demand model
-// expects for its current data placement at the concurrency it actually
-// ran under — a task whose objects sit in NVM by plan, or that shared
-// the memory system with seven peers, is exactly as slow as predicted.
-// Only a sustained residue beyond both effects signals that the kind's
-// behaviour changed and its profile is stale.
-func (r *runner) checkDrift(t *task.Task, dur float64, d model.Demand, load int) bool {
-	if load < 1 {
-		load = 1
-	}
-	memSec := d.DevSecTotal()
-	latSec := d.LatSecTotal()
-	expected := d.FixedSec + memSec*float64(load)
-	if latSec > expected-d.FixedSec {
-		expected = d.FixedSec + latSec
-	}
-	if dur > 2.0*expected {
-		ki := r.g.KindIndex(t.ID)
-		r.slowStreak[ki]++
-		if r.slowStreak[ki] >= prof.DriftStreak {
-			r.slowStreak[ki] = 0
-			return true
-		}
-		return false
-	}
-	r.slowStreak[r.g.KindIndex(t.ID)] = 0
-	return false
 }
 
 // planAudit, when set (by the equivalence test), receives every freshly
@@ -1320,7 +1266,6 @@ func (r *runner) finishPlan(now float64, cost float64) {
 	if r.cfg.Trace != nil {
 		r.cfg.Trace.Add(trace.Event{Time: now, Kind: trace.Plan, Label: r.plan.kind, OK: true})
 	}
-	cost *= r.cfg.Overheads.PlanPerItemSec / solverItemSec // scale by config
 	r.overheadSec += cost
 	r.overheadPlan += cost
 	// The decision runs on the main thread: model it as a short
@@ -1346,7 +1291,7 @@ func (r *runner) enforceGlobal() {
 	r.plan.global.forEach(func(ix int) {
 		ref := r.st.RefAt(ix)
 		if r.st.TierAt(ix) != r.fastTier && !r.mig.Busy(ref) && !r.promoBlock[ix] {
-			r.tryPromote(ref, r.plan.global, -1)
+			r.tryPromoteTo(ref, r.fastTier, r.plan.global, -1)
 		}
 	})
 }
@@ -1367,7 +1312,7 @@ func (r *runner) enforceLevel(lv int) {
 		target.forEach(func(ix int) {
 			ref := r.st.RefAt(ix)
 			if r.st.TierAt(ix) != r.fastTier && !r.mig.Busy(ref) && !r.promoBlock[ix] {
-				r.tryPromote(ref, target, -1)
+				r.tryPromoteTo(ref, r.fastTier, target, -1)
 			}
 		})
 	}
@@ -1438,23 +1383,17 @@ func (r *runner) proactiveScan() {
 			continue
 		}
 		seen.set(w.ix)
-		r.tryPromote(ref, windowKeep, w.id)
+		r.tryPromoteTo(ref, r.fastTier, windowKeep, w.id)
 	}
 }
 
-// tryPromote attempts one chunk promotion to the fastest tier: make room
-// by demoting farthest-next-use residents, and enqueue the copy only
-// when the projected headroom actually covers it — a promotion that
-// cannot fit (its would-be victims are in use) is silently skipped and
-// retried on a later scan, rather than enqueued to fail and stall
-// dispatch.
-func (r *runner) tryPromote(ref heap.ChunkRef, keep planSet, forTask task.TaskID) bool {
-	return r.tryPromoteTo(ref, r.fastTier, keep, forTask)
-}
-
-// tryPromoteTo is tryPromote with an explicit target tier (used by the
-// tier plan on machines with more than two tiers). A quarantined target
-// refuses the promotion outright; the scan retries after readmission.
+// tryPromoteTo attempts one chunk promotion to tier `to`: make room by
+// demoting farthest-next-use residents, and enqueue the copy only when
+// the projected headroom actually covers it — a promotion that cannot
+// fit (its would-be victims are in use) is silently skipped and retried
+// on a later scan, rather than enqueued to fail and stall dispatch. A
+// quarantined target refuses the promotion outright; the scan retries
+// after readmission.
 func (r *runner) tryPromoteTo(ref heap.ChunkRef, to mem.Tier, keep planSet, forTask task.TaskID) bool {
 	if r.quarantinedTier(to) {
 		return false
@@ -1549,7 +1488,7 @@ func (r *runner) requestFor(t *task.Task) {
 		for i, ref := range r.st.Refs(a.Obj) {
 			if target.has(base+i) && r.st.TierAt(base+i) != r.fastTier && !r.mig.Busy(ref) &&
 				!r.promoBlock[base+i] && r.safeFor(a.Obj, t.ID) {
-				r.tryPromote(ref, target, t.ID)
+				r.tryPromoteTo(ref, r.fastTier, target, t.ID)
 			}
 		}
 	}
@@ -1580,8 +1519,8 @@ func (r *runner) enqueueMove(ref heap.ChunkRef, to mem.Tier, forTask task.TaskID
 	from := r.st.Tier(ref)
 	r.pendingTier[to] += size
 	r.pendingTier[from] -= size
-	r.overheadSec += r.cfg.Overheads.SyncPerRequestSec
-	r.overheadSync += r.cfg.Overheads.SyncPerRequestSec
+	r.overheadSec += syncPerRequestSec
+	r.overheadSync += syncPerRequestSec
 	r.mig.Enqueue(migrate.Request{
 		Ref: ref, To: to, ForTask: forTask,
 		Done: func(now float64, ok bool) {

@@ -77,7 +77,7 @@ func TestMakeRoomVictimOrderingFromFrontier(t *testing.T) {
 	// use victim, which from the frontier (task 5) is A.
 	keep := make(planSet, (r.st.TotalChunks()+63)/64)
 	keep.set(r.st.ChunkIndex(refC))
-	if !r.tryPromote(refC, keep, -1) {
+	if !r.tryPromoteTo(refC, r.fastTier, keep, -1) {
 		t.Fatal("promotion did not fit despite an evictable victim")
 	}
 	r.e.Run()

@@ -16,33 +16,15 @@ import (
 // Pool executes task graphs on a fixed set of worker goroutines with
 // per-worker deques and work stealing.
 type Pool struct {
-	workers  int
-	lockFree bool
+	workers int
 }
 
-// NewPool returns a pool configuration with the given worker count,
-// using mutex-guarded deques.
+// NewPool returns a pool configuration with the given worker count.
 func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
 	return &Pool{workers: workers}
-}
-
-// NewLockFreePool returns a pool using Chase-Lev lock-free deques
-// instead of mutex-guarded ones; same semantics, lower contention.
-func NewLockFreePool(workers int) *Pool {
-	p := NewPool(workers)
-	p.lockFree = true
-	return p
-}
-
-// workDeque is the owner-push/owner-pop/thief-steal contract both deque
-// implementations satisfy.
-type workDeque interface {
-	push(t *task.Task)
-	popBottom() (*task.Task, bool)
-	stealTop() (*task.Task, bool)
 }
 
 // deque is a mutex-guarded work-stealing deque: the owner pushes and pops
@@ -99,14 +81,7 @@ func (p *Pool) Run(g *task.Graph) error {
 		remaining[t.ID] = len(t.Deps())
 	}
 
-	deques := make([]workDeque, p.workers)
-	for i := range deques {
-		if p.lockFree {
-			deques[i] = newCLDeque()
-		} else {
-			deques[i] = &deque{}
-		}
-	}
+	deques := make([]deque, p.workers)
 
 	var (
 		mu        sync.Mutex

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -168,122 +167,5 @@ func TestManyRandomDiamonds(t *testing.T) {
 	}
 	if sum != 30*32 {
 		t.Fatalf("ran %d of %d", sum, 30*32)
-	}
-}
-
-// The lock-free pool must pass the same correctness matrix as the
-// mutex-guarded one, under the race detector.
-func TestLockFreeSerialChain(t *testing.T) {
-	var out []int
-	g := buildChain(50, &out)
-	if err := NewLockFreePool(8).Run(g); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i {
-			t.Fatalf("chain executed out of order at %d", i)
-		}
-	}
-}
-
-func TestLockFreeStress(t *testing.T) {
-	b := task.NewBuilder("stress")
-	var sum int64
-	objs := make([]task.ObjectID, 32)
-	for i := range objs {
-		objs[i] = b.Object("o", 64)
-	}
-	for round := 0; round < 40; round++ {
-		for i := range objs {
-			acc := []task.Access{{Obj: objs[i], Mode: task.InOut, Loads: 1, Stores: 1, MLP: 1}}
-			if i > 0 {
-				acc = append(acc, task.Access{Obj: objs[i-1], Mode: task.In, Loads: 1, MLP: 1})
-			}
-			b.Submit("t", 0, acc, func() { atomic.AddInt64(&sum, 1) })
-		}
-	}
-	g := b.Build()
-	if err := NewLockFreePool(8).Run(g); err != nil {
-		t.Fatal(err)
-	}
-	if sum != 40*32 {
-		t.Fatalf("ran %d of %d", sum, 40*32)
-	}
-}
-
-// TestCLDequeSingleThread exercises the deque's owner operations and the
-// grow path.
-func TestCLDequeSingleThread(t *testing.T) {
-	d := newCLDeque()
-	if _, ok := d.popBottom(); ok {
-		t.Fatal("pop from empty deque")
-	}
-	if _, ok := d.stealTop(); ok {
-		t.Fatal("steal from empty deque")
-	}
-	tasks := make([]*task.Task, 200) // forces at least one grow from 64
-	for i := range tasks {
-		tasks[i] = &task.Task{ID: task.TaskID(i)}
-		d.push(tasks[i])
-	}
-	// LIFO pops from the bottom.
-	for i := len(tasks) - 1; i >= 100; i-- {
-		got, ok := d.popBottom()
-		if !ok || got.ID != task.TaskID(i) {
-			t.Fatalf("pop %d: got %v %v", i, got, ok)
-		}
-	}
-	// FIFO steals from the top.
-	for i := 0; i < 100; i++ {
-		got, ok := d.stealTop()
-		if !ok || got.ID != task.TaskID(i) {
-			t.Fatalf("steal %d: got %v %v", i, got, ok)
-		}
-	}
-	if _, ok := d.popBottom(); ok {
-		t.Fatal("deque should be empty")
-	}
-}
-
-// TestCLDequeConcurrentTheft hammers one owner against many thieves and
-// checks every task is delivered exactly once.
-func TestCLDequeConcurrentTheft(t *testing.T) {
-	const total = 100000
-	d := newCLDeque()
-	var delivered int64
-	seen := make([]atomic.Int32, total)
-	var wg sync.WaitGroup
-	for th := 0; th < 4; th++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for atomic.LoadInt64(&delivered) < total {
-				if tk, ok := d.stealTop(); ok {
-					seen[tk.ID].Add(1)
-					atomic.AddInt64(&delivered, 1)
-				}
-			}
-		}()
-	}
-	for i := 0; i < total; i++ {
-		d.push(&task.Task{ID: task.TaskID(i)})
-		if i%3 == 0 {
-			if tk, ok := d.popBottom(); ok {
-				seen[tk.ID].Add(1)
-				atomic.AddInt64(&delivered, 1)
-			}
-		}
-	}
-	for atomic.LoadInt64(&delivered) < total {
-		if tk, ok := d.popBottom(); ok {
-			seen[tk.ID].Add(1)
-			atomic.AddInt64(&delivered, 1)
-		}
-	}
-	wg.Wait()
-	for i := range seen {
-		if n := seen[i].Load(); n != 1 {
-			t.Fatalf("task %d delivered %d times", i, n)
-		}
 	}
 }

@@ -215,8 +215,8 @@ func ParseClusterSpec(spec string) (*ClusterSchedule, error) {
 	if !haveHorizon {
 		return nil, fmt.Errorf("fault: cluster spec %q needs horizon=", spec)
 	}
-	if nodeRate < 0 || devRate < 0 || horizon < 0 {
-		return nil, fmt.Errorf("fault: cluster spec %q has negative rate or horizon", spec)
+	if !nonNegFinite(nodeRate) || !nonNegFinite(devRate) || !nonNegFinite(horizon) {
+		return nil, fmt.Errorf("fault: cluster spec %q needs finite, non-negative rates and horizon", spec)
 	}
 	return RandomCluster(seed, nodeRate, devRate, horizon, nodes, rpn, tiers), nil
 }

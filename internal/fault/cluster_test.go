@@ -139,6 +139,12 @@ func TestParseClusterSpecErrors(t *testing.T) {
 		"nodes=4,horizon=1,node-rate=", // bad value
 		"nodes=4,horizon=1,bogus=3",    // unknown key
 		"nodes=4,horizon=-1",           // negative horizon
+		// non-finite rates and horizon
+		"nodes=4,horizon=1,node-rate=NaN",
+		"nodes=4,horizon=1,dev-rate=NaN",
+		"nodes=4,horizon=1,node-rate=Inf",
+		"nodes=4,horizon=NaN",
+		"nodes=4,horizon=Inf",
 	} {
 		if _, err := ParseClusterSpec(spec); err == nil {
 			t.Fatalf("ParseClusterSpec(%q) accepted", spec)

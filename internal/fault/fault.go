@@ -27,6 +27,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -263,8 +264,13 @@ func ParseSpec(spec string) (*Schedule, error) {
 	if !haveRate || !haveHorizon {
 		return nil, fmt.Errorf("fault: spec %q needs at least rate= and horizon=", spec)
 	}
-	if rate < 0 || horizon < 0 {
-		return nil, fmt.Errorf("fault: spec %q has negative rate or horizon", spec)
+	if !nonNegFinite(rate) || !nonNegFinite(horizon) {
+		return nil, fmt.Errorf("fault: spec %q needs a finite, non-negative rate and horizon", spec)
 	}
 	return Random(seed, rate, horizon, tiers), nil
 }
+
+// nonNegFinite reports whether a parsed rate or horizon is a usable
+// number: strconv accepts "NaN" and "Inf", and neither gives Random a
+// meaningful event count (a NaN rate silently drew no faults).
+func nonNegFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }

@@ -56,6 +56,13 @@ func TestParseSpec(t *testing.T) {
 	if _, err := ParseSpec("rate=-1,horizon=1"); err == nil {
 		t.Fatal("negative rate accepted")
 	}
+	// strconv parses "NaN" and "Inf": a NaN rate used to yield an empty
+	// schedule and no error.
+	for _, bad := range []string{"rate=NaN,horizon=1", "rate=1,horizon=NaN", "rate=Inf,horizon=1", "rate=1,horizon=Inf"} {
+		if _, err := ParseSpec(bad); err == nil {
+			t.Fatalf("non-finite spec %q accepted", bad)
+		}
+	}
 	s, err := ParseSpec("rate=2,seed=9,horizon=0.5")
 	if err != nil || s == nil {
 		t.Fatalf("valid spec rejected: %v", err)

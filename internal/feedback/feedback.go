@@ -36,9 +36,9 @@
 // MaxFactor]), at which point the CorrectedEstimates view scales the
 // planner's per-(kind, object) benefits by it.
 //
-// This is deliberately a different mechanism from the profiler's two
-// drift detectors (internal/prof): those discard a kind's profile and
-// re-open its sampling window when counts or durations shift —
+// This is deliberately a different mechanism from the profiler's count
+// audit (internal/prof's drift score): that discards a kind's profile
+// and re-opens its sampling window when sampled counts shift —
 // expensive, and blind until the re-profile completes. Feedback keeps
 // the profile and rescales what the planner derives from it — cheap,
 // immediate, and able to correct errors no re-profile can see (a wrong
@@ -50,11 +50,7 @@
 // ReplanBudget so a noisy workload cannot thrash.
 package feedback
 
-import (
-	"fmt"
-
-	"repro/internal/task"
-)
+import "repro/internal/task"
 
 // MaxFactor clamps effective correction factors to [1/MaxFactor,
 // MaxFactor]: a correction beyond 8x says "the model is useless here",
@@ -68,76 +64,39 @@ const MaxFactor = 8
 // anything.
 const warmupObs = 6
 
+// Estimator constants.
+const (
+	// Alpha is the EWMA gain applied to each execution's observed and
+	// predicted seconds. Higher converges faster but lets a single
+	// light-role execution swing the ratio harder.
+	Alpha = 0.125
+	// Deadband is the multiplicative dead zone around 1.0: a pair's
+	// effective factor stays exactly 1.0 while max(f, 1/f) <= 1+Deadband
+	// (corrections engage beyond 3x). The deadband absorbs the model's
+	// inherent residual — per-pair role mixing the seconds EWMAs cannot
+	// fully average out, sampling bias, latency/bandwidth regime flips —
+	// measured at up to ~2.5x on the reference workloads with exact
+	// profiles, so only genuine model error steers placement.
+	Deadband = 2.0
+	// ReplanThreshold triggers a replan when an effective factor moves
+	// multiplicatively more than 1+ReplanThreshold away from its value
+	// at the last plan.
+	ReplanThreshold = 0.5
+	// ReplanBudget bounds feedback-triggered replans per run.
+	ReplanBudget = 4
+)
+
 // Config controls the online correction estimator.
 type Config struct {
 	// Enabled turns the feedback loop on. Off (the default) runs
 	// bit-identically to a build without the subsystem.
 	Enabled bool
-	// Alpha is the EWMA gain applied to each execution's observed and
-	// predicted seconds (0 = default 0.125). Higher converges faster but
-	// lets a single light-role execution swing the ratio harder.
-	Alpha float64
-	// Deadband is the multiplicative dead zone around 1.0: a pair's
-	// effective factor stays exactly 1.0 while max(f, 1/f) <= 1+Deadband
-	// (0 = default 2.0, i.e. corrections engage beyond 3x). The deadband
-	// absorbs the model's inherent residual — per-pair role mixing the
-	// seconds EWMAs cannot fully average out, sampling bias, latency/
-	// bandwidth regime flips — measured at up to ~2.5x on the reference
-	// workloads with exact profiles, so only genuine model error steers
-	// placement.
-	Deadband float64
-	// ReplanThreshold triggers a replan when an effective factor moves
-	// multiplicatively more than 1+ReplanThreshold away from its value
-	// at the last plan (0 = default 0.5).
-	ReplanThreshold float64
-	// ReplanBudget bounds feedback-triggered replans per run
-	// (0 = default 4; negative = no feedback replans).
-	ReplanBudget int
-}
-
-// DefaultConfig returns the disabled configuration with the default
-// estimator constants filled in.
-func DefaultConfig() Config {
-	return Config{Alpha: 0.125, Deadband: 2.0, ReplanThreshold: 0.5, ReplanBudget: 4}
-}
-
-// WithDefaults resolves zero-valued fields to their defaults.
-func (c Config) WithDefaults() Config {
-	d := DefaultConfig()
-	if c.Alpha == 0 {
-		c.Alpha = d.Alpha
-	}
-	if c.Deadband == 0 {
-		c.Deadband = d.Deadband
-	}
-	if c.ReplanThreshold == 0 {
-		c.ReplanThreshold = d.ReplanThreshold
-	}
-	if c.ReplanBudget == 0 {
-		c.ReplanBudget = d.ReplanBudget
-	}
-	return c
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return fmt.Errorf("feedback: alpha %g outside [0, 1]", c.Alpha)
-	}
-	if c.Deadband < 0 {
-		return fmt.Errorf("feedback: negative deadband %g", c.Deadband)
-	}
-	if c.ReplanThreshold < 0 {
-		return fmt.Errorf("feedback: negative replan threshold %g", c.ReplanThreshold)
-	}
-	return nil
 }
 
 // Estimator maintains the per-(kind, object) correction factors. All
 // state is flat kind-major matrices over the graph's dense kind and
 // object indices, so Observe is allocation-free on the hot path.
 type Estimator struct {
-	cfg  Config
 	nobj int
 	// obsEwma and predEwma are the decayed seconds accumulators per pair;
 	// their ratio is the pair's raw correction factor.
@@ -156,11 +115,10 @@ type Estimator struct {
 }
 
 // New returns an Estimator for a graph with the given dense kind and
-// object counts. cfg is resolved with WithDefaults.
-func New(cfg Config, kinds, objects int) *Estimator {
-	cfg = cfg.WithDefaults()
+// object counts.
+func New(kinds, objects int) *Estimator {
 	n := kinds * objects
-	e := &Estimator{cfg: cfg, nobj: objects,
+	e := &Estimator{nobj: objects,
 		obsEwma: make([]float64, n), predEwma: make([]float64, n),
 		count: make([]int32, n), eff: make([]float64, n), snap: make([]float64, n)}
 	for i := range e.eff {
@@ -179,7 +137,7 @@ func (e *Estimator) effective(f float64) float64 {
 	if inv > m {
 		m = inv
 	}
-	if m <= 1+e.cfg.Deadband {
+	if m <= 1+Deadband {
 		return 1
 	}
 	if f > MaxFactor {
@@ -201,9 +159,8 @@ func (e *Estimator) Observe(ki int, obj task.ObjectID, observedSec, predictedSec
 		return false
 	}
 	ix := e.ix(ki, obj)
-	a := e.cfg.Alpha
-	e.obsEwma[ix] = (1-a)*e.obsEwma[ix] + a*observedSec
-	e.predEwma[ix] = (1-a)*e.predEwma[ix] + a*predictedSec
+	e.obsEwma[ix] = (1-Alpha)*e.obsEwma[ix] + Alpha*observedSec
+	e.predEwma[ix] = (1-Alpha)*e.predEwma[ix] + Alpha*predictedSec
 	e.count[ix]++
 	e.observations++
 	if e.count[ix] < warmupObs {
@@ -230,7 +187,7 @@ func (e *Estimator) ShouldReplan(ki int, obj task.ObjectID) bool {
 	if r < 1 {
 		r = s / f
 	}
-	return r > 1+e.cfg.ReplanThreshold
+	return r > 1+ReplanThreshold
 }
 
 // Snapshot pins the current effective factors as the reference the next

@@ -142,11 +142,8 @@ func newTestState(t *testing.T, chunks map[task.ObjectID]int) *State {
 func TestStateInitialPlacementIsNVM(t *testing.T) {
 	s := newTestState(t, nil)
 	for id := task.ObjectID(0); id < 3; id++ {
-		if s.InDRAM(id) {
-			t.Fatalf("object %d started in DRAM", id)
-		}
-		if s.DRAMFraction(id) != 0 {
-			t.Fatalf("object %d has DRAM fraction %g", id, s.DRAMFraction(id))
+		if f := s.TierFraction(id, mem.InDRAM); f != 0 {
+			t.Fatalf("object %d started with DRAM fraction %g", id, f)
 		}
 	}
 	if s.DRAMUsed() != 0 {
@@ -160,20 +157,20 @@ func TestStateInitialPlacementIsNVM(t *testing.T) {
 func TestStatePromoteDemote(t *testing.T) {
 	s := newTestState(t, nil)
 	ref := ChunkRef{Obj: 0}
-	if !s.CanPromote(ref) {
+	if !s.CanMoveTo(ref, mem.InDRAM) {
 		t.Fatal("64MB should fit in 128MB DRAM")
 	}
 	if err := s.Move(ref, mem.InDRAM); err != nil {
 		t.Fatal(err)
 	}
-	if !s.InDRAM(0) || s.DRAMFraction(0) != 1 {
+	if s.TierFraction(0, mem.InDRAM) != 1 {
 		t.Fatal("object 0 not fully promoted")
 	}
 	if s.DRAMUsed() != 64*mem.MB {
 		t.Fatalf("DRAM used = %d", s.DRAMUsed())
 	}
 	// 100 MB object B cannot fit alongside.
-	if s.CanPromote(ChunkRef{Obj: 1}) {
+	if s.CanMoveTo(ChunkRef{Obj: 1}, mem.InDRAM) {
 		t.Fatal("B should not fit")
 	}
 	if err := s.Move(ChunkRef{Obj: 1}, mem.InDRAM); err == nil {
@@ -221,11 +218,11 @@ func TestStateChunking(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.DRAMFraction(0); got != 0.5 {
+	if got := s.TierFraction(0, mem.InDRAM); got != 0.5 {
 		t.Fatalf("DRAM fraction = %g, want 0.5", got)
 	}
-	if s.InDRAM(0) {
-		t.Fatal("half-resident object reported fully in DRAM")
+	if got := s.TierFraction(0, mem.InNVM); got != 0.5 {
+		t.Fatalf("NVM fraction = %g, want 0.5", got)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -341,8 +338,8 @@ func TestFragmentationImmunity(t *testing.T) {
 	}
 	// Now free space = 64 MB as one 64 MB region minus interleaving: the
 	// big object must come back regardless of layout.
-	if !s.CanPromote(ChunkRef{Obj: 16}) {
-		t.Fatal("CanPromote refused despite sufficient capacity")
+	if !s.CanMoveTo(ChunkRef{Obj: 16}, mem.InDRAM) {
+		t.Fatal("CanMoveTo refused despite sufficient capacity")
 	}
 	if err := s.Move(ChunkRef{Obj: 16}, mem.InDRAM); err != nil {
 		t.Fatalf("fragmented promotion failed: %v", err)
@@ -377,7 +374,7 @@ func TestFragmentedMoveRandomized(t *testing.T) {
 				to = mem.InNVM
 			}
 			fits := to == mem.InNVM || s.Tier(ref) == mem.InDRAM ||
-				s.DRAMAvail() >= s.ChunkSize(ref)
+				s.TierAvail(mem.InDRAM) >= s.ChunkSize(ref)
 			err := s.Move(ref, to)
 			if fits && err != nil {
 				return false // layout failure: forbidden

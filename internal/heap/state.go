@@ -32,7 +32,7 @@ type alloc struct {
 // migrator's hot queries — Tier, ChunkSize, TierFraction — are single
 // contiguous loads instead of objState→chunkState pointer chases.
 // Per-(object, tier) resident bytes are maintained incrementally in
-// integer accumulators, making TierFraction and InDRAM O(1); integer
+// integer accumulators, making TierFraction O(1); integer
 // arithmetic keeps them bit-identical to a scan. The retained
 // reference layout (state_ref.go) can shadow every mutation via
 // ShadowCheck and cross-checks the two representations observable by
@@ -210,42 +210,24 @@ func (s *State) NumTiers() int { return s.nt }
 // Fastest returns the fastest tier's id (InDRAM on two-tier machines).
 func (s *State) Fastest() mem.Tier { return mem.Tier(s.nt - 1) }
 
-// DRAMFraction returns the fraction of the object's bytes resident on
-// the fastest tier. The timing model splits an object's traffic between
-// the tiers in this proportion, which assumes accesses are uniform over
-// the object — the same assumption the paper's chunk profiling refines.
-func (s *State) DRAMFraction(obj task.ObjectID) float64 {
-	return s.TierFraction(obj, s.Fastest())
-}
-
 // TierFraction returns the fraction of the object's bytes resident on
-// tier t, from the O(1) per-(object, tier) accumulator.
+// tier t, from the O(1) per-(object, tier) accumulator. The timing model
+// splits an object's traffic between the tiers in this proportion, which
+// assumes accesses are uniform over the object — the same assumption the
+// paper's chunk profiling refines.
 func (s *State) TierFraction(obj task.ObjectID, t mem.Tier) float64 {
 	return float64(s.objOn[int(obj)*s.nt+int(t)]) / float64(s.objSize[obj])
 }
 
-// InDRAM reports whether the whole object is resident on the fastest
-// tier.
-func (s *State) InDRAM(obj task.ObjectID) bool {
-	return s.objOn[int(obj)*s.nt+s.nt-1] == s.objSum[obj]
-}
-
-// DRAMUsed and DRAMAvail expose the fastest tier's accounting.
-func (s *State) DRAMUsed() int64  { return s.tiers[s.Fastest()].Used() }
-func (s *State) DRAMAvail() int64 { return s.tiers[s.Fastest()].Avail() }
+// DRAMUsed exposes the fastest tier's accounting.
+func (s *State) DRAMUsed() int64 { return s.tiers[s.Fastest()].Used() }
 
 // TierUsed and TierAvail expose any tier's allocator accounting.
 func (s *State) TierUsed(t mem.Tier) int64  { return s.tiers[t].Used() }
 func (s *State) TierAvail(t mem.Tier) int64 { return s.tiers[t].Avail() }
 
-// CanPromote reports whether the chunk would fit on the fastest tier
-// right now. Allocation is fragmented (paged), so available bytes
-// suffice.
-func (s *State) CanPromote(ref ChunkRef) bool {
-	return s.CanMoveTo(ref, s.Fastest())
-}
-
 // CanMoveTo reports whether the chunk would fit on tier `to` right now.
+// Allocation is fragmented (paged), so available bytes suffice.
 func (s *State) CanMoveTo(ref ChunkRef, to mem.Tier) bool {
 	ix := s.base[ref.Obj] + ref.Index
 	return s.chunkTier[ix] == to || s.tiers[to].Avail() >= s.chunkSize[ix]

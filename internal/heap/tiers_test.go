@@ -49,7 +49,7 @@ func TestStateThreeTier(t *testing.T) {
 	if err := st.Move(refA, 2); err != nil {
 		t.Fatal(err)
 	}
-	if !st.InDRAM(a) || st.DRAMFraction(a) != 1 {
+	if st.TierFraction(a, st.Fastest()) != 1 {
 		t.Fatalf("a not fully on the fastest tier after promotion")
 	}
 

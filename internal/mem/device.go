@@ -49,15 +49,17 @@ type DeviceSpec struct {
 }
 
 // Validate reports an error if the spec is not physically meaningful.
+// The tests are written as !(x > 0) so that NaN, which fails every
+// comparison, is rejected along with non-positive values.
 func (d DeviceSpec) Validate() error {
 	if d.Name == "" {
 		return fmt.Errorf("mem: device spec has empty name")
 	}
-	if d.ReadLatNS <= 0 || d.WriteLatNS <= 0 {
-		return fmt.Errorf("mem: device %q has non-positive latency", d.Name)
+	if !(d.ReadLatNS > 0) || !(d.WriteLatNS > 0) {
+		return fmt.Errorf("mem: device %q has non-positive or NaN latency", d.Name)
 	}
-	if d.ReadBW <= 0 || d.WriteBW <= 0 {
-		return fmt.Errorf("mem: device %q has non-positive bandwidth", d.Name)
+	if !(d.ReadBW > 0) || !(d.WriteBW > 0) {
+		return fmt.Errorf("mem: device %q has non-positive or NaN bandwidth", d.Name)
 	}
 	return nil
 }

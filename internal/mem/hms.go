@@ -17,8 +17,7 @@ const (
 )
 
 // String returns "NVM" and "DRAM" for the two classic tiers, and "T<n>"
-// for tiers beyond them (an HMS-aware display name, which knows the
-// configured device, is HMS.TierName).
+// for tiers beyond them.
 func (t Tier) String() string {
 	switch t {
 	case InNVM:
@@ -27,14 +26,6 @@ func (t Tier) String() string {
 		return "DRAM"
 	}
 	return fmt.Sprintf("T%d", int(t))
-}
-
-// Other returns the opposite tier of the classic two-tier pair.
-func (t Tier) Other() Tier {
-	if t == InDRAM {
-		return InNVM
-	}
-	return InDRAM
 }
 
 // MaxTiers bounds how many tiers an HMS may have. The timing model's
@@ -111,15 +102,6 @@ func (h HMS) Capacity(t Tier) int64 {
 	return h.NVMCapacity
 }
 
-// TierName returns a display name for a tier: the configured device name
-// for N-tier machines, or the classic "DRAM"/"NVM" labels.
-func (h HMS) TierName(t Tier) string {
-	if h.Tiers != nil {
-		return h.Tiers[t].Device.Name
-	}
-	return t.String()
-}
-
 // CopyBWBetween returns the sustained migration bandwidth from tier
 // `from` to tier `to`, in bytes/second. The classic two-tier machine has
 // a single configured copy channel, CopyBW, charged on both directions;
@@ -147,8 +129,8 @@ func (h HMS) Validate() error {
 	if h.NVMCapacity <= 0 {
 		return fmt.Errorf("mem: non-positive NVM capacity %d", h.NVMCapacity)
 	}
-	if h.CopyBW <= 0 {
-		return fmt.Errorf("mem: non-positive copy bandwidth %g", h.CopyBW)
+	if !(h.CopyBW > 0) {
+		return fmt.Errorf("mem: non-positive or NaN copy bandwidth %g", h.CopyBW)
 	}
 	if h.Tiers != nil {
 		if len(h.Tiers) < 2 || len(h.Tiers) > MaxTiers {

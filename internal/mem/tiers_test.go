@@ -55,8 +55,8 @@ func TestDRAMCXLNVM(t *testing.T) {
 	if h.NumTiers() != 3 || h.Fastest() != Tier(2) {
 		t.Fatalf("NumTiers=%d Fastest=%v", h.NumTiers(), h.Fastest())
 	}
-	if h.TierName(0) != "OptanePM" || h.TierName(1) != "CXL" || h.TierName(2) != "DRAM" {
-		t.Errorf("tier names %q/%q/%q", h.TierName(0), h.TierName(1), h.TierName(2))
+	if h.Device(0).Name != "OptanePM" || h.Device(1).Name != "CXL" || h.Device(2).Name != "DRAM" {
+		t.Errorf("tier devices %q/%q/%q", h.Device(0).Name, h.Device(1).Name, h.Device(2).Name)
 	}
 	if h.Capacity(2) != 64*MB || h.Capacity(1) != 256*MB {
 		t.Errorf("capacities %d/%d", h.Capacity(2), h.Capacity(1))

@@ -32,11 +32,10 @@
 // paper feature it reconstructs and its truth-side counterpart.
 //
 // Both layers are tier-general: demand accumulators are per-tier arrays
-// (TaskDemandTiered splits traffic over any number of tiers), and
-// tiers.go evaluates the benefit and migration-cost equations over
-// arbitrary tier pairs — the *Between functions and the TierCosts
-// matrices. Their contract: the classic pair (from=InNVM, to=InDRAM)
-// computes bit-identically to the legacy two-tier functions.
+// (TaskDemandTiered splits traffic over any number of tiers), and the
+// benefit and migration-cost equations are stated over arbitrary tier
+// pairs (the *Between functions, tabulated by TierCosts). The paper's
+// two-tier DRAM/NVM machine is the N=2 case of the same code.
 package model
 
 import (
@@ -163,48 +162,12 @@ func (d Demand) StageRate(tier mem.Tier) float64 {
 	return d.DevSec[tier] / d.LatSec[tier]
 }
 
-// TaskDemand computes the ground-truth demand of one task under the
-// current placement. dramFrac gives, per object, the fraction of its
-// bytes resident in DRAM; traffic splits proportionally (uniform-access
-// assumption over the object, refined only by chunking).
-func TaskDemand(t *task.Task, h mem.HMS, dramFrac func(task.ObjectID) float64) Demand {
-	d := Demand{ObjSecs: make([]ObjSec, 0, len(t.Accesses))}
-	d.FixedSec = t.CPUSec
-	for _, a := range t.Accesses {
-		f := dramFrac(a.Obj)
-		var objTime float64
-		for _, tier := range []mem.Tier{mem.InDRAM, mem.InNVM} {
-			share := f
-			if tier == mem.InNVM {
-				share = 1 - f
-			}
-			if share <= 0 {
-				continue
-			}
-			loads := float64(a.Loads) * share
-			stores := float64(a.Stores) * share
-			lat, bw := AccessTime(loads, stores, a.MLP, h.Device(tier))
-			d.DevSec[tier] += bw
-			d.LatSec[tier] += lat
-			d.BytesRead[tier] += loads * mem.CacheLineSize
-			d.BytesWritten[tier] += stores * mem.CacheLineSize
-			if lat > bw {
-				objTime += lat
-			} else {
-				objTime += bw
-			}
-		}
-		d.addObjSec(a.Obj, objTime)
-		d.memSec += objTime
-	}
-	return d
-}
-
-// TaskDemandTiered is TaskDemand for machines with more than two tiers:
-// tierFrac gives, per (object, tier), the fraction of the object's bytes
-// resident on that tier, and traffic splits proportionally across every
-// tier holding a share. Tiers are visited fastest to slowest, matching
-// TaskDemand's DRAM-then-NVM order on the two-tier machine.
+// TaskDemandTiered computes the ground-truth demand of one task under the
+// current placement: tierFrac gives, per (object, tier), the fraction of
+// the object's bytes resident on that tier, and traffic splits
+// proportionally across every tier holding a share (uniform-access
+// assumption over the object, refined only by chunking). Tiers are
+// visited fastest to slowest.
 func TaskDemandTiered(t *task.Task, h mem.HMS, tierFrac func(task.ObjectID, mem.Tier) float64) Demand {
 	d := Demand{ObjSecs: make([]ObjSec, 0, len(t.Accesses))}
 	d.FixedSec = t.CPUSec
@@ -234,4 +197,19 @@ func TaskDemandTiered(t *task.Task, h mem.HMS, tierFrac func(task.ObjectID, mem.
 		d.memSec += objTime
 	}
 	return d
+}
+
+// TaskDemand is TaskDemandTiered for a two-way split: dramFrac gives,
+// per object, the fraction of its bytes on tier InDRAM, and the rest
+// lies on tier InNVM.
+func TaskDemand(t *task.Task, h mem.HMS, dramFrac func(task.ObjectID) float64) Demand {
+	return TaskDemandTiered(t, h, func(obj task.ObjectID, tier mem.Tier) float64 {
+		switch tier {
+		case mem.InDRAM:
+			return dramFrac(obj)
+		case mem.InNVM:
+			return 1 - dramFrac(obj)
+		}
+		return 0
+	})
 }

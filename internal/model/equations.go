@@ -1,60 +1,6 @@
 package model
 
-import (
-	"fmt"
-
-	"repro/internal/mem"
-)
-
-// Sensitivity classifies a data object in a task kind by which device
-// property its accesses are bound by, per the paper's equation-(1) test:
-// estimated bandwidth consumption above t1 = 80% of peak NVM bandwidth is
-// bandwidth-sensitive, below t2 = 10% is latency-sensitive, in between the
-// runtime hedges with the larger of the two predicted benefits.
-type Sensitivity int
-
-const (
-	// LatencySensitive objects barely consume bandwidth: dependent accesses.
-	LatencySensitive Sensitivity = iota
-	// MixedSensitive objects sit between the two thresholds.
-	MixedSensitive
-	// BandwidthSensitive objects stream near the device's peak.
-	BandwidthSensitive
-)
-
-// String names the sensitivity class.
-func (s Sensitivity) String() string {
-	switch s {
-	case LatencySensitive:
-		return "latency"
-	case BandwidthSensitive:
-		return "bandwidth"
-	case MixedSensitive:
-		return "mixed"
-	}
-	return fmt.Sprintf("Sensitivity(%d)", int(s))
-}
-
-// Classification thresholds, as fractions of peak NVM bandwidth.
-const (
-	// T1 is the bandwidth-sensitive threshold (the paper's t1 = 80%).
-	T1 = 0.80
-	// T2 is the latency-sensitive threshold (the paper's t2 = 10%).
-	T2 = 0.10
-)
-
-// Classify applies the threshold test to an estimated bandwidth
-// consumption (bytes/second) against the peak NVM bandwidth.
-func Classify(bwCons, peakNVMBW float64) Sensitivity {
-	switch {
-	case bwCons >= T1*peakNVMBW:
-		return BandwidthSensitive
-	case bwCons <= T2*peakNVMBW:
-		return LatencySensitive
-	default:
-		return MixedSensitive
-	}
-}
+import "repro/internal/mem"
 
 // Params is the runtime model's configuration: the machine it reasons
 // about, the calibration constants, and whether loads and stores are
@@ -85,74 +31,78 @@ func (p Params) cfLat() float64 {
 	return 1
 }
 
-// BenefitBW is the bandwidth-side benefit (seconds saved) of moving
-// traffic of `loads` and `stores` cache-line accesses from NVM to DRAM —
-// the paper's equation (4), or (2) when read/write are not distinguished.
-func (p Params) BenefitBW(loads, stores float64) float64 {
-	nvm, dram := p.HMS.NVM, p.HMS.DRAM
-	var onNVM, onDRAM float64
+// The benefit and cost equations below are stated over an arbitrary tier
+// pair (from, to), as Unimem states them for any pair of memories. The
+// paper's DRAM/NVM form is the pair (from=0, to=Fastest()); on the
+// two-tier machine that is (InNVM, InDRAM).
+
+// BenefitBWBetween is the bandwidth-side benefit (seconds saved) of
+// moving traffic of `loads` and `stores` cache-line accesses from tier
+// `from` to tier `to` — the paper's equation (4), or (2) when read/write
+// are not distinguished. Negative when `to` is the slower tier.
+func (p Params) BenefitBWBetween(loads, stores float64, from, to mem.Tier) float64 {
+	src, dst := p.HMS.Device(from), p.HMS.Device(to)
+	var onSrc, onDst float64
 	if p.DistinguishRW {
-		onNVM = loads*mem.CacheLineSize/nvm.ReadBW + stores*mem.CacheLineSize/nvm.WriteBW
-		onDRAM = loads*mem.CacheLineSize/dram.ReadBW + stores*mem.CacheLineSize/dram.WriteBW
+		onSrc = loads*mem.CacheLineSize/src.ReadBW + stores*mem.CacheLineSize/src.WriteBW
+		onDst = loads*mem.CacheLineSize/dst.ReadBW + stores*mem.CacheLineSize/dst.WriteBW
 	} else {
 		total := loads + stores
-		onNVM = total * mem.CacheLineSize / meanBW(nvm)
-		onDRAM = total * mem.CacheLineSize / meanBW(dram)
+		onSrc = total * mem.CacheLineSize / meanBW(src)
+		onDst = total * mem.CacheLineSize / meanBW(dst)
 	}
-	return (onNVM - onDRAM) * p.cfBw()
+	return (onSrc - onDst) * p.cfBw()
 }
 
-// BenefitLat is the latency-side benefit — the paper's equation (5), or
-// (3) without the read/write distinction.
-func (p Params) BenefitLat(loads, stores float64) float64 {
-	nvm, dram := p.HMS.NVM, p.HMS.DRAM
-	var onNVM, onDRAM float64
+// BenefitLatBetween is the latency-side benefit over a tier pair — the
+// paper's equation (5), or (3) without the read/write distinction.
+func (p Params) BenefitLatBetween(loads, stores float64, from, to mem.Tier) float64 {
+	src, dst := p.HMS.Device(from), p.HMS.Device(to)
+	var onSrc, onDst float64
 	if p.DistinguishRW {
-		onNVM = loads*nvm.ReadLatSec() + stores*nvm.WriteLatSec()
-		onDRAM = loads*dram.ReadLatSec() + stores*dram.WriteLatSec()
+		onSrc = loads*src.ReadLatSec() + stores*src.WriteLatSec()
+		onDst = loads*dst.ReadLatSec() + stores*dst.WriteLatSec()
 	} else {
 		total := loads + stores
-		onNVM = total * meanLatSec(nvm)
-		onDRAM = total * meanLatSec(dram)
+		onSrc = total * meanLatSec(src)
+		onDst = total * meanLatSec(dst)
 	}
-	return (onNVM - onDRAM) * p.cfLat()
+	return (onSrc - onDst) * p.cfLat()
 }
 
-// Benefit combines the two sides according to the sensitivity class:
-// bandwidth-sensitive objects use the bandwidth equation,
-// latency-sensitive ones the latency equation, and mixed objects the
-// larger of the two (the paper's hedge).
-func (p Params) Benefit(loads, stores float64, sens Sensitivity) float64 {
-	switch sens {
-	case BandwidthSensitive:
-		return p.BenefitBW(loads, stores)
-	case LatencySensitive:
-		return p.BenefitLat(loads, stores)
-	default:
-		bw, lat := p.BenefitBW(loads, stores), p.BenefitLat(loads, stores)
-		if bw > lat {
-			return bw
-		}
-		return lat
+// BenefitProfiledBetween is the benefit equation the runtime evaluates
+// over a sampled profile: the larger of the bandwidth-side benefit and
+// the latency-side benefit deflated by the effective memory-level
+// parallelism inferred on the source tier's device. This mirrors the
+// machine's two bounds exactly — an access stream is as fast as the
+// tighter of its bandwidth share and its latency floor — and stays
+// computable purely from sampled counters: the equation-(1)
+// bandwidth-consumption estimate supplies the concurrency the plain
+// latency equations (3)/(5) would otherwise overcount. It strictly
+// dominates a classify-then-pick-one rule: a threshold misclassification
+// (e.g. a band whose task kind both streams into it and gathers from
+// it) can zero a real latency benefit, while the max never does.
+func (p Params) BenefitProfiledBetween(loads, stores, bwCons float64, from, to mem.Tier) float64 {
+	bw := p.BenefitBWBetween(loads, stores, from, to)
+	m := EffectiveMLP(bwCons, loads, stores, p.HMS.Device(from))
+	lat := p.BenefitLatBetween(loads, stores, from, to) / m
+	if bw > lat {
+		return bw
 	}
+	return lat
 }
 
-// MigrationCost is the paper's equation (6): the copy time not hidden by
-// overlapping computation. overlapSec is the execution the helper thread
-// can run under (from the task graph's dependence-safe window).
-func (p Params) MigrationCost(size int64, overlapSec float64) float64 {
-	c := float64(size)/p.HMS.CopyBW - overlapSec
+// MigrationCostBetween is the paper's equation (6): the copy time at the
+// pair's migration bandwidth not hidden by overlapping computation.
+// overlapSec is the execution the helper thread can run under (from the
+// task graph's dependence-safe window). On the two-tier machine every
+// pair shares the single configured copy channel, HMS.CopyBW.
+func (p Params) MigrationCostBetween(size int64, overlapSec float64, from, to mem.Tier) float64 {
+	c := float64(size)/p.HMS.CopyBWBetween(from, to) - overlapSec
 	if c < 0 {
 		return 0
 	}
 	return c
-}
-
-// Weight is the knapsack weight of a candidate promotion — equation (7):
-// benefit minus migration cost minus the cost of evicting whatever must
-// leave DRAM to make room.
-func Weight(benefit, cost, evictCost float64) float64 {
-	return benefit - cost - evictCost
 }
 
 // CalibrationFactor computes a constant factor from a measured and a
@@ -193,26 +143,4 @@ func EffectiveMLP(bwCons, loads, stores float64, d mem.DeviceSpec) float64 {
 		return 1
 	}
 	return m
-}
-
-// BenefitProfiled is the benefit equation the runtime evaluates over a
-// sampled profile: the larger of the bandwidth-side benefit and the
-// latency-side benefit deflated by the effective memory-level
-// parallelism. This mirrors the machine's two bounds exactly — an access
-// stream is as fast as the tighter of its bandwidth share and its
-// latency floor — and stays computable purely from sampled counters: the
-// equation-(1) bandwidth-consumption estimate supplies the concurrency
-// the plain latency equations (3)/(5) would otherwise overcount. It
-// strictly dominates the classify-then-pick-one rule: a threshold
-// misclassification (e.g. a band whose task kind both streams into it
-// and gathers from it) can zero a real latency benefit, while the max
-// never does.
-func (p Params) BenefitProfiled(loads, stores, bwCons float64) float64 {
-	bw := p.BenefitBW(loads, stores)
-	m := EffectiveMLP(bwCons, loads, stores, p.HMS.NVM)
-	lat := p.BenefitLat(loads, stores) / m
-	if bw > lat {
-		return bw
-	}
-	return lat
 }

@@ -107,8 +107,8 @@ func TestBenefitProfiledTakesTheTighterBound(t *testing.T) {
 	loads := 1e6
 	// Stream at effective MLP 4 on NVM.
 	bwCons := 4 * 64 / h.NVM.ReadLatSec()
-	got := p.BenefitProfiled(loads, 0, bwCons)
-	want := p.BenefitLat(loads, 0) / 4
+	got := p.BenefitProfiledBetween(loads, 0, bwCons, mem.InNVM, mem.InDRAM)
+	want := p.BenefitLatBetween(loads, 0, mem.InNVM, mem.InDRAM) / 4
 	if math.Abs(got-want) > 1e-12*want {
 		t.Fatalf("profiled benefit = %g, want %g", got, want)
 	}
@@ -116,8 +116,8 @@ func TestBenefitProfiledTakesTheTighterBound(t *testing.T) {
 	// a high-MLP stream.
 	hb := mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), 256*mem.MB)
 	pb := Params{HMS: hb, DistinguishRW: true}
-	got = pb.BenefitProfiled(loads, 0, 8e9)
-	if math.Abs(got-pb.BenefitBW(loads, 0)) > 1e-15 {
+	got = pb.BenefitProfiledBetween(loads, 0, 8e9, mem.InNVM, mem.InDRAM)
+	if math.Abs(got-pb.BenefitBWBetween(loads, 0, mem.InNVM, mem.InDRAM)) > 1e-15 {
 		t.Fatalf("bandwidth-side benefit not taken: %g", got)
 	}
 }
@@ -128,8 +128,8 @@ func TestBenefitProfiledNeverZeroedByMisclassification(t *testing.T) {
 	// still report its latency benefit on an equal-bandwidth NVM.
 	h := mem.NewHMS(mem.DRAM(), mem.NVMLatency(4), 256*mem.MB)
 	p := Params{HMS: h, DistinguishRW: true}
-	highCons := 0.9 * h.NVM.ReadBW // above the T1 threshold
-	if got := p.BenefitProfiled(1e6, 0, highCons); got <= 0 {
+	highCons := 0.9 * h.NVM.ReadBW // above the paper's t1 = 80%-of-peak threshold
+	if got := p.BenefitProfiledBetween(1e6, 0, highCons, mem.InNVM, mem.InDRAM); got <= 0 {
 		t.Fatalf("benefit zeroed: %g", got)
 	}
 }

@@ -153,42 +153,26 @@ func TestTaskDemandObjSecAccounting(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
-	peak := 5e9
-	if Classify(0.9*peak, peak) != BandwidthSensitive {
-		t.Fatal("90% of peak should be bandwidth-sensitive")
-	}
-	if Classify(0.05*peak, peak) != LatencySensitive {
-		t.Fatal("5% of peak should be latency-sensitive")
-	}
-	if Classify(0.5*peak, peak) != MixedSensitive {
-		t.Fatal("50% of peak should be mixed")
-	}
-	if LatencySensitive.String() != "latency" || BandwidthSensitive.String() != "bandwidth" {
-		t.Fatal("sensitivity names wrong")
-	}
-}
-
 func TestBenefitBWHalfBandwidth(t *testing.T) {
 	p := Params{HMS: hmsHalfBW(), DistinguishRW: true}
-	got := p.BenefitBW(1e6, 0)
+	got := p.BenefitBWBetween(1e6, 0, mem.InNVM, mem.InDRAM)
 	want := 1e6*64/5e9 - 1e6*64/10e9
 	if math.Abs(got-want) > 1e-15 {
-		t.Fatalf("BenefitBW = %g, want %g", got, want)
+		t.Fatalf("BenefitBWBetween = %g, want %g", got, want)
 	}
-	if p.BenefitLat(1e6, 0) != 0 {
+	if p.BenefitLatBetween(1e6, 0, mem.InNVM, mem.InDRAM) != 0 {
 		t.Fatal("equal latencies must yield zero latency benefit")
 	}
 }
 
 func TestBenefitLat4x(t *testing.T) {
 	p := Params{HMS: hms4xLat(), DistinguishRW: true}
-	got := p.BenefitLat(1e6, 1e6)
+	got := p.BenefitLatBetween(1e6, 1e6, mem.InNVM, mem.InDRAM)
 	want := (1e6*40e-9 + 1e6*40e-9) - (1e6*10e-9 + 1e6*10e-9)
 	if math.Abs(got-want) > 1e-15 {
-		t.Fatalf("BenefitLat = %g, want %g", got, want)
+		t.Fatalf("BenefitLatBetween = %g, want %g", got, want)
 	}
-	if math.Abs(p.BenefitBW(1e6, 1e6)) > 1e-15 {
+	if math.Abs(p.BenefitBWBetween(1e6, 1e6, mem.InNVM, mem.InDRAM)) > 1e-15 {
 		t.Fatal("equal bandwidths must yield zero bandwidth benefit")
 	}
 }
@@ -199,41 +183,28 @@ func TestReadWriteDistinctionMattersOnAsymmetricNVM(t *testing.T) {
 	no := Params{HMS: h, DistinguishRW: false}
 	// A write-heavy object: the r/w-distinguishing model sees a much
 	// larger benefit (PCRAM writes are 10x slower than reads).
-	wrRW := rw.BenefitLat(0, 1e6)
-	wrNo := no.BenefitLat(0, 1e6)
+	wrRW := rw.BenefitLatBetween(0, 1e6, mem.InNVM, mem.InDRAM)
+	wrNo := no.BenefitLatBetween(0, 1e6, mem.InNVM, mem.InDRAM)
 	if wrRW <= wrNo {
 		t.Fatalf("write-heavy benefit should grow with r/w distinction: %g vs %g", wrRW, wrNo)
 	}
 	// A read-heavy object: the r/w model sees a smaller benefit.
-	rdRW := rw.BenefitLat(1e6, 0)
-	rdNo := no.BenefitLat(1e6, 0)
+	rdRW := rw.BenefitLatBetween(1e6, 0, mem.InNVM, mem.InDRAM)
+	rdNo := no.BenefitLatBetween(1e6, 0, mem.InNVM, mem.InDRAM)
 	if rdRW >= rdNo {
 		t.Fatalf("read-heavy benefit should shrink with r/w distinction: %g vs %g", rdRW, rdNo)
-	}
-}
-
-func TestBenefitDispatchBySensitivity(t *testing.T) {
-	p := Params{HMS: hmsHalfBW(), DistinguishRW: true}
-	bw := p.Benefit(1e6, 0, BandwidthSensitive)
-	lat := p.Benefit(1e6, 0, LatencySensitive)
-	mix := p.Benefit(1e6, 0, MixedSensitive)
-	if bw != p.BenefitBW(1e6, 0) || lat != p.BenefitLat(1e6, 0) {
-		t.Fatal("dispatch wrong")
-	}
-	if mix != math.Max(bw, lat) {
-		t.Fatal("mixed must take the larger benefit")
 	}
 }
 
 func TestConstantFactorsScaleBenefits(t *testing.T) {
 	p := Params{HMS: hmsHalfBW(), DistinguishRW: true, CFBw: 2, CFLat: 3}
 	base := Params{HMS: hmsHalfBW(), DistinguishRW: true}
-	if p.BenefitBW(1e6, 0) != 2*base.BenefitBW(1e6, 0) {
+	if p.BenefitBWBetween(1e6, 0, mem.InNVM, mem.InDRAM) != 2*base.BenefitBWBetween(1e6, 0, mem.InNVM, mem.InDRAM) {
 		t.Fatal("CFBw not applied")
 	}
 	pl := Params{HMS: hms4xLat(), DistinguishRW: true, CFLat: 3}
 	bl := Params{HMS: hms4xLat(), DistinguishRW: true}
-	if pl.BenefitLat(1e6, 0) != 3*bl.BenefitLat(1e6, 0) {
+	if pl.BenefitLatBetween(1e6, 0, mem.InNVM, mem.InDRAM) != 3*bl.BenefitLatBetween(1e6, 0, mem.InNVM, mem.InDRAM) {
 		t.Fatal("CFLat not applied")
 	}
 }
@@ -242,20 +213,14 @@ func TestMigrationCost(t *testing.T) {
 	p := Params{HMS: hmsHalfBW()}
 	size := int64(100 * mem.MB)
 	raw := float64(size) / p.HMS.CopyBW
-	if got := p.MigrationCost(size, 0); math.Abs(got-raw) > 1e-12 {
+	if got := p.MigrationCostBetween(size, 0, mem.InNVM, mem.InDRAM); math.Abs(got-raw) > 1e-12 {
 		t.Fatalf("unoverlapped cost = %g, want %g", got, raw)
 	}
-	if got := p.MigrationCost(size, raw/2); math.Abs(got-raw/2) > 1e-12 {
+	if got := p.MigrationCostBetween(size, raw/2, mem.InNVM, mem.InDRAM); math.Abs(got-raw/2) > 1e-12 {
 		t.Fatalf("half-overlapped cost = %g, want %g", got, raw/2)
 	}
-	if got := p.MigrationCost(size, raw*10); got != 0 {
+	if got := p.MigrationCostBetween(size, raw*10, mem.InNVM, mem.InDRAM); got != 0 {
 		t.Fatalf("fully overlapped cost = %g, want 0", got)
-	}
-}
-
-func TestWeight(t *testing.T) {
-	if Weight(10, 3, 2) != 5 {
-		t.Fatal("weight arithmetic wrong")
 	}
 }
 
@@ -276,12 +241,12 @@ func TestBenefitMonotonicity(t *testing.T) {
 	check := func(l1, s1, dl, ds uint32) bool {
 		loads, stores := float64(l1%1e6), float64(s1%1e6)
 		moreL, moreS := loads+float64(dl%1e6), stores+float64(ds%1e6)
-		b1 := p.BenefitBW(loads, stores)
-		b2 := p.BenefitBW(moreL, moreS)
+		b1 := p.BenefitBWBetween(loads, stores, mem.InNVM, mem.InDRAM)
+		b2 := p.BenefitBWBetween(moreL, moreS, mem.InNVM, mem.InDRAM)
 		if b2 < b1-1e-15 {
 			return false
 		}
-		return b1 >= -1e-15 && p.BenefitLat(loads, stores) >= -1e-15
+		return b1 >= -1e-15 && p.BenefitLatBetween(loads, stores, mem.InNVM, mem.InDRAM) >= -1e-15
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -298,7 +263,7 @@ func TestDemandMatchesBenefit(t *testing.T) {
 	inDRAM := TaskDemand(tk, h, func(task.ObjectID) float64 { return 1 })
 	truth := inNVM.TotalSec() - inDRAM.TotalSec()
 	p := Params{HMS: h, DistinguishRW: true}
-	modeled := p.BenefitBW(2e6, 1e6)
+	modeled := p.BenefitBWBetween(2e6, 1e6, mem.InNVM, mem.InDRAM)
 	if math.Abs(truth-modeled) > 1e-12 {
 		t.Fatalf("ground truth %g != modeled benefit %g", truth, modeled)
 	}

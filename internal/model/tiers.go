@@ -2,78 +2,12 @@ package model
 
 import "repro/internal/mem"
 
-// This file generalizes the two-tier benefit and cost equations to
-// arbitrary tier pairs. Every *Between function computes the same
-// expression shape as its DRAM/NVM counterpart in equations.go with the
-// pair (from, to) substituted for (NVM, DRAM), so the classic pair
-// (from=InNVM, to=InDRAM) is bit-identical to the legacy function —
-// tested in tiers_test.go — and the N=2 machine pays no behavioural
-// change.
-
-// BenefitBWBetween is the bandwidth-side benefit (seconds saved) of
-// moving traffic of `loads` and `stores` cache-line accesses from tier
-// `from` to tier `to` — equation (4)/(2) over an arbitrary tier pair.
-// Negative when `to` is the slower tier.
-func (p Params) BenefitBWBetween(loads, stores float64, from, to mem.Tier) float64 {
-	src, dst := p.HMS.Device(from), p.HMS.Device(to)
-	var onSrc, onDst float64
-	if p.DistinguishRW {
-		onSrc = loads*mem.CacheLineSize/src.ReadBW + stores*mem.CacheLineSize/src.WriteBW
-		onDst = loads*mem.CacheLineSize/dst.ReadBW + stores*mem.CacheLineSize/dst.WriteBW
-	} else {
-		total := loads + stores
-		onSrc = total * mem.CacheLineSize / meanBW(src)
-		onDst = total * mem.CacheLineSize / meanBW(dst)
-	}
-	return (onSrc - onDst) * p.cfBw()
-}
-
-// BenefitLatBetween is the latency-side benefit over an arbitrary tier
-// pair — equation (5)/(3).
-func (p Params) BenefitLatBetween(loads, stores float64, from, to mem.Tier) float64 {
-	src, dst := p.HMS.Device(from), p.HMS.Device(to)
-	var onSrc, onDst float64
-	if p.DistinguishRW {
-		onSrc = loads*src.ReadLatSec() + stores*src.WriteLatSec()
-		onDst = loads*dst.ReadLatSec() + stores*dst.WriteLatSec()
-	} else {
-		total := loads + stores
-		onSrc = total * meanLatSec(src)
-		onDst = total * meanLatSec(dst)
-	}
-	return (onSrc - onDst) * p.cfLat()
-}
-
-// BenefitProfiledBetween is BenefitProfiled over an arbitrary tier pair:
-// the larger of the bandwidth-side benefit and the latency-side benefit
-// deflated by the effective MLP inferred on the source tier's device.
-func (p Params) BenefitProfiledBetween(loads, stores, bwCons float64, from, to mem.Tier) float64 {
-	bw := p.BenefitBWBetween(loads, stores, from, to)
-	m := EffectiveMLP(bwCons, loads, stores, p.HMS.Device(from))
-	lat := p.BenefitLatBetween(loads, stores, from, to) / m
-	if bw > lat {
-		return bw
-	}
-	return lat
-}
-
-// MigrationCostBetween is equation (6) over an arbitrary tier pair: the
-// copy time at the pair's migration bandwidth not hidden by overlapping
-// computation. On the two-tier machine every pair shares the single
-// configured copy channel, so this equals MigrationCost.
-func (p Params) MigrationCostBetween(size int64, overlapSec float64, from, to mem.Tier) float64 {
-	c := float64(size)/p.HMS.CopyBWBetween(from, to) - overlapSec
-	if c < 0 {
-		return 0
-	}
-	return c
-}
-
 // TierCosts holds the model's per-tier-pair cost matrices for one access
 // profile: Access[i][j] is the seconds saved (negative: lost) by moving
 // the profiled traffic from tier i to tier j, and Migration[i][j] is the
 // unhidden copy time of moving `size` bytes from tier i to tier j.
-// Diagonals are zero.
+// Diagonals are zero. It tabulates the pairwise equations of
+// equations.go over every ordered tier pair of the machine.
 type TierCosts struct {
 	N         int
 	Access    [][]float64

@@ -10,8 +10,9 @@ import (
 )
 
 // The *Between functions' contract: evaluated over the classic pair
-// (from=InNVM, to=InDRAM) they must be bit-identical to the legacy
-// two-tier equations, for any parameter soup.
+// (from=InNVM, to=InDRAM) they must be bit-identical to the paper's
+// two-tier DRAM/NVM equations (frozen below as twoTier*), for any
+// parameter soup.
 func TestBetweenMatchesLegacyBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, drw := range []bool{false, true} {
@@ -24,25 +25,25 @@ func TestBetweenMatchesLegacyBitwise(t *testing.T) {
 			size := int64(rng.Intn(1 << 26))
 			overlap := rng.Float64() * 1e-2
 
-			if a, b := p.BenefitBWBetween(loads, stores, mem.InNVM, mem.InDRAM), p.BenefitBW(loads, stores); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("drw=%v: BenefitBWBetween %v != BenefitBW %v", drw, a, b)
+			if a, b := p.BenefitBWBetween(loads, stores, mem.InNVM, mem.InDRAM), twoTierBWSaving(p, loads, stores); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("drw=%v: BenefitBWBetween %v != two-tier form %v", drw, a, b)
 			}
-			if a, b := p.BenefitLatBetween(loads, stores, mem.InNVM, mem.InDRAM), p.BenefitLat(loads, stores); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("drw=%v: BenefitLatBetween %v != BenefitLat %v", drw, a, b)
+			if a, b := p.BenefitLatBetween(loads, stores, mem.InNVM, mem.InDRAM), twoTierLatSaving(p, loads, stores); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("drw=%v: BenefitLatBetween %v != two-tier form %v", drw, a, b)
 			}
-			if a, b := p.BenefitProfiledBetween(loads, stores, bwCons, mem.InNVM, mem.InDRAM), p.BenefitProfiled(loads, stores, bwCons); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("drw=%v: BenefitProfiledBetween %v != BenefitProfiled %v", drw, a, b)
+			if a, b := p.BenefitProfiledBetween(loads, stores, bwCons, mem.InNVM, mem.InDRAM), twoTierProfiledSaving(p, loads, stores, bwCons); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("drw=%v: BenefitProfiledBetween %v != two-tier form %v", drw, a, b)
 			}
-			if a, b := p.MigrationCostBetween(size, overlap, mem.InNVM, mem.InDRAM), p.MigrationCost(size, overlap); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("drw=%v: MigrationCostBetween %v != MigrationCost %v", drw, a, b)
+			if a, b := p.MigrationCostBetween(size, overlap, mem.InNVM, mem.InDRAM), twoTierCopyCost(p, size, overlap); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("drw=%v: MigrationCostBetween %v != two-tier form %v", drw, a, b)
 			}
 		}
 	}
 }
 
-// TaskDemandTiered with a two-tier fraction function must reproduce
-// TaskDemand bit for bit: same per-tier accumulators, same ObjSec, same
-// MemSec.
+// TaskDemandTiered with a two-tier fraction function must reproduce the
+// two-tier DRAM-then-NVM demand loop (frozen below as twoTierTaskDemand)
+// bit for bit: same per-tier accumulators, same ObjSec, same MemSec.
 func TestTaskDemandTieredMatchesTwoTier(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	h := mem.NewHMS(mem.DRAM(), mem.OptanePM(), 64*mem.MB)
@@ -69,7 +70,7 @@ func TestTaskDemandTieredMatchesTwoTier(t *testing.T) {
 	for _, o := range objs {
 		fracs[o] = rng.Float64()
 	}
-	legacy := TaskDemand(tk, h, func(obj task.ObjectID) float64 { return fracs[obj] })
+	legacy := twoTierTaskDemand(tk, h, func(obj task.ObjectID) float64 { return fracs[obj] })
 	tiered := TaskDemandTiered(tk, h, func(obj task.ObjectID, tier mem.Tier) float64 {
 		if tier == mem.InDRAM {
 			return fracs[obj]
@@ -173,4 +174,86 @@ func TestTierCostsFor(t *testing.T) {
 		t.Errorf("NVM->CXL benefit %v should be positive and below NVM->DRAM %v",
 			tc.Access[0][1], tc.Access[0][2])
 	}
+}
+
+// The twoTier* functions freeze the two-tier DRAM/NVM forms of the model
+// the tier-general code replaced; they exist only as oracles for the
+// bit-identity tests above.
+
+func twoTierBWSaving(p Params, loads, stores float64) float64 {
+	nvm, dram := p.HMS.NVM, p.HMS.DRAM
+	var onNVM, onDRAM float64
+	if p.DistinguishRW {
+		onNVM = loads*mem.CacheLineSize/nvm.ReadBW + stores*mem.CacheLineSize/nvm.WriteBW
+		onDRAM = loads*mem.CacheLineSize/dram.ReadBW + stores*mem.CacheLineSize/dram.WriteBW
+	} else {
+		total := loads + stores
+		onNVM = total * mem.CacheLineSize / meanBW(nvm)
+		onDRAM = total * mem.CacheLineSize / meanBW(dram)
+	}
+	return (onNVM - onDRAM) * p.cfBw()
+}
+
+func twoTierLatSaving(p Params, loads, stores float64) float64 {
+	nvm, dram := p.HMS.NVM, p.HMS.DRAM
+	var onNVM, onDRAM float64
+	if p.DistinguishRW {
+		onNVM = loads*nvm.ReadLatSec() + stores*nvm.WriteLatSec()
+		onDRAM = loads*dram.ReadLatSec() + stores*dram.WriteLatSec()
+	} else {
+		total := loads + stores
+		onNVM = total * meanLatSec(nvm)
+		onDRAM = total * meanLatSec(dram)
+	}
+	return (onNVM - onDRAM) * p.cfLat()
+}
+
+func twoTierProfiledSaving(p Params, loads, stores, bwCons float64) float64 {
+	bw := twoTierBWSaving(p, loads, stores)
+	lat := twoTierLatSaving(p, loads, stores) / EffectiveMLP(bwCons, loads, stores, p.HMS.NVM)
+	if bw > lat {
+		return bw
+	}
+	return lat
+}
+
+func twoTierCopyCost(p Params, size int64, overlapSec float64) float64 {
+	c := float64(size)/p.HMS.CopyBW - overlapSec
+	if c < 0 {
+		return 0
+	}
+	return c
+}
+
+func twoTierTaskDemand(t *task.Task, h mem.HMS, dramFrac func(task.ObjectID) float64) Demand {
+	d := Demand{ObjSecs: make([]ObjSec, 0, len(t.Accesses))}
+	d.FixedSec = t.CPUSec
+	for _, a := range t.Accesses {
+		f := dramFrac(a.Obj)
+		var objTime float64
+		for _, tier := range []mem.Tier{mem.InDRAM, mem.InNVM} {
+			share := f
+			if tier == mem.InNVM {
+				share = 1 - f
+			}
+			if share <= 0 {
+				continue
+			}
+			loads := float64(a.Loads) * share
+			stores := float64(a.Stores) * share
+			lat, bw := AccessTime(loads, stores, a.MLP, h.Device(tier))
+			d.DevSec[tier] += bw
+			d.LatSec[tier] += lat
+			d.BytesRead[tier] += loads * mem.CacheLineSize
+			d.BytesWritten[tier] += stores * mem.CacheLineSize
+			if lat > bw {
+				objTime += lat
+			} else {
+				objTime += bw
+			}
+		}
+		d.addObjSec(a.Obj, objTime)
+		d.memSec += objTime
+	}
+	return d
 }

@@ -236,12 +236,10 @@ type Profiler struct {
 	stats     map[key]*accum
 	kindStats map[string]*kindAccum
 	kindExecs map[string]int
-	// kindDur tracks mean profiled duration per kind for drift detection.
+	// kindDur tracks mean profiled duration per kind.
 	kindDur map[string]float64
-	// stale marks kinds whose post-profiling performance drifted.
+	// stale marks kinds whose profile was re-opened by MarkStale.
 	stale map[string]bool
-	// slow counts consecutive slower-than-threshold observations.
-	slow map[string]int
 	// kindIvl holds per-kind sampling-interval overrides (adaptive
 	// densification); kinds not present sample at cfg.SamplingInterval.
 	// Overrides survive MarkStale on purpose — a densified re-profile is
@@ -273,7 +271,6 @@ func New(cfg Config) *Profiler {
 		kindExecs: make(map[string]int),
 		kindDur:   make(map[string]float64),
 		stale:     make(map[string]bool),
-		slow:      make(map[string]int),
 		kindIvl:   make(map[string]int64),
 	}
 }
@@ -451,40 +448,11 @@ func (p *Profiler) Estimate(kind string, obj task.ObjectID) (Estimate, bool) {
 	return Estimate{Loads: a.loads, Stores: a.stores, BWCons: a.bwCons}, true
 }
 
-// Drift detection thresholds: a kind is stale only after DriftStreak
-// consecutive executions more than DriftFactor slower than its profiled
-// mean. Single slow runs are contention noise (a task sharing a device
-// with seven others takes several times its profiled duration); a
-// sustained shift is workload variation.
-const (
-	DriftFactor = 1.5
-	DriftStreak = 12
-)
-
-// ObserveDuration feeds a post-profiling execution's duration to the
-// drift detector. Runs that got *faster* never trigger — a successful
-// data placement makes tasks faster by design, and re-profiling on
-// improvement would thrash; instead the baseline eases toward the
-// improved steady state.
-func (p *Profiler) ObserveDuration(kind string, dur float64) (drifted bool) {
-	mean, ok := p.kindDur[kind]
-	if !ok || mean == 0 || !p.Profiled(kind) {
-		return false
-	}
-	if dur > DriftFactor*mean {
-		p.slow[kind]++
-		if p.slow[kind] >= DriftStreak {
-			p.MarkStale(kind)
-			return true
-		}
-		return false
-	}
-	p.slow[kind] = 0
-	if dur < mean {
-		p.kindDur[kind] = mean + (dur-mean)/8
-	}
-	return false
-}
+// DriftStreak floors the runner's replan cool-down: a replan requested
+// by the count audit, a tier quarantine or the feedback loop waits until
+// at least this many tasks (more on large graphs) have completed since
+// the last plan, so a burst of requests costs one plan.
+const DriftStreak = 12
 
 func absf(v float64) float64 {
 	if v < 0 {
@@ -501,7 +469,6 @@ func (p *Profiler) MarkStale(kind string) {
 	p.stale[kind] = true
 	p.kindExecs[kind] = 0
 	p.kindDur[kind] = 0
-	p.slow[kind] = 0
 	delete(p.kindStats, kind)
 	for k := range p.stats {
 		if k.kind == kind {

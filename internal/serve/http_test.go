@@ -73,6 +73,11 @@ func TestHTTPErrors(t *testing.T) {
 		{`{"workload":"no-such-workload"}`, http.StatusBadRequest},
 		{`{"workload":"heat","policy":"bogus"}`, http.StatusBadRequest},
 		{`{"workload":"heat","machine":{"nvm":"bogus"}}`, http.StatusBadRequest},
+		// A NaN spec used to pass admission and panic a worker, taking
+		// the whole daemon down; the requests below prove it still serves.
+		{`{"workload":"heat","machine":{"nvm":"bw:NaN"}}`, http.StatusBadRequest},
+		{`{"workload":"heat","machine":{"nvm":"lat:Inf"}}`, http.StatusBadRequest},
+		{`{"workload":"heat","scale":4}`, http.StatusOK},
 	} {
 		resp, body := postRun(t, ts.URL, tc.body)
 		if resp.StatusCode != tc.want {

@@ -37,8 +37,8 @@ type RunRequest struct {
 	// Faults is a fault-schedule spec, e.g. "rate=1,seed=7,horizon=2"
 	// ("" = none).
 	Faults string `json:"faults,omitempty"`
-	// Feedback is an observed-vs-predicted correction-loop spec, e.g.
-	// "on" or "on,alpha=0.25,budget=6" ("" = off).
+	// Feedback switches the observed-vs-predicted correction loop:
+	// "on" ("" = off).
 	Feedback string `json:"feedback,omitempty"`
 	// NoCalibrate skips the per-machine model calibration (which is
 	// otherwise served from the shared singleflight cache).

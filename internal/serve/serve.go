@@ -293,9 +293,6 @@ func (s *Server) resolve(j *job) error {
 	if j.fb, err = cliutil.ParseFeedback(req.Feedback, feedback.Config{}); err != nil {
 		return err
 	}
-	if err := j.fb.Validate(); err != nil {
-		return err
-	}
 	if req.Workers < 0 || req.Scale < 0 || req.Lookahead < 0 {
 		return fmt.Errorf("serve: negative workers/scale/lookahead")
 	}

@@ -190,11 +190,6 @@ func Execute(g *Graph, workers int) error {
 	return exec.NewPool(workers).Run(g)
 }
 
-// ExecuteLockFree is Execute on Chase-Lev lock-free deques.
-func ExecuteLockFree(g *Graph, workers int) error {
-	return exec.NewLockFreePool(workers).Run(g)
-}
-
 // Calibration.
 type (
 	// CalibrationFactors holds CF_bw, CF_lat and the measured peak
