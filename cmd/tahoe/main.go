@@ -127,9 +127,9 @@ func main() {
 	fmt.Printf("workload    %s (%d tasks, %d objects)\n", res.Workload, res.Tasks, len(built.Graph.Objects))
 	if machine.CXLMB > 0 {
 		fmt.Printf("machine     DRAM %d MB + CXL %d MB + %s, %d workers\n",
-			machine.DRAMMB, machine.CXLMB, h.NVM.Name, *workers)
+			machine.DRAMMB, machine.CXLMB, h.Device(0).Name, *workers)
 	} else {
-		fmt.Printf("machine     DRAM %d MB + %s, %d workers\n", machine.DRAMMB, h.NVM.Name, *workers)
+		fmt.Printf("machine     DRAM %d MB + %s, %d workers\n", machine.DRAMMB, h.Device(0).Name, *workers)
 	}
 	fmt.Printf("policy      %s (scheduler %s)\n", res.Policy, sc)
 	fmt.Printf("time        %.6f s (simulated)\n", res.Time)

@@ -43,7 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nact 2: %d tasks over %d tiles on DRAM+%s\n\n",
-		len(sim.Graph.Tasks), len(sim.Graph.Objects), h.NVM.Name)
+		len(sim.Graph.Tasks), len(sim.Graph.Objects), h.Device(0).Name)
 	fmt.Println("policy      simulated   vs DRAM   migrations  overlap")
 	var base float64
 	for _, p := range []tahoe.Policy{

@@ -37,7 +37,7 @@ func expT2(opt ExpOptions) (*Table, error) {
 		"Machine", "CF_bw", "CF_lat", "Peak BW (GB/s)")
 	for _, h := range []mem.HMS{hmsBW(0.5), hmsLat(4), hmsOptane()} {
 		f := factorsFor(h)
-		t.AddRow("DRAM+"+h.NVM.Name, report.F(f.CFBw), report.F(f.CFLat),
+		t.AddRow("DRAM+"+h.Device(0).Name, report.F(f.CFBw), report.F(f.CFLat),
 			fmt.Sprintf("%.2f", f.PeakBW/1e9))
 	}
 	t.Note("factors absorb the sampling undercount (bias %.2f); computed once per machine",
@@ -155,7 +155,7 @@ func expE3(opt ExpOptions) (*Table, error) {
 				cfg.Workers = 1
 				// Give the pinned group room regardless of the group size;
 				// the experiment isolates sensitivity, not capacity.
-				cfg.HMS.DRAMCapacity = 1 << 40
+				cfg.HMS = mem.NewHMS(m.h.Device(1), m.h.Device(0), 1<<40)
 				cfg.Pin = func(objName string) bool {
 					return groupOf(objName) == grp
 				}

@@ -233,7 +233,7 @@ func expE16(opt ExpOptions) (*Table, error) {
 			if n > cfg.MaxChunks {
 				n = cfg.MaxChunks
 			}
-			if size > h.DRAMCapacity/2 && n > 1 {
+			if size > h.Capacity(h.Fastest())/2 && n > 1 {
 				chunks = n
 			}
 		}

@@ -17,7 +17,8 @@ import (
 // 2-tier machine it envelopes.
 func Envelope(h mem.HMS) mem.HMS {
 	if h.NumTiers() > 2 {
-		return mem.NewHMS(h.DRAM, h.NVM, h.DRAMCapacity)
+		fast := h.Fastest()
+		return mem.NewHMS(h.Device(fast), h.Device(0), h.Capacity(fast))
 	}
 	return h
 }
@@ -50,7 +51,8 @@ var Shared = &Cache{}
 // machine that cannot calibrate still simulates.
 func (c *Cache) Factors(h mem.HMS, pc prof.Config) Factors {
 	h = Envelope(h)
-	key := fmt.Sprintf("%s|%s|%g|%g|%d", h.DRAM.Name, h.NVM.Name, h.NVM.ReadBW, h.NVM.ReadLatNS, pc.SamplingInterval)
+	fast, slow := h.Device(h.Fastest()), h.Device(0)
+	key := fmt.Sprintf("%s|%s|%g|%g|%d", fast.Name, slow.Name, slow.ReadBW, slow.ReadLatNS, pc.SamplingInterval)
 	c.mu.Lock()
 	if c.m == nil {
 		c.m = make(map[string]*cacheEntry)

@@ -55,7 +55,7 @@ func Calibrate(h mem.HMS, pc prof.Config) (Factors, error) {
 // calibrateOne measures one calibration graph: ground-truth memory time
 // on DRAM versus the bare-equation prediction from sampled counts.
 func calibrateOne(g *task.Graph, h mem.HMS, pc prof.Config, bandwidth bool) (cf, peakBW float64, err error) {
-	dram := h.DRAM
+	dram := h.Device(h.Fastest())
 	var measured, predicted, bytes float64
 	allDRAM := func(task.ObjectID) float64 { return 1 }
 	for _, t := range g.Tasks {

@@ -33,8 +33,8 @@ func TestCalibratePeakBandwidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	// STREAM measured against DRAM: peak between write and read bandwidth.
-	if f.PeakBW < h.DRAM.WriteBW*0.9 || f.PeakBW > h.DRAM.ReadBW*1.1 {
-		t.Fatalf("PeakBW = %g, want near %g", f.PeakBW, h.DRAM.ReadBW)
+	if f.PeakBW < h.Device(mem.InDRAM).WriteBW*0.9 || f.PeakBW > h.Device(mem.InDRAM).ReadBW*1.1 {
+		t.Fatalf("PeakBW = %g, want near %g", f.PeakBW, h.Device(mem.InDRAM).ReadBW)
 	}
 }
 

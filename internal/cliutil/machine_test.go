@@ -19,11 +19,11 @@ func TestMachineSpecDefaults(t *testing.T) {
 	if h.NumTiers() != 2 {
 		t.Fatalf("default machine has %d tiers, want 2", h.NumTiers())
 	}
-	if h.DRAMCapacity != 128*mem.MB {
-		t.Fatalf("default DRAM capacity %d, want 128 MB", h.DRAMCapacity)
+	if h.Capacity(h.Fastest()) != 128*mem.MB {
+		t.Fatalf("default DRAM capacity %d, want 128 MB", h.Capacity(h.Fastest()))
 	}
-	if h.NVM.ReadBW != mem.NVMBandwidth(0.5).ReadBW {
-		t.Fatalf("default NVM bandwidth %g", h.NVM.ReadBW)
+	if h.Device(0).ReadBW != mem.NVMBandwidth(0.5).ReadBW {
+		t.Fatalf("default NVM bandwidth %g", h.Device(0).ReadBW)
 	}
 }
 
@@ -38,8 +38,8 @@ func TestMachineSpecThreeTier(t *testing.T) {
 	if h.Tiers[1].Capacity != 256*mem.MB {
 		t.Fatalf("CXL tier capacity %d", h.Tiers[1].Capacity)
 	}
-	if h.NVM.Name != "OptanePM" {
-		t.Fatalf("slow device %q", h.NVM.Name)
+	if h.Device(0).Name != "OptanePM" {
+		t.Fatalf("slow device %q", h.Device(0).Name)
 	}
 }
 

@@ -108,39 +108,15 @@ func (r *runner) adaptSampling() (boosted int) {
 		}
 	}
 
-	p.refreshTotals(r)
-
-	// Rebuild the global knapsack's item list exactly as computeGlobalPlan
-	// does, so the embedded Solve call is a memo lookup for Tahoe's global
-	// plan rather than a fresh DP run.
-	items := r.adaptItems[:0]
-	for _, o := range r.g.Objects {
-		benefit := p.totals[o.ID]
-		if benefit == 0 {
-			continue
-		}
-		refs := r.st.Refs(o.ID)
-		per := benefit / float64(len(refs))
-		base := r.st.ChunkBase(o.ID)
-		for i, ref := range refs {
-			size := p.chunkSize[base+i]
-			cost := 0.0
-			if r.st.Tier(ref) != r.fastTier {
-				firstUse := task.TaskID(len(r.g.Tasks))
-				if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
-					firstUse = nu
-				}
-				cost = r.params.MigrationCostBetween(size, r.overlapSec(r.frontier()-1, firstUse), 0, r.fastTier)
-			}
-			items = append(items, placement.Item{Ref: ref, Size: size, Weight: per - cost})
-		}
-	}
+	// The global knapsack's item list, so the embedded Solve call is a
+	// memo lookup for Tahoe's global plan.
+	items := r.globalItems(r.adaptItems[:0])
 	r.adaptItems = items
 	if len(items) == 0 {
 		return 0
 	}
 	misses := p.solver.Misses
-	r.adaptMargins = p.solver.Margins(items, r.cfg.HMS.DRAMCapacity, placement.DefaultGranularity, r.adaptMargins)
+	r.adaptMargins = p.solver.Margins(items, r.cfg.HMS.Capacity(r.fastTier), placement.DefaultGranularity, r.adaptMargins)
 	// The sensitivity query costs a table lookup per item when it reuses
 	// the plan's memoized solve, a DP pass when it cannot (PhaseBased,
 	// whose level plans solve different knapsacks).

@@ -235,7 +235,7 @@ type Config struct {
 	// proactive migration scan covers.
 	Lookahead int
 	// ChunkTarget is the preferred chunk size for partitioned objects;
-	// 0 derives DRAMCapacity/8.
+	// 0 derives the fastest tier's capacity / 8.
 	ChunkTarget int64
 	// MaxChunks bounds the partitioning of one object.
 	MaxChunks int

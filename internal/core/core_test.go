@@ -178,8 +178,8 @@ func TestStateInvariantsAfterRun(t *testing.T) {
 		if err := r.st.CheckInvariants(); err != nil {
 			t.Error(err)
 		}
-		if r.st.DRAMUsed() > r.cfg.HMS.DRAMCapacity && r.cfg.Policy != DRAMOnly {
-			t.Errorf("DRAM over capacity: %d > %d", r.st.DRAMUsed(), r.cfg.HMS.DRAMCapacity)
+		if r.st.DRAMUsed() > r.cfg.HMS.Capacity(r.fastTier) && r.cfg.Policy != DRAMOnly {
+			t.Errorf("DRAM over capacity: %d > %d", r.st.DRAMUsed(), r.cfg.HMS.Capacity(r.fastTier))
 		}
 		for obj, n := range r.inUse {
 			if n != 0 {
@@ -218,7 +218,7 @@ func TestMigrationAccounting(t *testing.T) {
 	if s.Migrations > 0 && s.BytesMoved == 0 {
 		t.Fatal("migrations without bytes")
 	}
-	if r.DRAMHighWaterBytes > h.DRAMCapacity {
+	if r.DRAMHighWaterBytes > h.Capacity(h.Fastest()) {
 		t.Fatalf("high water %d above capacity", r.DRAMHighWaterBytes)
 	}
 }

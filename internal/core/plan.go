@@ -369,7 +369,7 @@ func (p *plannerState) refreshTotals(r *runner) {
 // using the sampled profile: the equation-(1) bandwidth-consumption
 // estimate feeds the profiled benefit equation
 // (model.BenefitProfiledBetween). With feedback enabled the result
-// passes through the CorrectedEstimates view — this is the single choke
+// passes through feedback.Estimator.Apply — this is the single choke
 // point every planner (incremental, reference, N-tier) funnels through,
 // so corrections reach all of them identically and the planAudit
 // bit-identity contract holds.
@@ -380,7 +380,7 @@ func (r *runner) benefitPerExecTo(kind string, obj task.ObjectID, to mem.Tier) f
 	}
 	b := r.params.BenefitProfiledBetween(est.Loads, est.Stores, est.BWCons, 0, to)
 	if r.fb != nil {
-		b = r.fbView.Apply(int(r.pt.kindIx[kind]), obj, b)
+		b = r.fb.Apply(int(r.pt.kindIx[kind]), obj, b)
 	}
 	return b
 }
@@ -450,14 +450,15 @@ func (r *runner) usesAhead(obj task.ObjectID, from, horizon task.TaskID) int {
 	return hi - lo
 }
 
-// computeGlobalPlan runs the cross-phase (whole-graph) search: one
-// knapsack over every object's chunks, weighing each chunk by the total
-// remaining benefit minus a one-time migration cost, then predicts the
-// remaining execution time under the winning set.
-func (r *runner) computeGlobalPlan(future []*task.Task) planResult {
+// globalItems refreshes the benefit totals and appends the global
+// knapsack's items to dst: every chunk of every object with remaining
+// benefit, weighed by its share of that benefit minus a one-time
+// migration cost. The global search and the adaptive-sampling margin
+// query both build their list here, so the margin query's solve is a
+// memo hit for Tahoe's global plan rather than a fresh DP run.
+func (r *runner) globalItems(dst []placement.Item) []placement.Item {
 	p := r.pt
 	p.refreshTotals(r)
-	items := p.items[:0]
 	for _, o := range r.g.Objects {
 		benefit := p.totals[o.ID]
 		if benefit == 0 {
@@ -478,11 +479,21 @@ func (r *runner) computeGlobalPlan(future []*task.Task) planResult {
 				}
 				cost = r.params.MigrationCostBetween(size, r.overlapSec(r.frontier()-1, firstUse), 0, r.fastTier)
 			}
-			items = append(items, placement.Item{Ref: ref, Size: size, Weight: per - cost})
+			dst = append(dst, placement.Item{Ref: ref, Size: size, Weight: per - cost})
 		}
 	}
+	return dst
+}
+
+// computeGlobalPlan runs the cross-phase (whole-graph) search: one
+// knapsack over every object's chunks, weighing each chunk by the total
+// remaining benefit minus a one-time migration cost, then predicts the
+// remaining execution time under the winning set.
+func (r *runner) computeGlobalPlan(future []*task.Task) planResult {
+	p := r.pt
+	items := r.globalItems(p.items[:0])
 	p.items = items
-	chosen := p.solver.Solve(items, r.cfg.HMS.DRAMCapacity, placement.DefaultGranularity)
+	chosen := p.solver.Solve(items, r.cfg.HMS.Capacity(r.fastTier), placement.DefaultGranularity)
 	target := p.globalBuf
 	target.clearAll()
 	for _, i := range chosen {
@@ -554,7 +565,7 @@ func mergeObjs(dst, a, b []task.ObjectID) []task.ObjectID {
 func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 	p := r.pt
 	p.refreshTotals(r)
-	capacity := r.cfg.HMS.DRAMCapacity
+	capacity := r.cfg.HMS.Capacity(r.fastTier)
 
 	resident := p.resident
 	resident.clearAll()
@@ -763,7 +774,7 @@ func (r *runner) computeLevelPlan(future []*task.Task) planResult {
 			agg[obj] = 0
 		}
 		items += len(cand)
-		chosen := p.solver.Solve(cand, r.cfg.HMS.DRAMCapacity, placement.DefaultGranularity)
+		chosen := p.solver.Solve(cand, r.cfg.HMS.Capacity(r.fastTier), placement.DefaultGranularity)
 		if len(chosen) == 0 {
 			// No opinion: keep whatever is resident rather than flushing.
 			for _, t := range tasks {

@@ -221,7 +221,7 @@ func TestPlannerEquivalence(t *testing.T) {
 			}
 			if cfg.Tech.Chunking {
 				for _, o := range g.Objects {
-					if o.Chunkable && o.Size > cfg.HMS.DRAMCapacity/2 {
+					if o.Chunkable && o.Size > cfg.HMS.Capacity(cfg.HMS.Fastest())/2 {
 						chunkedSeen++
 						break
 					}

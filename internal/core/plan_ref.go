@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/heap"
-	"repro/internal/mem"
 	"repro/internal/placement"
 	"repro/internal/task"
 )
@@ -113,7 +112,7 @@ func (r *runner) refComputeGlobalPlan(future []*task.Task) refPlanResult {
 		for _, ref := range refs {
 			size := r.st.ChunkSize(ref)
 			cost := 0.0
-			if r.st.Tier(ref) != mem.InDRAM {
+			if r.st.Tier(ref) != r.fastTier {
 				// The promotion is enqueued at plan time; the first future
 				// user bounds the hiding window.
 				firstUse := task.TaskID(len(r.g.Tasks))
@@ -129,7 +128,7 @@ func (r *runner) refComputeGlobalPlan(future []*task.Task) refPlanResult {
 			})
 		}
 	}
-	chosen := placement.Knapsack(items, r.cfg.HMS.DRAMCapacity, placement.DefaultGranularity)
+	chosen := placement.Knapsack(items, r.cfg.HMS.Capacity(r.fastTier), placement.DefaultGranularity)
 	target := make(chunkSet, len(chosen))
 	for _, i := range chosen {
 		target[items[i].Ref] = true
@@ -143,7 +142,7 @@ func (r *runner) refComputeGlobalPlan(future []*task.Task) refPlanResult {
 	// can hide.
 	var copySec float64
 	for _, i := range chosen {
-		if r.st.Tier(items[i].Ref) != mem.InDRAM {
+		if r.st.Tier(items[i].Ref) != r.fastTier {
 			copySec += float64(items[i].Size) / r.cfg.HMS.CopyBW
 		}
 	}
@@ -164,12 +163,12 @@ func (r *runner) refComputeLocalPlan(future []*task.Task) refPlanResult {
 	resident := make(chunkSet)
 	for _, o := range r.g.Objects {
 		for _, ref := range r.refChunkRefs(o.ID) {
-			if r.st.Tier(ref) == mem.InDRAM {
+			if r.st.Tier(ref) == r.fastTier {
 				resident[ref] = true
 			}
 		}
 	}
-	capacity := r.cfg.HMS.DRAMCapacity
+	capacity := r.cfg.HMS.Capacity(r.fastTier)
 
 	// Per-object average benefit per future use.
 	totals := r.refObjBenefitTotals(future)
@@ -288,7 +287,7 @@ func (r *runner) refComputeLevelPlan(future []*task.Task) refPlanResult {
 	resident := make(chunkSet)
 	for _, o := range r.g.Objects {
 		for _, ref := range r.refChunkRefs(o.ID) {
-			if r.st.Tier(ref) == mem.InDRAM {
+			if r.st.Tier(ref) == r.fastTier {
 				resident[ref] = true
 			}
 		}
@@ -330,7 +329,7 @@ func (r *runner) refComputeLevelPlan(future []*task.Task) refPlanResult {
 			}
 		}
 		items += len(cand)
-		chosen := placement.Knapsack(cand, r.cfg.HMS.DRAMCapacity, placement.DefaultGranularity)
+		chosen := placement.Knapsack(cand, r.cfg.HMS.Capacity(r.fastTier), placement.DefaultGranularity)
 		target := make(chunkSet, len(chosen))
 		for _, i := range chosen {
 			target[cand[i].Ref] = true

@@ -65,13 +65,7 @@ func (pb *PlannerBench) record(t *task.Task) {
 			Obj: a.Obj, Loads: a.Loads, Stores: a.Stores,
 			Size: r.g.Object(a.Obj).Size, TimeShare: share,
 		})
-		ix := r.pairIx(r.g.KindIndex(t.ID), a.Obj)
-		if !r.pairSeen[ix] {
-			r.pairSeen[ix] = true
-			if r.pairRemaining[ix] > 0 {
-				r.pairsNeeded--
-			}
-		}
+		r.pairSeen[r.pairIx(r.g.KindIndex(t.ID), a.Obj)] = true
 	}
 	r.profiler.Record(prof.Exec{TaskID: t.ID, Kind: t.Kind, Duration: dur, Obs: obs})
 	r.pt.invalidateKind(r.pt.kindOf[t.ID])
@@ -81,15 +75,7 @@ func (pb *PlannerBench) record(t *task.Task) {
 func (pb *PlannerBench) startTask(t *task.Task) {
 	r := pb.r
 	r.started[t.ID] = true
-	ki := r.g.KindIndex(t.ID)
-	r.kindRemaining[ki]--
-	for _, a := range t.Accesses {
-		ix := r.pairIx(ki, a.Obj)
-		r.pairRemaining[ix]--
-		if r.pairRemaining[ix] == 0 && !r.pairSeen[ix] {
-			r.pairsNeeded--
-		}
-	}
+	r.kindRemaining[r.g.KindIndex(t.ID)]--
 	r.pt.taskStarted(t)
 }
 

@@ -19,7 +19,7 @@ func (r *runner) chunkPlan() map[task.ObjectID]int {
 	}
 	target := r.cfg.ChunkTarget
 	if target <= 0 {
-		target = r.cfg.HMS.DRAMCapacity / 8
+		target = r.cfg.HMS.Capacity(r.fastTier) / 8
 	}
 	if target <= 0 {
 		return nil
@@ -30,7 +30,7 @@ func (r *runner) chunkPlan() map[task.ObjectID]int {
 	}
 	plan := make(map[task.ObjectID]int)
 	for _, o := range r.g.Objects {
-		if !o.Chunkable || o.Size <= r.cfg.HMS.DRAMCapacity/2 {
+		if !o.Chunkable || o.Size <= r.cfg.HMS.Capacity(r.fastTier)/2 {
 			continue
 		}
 		n := int((o.Size + target - 1) / target)
@@ -143,7 +143,7 @@ func (r *runner) placeXMem() error {
 			Weight: w,
 		})
 	}
-	chosen := placement.Knapsack(items, r.cfg.HMS.DRAMCapacity, placement.DefaultGranularity)
+	chosen := placement.Knapsack(items, r.cfg.HMS.Capacity(r.fastTier), placement.DefaultGranularity)
 	for _, i := range chosen {
 		obj := items[i].Ref.Obj
 		for _, ref := range r.st.Refs(obj) {
@@ -192,7 +192,7 @@ func (r *runner) placeByReferenceCount() error {
 // ratio below one even when it fits.
 func (r *runner) hwCacheHitRatio() float64 {
 	const page = 4096 // cache-block granularity
-	frames := r.cfg.HMS.DRAMCapacity / page
+	frames := r.cfg.HMS.Capacity(r.fastTier) / page
 	var pages int64
 	for _, o := range r.g.Objects {
 		pages += (o.Size + page - 1) / page

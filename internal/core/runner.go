@@ -93,9 +93,8 @@ var testHook func(*runner)
 
 // blockedTask is a ready task waiting for in-flight migrations.
 type blockedTask struct {
-	t       *task.Task
-	worker  int // worker that readied it (for deque affinity)
-	blocked float64
+	t      *task.Task
+	worker int // worker that readied it (for deque affinity)
 }
 
 // runner holds the state of one simulated run.
@@ -141,15 +140,12 @@ type runner struct {
 	// see plannerState in plan.go.
 	pt *plannerState
 
-	// Pair coverage: the plan must wait until every (kind, object) pair
-	// still occurring in the future has at least one profiled
-	// observation — otherwise unobserved objects would look worthless
-	// and be evicted. pairsNeeded counts unseen pairs with future uses.
-	// Both tables are flat kind-major matrices (nk x nobj), indexed by
-	// pairIx.
-	pairRemaining []int32
-	pairSeen      []bool
-	pairsNeeded   int
+	// pairSeen marks the (kind, object) pairs with at least one profiled
+	// observation: start() profiles a task narrowly while any of its
+	// pairs is unseen, so objects a kind has not yet been observed
+	// touching do not look worthless to the planner. A flat kind-major
+	// matrix (nk x nobj), indexed by pairIx.
+	pairSeen []bool
 
 	plan       planResult
 	planned    bool
@@ -163,7 +159,6 @@ type runner struct {
 	// nothing-blocked case clears nothing.
 	promoBlock    []bool
 	promoBlocked  int
-	totalPairs    int
 	levelEnforced []bool
 	// pendingTier[t] is the projected byte delta of tier t from queued and
 	// in-flight movements: promotions targeting t add their size, moves
@@ -214,11 +209,10 @@ type runner struct {
 
 	// Feedback state (nil/zero unless cfg.Feedback.Enabled and the policy
 	// profiles; every consumer is gated so feedback-off runs stay
-	// bit-identical). fb holds the per-(kind, object) correction factors,
-	// fbView the planner-facing corrected-estimates view, fbReplans the
-	// feedback-triggered replan count against feedback.ReplanBudget.
+	// bit-identical). fb holds the per-(kind, object) correction factors
+	// the planner applies, fbReplans the feedback-triggered replan count
+	// against feedback.ReplanBudget.
 	fb        *feedback.Estimator
-	fbView    feedback.CorrectedEstimates
 	fbReplans int
 
 	// Fault-injection state (all nil/zero without cfg.Faults, and every
@@ -321,7 +315,7 @@ func (r *runner) energy(makespan float64) (dynamicJ, staticJ float64) {
 	if installed < 1<<30 {
 		installed = 1 << 30
 	}
-	dram, nvm := r.cfg.HMS.DRAM, r.cfg.HMS.NVM
+	dram, nvm := r.cfg.HMS.Device(r.fastTier), r.cfg.HMS.Device(0)
 	dynamicJ = r.dynamicJ
 	// Migration copies: a promotion reads NVM and writes DRAM, a demotion
 	// the reverse; charge the average of the two directions.
@@ -336,7 +330,7 @@ func (r *runner) energy(makespan float64) (dynamicJ, staticJ float64) {
 		// Installed static power: every tier above the bottom at its
 		// configured capacity (fastest first), the bottom tier sized to the
 		// footprint. On the two-tier machine this is exactly
-		// DRAMCapacity·dram + installed·nvm.
+		// Capacity(fast)·dram + installed·nvm.
 		var acc float64
 		h := r.cfg.HMS
 		for t := h.Fastest(); t >= 1; t-- {
@@ -366,14 +360,9 @@ func (r *runner) setup() error {
 		for _, o := range r.g.Objects {
 			total += o.Size
 		}
-		hms.DRAMCapacity = total + 1
-		if hms.Tiers != nil {
-			// Mirror the override into the tier list (the heap allocates
-			// per-tier free lists from it).
-			tiers := append([]mem.TierSpec(nil), hms.Tiers...)
-			tiers[len(tiers)-1].Capacity = total + 1
-			hms.Tiers = tiers
-		}
+		// The caller's machine shares its tier slice: edit a copy.
+		hms.Tiers = append([]mem.TierSpec(nil), hms.Tiers...)
+		hms.Tiers[hms.Fastest()].Capacity = total + 1
 	}
 	r.fastTier = hms.Fastest()
 	r.pendingTier = make([]int64, hms.NumTiers())
@@ -429,21 +418,12 @@ func (r *runner) setup() error {
 	nk := len(r.kindList)
 	r.kindTotal = make([]int, nk)
 	r.kindRemaining = make([]int, nk)
-	r.pairRemaining = make([]int32, nk*nobj)
 	r.pairSeen = make([]bool, nk*nobj)
 	for _, t := range r.g.Tasks {
 		ki := r.g.KindIndex(t.ID)
 		r.kindTotal[ki]++
 		r.kindRemaining[ki]++
-		for _, a := range t.Accesses {
-			ix := r.pairIx(ki, a.Obj)
-			if r.pairRemaining[ix] == 0 {
-				r.pairsNeeded++
-			}
-			r.pairRemaining[ix]++
-		}
 	}
-	r.totalPairs = r.pairsNeeded
 	r.kindSinceAudit = make([]int, nk)
 	r.auditDrift = make([]int, nk)
 	r.promoBlock = make([]bool, r.st.TotalChunks())
@@ -455,7 +435,6 @@ func (r *runner) setup() error {
 		}
 		if r.cfg.Feedback.Enabled {
 			r.fb = feedback.New(nk, nobj)
-			r.fbView = r.fb.View()
 		}
 	}
 
@@ -589,7 +568,7 @@ func (r *runner) dispatch(now float64) {
 			r.enforceLevel(r.levels[t.ID])
 		}
 		if r.migBusy(t) {
-			r.blocked = append(r.blocked, blockedTask{t: t, worker: w, blocked: now})
+			r.blocked = append(r.blocked, blockedTask{t: t, worker: w})
 			continue
 		}
 		r.freeWorkers = r.freeWorkers[:len(r.freeWorkers)-1]
@@ -626,15 +605,7 @@ func (r *runner) reopenKind(ki int) {
 		r.pt.invalidateKindName(kind)
 	}
 	lo := r.pairIx(ki, 0)
-	for o := range r.g.Objects {
-		ix := lo + o
-		if r.pairSeen[ix] {
-			r.pairSeen[ix] = false
-			if r.pairRemaining[ix] > 0 {
-				r.pairsNeeded++
-			}
-		}
-	}
+	clear(r.pairSeen[lo : lo+len(r.g.Objects)])
 }
 
 // allPairsSeen reports whether every (kind, object) pair of the task has
@@ -682,11 +653,6 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 	r.kindRemaining[ki]--
 	for _, a := range t.Accesses {
 		r.inUse[a.Obj]++
-		ix := r.pairIx(ki, a.Obj)
-		r.pairRemaining[ix]--
-		if r.pairRemaining[ix] == 0 && !r.pairSeen[ix] {
-			r.pairsNeeded--
-		}
 	}
 	if r.pt != nil {
 		r.pt.taskStarted(t)
@@ -708,12 +674,13 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 	}
 	fixed := d.FixedSec
 	// Profile while the kind's window is open; additionally whenever the
-	// task touches a (kind, object) pair with no estimate yet — pair
-	// coverage would otherwise stall on kinds that touch different
-	// objects in different executions (tiled kernels, shifting hot sets)
-	// — and periodically as an audit, so a kind whose traffic shifts
-	// within known pairs is caught by its own counters. Coverage and
-	// audit profiling sample narrowly and cost a fraction of a full pass.
+	// task touches a (kind, object) pair with no estimate yet — kinds
+	// that touch different objects in different executions (tiled
+	// kernels, shifting hot sets) would otherwise leave those pairs
+	// unestimated — and periodically as an audit, so a kind whose
+	// traffic shifts within known pairs is caught by its own counters.
+	// Coverage and audit profiling sample narrowly and cost a fraction
+	// of a full pass.
 	windowOpen := r.profilesKinds() && !r.profiler.Profiled(t.Kind)
 	audit := false
 	if r.profilesKinds() && !windowOpen {
@@ -871,13 +838,7 @@ func (r *runner) complete(end, began float64, w int, t *task.Task, d model.Deman
 					Obj: a.Obj, Loads: a.Loads, Stores: a.Stores,
 					Size: r.g.Object(a.Obj).Size, TimeShare: share,
 				})
-				ix := r.pairIx(ki, a.Obj)
-				if !r.pairSeen[ix] {
-					r.pairSeen[ix] = true
-					if r.pairRemaining[ix] > 0 {
-						r.pairsNeeded--
-					}
-				}
+				r.pairSeen[r.pairIx(ki, a.Obj)] = true
 			}
 			r.obsScratch = obs
 			dev := r.profiler.Record(prof.Exec{TaskID: t.ID, Kind: t.Kind, Duration: dur, Obs: obs})
@@ -969,12 +930,12 @@ func (r *runner) safeFor(obj task.ObjectID, t task.TaskID) bool {
 // cannot thrash.
 const maxReplans = 8
 
-// maybePlan triggers the placement decision once every kind with future
-// executions has completed its profiling window and every future
-// (kind, object) pair has been observed — or unconditionally past 15%
-// completion, so graphs whose pairs keep appearing (shifting hot sets,
-// one-shot pipelines) still get a plan. Replans need only a short
-// cool-down (the count audit's two-strike rule already filters noise).
+// maybePlan triggers the placement decision once every kind with
+// remaining executions has completed its profiling window, or — for the
+// first plan only — once half the tasks have completed, so kinds that
+// deep dependence chains reach late cannot hold the plan back. Replans
+// need only a short cool-down (the count audit's two-strike rule
+// already filters noise).
 func (r *runner) maybePlan(now float64) {
 	if r.planned && !r.needReplan {
 		return

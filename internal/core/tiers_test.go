@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/mem"
 )
 
@@ -33,7 +35,7 @@ func TestTieredTwoTierBitIdentical(t *testing.T) {
 		caps := []int64{16, 48, 128}[seed%3] * mem.MB
 		classic := mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), caps)
 		tiered := mem.NewTieredHMS(
-			mem.TierSpec{Device: mem.NVMBandwidth(0.5), Capacity: classic.NVMCapacity},
+			mem.TierSpec{Device: mem.NVMBandwidth(0.5), Capacity: classic.Capacity(0)},
 			mem.TierSpec{Device: mem.DRAM(), Capacity: caps},
 		)
 
@@ -149,6 +151,58 @@ func TestThreeTierAllPolicies(t *testing.T) {
 		}
 		if res.Tasks != len(g.Tasks) || res.Time <= 0 {
 			t.Fatalf("%v: bad result %+v", pol, res)
+		}
+	}
+}
+
+// HMS values share their tier slice, so every writer inside a run must
+// copy it before editing. The DRAM-only capacity override and the fault
+// injector's degraded view are the run's two writers: runs exercising
+// them on a two- and a three-tier machine must leave the caller's tier
+// list exactly as it was.
+func TestRunLeavesCallerTiersUnchanged(t *testing.T) {
+	g := equivGraph(3)
+	for _, h := range []mem.HMS{
+		mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), 32*mem.MB),
+		mem.DRAMCXLNVM(24*mem.MB, 48*mem.MB),
+	} {
+		want := append([]mem.TierSpec(nil), h.Tiers...)
+		cfg := DefaultConfig(h)
+		cfg.Workers = 2
+		clean, err := Run(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Windows inside the fault-free makespan, so both are live while
+		// tasks start and the degraded view is built.
+		end, fast := clean.Time, h.Fastest()
+		faults := &fault.Schedule{Events: []fault.Event{
+			{At: 0.1 * end, Until: 0.5 * end, Kind: fault.Degrade, Tier: fast, Factor: 4},
+			{At: 0.3 * end, Until: 0.7 * end, Kind: fault.TierOutage, Tier: fast},
+		}}
+		for _, c := range []struct {
+			name   string
+			pol    Policy
+			faults *fault.Schedule
+		}{
+			{"dram-only", DRAMOnly, nil},
+			{"tahoe-faults", Tahoe, faults},
+			{"dram-only-faults", DRAMOnly, faults},
+		} {
+			cfg := DefaultConfig(h)
+			cfg.Policy, cfg.Faults, cfg.Workers = c.pol, c.faults, 2
+			res, err := Run(g, cfg)
+			if err != nil {
+				t.Fatalf("%d tiers %s: %v", h.NumTiers(), c.name, err)
+			}
+			if c.faults != nil && res.FaultEvents != len(c.faults.Events) {
+				t.Errorf("%d tiers %s: %d fault windows fired, want %d",
+					h.NumTiers(), c.name, res.FaultEvents, len(c.faults.Events))
+			}
+			if !reflect.DeepEqual(cfg.HMS.Tiers, want) {
+				t.Errorf("%d tiers %s: run edited the caller's tiers:\ngot  %+v\nwant %+v",
+					h.NumTiers(), c.name, cfg.HMS.Tiers, want)
+			}
 		}
 	}
 }

@@ -137,14 +137,17 @@ func TestInjectorWindows(t *testing.T) {
 	})
 	probe(e, 1.25, func() {
 		v := in.DegradedView(base)
-		if v.DRAM.ReadBW != base.DRAM.ReadBW/4 {
-			t.Errorf("degraded DRAM BW = %g, want %g", v.DRAM.ReadBW, base.DRAM.ReadBW/4)
+		if v.Device(mem.InDRAM).ReadBW != base.Device(mem.InDRAM).ReadBW/4 {
+			t.Errorf("degraded DRAM BW = %g, want %g", v.Device(mem.InDRAM).ReadBW, base.Device(mem.InDRAM).ReadBW/4)
 		}
-		if v.DRAM.ReadLatNS != base.DRAM.ReadLatNS*4 {
-			t.Errorf("degraded DRAM latency = %g", v.DRAM.ReadLatNS)
+		if v.Device(mem.InDRAM).ReadLatNS != base.Device(mem.InDRAM).ReadLatNS*4 {
+			t.Errorf("degraded DRAM latency = %g", v.Device(mem.InDRAM).ReadLatNS)
 		}
-		if v.NVM.ReadBW != base.NVM.ReadBW {
+		if v.Device(mem.InNVM).ReadBW != base.Device(mem.InNVM).ReadBW {
 			t.Error("untouched tier derated")
+		}
+		if base.Device(mem.InDRAM) != mem.DRAM() {
+			t.Error("degraded view wrote through to the base machine's tiers")
 		}
 		// Memoization: same epoch returns the same view.
 		if v2 := in.DegradedView(base); !reflect.DeepEqual(v, v2) {
@@ -213,8 +216,8 @@ func TestInjectorOutage(t *testing.T) {
 			t.Error("copy into outaged tier succeeded")
 		}
 		v := in.DegradedView(base)
-		if v.DRAM.ReadBW != base.DRAM.ReadBW/outageDerate {
-			t.Errorf("outaged tier BW = %g, want /%d", v.DRAM.ReadBW, outageDerate)
+		if v.Device(mem.InDRAM).ReadBW != base.Device(mem.InDRAM).ReadBW/outageDerate {
+			t.Errorf("outaged tier BW = %g, want /%d", v.Device(mem.InDRAM).ReadBW, outageDerate)
 		}
 	})
 	probe(e, 2.5, func() {

@@ -182,20 +182,11 @@ func (in *Injector) DegradedView(base mem.HMS) mem.HMS {
 	if in.viewOK && in.viewEpoch == in.epoch {
 		return in.view
 	}
+	// base shares its tier slice with the caller's machine: derate a copy.
 	h := base
-	if base.Tiers != nil {
-		h.Tiers = make([]mem.TierSpec, len(base.Tiers))
-		copy(h.Tiers, base.Tiers)
-		for t := range h.Tiers {
-			h.Tiers[t].Device = h.Tiers[t].Device.Derate(in.factor(mem.Tier(t)))
-		}
-		// Mirror the fastest/slowest tiers into the legacy fields, as
-		// NewTieredHMS does.
-		h.NVM = h.Tiers[0].Device
-		h.DRAM = h.Tiers[len(h.Tiers)-1].Device
-	} else {
-		h.NVM = base.NVM.Derate(in.factor(mem.InNVM))
-		h.DRAM = base.DRAM.Derate(in.factor(mem.InDRAM))
+	h.Tiers = append([]mem.TierSpec(nil), base.Tiers...)
+	for t := range h.Tiers {
+		h.Tiers[t].Device = h.Tiers[t].Device.Derate(in.factor(mem.Tier(t)))
 	}
 	in.view, in.viewEpoch, in.viewOK = h, in.epoch, true
 	return h

@@ -33,8 +33,8 @@
 // feedback never accumulates evidence of error) is identical to a run
 // without feedback. Only when the ratio leaves the deadband does the
 // effective factor become the ratio itself (clamped to [1/MaxFactor,
-// MaxFactor]), at which point the CorrectedEstimates view scales the
-// planner's per-(kind, object) benefits by it.
+// MaxFactor]), at which point Apply scales the planner's per-(kind,
+// object) benefits by it.
 //
 // This is deliberately a different mechanism from the profiler's count
 // audit (internal/prof's drift score): that discards a kind's profile
@@ -178,6 +178,19 @@ func (e *Estimator) Observe(ki int, obj task.ObjectID, observedSec, predictedSec
 // deadband).
 func (e *Estimator) Factor(ki int, obj task.ObjectID) float64 { return e.eff[e.ix(ki, obj)] }
 
+// Apply scales a modeled per-execution benefit by the pair's effective
+// correction factor — what the planner consumes in place of the raw
+// profile-derived benefit. Inside the deadband the benefit is returned
+// untouched — not multiplied by 1.0, *returned* — so a run with no
+// active corrections computes bit-identical plans.
+func (e *Estimator) Apply(ki int, obj task.ObjectID, benefit float64) float64 {
+	f := e.eff[e.ix(ki, obj)]
+	if f == 1 {
+		return benefit
+	}
+	return benefit * f
+}
+
 // ShouldReplan reports whether the pair's effective factor has moved
 // multiplicatively past the replan threshold since the last Snapshot.
 func (e *Estimator) ShouldReplan(ki int, obj task.ObjectID) bool {
@@ -196,10 +209,6 @@ func (e *Estimator) ShouldReplan(ki int, obj task.ObjectID) bool {
 // further movement justifies another.
 func (e *Estimator) Snapshot() { copy(e.snap, e.eff) }
 
-// View returns the read-only corrected-estimates view the planner
-// consumes.
-func (e *Estimator) View() CorrectedEstimates { return CorrectedEstimates{e: e} }
-
 // Stats summarizes the estimator's end-of-run state.
 type Stats struct {
 	// Observations is how many usable observed/predicted ratios were
@@ -211,18 +220,6 @@ type Stats struct {
 	// MinFactor and MaxFactor bound the active effective factors
 	// (both 1 when no correction is active).
 	MinFactor, MaxFactor float64
-}
-
-// Range calls f for every pair with at least one observation, with the
-// raw EWMA ratio and the effective factor — the estimator's full state,
-// for diagnostics and experiments.
-func (e *Estimator) Range(f func(ki int, obj task.ObjectID, ratio, eff float64)) {
-	for ix, n := range e.count {
-		if n == 0 || e.predEwma[ix] <= 0 {
-			continue
-		}
-		f(ix/e.nobj, task.ObjectID(ix%e.nobj), e.obsEwma[ix]/e.predEwma[ix], e.eff[ix])
-	}
 }
 
 // Stats computes the current Stats.
@@ -242,23 +239,3 @@ func (e *Estimator) Stats() Stats {
 	}
 	return s
 }
-
-// CorrectedEstimates is the view the planner consumes in place of raw
-// profile estimates: it scales each (kind, object) benefit by the
-// pair's effective correction factor. Inside the deadband the benefit
-// is returned untouched — not multiplied by 1.0, *returned* — so a run
-// with no active corrections computes bit-identical plans.
-type CorrectedEstimates struct{ e *Estimator }
-
-// Apply scales a modeled per-execution benefit by the pair's effective
-// correction factor.
-func (v CorrectedEstimates) Apply(ki int, obj task.ObjectID, benefit float64) float64 {
-	f := v.e.eff[v.e.ix(ki, obj)]
-	if f == 1 {
-		return benefit
-	}
-	return benefit * f
-}
-
-// Factor exposes the pair's effective factor to diagnostics and tests.
-func (v CorrectedEstimates) Factor(ki int, obj task.ObjectID) float64 { return v.e.Factor(ki, obj) }

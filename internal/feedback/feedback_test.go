@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/task"
@@ -25,6 +26,9 @@ func TestEstimatorUnits(t *testing.T) {
 	if f := e.Factor(0, obj); f != 1 {
 		t.Fatalf("factor %g inside deadband, want exactly 1", f)
 	}
+	if b := 0.1; math.Float64bits(e.Apply(0, obj, b)) != math.Float64bits(b) {
+		t.Fatal("Apply changed a benefit inside the deadband")
+	}
 	// Sustained 8x error pushes the ratio out of the deadband once the
 	// warmup has seen enough samples.
 	for i := 0; i < 8; i++ {
@@ -32,6 +36,9 @@ func TestEstimatorUnits(t *testing.T) {
 	}
 	if f := e.Factor(1, obj); f < 2 {
 		t.Fatalf("factor %g after sustained 8x error, want > 2", f)
+	}
+	if got, want := e.Apply(1, obj, 0.1), 0.1*e.Factor(1, obj); got != want {
+		t.Fatalf("Apply = %g, want benefit x factor = %g", got, want)
 	}
 	if !e.ShouldReplan(1, obj) {
 		t.Fatal("no replan trigger after factor left the snapshot by > threshold")

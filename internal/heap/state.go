@@ -38,7 +38,6 @@ type alloc struct {
 // ShadowCheck and cross-checks the two representations observable by
 // observable.
 type State struct {
-	hms      mem.HMS
 	tiers    []*FreeList // indexed by mem.Tier, slowest to fastest
 	resident []int64     // per-tier resident application bytes
 	nt       int
@@ -81,7 +80,6 @@ func NewState(hms mem.HMS, objects []*task.Object, chunksFor map[task.ObjectID]i
 	}
 	nt := hms.NumTiers()
 	s := &State{
-		hms:      hms,
 		tiers:    make([]*FreeList, nt),
 		resident: make([]int64, nt),
 		nt:       nt,
@@ -195,9 +193,6 @@ func (s *State) Chunks(obj task.ObjectID) int { return s.base[obj+1] - s.base[ob
 // ChunkSize returns the byte size of one chunk.
 func (s *State) ChunkSize(ref ChunkRef) int64 { return s.chunkSize[s.base[ref.Obj]+ref.Index] }
 
-// SizeAt returns the byte size of the chunk with global index ix.
-func (s *State) SizeAt(ix int) int64 { return s.chunkSize[ix] }
-
 // Tier returns where a chunk currently lives.
 func (s *State) Tier(ref ChunkRef) mem.Tier { return s.chunkTier[s.base[ref.Obj]+ref.Index] }
 
@@ -222,8 +217,7 @@ func (s *State) TierFraction(obj task.ObjectID, t mem.Tier) float64 {
 // DRAMUsed exposes the fastest tier's accounting.
 func (s *State) DRAMUsed() int64 { return s.tiers[s.Fastest()].Used() }
 
-// TierUsed and TierAvail expose any tier's allocator accounting.
-func (s *State) TierUsed(t mem.Tier) int64  { return s.tiers[t].Used() }
+// TierAvail exposes any tier's free bytes.
 func (s *State) TierAvail(t mem.Tier) int64 { return s.tiers[t].Avail() }
 
 // CanMoveTo reports whether the chunk would fit on tier `to` right now.

@@ -12,7 +12,10 @@
 // clock of the simulation engine (package sim), which counts seconds.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CacheLineSize is the transfer granularity between CPU caches and main
 // memory. Every counted load or store moves one cache line.
@@ -48,21 +51,25 @@ type DeviceSpec struct {
 	StaticMWPerGB  float64
 }
 
-// Validate reports an error if the spec is not physically meaningful.
-// The tests are written as !(x > 0) so that NaN, which fails every
-// comparison, is rejected along with non-positive values.
+// Validate reports an error if the spec is not physically meaningful:
+// every latency and bandwidth must be positive and finite. An infinite
+// latency or bandwidth would price the device's traffic at zero or
+// uncapped service, which the timing model reads as free.
 func (d DeviceSpec) Validate() error {
 	if d.Name == "" {
 		return fmt.Errorf("mem: device spec has empty name")
 	}
-	if !(d.ReadLatNS > 0) || !(d.WriteLatNS > 0) {
-		return fmt.Errorf("mem: device %q has non-positive or NaN latency", d.Name)
+	if !positiveFinite(d.ReadLatNS) || !positiveFinite(d.WriteLatNS) {
+		return fmt.Errorf("mem: device %q has non-positive or non-finite latency", d.Name)
 	}
-	if !(d.ReadBW > 0) || !(d.WriteBW > 0) {
-		return fmt.Errorf("mem: device %q has non-positive or NaN bandwidth", d.Name)
+	if !positiveFinite(d.ReadBW) || !positiveFinite(d.WriteBW) {
+		return fmt.Errorf("mem: device %q has non-positive or non-finite bandwidth", d.Name)
 	}
 	return nil
 }
+
+// positiveFinite reports 0 < x < +Inf; NaN fails both comparisons.
+func positiveFinite(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 
 // ReadLatSec and WriteLatSec convert the nanosecond latencies to seconds.
 func (d DeviceSpec) ReadLatSec() float64  { return d.ReadLatNS * 1e-9 }

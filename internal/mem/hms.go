@@ -40,72 +40,40 @@ type TierSpec struct {
 	Capacity int64
 }
 
-// HMS describes a heterogeneous memory system. The classic form is the
-// two-device DRAM+NVM pair below; setting Tiers generalizes it to an
-// ordered list of N tiers (slowest first, fastest last), each with its
-// own device spec and capacity. When Tiers is set, the legacy DRAM/NVM
-// fields mirror the fastest and slowest tiers so that code consuming the
-// two-tier view keeps working.
+// HMS describes a heterogeneous memory system: an ordered list of tiers
+// (slowest first, fastest last), each with its own device spec and
+// capacity, plus the copy channel's bandwidth. The paper's DRAM+NVM
+// machine is the two-tier case. HMS values are copied freely and share
+// their Tiers backing array, so code that edits a tier copies the slice
+// first.
 type HMS struct {
-	DRAM DeviceSpec
-	NVM  DeviceSpec
-	// DRAMCapacity bounds how many bytes of application data objects may
-	// reside in DRAM; the paper's experiments use 128 MB - 512 MB.
-	DRAMCapacity int64
-	// NVMCapacity bounds NVM residency; effectively unbounded in practice.
-	NVMCapacity int64
-	// CopyBW is the sustained bandwidth, in bytes/second, of the helper
-	// thread's DRAM<->NVM memcpy. It is limited by the slower of the two
-	// devices on the relevant direction. With N > 2 tiers it is the
-	// bandwidth of the full promotion path (tier 0 -> fastest);
-	// CopyBWBetween derives per-pair bandwidths from it.
-	CopyBW float64
-	// Tiers, when non-nil, lists the machine's tiers slowest to fastest.
-	// nil means the classic two-tier DRAM+NVM machine. A two-element
-	// Tiers is required to be exactly equivalent to the classic form
-	// (same devices, same capacities) — see NewTieredHMS.
+	// Tiers lists the machine's tiers slowest to fastest: 2..MaxTiers
+	// entries.
 	Tiers []TierSpec
+	// CopyBW is the sustained bandwidth, in bytes/second, of the helper
+	// thread's full promotion path (tier 0 -> fastest) memcpy, limited by
+	// the slower side of the pair. CopyBWBetween derives per-pair
+	// bandwidths from it.
+	CopyBW float64
 }
 
-// NumTiers returns how many tiers the machine has (2 for the classic
-// DRAM+NVM form).
-func (h HMS) NumTiers() int {
-	if h.Tiers != nil {
-		return len(h.Tiers)
-	}
-	return 2
-}
+// NumTiers returns how many tiers the machine has.
+func (h HMS) NumTiers() int { return len(h.Tiers) }
 
-// Fastest returns the fastest tier's id, NumTiers()-1. For the classic
-// two-tier machine that is InDRAM.
-func (h HMS) Fastest() Tier { return Tier(h.NumTiers() - 1) }
+// Fastest returns the fastest tier's id, NumTiers()-1. For the two-tier
+// machine that is InDRAM.
+func (h HMS) Fastest() Tier { return Tier(len(h.Tiers) - 1) }
 
 // Device returns the spec for a tier.
-func (h HMS) Device(t Tier) DeviceSpec {
-	if h.Tiers != nil {
-		return h.Tiers[t].Device
-	}
-	if t == InDRAM {
-		return h.DRAM
-	}
-	return h.NVM
-}
+func (h HMS) Device(t Tier) DeviceSpec { return h.Tiers[t].Device }
 
 // Capacity returns the byte capacity of a tier.
-func (h HMS) Capacity(t Tier) int64 {
-	if h.Tiers != nil {
-		return h.Tiers[t].Capacity
-	}
-	if t == InDRAM {
-		return h.DRAMCapacity
-	}
-	return h.NVMCapacity
-}
+func (h HMS) Capacity(t Tier) int64 { return h.Tiers[t].Capacity }
 
 // CopyBWBetween returns the sustained migration bandwidth from tier
-// `from` to tier `to`, in bytes/second. The classic two-tier machine has
-// a single configured copy channel, CopyBW, charged on both directions;
-// N-tier machines derive each pair's bandwidth from the slower side of
+// `from` to tier `to`, in bytes/second. A two-tier machine has a single
+// configured copy channel, CopyBW, charged on both directions; N-tier
+// machines derive each pair's bandwidth from the slower side of
 // the pair (source read vs destination write), derated 20% for copy
 // overheads, exactly as DefaultCopyBW does for the two-tier pair.
 func (h HMS) CopyBWBetween(from, to Tier) float64 {
@@ -115,39 +83,27 @@ func (h HMS) CopyBWBetween(from, to Tier) float64 {
 	return DefaultCopyBW(h.Device(to), h.Device(from))
 }
 
-// Validate reports an error for non-physical configurations.
+// Validate reports an error for non-physical configurations: the tier
+// count outside 2..MaxTiers, an invalid device, a non-positive tier-0
+// or negative upper-tier capacity, or a non-positive copy bandwidth.
 func (h HMS) Validate() error {
-	if err := h.DRAM.Validate(); err != nil {
-		return err
+	if len(h.Tiers) < 2 || len(h.Tiers) > MaxTiers {
+		return fmt.Errorf("mem: %d tiers configured; need 2..%d", len(h.Tiers), MaxTiers)
 	}
-	if err := h.NVM.Validate(); err != nil {
-		return err
-	}
-	if h.DRAMCapacity < 0 {
-		return fmt.Errorf("mem: negative DRAM capacity %d", h.DRAMCapacity)
-	}
-	if h.NVMCapacity <= 0 {
-		return fmt.Errorf("mem: non-positive NVM capacity %d", h.NVMCapacity)
+	for i, ts := range h.Tiers {
+		if err := ts.Device.Validate(); err != nil {
+			return fmt.Errorf("mem: tier %d: %w", i, err)
+		}
+		if i == 0 {
+			if ts.Capacity <= 0 {
+				return fmt.Errorf("mem: non-positive tier-0 capacity %d", ts.Capacity)
+			}
+		} else if ts.Capacity < 0 {
+			return fmt.Errorf("mem: negative tier-%d capacity %d", i, ts.Capacity)
+		}
 	}
 	if !(h.CopyBW > 0) {
 		return fmt.Errorf("mem: non-positive or NaN copy bandwidth %g", h.CopyBW)
-	}
-	if h.Tiers != nil {
-		if len(h.Tiers) < 2 || len(h.Tiers) > MaxTiers {
-			return fmt.Errorf("mem: %d tiers configured; need 2..%d", len(h.Tiers), MaxTiers)
-		}
-		for i, ts := range h.Tiers {
-			if err := ts.Device.Validate(); err != nil {
-				return fmt.Errorf("mem: tier %d: %w", i, err)
-			}
-			if i == 0 {
-				if ts.Capacity <= 0 {
-					return fmt.Errorf("mem: non-positive tier-0 capacity %d", ts.Capacity)
-				}
-			} else if ts.Capacity < 0 {
-				return fmt.Errorf("mem: negative tier-%d capacity %d", i, ts.Capacity)
-			}
-		}
 	}
 	return nil
 }
@@ -164,16 +120,14 @@ func DefaultCopyBW(dram, nvm DeviceSpec) float64 {
 	return bw * 0.8
 }
 
-// NewHMS builds an HMS from two device specs and a DRAM capacity, filling
-// in an effectively unbounded NVM capacity and the default copy bandwidth.
+// NewHMS builds the two-tier DRAM+NVM machine from two device specs and
+// a DRAM capacity, with an effectively unbounded NVM tier and the
+// default copy bandwidth.
 func NewHMS(dram, nvm DeviceSpec, dramCap int64) HMS {
-	return HMS{
-		DRAM:         dram,
-		NVM:          nvm,
-		DRAMCapacity: dramCap,
-		NVMCapacity:  1 << 44, // 16 TB: never the binding constraint
-		CopyBW:       DefaultCopyBW(dram, nvm),
-	}
+	return NewTieredHMS(
+		TierSpec{Device: nvm, Capacity: 1 << 44}, // 16 TB: never the binding constraint
+		TierSpec{Device: dram, Capacity: dramCap},
+	)
 }
 
 // DRAMOnly returns an HMS whose "NVM" is a second DRAM device and whose
@@ -181,30 +135,18 @@ func NewHMS(dram, nvm DeviceSpec, dramCap int64) HMS {
 // experiment normalizes against.
 func DRAMOnly() HMS {
 	d := DRAM()
-	h := NewHMS(d, d, 1<<44)
-	h.NVM.Name = "DRAM"
-	return h
+	return NewHMS(d, d, 1<<44)
 }
 
 // NewTieredHMS builds an N-tier HMS from specs ordered slowest to
-// fastest. The legacy two-device fields mirror the slowest and fastest
-// tiers so code consuming the classic view stays meaningful, and CopyBW
-// is the full promotion path's bandwidth (tier 0 -> fastest). A
-// two-element tier list yields a machine equivalent to
-// NewHMS(fast, slow, fastCap) with the slow tier's capacity bounded.
+// fastest. CopyBW is the full promotion path's bandwidth (tier 0 ->
+// fastest), derived as DefaultCopyBW does for the two-tier pair.
 func NewTieredHMS(tiers ...TierSpec) HMS {
 	if len(tiers) < 2 {
 		panic("mem: NewTieredHMS needs at least 2 tiers")
 	}
 	slow, fast := tiers[0], tiers[len(tiers)-1]
-	return HMS{
-		DRAM:         fast.Device,
-		NVM:          slow.Device,
-		DRAMCapacity: fast.Capacity,
-		NVMCapacity:  slow.Capacity,
-		CopyBW:       DefaultCopyBW(fast.Device, slow.Device),
-		Tiers:        tiers,
-	}
+	return HMS{Tiers: tiers, CopyBW: DefaultCopyBW(fast.Device, slow.Device)}
 }
 
 // DRAMCXLNVM returns the three-tier DRAM + CXL-attached DRAM + Optane

@@ -125,17 +125,6 @@ type Engine struct {
 	// With Faults nil every fault path is skipped outright and behavior is
 	// bit-identical to an engine built before fault injection existed.
 	Faults *fault.Injector
-	// MaxRetries bounds how many times one request is re-queued after a
-	// transient failure before being abandoned.
-	MaxRetries int
-	// BackoffBaseSec and BackoffMaxSec shape the capped exponential
-	// backoff (virtual time) between retry attempts.
-	BackoffBaseSec float64
-	BackoffMaxSec  float64
-	// TimeoutFactor abandons a copy still in flight after TimeoutFactor
-	// times its nominal (uninflated) duration: a stalled copy is given up
-	// rather than blocking the chunk forever. 0 disables the timeout.
-	TimeoutFactor float64
 
 	queue   []Request
 	busy    bool
@@ -152,28 +141,30 @@ type Engine struct {
 	stats Stats
 }
 
-// Default resilience tuning, applied by New; all of it is inert until
-// Faults is set.
+// Resilience tuning; all of it is inert until Faults is set.
 const (
-	DefaultMaxRetries     = 4
-	DefaultBackoffBaseSec = 1e-3
-	DefaultBackoffMaxSec  = 16e-3
-	DefaultTimeoutFactor  = 4
+	// MaxRetries bounds how many times one request is re-queued after a
+	// transient failure before being abandoned.
+	MaxRetries = 4
+	// BackoffBaseSec and BackoffMaxSec shape the capped exponential
+	// backoff (virtual time) between retry attempts.
+	BackoffBaseSec = 1e-3
+	BackoffMaxSec  = 16e-3
+	// TimeoutFactor abandons a copy still in flight after TimeoutFactor
+	// times its nominal (uninflated) duration: a stalled copy is given up
+	// rather than blocking the chunk forever.
+	TimeoutFactor = 4
 )
 
 // New returns a migration engine copying at h.CopyBW over the given
 // placement state.
 func New(e *sim.Engine, state *heap.State, h mem.HMS) *Engine {
 	return &Engine{
-		sim:            e,
-		copyRes:        e.AddResource("copy", h.CopyBW),
-		state:          state,
-		hms:            h,
-		pending:        make([]int32, state.TotalChunks()),
-		MaxRetries:     DefaultMaxRetries,
-		BackoffBaseSec: DefaultBackoffBaseSec,
-		BackoffMaxSec:  DefaultBackoffMaxSec,
-		TimeoutFactor:  DefaultTimeoutFactor,
+		sim:     e,
+		copyRes: e.AddResource("copy", h.CopyBW),
+		state:   state,
+		hms:     h,
+		pending: make([]int32, state.TotalChunks()),
 	}
 }
 
@@ -329,13 +320,11 @@ func (m *Engine) kick() {
 			if inf := m.Faults.CopyInflation(from, r.To); inf != 1 {
 				bytes *= inf
 			}
-			if m.TimeoutFactor > 0 {
-				seq := m.copySeq
-				nominal := float64(size) / m.hms.CopyBWBetween(from, r.To)
-				m.sim.AfterDaemon(m.TimeoutFactor*nominal, func(now float64) {
-					m.abandonStalled(now, seq, r, size)
-				})
-			}
+			seq := m.copySeq
+			nominal := float64(size) / m.hms.CopyBWBetween(from, r.To)
+			m.sim.AfterDaemon(TimeoutFactor*nominal, func(now float64) {
+				m.abandonStalled(now, seq, r, size)
+			})
 		}
 		if m.Observer != nil {
 			m.Observer.CopyStarted(m.sim.Now(), r.Ref, r.To, size)
@@ -376,7 +365,7 @@ func (m *Engine) finishCopy(now float64, r Request, from mem.Tier, size int64, b
 			m.Observer.CopyFinished(now, r.Ref, r.To, size, false)
 		}
 		m.Faults.RecordFault(now, from, r.To)
-		if r.attempt < m.MaxRetries {
+		if r.attempt < MaxRetries {
 			r.attempt++
 			m.stats.Retries++
 			if fo, ok := m.Observer.(FaultObserver); ok {
@@ -384,9 +373,9 @@ func (m *Engine) finishCopy(now float64, r Request, from mem.Tier, size int64, b
 			}
 			// Re-queue after capped exponential backoff. The pending count
 			// is still held, so the chunk stays Busy across the backoff.
-			d := m.BackoffBaseSec * float64(int64(1)<<uint(r.attempt-1))
-			if d > m.BackoffMaxSec {
-				d = m.BackoffMaxSec
+			d := BackoffBaseSec * float64(int64(1)<<uint(r.attempt-1))
+			if d > BackoffMaxSec {
+				d = BackoffMaxSec
 			}
 			m.sim.After(d, func(float64) {
 				m.queue = append(m.queue, r)

@@ -137,7 +137,7 @@ func TestTransientFailureRetriesAndSucceeds(t *testing.T) {
 	}
 	// Two full copies plus one backoff of BackoffBaseSec.
 	copySec := float64(100*mem.MB) / 1e9
-	want := 2*copySec + DefaultBackoffBaseSec
+	want := 2*copySec + BackoffBaseSec
 	if math.Abs(doneAt-want) > 1e-9 {
 		t.Fatalf("done at %g, want %g", doneAt, want)
 	}
@@ -154,7 +154,6 @@ func TestTransientFailureRetriesAndSucceeds(t *testing.T) {
 
 func TestRetryBudgetExhaustionAbandons(t *testing.T) {
 	e, st, m := setup(t, 512*mem.MB)
-	m.MaxRetries = 2
 	faults := 0
 	in := armFaults(m, &fault.Schedule{Events: []fault.Event{
 		{At: 0, Until: 100, Kind: fault.TransientCopyFail, Tier: mem.InDRAM, From: fault.AnySource, Count: 100},
@@ -169,14 +168,14 @@ func TestRetryBudgetExhaustionAbandons(t *testing.T) {
 		t.Fatal("abandoned request reported success or moved the chunk")
 	}
 	s := m.Stats()
-	if s.Retries != 2 || s.Abandoned != 1 || s.Migrations != 0 {
+	if s.Retries != MaxRetries || s.Abandoned != 1 || s.Migrations != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 	if s.Failed() != 1 {
 		t.Fatalf("Failed() = %d, want 1", s.Failed())
 	}
-	if faults != 3 { // one per failed attempt
-		t.Fatalf("OnCopyFault fired %d times, want 3", faults)
+	if faults != MaxRetries+1 { // one per failed attempt
+		t.Fatalf("OnCopyFault fired %d times, want %d", faults, MaxRetries+1)
 	}
 	if m.Busy(ref) || m.PendingCount() != 0 {
 		t.Fatal("abandoned chunk still busy")
@@ -207,7 +206,7 @@ func TestStalledCopyTimesOut(t *testing.T) {
 	// The moment the timeout settles the request, the chunk must stop
 	// reporting Busy even though the stalled flow still drains.
 	nominal := float64(100*mem.MB) / 1e9
-	e.At(start+m.TimeoutFactor*nominal+1e-6, func(float64) {
+	e.At(start+TimeoutFactor*nominal+1e-6, func(float64) {
 		if m.Busy(ref) {
 			t.Error("chunk busy after timeout settled it")
 		}
@@ -216,8 +215,8 @@ func TestStalledCopyTimesOut(t *testing.T) {
 	if doneOK || st.Tier(ref) != mem.InNVM {
 		t.Fatal("stalled copy reported success or moved the chunk")
 	}
-	if math.Abs(doneAt-(start+m.TimeoutFactor*nominal)) > 1e-9 {
-		t.Fatalf("abandoned at %g, want %g", doneAt, start+m.TimeoutFactor*nominal)
+	if math.Abs(doneAt-(start+TimeoutFactor*nominal)) > 1e-9 {
+		t.Fatalf("abandoned at %g, want %g", doneAt, start+TimeoutFactor*nominal)
 	}
 	// The stalled flow itself drains at 10x nominal.
 	if math.Abs(end-(start+10*nominal)) > 1e-6 {

@@ -34,7 +34,7 @@
 // Both layers are tier-general: demand accumulators are per-tier arrays
 // (TaskDemandTiered splits traffic over any number of tiers), and the
 // benefit and migration-cost equations are stated over arbitrary tier
-// pairs (the *Between functions, tabulated by TierCosts). The paper's
+// pairs (the *Between functions). The paper's
 // two-tier DRAM/NVM machine is the N=2 case of the same code.
 package model
 

@@ -23,7 +23,7 @@ func TestHWCachePerfectHitMatchesDRAM(t *testing.T) {
 	if hw.DevSec[mem.InNVM] != 0 || hw.LatSec[mem.InNVM] != 0 {
 		t.Fatalf("perfect hit ratio produced NVM traffic: %+v", hw)
 	}
-	want := 1e6 * 64 / h.DRAM.ReadBW
+	want := 1e6 * 64 / h.Device(mem.InDRAM).ReadBW
 	if math.Abs(hw.DevSec[mem.InDRAM]-want) > 1e-15 {
 		t.Fatalf("DRAM service = %g, want %g", hw.DevSec[mem.InDRAM], want)
 	}
@@ -58,7 +58,7 @@ func TestHWCacheStoreMissesWriteBack(t *testing.T) {
 	if hit.DevSec[mem.InNVM] != 0 {
 		t.Fatal("store hits should not touch NVM")
 	}
-	wb := 1e6 * 64 / h.NVM.WriteBW
+	wb := 1e6 * 64 / h.Device(mem.InNVM).WriteBW
 	if miss.DevSec[mem.InNVM] < wb {
 		t.Fatalf("store misses wrote back %g, want at least %g", miss.DevSec[mem.InNVM], wb)
 	}
@@ -106,7 +106,7 @@ func TestBenefitProfiledTakesTheTighterBound(t *testing.T) {
 	p := Params{HMS: h, DistinguishRW: true}
 	loads := 1e6
 	// Stream at effective MLP 4 on NVM.
-	bwCons := 4 * 64 / h.NVM.ReadLatSec()
+	bwCons := 4 * 64 / h.Device(mem.InNVM).ReadLatSec()
 	got := p.BenefitProfiledBetween(loads, 0, bwCons, mem.InNVM, mem.InDRAM)
 	want := p.BenefitLatBetween(loads, 0, mem.InNVM, mem.InDRAM) / 4
 	if math.Abs(got-want) > 1e-12*want {
@@ -128,7 +128,7 @@ func TestBenefitProfiledNeverZeroedByMisclassification(t *testing.T) {
 	// still report its latency benefit on an equal-bandwidth NVM.
 	h := mem.NewHMS(mem.DRAM(), mem.NVMLatency(4), 256*mem.MB)
 	p := Params{HMS: h, DistinguishRW: true}
-	highCons := 0.9 * h.NVM.ReadBW // above the paper's t1 = 80%-of-peak threshold
+	highCons := 0.9 * h.Device(mem.InNVM).ReadBW // above the paper's t1 = 80%-of-peak threshold
 	if got := p.BenefitProfiledBetween(1e6, 0, highCons, mem.InNVM, mem.InDRAM); got <= 0 {
 		t.Fatalf("benefit zeroed: %g", got)
 	}

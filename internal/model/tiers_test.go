@@ -137,51 +137,12 @@ func TestTaskDemandTieredThreeTier(t *testing.T) {
 	}
 }
 
-// TierCostsFor's matrices must be consistent with the pairwise functions
-// and antisymmetric in sign on the access side.
-func TestTierCostsFor(t *testing.T) {
-	h := mem.DRAMCXLNVM(64*mem.MB, 128*mem.MB)
-	p := Params{HMS: h, DistinguishRW: true}
-	tc := p.TierCostsFor(2e6, 1e6, 8e9, 16*mem.MB, 1e-3)
-	if tc.N != 3 {
-		t.Fatalf("N = %d, want 3", tc.N)
-	}
-	for i := 0; i < 3; i++ {
-		if tc.Access[i][i] != 0 || tc.Migration[i][i] != 0 {
-			t.Errorf("diagonal (%d,%d) not zero", i, i)
-		}
-		for j := 0; j < 3; j++ {
-			if i == j {
-				continue
-			}
-			want := p.BenefitProfiledBetween(2e6, 1e6, 8e9, mem.Tier(i), mem.Tier(j))
-			if math.Float64bits(tc.Access[i][j]) != math.Float64bits(want) {
-				t.Errorf("Access[%d][%d] mismatch", i, j)
-			}
-			if tc.Migration[i][j] < 0 {
-				t.Errorf("Migration[%d][%d] negative", i, j)
-			}
-		}
-	}
-	// Moving up the hierarchy saves time; moving down costs it.
-	if tc.Access[0][2] <= 0 {
-		t.Errorf("NVM->DRAM benefit %v, want > 0", tc.Access[0][2])
-	}
-	if tc.Access[2][0] >= 0 {
-		t.Errorf("DRAM->NVM benefit %v, want < 0", tc.Access[2][0])
-	}
-	if tc.Access[0][1] <= 0 || tc.Access[0][1] >= tc.Access[0][2] {
-		t.Errorf("NVM->CXL benefit %v should be positive and below NVM->DRAM %v",
-			tc.Access[0][1], tc.Access[0][2])
-	}
-}
-
 // The twoTier* functions freeze the two-tier DRAM/NVM forms of the model
 // the tier-general code replaced; they exist only as oracles for the
 // bit-identity tests above.
 
 func twoTierBWSaving(p Params, loads, stores float64) float64 {
-	nvm, dram := p.HMS.NVM, p.HMS.DRAM
+	nvm, dram := p.HMS.Device(mem.InNVM), p.HMS.Device(mem.InDRAM)
 	var onNVM, onDRAM float64
 	if p.DistinguishRW {
 		onNVM = loads*mem.CacheLineSize/nvm.ReadBW + stores*mem.CacheLineSize/nvm.WriteBW
@@ -195,7 +156,7 @@ func twoTierBWSaving(p Params, loads, stores float64) float64 {
 }
 
 func twoTierLatSaving(p Params, loads, stores float64) float64 {
-	nvm, dram := p.HMS.NVM, p.HMS.DRAM
+	nvm, dram := p.HMS.Device(mem.InNVM), p.HMS.Device(mem.InDRAM)
 	var onNVM, onDRAM float64
 	if p.DistinguishRW {
 		onNVM = loads*nvm.ReadLatSec() + stores*nvm.WriteLatSec()
@@ -210,7 +171,7 @@ func twoTierLatSaving(p Params, loads, stores float64) float64 {
 
 func twoTierProfiledSaving(p Params, loads, stores, bwCons float64) float64 {
 	bw := twoTierBWSaving(p, loads, stores)
-	lat := twoTierLatSaving(p, loads, stores) / EffectiveMLP(bwCons, loads, stores, p.HMS.NVM)
+	lat := twoTierLatSaving(p, loads, stores) / EffectiveMLP(bwCons, loads, stores, p.HMS.Device(mem.InNVM))
 	if bw > lat {
 		return bw
 	}

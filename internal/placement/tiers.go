@@ -81,17 +81,6 @@ func AssignTiers(s *Solver, items []TierItem, caps []int64, gran int64) []int {
 	return assign
 }
 
-// TierTotalWeight sums each item's weight at its assigned tier.
-func TierTotalWeight(items []TierItem, assign []int) float64 {
-	var w float64
-	for i, t := range assign {
-		if t > 0 && t < len(items[i].Weight) {
-			w += items[i].Weight[t]
-		}
-	}
-	return w
-}
-
 // TierUsedBytes sums the bytes assigned to each tier.
 func TierUsedBytes(items []TierItem, assign []int, nt int) []int64 {
 	used := make([]int64, nt)

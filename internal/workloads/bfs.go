@@ -30,9 +30,6 @@ func buildBFS(p Params) Built {
 	if p.Kernels {
 		logV = 12
 	}
-	if p.Tile > 0 {
-		logV = p.Tile
-	}
 	nv := 1 << logV
 	const avgDeg = 8
 	const bands = 8

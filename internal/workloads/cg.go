@@ -31,9 +31,6 @@ func buildCG(p Params) Built {
 		g = 64
 		bands = 4
 	}
-	if p.Tile > 0 {
-		g = p.Tile
-	}
 	n := g * g
 	rowsPer := n / bands
 

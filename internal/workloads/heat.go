@@ -34,9 +34,6 @@ func buildHeat(p Params) Built {
 		n = 128
 		bands = 4
 	}
-	if p.Tile > 0 {
-		n = p.Tile
-	}
 	rows := n / bands
 	bandBytes := int64(8 * rows * n)
 	haloBytes := int64(8 * n)

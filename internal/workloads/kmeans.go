@@ -29,9 +29,6 @@ func buildKMeans(p Params) Built {
 	if p.Kernels {
 		logN = 12
 	}
-	if p.Tile > 0 {
-		logN = p.Tile
-	}
 	n := 1 << logN
 	const (
 		dim   = 8

@@ -31,9 +31,6 @@ func buildPageRank(p Params) Built {
 	if p.Kernels {
 		logV = 12
 	}
-	if p.Tile > 0 {
-		logV = p.Tile
-	}
 	nv := 1 << logV
 	const avgDeg = 8
 	const bands = 8

@@ -32,9 +32,6 @@ func buildWave(p Params) Built {
 	if p.Kernels {
 		bandElems = 1 << 12
 	}
-	if p.Tile > 0 {
-		bandElems = p.Tile
-	}
 	bandBytes := int64(8 * bandElems)
 	window := bands / 3
 

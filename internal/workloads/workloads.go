@@ -39,19 +39,14 @@ type Params struct {
 	// Scale is the workload's size knob; each workload documents its
 	// meaning. Scale <= 0 selects the workload default.
 	Scale int
-	// Tile overrides the workload's block/tile dimension. 0 selects the
-	// default: large tiles for simulation-only runs, small tiles when
-	// Kernels is set so real buffers stay cheap.
-	Tile int
 	// Kernels attaches real Go kernels and allocates real buffers.
 	Kernels bool
 }
 
-// tileDim resolves the effective tile dimension.
+// tileDim resolves the effective tile dimension: large tiles for
+// simulation-only runs, small tiles when Kernels is set so real buffers
+// stay cheap.
 func (p Params) tileDim(simDefault, kernelDefault int) int {
-	if p.Tile > 0 {
-		return p.Tile
-	}
 	if p.Kernels {
 		return kernelDefault
 	}
