@@ -1,6 +1,7 @@
 package tahoe
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"runtime"
@@ -158,6 +159,37 @@ func BenchmarkTraceRecord(b *testing.B) {
 	}
 	if tr.Len() != 2*tasks {
 		b.Fatalf("recorded %d events, want %d", tr.Len(), 2*tasks)
+	}
+}
+
+// BenchmarkTraceJSONL measures trace/replay I/O: one Save and one Load of
+// a fixed 20 kB recording, cholesky at scale 6 on 16 MB of DRAM under an
+// injected fault schedule, so every event kind is on the wire.
+func BenchmarkTraceJSONL(b *testing.B) {
+	w, err := BuildWorkload("cholesky", WorkloadParams{Scale: 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(NewHMS(DRAM(), NVMBandwidth(0.5), 16*MB))
+	cfg.Faults = fault.Random(1003, 100, 0.15, 2)
+	res, rec, err := Record(w.Graph, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.FaultEvents == 0 {
+		b.Fatal("no fault fired; the recording lacks fault events")
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := rec.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := LoadRecording(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -91,7 +91,8 @@ func (rec *Recording) Order() []task.TaskID {
 }
 
 // Validate reports structural problems that would make a replay
-// meaningless: no dispatch records, or fewer dispatches than tasks.
+// meaningless: no dispatch records, fewer dispatches than tasks, or a
+// dispatch of a task outside [0, Meta.Tasks).
 func (rec *Recording) Validate() error {
 	if rec.Trace == nil {
 		return fmt.Errorf("replay: recording has no trace")
@@ -99,8 +100,13 @@ func (rec *Recording) Validate() error {
 	if len(rec.Trace.Dispatches) == 0 {
 		return fmt.Errorf("replay: recording has no dispatch records (recorded before dispatch recording existed?)")
 	}
-	if rec.Meta.Tasks > 0 && len(rec.Trace.Dispatches) < rec.Meta.Tasks {
+	if len(rec.Trace.Dispatches) < rec.Meta.Tasks {
 		return fmt.Errorf("replay: %d dispatch records for %d tasks", len(rec.Trace.Dispatches), rec.Meta.Tasks)
+	}
+	for i, d := range rec.Trace.Dispatches {
+		if d.Task < 0 || int(d.Task) >= rec.Meta.Tasks {
+			return fmt.Errorf("replay: dispatch %d names task %d, outside [0, %d)", i, d.Task, rec.Meta.Tasks)
+		}
 	}
 	return nil
 }
@@ -179,7 +185,9 @@ func Load(r io.Reader) (*Recording, error) {
 	if m.K != metaKind {
 		return nil, fmt.Errorf("replay: first line is %q, want a %q record", m.K, metaKind)
 	}
-	tr, err := trace.ReadJSONL(br)
+	// A blank line stands in for the header, which ReadJSONL skips, so
+	// its errors count the file's lines.
+	tr, err := trace.ReadJSONL(io.MultiReader(strings.NewReader("\n"), br))
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,17 @@
 package replay
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/task"
 	"repro/internal/workloads"
@@ -169,4 +174,108 @@ func TestReplayRejectsBadInput(t *testing.T) {
 	if _, err := Load(strings.NewReader("")); err == nil {
 		t.Fatal("Load accepted empty input")
 	}
+	// Dispatches of tasks outside the graph: a negative one used to
+	// panic inside the replay scheduler.
+	var saved strings.Builder
+	if err := rec.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int{-3, len(g.Tasks)} {
+		in := saved.String() + fmt.Sprintf(`{"t":0,"k":"dispatch","task":%d}`, bad) + "\n"
+		loaded, err := Load(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Replay(g, testConfig(core.Tahoe), loaded); err == nil {
+			t.Fatalf("replay accepted a dispatch of task %d", bad)
+		}
+	}
+}
+
+// TestLoadErrorNamesFileLine: a bad record is reported at its line in
+// the file, header included, with one "trace:" prefix.
+func TestLoadErrorNamesFileLine(t *testing.T) {
+	in := `{"k":"meta","workload":"cg","policy":"Tahoe","workers":1,"tasks":1}
+{"t":0,"k":"task-start"}
+{"t":1,"k":"bogus"}
+`
+	_, err := Load(strings.NewReader(in))
+	if err == nil || !strings.HasPrefix(err.Error(), "trace: line 3: ") || strings.Count(err.Error(), "trace:") != 1 {
+		t.Fatalf("error = %v, want one naming line 3 with one prefix", err)
+	}
+}
+
+// jsonRecordings returns the testdata recordings, which the
+// encoding/json codec saved: cholesky at scale 2 on two tiers, and on
+// three tiers under an injected fault schedule.
+func jsonRecordings(tb testing.TB) map[string][]byte {
+	paths, err := filepath.Glob("testdata/*.jsonl")
+	if err != nil || len(paths) == 0 {
+		tb.Fatalf("no recordings in testdata: %v", err)
+	}
+	recs := map[string][]byte{}
+	for _, path := range paths {
+		if recs[path], err = os.ReadFile(path); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return recs
+}
+
+// TestLoadEncodingJSONRecordings: recordings saved by the encoding/json codec
+// load and save back byte-identically.
+func TestLoadEncodingJSONRecordings(t *testing.T) {
+	for path, want := range jsonRecordings(t) {
+		rec, err := Load(bytes.NewReader(want))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var got bytes.Buffer
+		if err := rec.Save(&got); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s: save after load is not byte-identical", path)
+		}
+	}
+}
+
+// FuzzLoad: no recording makes Load or Replay panic. The graph (the
+// testdata recordings' cholesky at scale 2), the three-tier machine
+// (every seed replays on it) and the worker count are fixed, and the
+// recording varies. A recorded fault spec is replayed only when it is a
+// seed's; any other input replays under an empty schedule, because a
+// mutated spec can ask for billions of fault events. A non-nil schedule
+// also makes the run check its heap invariants at the end.
+func FuzzLoad(f *testing.F) {
+	s, err := workloads.ByName("cholesky")
+	if err != nil {
+		f.Fatal(err)
+	}
+	g := s.Build(workloads.Params{Scale: 2}).Graph
+	seedSpecs := map[string]bool{}
+	for path, b := range jsonRecordings(f) {
+		rec, err := Load(bytes.NewReader(b))
+		if err != nil {
+			f.Fatalf("%s: %v", path, err)
+		}
+		if rec.Meta.Faults != "" {
+			seedSpecs[rec.Meta.Faults] = true
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		rec, err := Load(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		cfg := core.DefaultConfig(mem.DRAMCXLNVM(4*mem.MB, 8*mem.MB))
+		cfg.Workers = 2
+		if !seedSpecs[rec.Meta.Faults] {
+			cfg.Faults = &fault.Schedule{}
+		}
+		if res, err := Replay(g, cfg, rec); err == nil && res.Tasks != len(g.Tasks) {
+			t.Fatalf("replay ran %d of %d tasks", res.Tasks, len(g.Tasks))
+		}
+	})
 }

@@ -7,8 +7,6 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -43,37 +41,31 @@ const (
 	TierReadmit
 )
 
+// kindNames names each event kind; the JSONL wire form uses these names.
+var kindNames = [...]string{
+	TaskStart:      "task-start",
+	TaskEnd:        "task-end",
+	MigrationStart: "mig-start",
+	MigrationEnd:   "mig-end",
+	Plan:           "plan",
+	FaultInject:    "fault",
+	MigrationRetry: "mig-retry",
+	TierQuarantine: "quarantine",
+	TierReadmit:    "readmit",
+}
+
 // String names the event kind.
 func (k Kind) String() string {
-	switch k {
-	case TaskStart:
-		return "task-start"
-	case TaskEnd:
-		return "task-end"
-	case MigrationStart:
-		return "mig-start"
-	case MigrationEnd:
-		return "mig-end"
-	case Plan:
-		return "plan"
-	case FaultInject:
-		return "fault"
-	case MigrationRetry:
-		return "mig-retry"
-	case TierQuarantine:
-		return "quarantine"
-	case TierReadmit:
-		return "readmit"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // ParseKind is the inverse of Kind.String.
 func ParseKind(s string) (Kind, error) {
-	for k := TaskStart; k <= TierReadmit; k++ {
-		if k.String() == s {
-			return k, nil
-		}
+	if k := index(kindNames[:], []byte(s)); k >= 0 {
+		return Kind(k), nil
 	}
 	return 0, fmt.Errorf("trace: unknown event kind %q", s)
 }
@@ -347,120 +339,6 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// jsonRec is the fixed-field JSONL wire form shared by events and
-// dispatch records ("k":"dispatch"). Field order is fixed by the struct
-// and encoding/json renders float64 in shortest round-trip form, so
-// parse → re-serialize is byte-identical. Zero-valued fields are
-// omitted; that is lossless because omission decodes back to the zero
-// value. The tier is kind-gated (only written on migration events)
-// because its zero value has a non-empty name; failure is written
-// inverted ("fail":true) so the common OK=true case stays implicit.
-type jsonRec struct {
-	T     float64 `json:"t"`
-	K     string  `json:"k"`
-	Task  int     `json:"task,omitempty"`
-	TKind string  `json:"tkind,omitempty"`
-	W     int     `json:"w,omitempty"`
-	Obj   int     `json:"obj,omitempty"`
-	Chunk int     `json:"chunk,omitempty"`
-	To    string  `json:"to,omitempty"`
-	Bytes int64   `json:"bytes,omitempty"`
-	Fail  bool    `json:"fail,omitempty"`
-	Label string  `json:"label,omitempty"`
-}
-
-const dispatchKind = "dispatch"
-
-func parseTier(s string) (mem.Tier, error) {
-	switch s {
-	case mem.InDRAM.String():
-		return mem.InDRAM, nil
-	case mem.InNVM.String():
-		return mem.InNVM, nil
-	}
-	// Middle tiers of an N-tier machine print as "T<n>" (mem.Tier.String).
-	var n int
-	if _, err := fmt.Sscanf(s, "T%d", &n); err == nil && n >= 0 && n < mem.MaxTiers {
-		return mem.Tier(n), nil
-	}
-	return 0, fmt.Errorf("trace: unknown tier %q", s)
-}
-
-// WriteJSONL writes the full recording — events in log order, then
-// dispatch records in decision order — one JSON object per line.
-func (t *Trace) WriteJSONL(w io.Writer) error {
-	// One Encoder reused across lines: Encode is Marshal plus a trailing
-	// '\n', byte for byte, but amortizes the encode buffer across records
-	// instead of allocating a fresh one per line.
-	enc := json.NewEncoder(w)
-	emit := func(r jsonRec) error { return enc.Encode(&r) }
-	for _, e := range t.Events {
-		r := jsonRec{
-			T: e.Time, K: e.Kind.String(),
-			Task: int(e.Task), TKind: e.TaskKind, W: e.Worker,
-			Obj: int(e.Obj), Chunk: e.Chunk, Bytes: e.Bytes,
-			Fail: !e.OK, Label: e.Label,
-		}
-		switch e.Kind {
-		case MigrationStart, MigrationEnd, MigrationRetry, FaultInject, TierQuarantine, TierReadmit:
-			r.To = e.To.String()
-		}
-		if err := emit(r); err != nil {
-			return err
-		}
-	}
-	for _, d := range t.Dispatches {
-		if err := emit(jsonRec{T: d.Time, K: dispatchKind, Task: int(d.Task), W: d.Worker}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadJSONL parses a recording written by WriteJSONL. Blank lines are
-// skipped; any other malformed line is an error.
-func ReadJSONL(rd io.Reader) (*Trace, error) {
-	t := &Trace{}
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := strings.TrimSpace(sc.Text())
-		if raw == "" {
-			continue
-		}
-		var r jsonRec
-		if err := json.Unmarshal([]byte(raw), &r); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		if r.K == dispatchKind {
-			t.AddDispatch(Dispatch{Time: r.T, Task: task.TaskID(r.Task), Worker: r.W})
-			continue
-		}
-		k, err := ParseKind(r.K)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		e := Event{
-			Time: r.T, Kind: k,
-			Task: task.TaskID(r.Task), TaskKind: r.TKind, Worker: r.W,
-			Obj: task.ObjectID(r.Obj), Chunk: r.Chunk, Bytes: r.Bytes,
-			OK: !r.Fail, Label: r.Label,
-		}
-		if r.To != "" {
-			if e.To, err = parseTier(r.To); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", line, err)
-			}
-		}
-		t.Add(e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // Timeline renders a coarse per-worker text gantt with the given number

@@ -211,16 +211,60 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{not json}\n")); err == nil {
-		t.Fatal("malformed JSON accepted")
+	for _, line := range []string{
+		"{not json}",
+		`{"t":1,"k":"no-such-kind"}`,
+		`{"t":1,"k":"mig-end","to":"TAPE"}`,
+		// Only mem.Tier(n).String() names tier n.
+		`{"t":1,"k":"mig-end","to":"T0"}`,
+		`{"t":1,"k":"mig-end","to":"T1"}`,
+		`{"t":1,"k":"mig-end","to":"T2xyz"}`,
+		`{"t":1,"k":"mig-end","to":"T 3"}`,
+		`{"t":1,"k":"mig-end","to":"T+2"}`,
+		`{"t":1,"k":"mig-end","to":"T4"}`,
+		`{"t":1,"k":"mig-end","to":"dram"}`,
+		// A tier on a kind that never carries one would not survive a
+		// write.
+		`{"t":1,"k":"task-start","to":"DRAM"}`,
+		// The encoding/json reader accepted these silently.
+		"\f{\"t\":1,\"k\":\"plan\"}",
+		`{"t":1,"k":"plan","bogus":1}`,
+		`{"t":1,"k":"plan","T":2}`,
+		`{"t":1,"t":2,"k":"plan"}`,
+		`{"t":null,"k":"plan"}`,
+		`{"t":1,"k":"plan","label":null}`,
+		`{"t":1,"k":"plan","bogus":{"t":1}}`,
+		// encoding/json rejected these too.
+		`{"t":1,"k":"plan","task":{}}`,
+		`{"t":1,"k":"plan","task":[1]}`,
+		`{"t":1,"k":"plan","task":1.5}`,
+		`{"t":1,"k":"plan","task":1e3}`,
+		`{"t":1,"k":"plan","bytes":9223372036854775808}`,
+		`{"t":1e400,"k":"plan"}`,
+		`{"t":"1","k":"plan"}`,
+		`{"t":01,"k":"plan"}`,
+		`{"t":1.,"k":"plan"}`,
+		`{"t":-,"k":"plan"}`,
+		`{"t":1,"k":"plan","fail":1}`,
+		`{"t":1,"k":"plan","fail":tru}`,
+		`{"t":1,"k":"plan",}`,
+		`{"t":1 "k":"plan"}`,
+		`{"t":1,"k":"plan"} x`,
+		`{"t":1,"k":"plan"}{}`,
+		`{"t":1,"k":"plan"`,
+		`{"t":1,"k":"pl`,
+		`{"t":1,"k":"a\qb"}`,
+		"{\"t\":1,\"k\":\"pl\x01an\"}",
+		`{}`,
+		`[1]`,
+		`null`,
+		`"plan"`,
+	} {
+		if _, err := ReadJSONL(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("accepted %q", line)
+		}
 	}
-	if _, err := ReadJSONL(strings.NewReader(`{"t":1,"k":"no-such-kind"}` + "\n")); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-	if _, err := ReadJSONL(strings.NewReader(`{"t":1,"k":"mig-end","to":"TAPE"}` + "\n")); err == nil {
-		t.Fatal("unknown tier accepted")
-	}
-	tr, err := ReadJSONL(strings.NewReader("\n\n"))
+	tr, err := ReadJSONL(strings.NewReader("\n \t\r\n\n"))
 	if err != nil || tr.Len() != 0 {
 		t.Fatalf("blank lines: %v, %d events", err, tr.Len())
 	}
