@@ -239,6 +239,9 @@ func BenchmarkChaosSuite(b *testing.B) {
 	}
 }
 
+// BenchmarkKnapsackDP times one bounded-row DP (59 candidates, 256
+// cells) on a long-lived Solver's scratch through the memo-free path the
+// local search uses, so it allocates nothing.
 func BenchmarkKnapsackDP(b *testing.B) {
 	items := make([]placement.Item, 64)
 	for i := range items {
@@ -248,9 +251,12 @@ func BenchmarkKnapsackDP(b *testing.B) {
 			Weight: float64(i%13) * 1e-3,
 		}
 	}
+	s := placement.NewSolver()
+	chosen := s.AppendKnapsack(nil, items, 256<<20, placement.DefaultGranularity) // size the scratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		placement.Knapsack(items, 256<<20, placement.DefaultGranularity)
+		chosen = s.AppendKnapsack(chosen[:0], items, 256<<20, placement.DefaultGranularity)
 	}
 }
 
@@ -498,19 +504,27 @@ func BenchmarkServeScaling(b *testing.B) {
 // optimized/Ref ratio is the planner optimization's honest speedup.
 func plannerBench(b *testing.B) *core.PlannerBench {
 	b.Helper()
+	pb := newPlannerBench(b, Tahoe)
+	// Warm the benefit and knapsack caches: the steady state the runtime
+	// spends its life in.
+	pb.Global()
+	pb.Local()
+	return pb
+}
+
+func newPlannerBench(b *testing.B, p Policy) *core.PlannerBench {
+	b.Helper()
 	h := NewHMS(DRAM(), NVMBandwidth(0.5), 128*MB)
 	w, err := BuildWorkload("cholesky", WorkloadParams{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	pb, err := core.NewPlannerBench(w.Graph, DefaultConfig(h))
+	cfg := DefaultConfig(h)
+	cfg.Policy = p
+	pb, err := core.NewPlannerBench(w.Graph, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm the benefit and knapsack caches: the steady state the runtime
-	// spends its life in.
-	pb.Global()
-	pb.Local()
 	return pb
 }
 
@@ -538,6 +552,18 @@ func BenchmarkPlannerReplan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pb.Replan()
+	}
+}
+
+// BenchmarkPlannerLevel times PhaseBased's level search on the same
+// frozen cholesky state, warm.
+func BenchmarkPlannerLevel(b *testing.B) {
+	pb := newPlannerBench(b, PhaseBased)
+	pb.Level()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pb.Level()
 	}
 }
 

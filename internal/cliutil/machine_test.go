@@ -115,6 +115,17 @@ func TestParseFaults(t *testing.T) {
 	}
 }
 
+// TestParseFaultsRejectsHugeEventCount: the -faults flag cannot ask for
+// an unbounded number of events.
+func TestParseFaultsRejectsHugeEventCount(t *testing.T) {
+	if _, err := ParseFaults("rate=1e9,horizon=1"); err == nil {
+		t.Fatal("-faults rate=1e9,horizon=1 accepted")
+	}
+	if _, err := ParseClusterFaults("nodes=4,horizon=1,node-rate=1e9"); err == nil {
+		t.Fatal("-cluster-faults node-rate=1e9 accepted")
+	}
+}
+
 func TestParseSampling(t *testing.T) {
 	base := prof.DefaultConfig()
 	got, err := ParseSampling("interval=100000, jitter=0.4, seed=9, window=3, adaptive", base)

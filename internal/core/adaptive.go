@@ -81,6 +81,9 @@ func (r *runner) adaptPrecheck() bool {
 	return r.adaptSampling() > 0
 }
 
+// marginsAudit, when set by tests, sees each sensitivity query's memo hit.
+var marginsAudit func(r *runner, hit bool)
+
 // adaptSampling runs one controller round (see the package comment
 // above) and returns how many kinds it densified.
 func (r *runner) adaptSampling() (boosted int) {
@@ -117,6 +120,9 @@ func (r *runner) adaptSampling() (boosted int) {
 	}
 	misses := p.solver.Misses
 	r.adaptMargins = p.solver.Margins(items, r.cfg.HMS.Capacity(r.fastTier), placement.DefaultGranularity, r.adaptMargins)
+	if marginsAudit != nil {
+		marginsAudit(r, p.solver.Misses == misses)
+	}
 	// The sensitivity query costs a table lookup per item when it reuses
 	// the plan's memoized solve, a DP pass when it cannot (PhaseBased,
 	// whose level plans solve different knapsacks).

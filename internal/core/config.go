@@ -267,6 +267,10 @@ type Config struct {
 	OnQuarantine func(now float64, t mem.Tier, active bool)
 }
 
+// MaxWorkers bounds Config.Workers: runs size per-worker scheduler state
+// from it, and it arrives from flags, requests and recordings (E8: 32).
+const MaxWorkers = 1024
+
 // DefaultConfig returns a full-system configuration on the given machine.
 func DefaultConfig(h mem.HMS) Config {
 	return Config{
@@ -286,8 +290,8 @@ func (c Config) Validate() error {
 	if err := c.HMS.Validate(); err != nil {
 		return err
 	}
-	if c.Workers < 1 {
-		return fmt.Errorf("core: %d workers", c.Workers)
+	if c.Workers < 1 || c.Workers > MaxWorkers {
+		return fmt.Errorf("core: %d workers, want 1 to %d", c.Workers, MaxWorkers)
 	}
 	if c.Lookahead < 0 {
 		return fmt.Errorf("core: negative lookahead")

@@ -368,6 +368,18 @@ func TestConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("zero workers accepted")
 	}
+	cfg.Workers = MaxWorkers
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("MaxWorkers rejected: %v", err)
+	}
+	// Per-worker scheduler state is allocated up front: a worker count
+	// from a recording or request must not size it unchecked.
+	for _, n := range []int{MaxWorkers + 1, 1 << 40} {
+		cfg.Workers = n
+		if err := cfg.Validate(); err == nil {
+			t.Fatalf("%d workers accepted", n)
+		}
+	}
 	cfg = DefaultConfig(h)
 	cfg.Lookahead = -1
 	if err := cfg.Validate(); err == nil {

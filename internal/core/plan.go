@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/placement"
@@ -17,9 +17,8 @@ import (
 //     index instead of map[ChunkRef]bool;
 //   - the hypothetical resident footprint is an int64 accumulator
 //     maintained on membership change, not a rescan per task;
-//   - knapsack calls go through a memoizing placement.Solver, so the
-//     repeated same-kind candidate patterns of the local search pay a
-//     lookup (which is what solverSec always claimed they cost);
+//   - the local search's per-task knapsacks skip the solver's memo, and
+//     its user-list lookups are forward-only cursors (usersAround);
 //   - per-object benefit totals persist across maybePlan calls in
 //     plannerState and are refreshed only for objects dirtied since the
 //     last plan (frontier advance or profile change) — O(Δ) replans;
@@ -133,10 +132,8 @@ type planResult struct {
 	// predicted is the model's estimate of the remaining execution time
 	// under the plan; the runtime picks the smaller of global vs local.
 	predicted float64
-	// solverSec is the decision's modeled runtime cost. Weights and sizes
-	// repeat across same-kind tasks, so the per-task knapsacks of the
-	// local search memoize: distinct patterns pay the full DP, repeats
-	// pay a lookup.
+	// solverSec is the decision's modeled runtime cost, a formula over
+	// item and kind counts (see the solver cost constants).
 	solverSec float64
 }
 
@@ -171,6 +168,7 @@ type plannerState struct {
 
 	uses     [][]objUse        // per object: future-relevant access entries
 	kindObjs [][]task.ObjectID // per kind: distinct objects it touches
+	users    [][]task.TaskID   // per object: the graph's user list (g.Users)
 
 	// futureUses[obj] counts access entries among not-yet-started tasks;
 	// decremented as tasks start. Integer, hence exactly the reference's
@@ -194,6 +192,7 @@ type plannerState struct {
 	// Scratch reused across plans.
 	future   []*task.Task
 	items    []placement.Item
+	chosen   []int
 	accObjs  []task.ObjectID
 	candObjs []task.ObjectID
 	resObjs  []task.ObjectID
@@ -204,12 +203,19 @@ type plannerState struct {
 	seen     planSet // proactiveScan dedup
 	wants    []wantPromo
 
+	ahead, beyond []int // local-search cursors into users (usersAround)
+
+	byLevel  [][]*task.Task // level-plan (PhaseBased) scratch
+	agg      []float64
+	levelBuf []uint64 // backing store of perLevel's targets
+
 	// Plan storage, overwritten by the next plan: the global target, the
 	// per-task view table and its flat backing buffer (consecutive tasks
 	// with identical targets alias one committed copy).
 	globalBuf planSet
 	perTask   []planSet
 	taskBuf   []uint64
+	perLevel  []planSet
 }
 
 type wantPromo struct {
@@ -235,6 +241,7 @@ func newPlannerState(r *runner) *plannerState {
 		chunkSize:  make([]int64, total),
 		uses:       make([][]objUse, nobj),
 		kindObjs:   make([][]task.ObjectID, nk),
+		users:      make([][]task.TaskID, nobj),
 		futureUses: make([]int32, nobj),
 		pairB:      make([]float64, nk*nobj),
 		pairOK:     make([]bool, nk*nobj),
@@ -243,12 +250,17 @@ func newPlannerState(r *runner) *plannerState {
 		solver:     placement.NewSolver(),
 		objMark:    make([]bool, nobj),
 		kindMark:   make([]bool, nk),
+		ahead:      make([]int, nobj),
+		beyond:     make([]int, nobj),
 	}
 	for i, k := range p.kindNames {
 		p.kindIx[k] = int32(i)
 	}
 	for ix := 0; ix < total; ix++ {
 		p.chunkSize[ix] = st.ChunkSize(st.RefAt(ix))
+	}
+	for obj := range p.users {
+		p.users[obj] = g.Users(task.ObjectID(obj))
 	}
 	// Use tables: count, then fill flat, preserving (task, access) order.
 	counts := make([]int32, nobj)
@@ -409,8 +421,9 @@ func (r *runner) meanTaskSec() float64 {
 // overlapSec estimates the execution time available to hide a migration
 // that becomes dependence-safe after task `from` and is needed by task
 // `to`: the submission-order distance between them, spread over the
-// workers, at the mean task duration. from < 0 means "safe immediately".
-func (r *runner) overlapSec(from, to task.TaskID) float64 {
+// workers, at the mean task duration meanSec (meanTaskSec, read once per
+// plan). from < 0 means "safe immediately".
+func (r *runner) overlapSec(from, to task.TaskID, meanSec float64) float64 {
 	gap := int(to) - int(from) - 1
 	if from < 0 {
 		gap = int(to)
@@ -418,7 +431,7 @@ func (r *runner) overlapSec(from, to task.TaskID) float64 {
 	if gap < 0 {
 		gap = 0
 	}
-	return float64(gap) / float64(r.cfg.Workers) * r.meanTaskSec()
+	return float64(gap) / float64(r.cfg.Workers) * meanSec
 }
 
 // estTaskSec predicts a task's duration under a target set: the profiled
@@ -442,12 +455,29 @@ func (r *runner) estTaskSec(t *task.Task, target planSet) float64 {
 	return dur
 }
 
-// usesAhead counts obj's uses within (from, from+horizon].
-func (r *runner) usesAhead(obj task.ObjectID, from, horizon task.TaskID) int {
-	users := r.g.Users(obj)
-	lo := sort.Search(len(users), func(i int) bool { return users[i] > from })
-	hi := sort.Search(len(users), func(i int) bool { return users[i] > from+horizon })
-	return hi - lo
+// usersAround moves obj's user-list cursors up to task t and returns how
+// many of obj's users fall within (t, t+horizon] and the last user
+// before t (-1 if none). Between cursor resets t must not decrease, so
+// each cursor crosses each user at most once per plan.
+func (p *plannerState) usersAround(obj task.ObjectID, t, horizon task.TaskID) (uses int, prev task.TaskID) {
+	users := p.users[obj]
+	ahead, beyond := p.ahead[obj], p.beyond[obj]
+	for ahead < len(users) && users[ahead] <= t {
+		ahead++
+	}
+	for beyond < len(users) && users[beyond] <= t+horizon {
+		beyond++
+	}
+	p.ahead[obj], p.beyond[obj] = ahead, beyond
+	// A user list holds each task once, so only users[ahead-1] can be t.
+	i := ahead
+	if i > 0 && users[i-1] == t {
+		i--
+	}
+	if i == 0 {
+		return beyond - ahead, -1
+	}
+	return beyond - ahead, users[i-1]
 }
 
 // globalItems refreshes the benefit totals and appends the global
@@ -459,6 +489,8 @@ func (r *runner) usesAhead(obj task.ObjectID, from, horizon task.TaskID) int {
 func (r *runner) globalItems(dst []placement.Item) []placement.Item {
 	p := r.pt
 	p.refreshTotals(r)
+	now := r.frontier() - 1
+	meanSec := r.meanTaskSec()
 	for _, o := range r.g.Objects {
 		benefit := p.totals[o.ID]
 		if benefit == 0 {
@@ -467,17 +499,21 @@ func (r *runner) globalItems(dst []placement.Item) []placement.Item {
 		refs := r.st.Refs(o.ID)
 		per := benefit / float64(len(refs))
 		base := r.st.ChunkBase(o.ID)
+		overlap := -1.0 // set at the object's first chunk off the fast tier
 		for i, ref := range refs {
 			size := p.chunkSize[base+i]
 			cost := 0.0
 			if r.st.Tier(ref) != r.fastTier {
-				// The promotion is enqueued at plan time; the first future
-				// user bounds the hiding window.
-				firstUse := task.TaskID(len(r.g.Tasks))
-				if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
-					firstUse = nu
+				if overlap < 0 {
+					// The promotion is enqueued at plan time; the first
+					// future user bounds the hiding window.
+					firstUse := task.TaskID(len(r.g.Tasks))
+					if nu, ok := r.g.NextUser(o.ID, now); ok {
+						firstUse = nu
+					}
+					overlap = r.overlapSec(now, firstUse, meanSec)
 				}
-				cost = r.params.MigrationCostBetween(size, r.overlapSec(r.frontier()-1, firstUse), 0, r.fastTier)
+				cost = r.params.MigrationCostBetween(size, overlap, 0, r.fastTier)
 			}
 			dst = append(dst, placement.Item{Ref: ref, Size: size, Weight: per - cost})
 		}
@@ -520,15 +556,6 @@ func (r *runner) computeGlobalPlan(future []*task.Task) planResult {
 		solverSec: float64(len(items)) * solverItemSec}
 }
 
-// insertionSortObjs sorts a small object-ID slice in place.
-func insertionSortObjs(s []task.ObjectID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // mergeObjs merges two sorted, duplicate-free object lists into dst.
 func mergeObjs(dst, a, b []task.ObjectID) []task.ObjectID {
 	i, j := 0, 0
@@ -560,12 +587,14 @@ func mergeObjs(dst, a, b []task.ObjectID) []task.ObjectID {
 // the lookahead horizon, minus migration and eviction costs for
 // non-residents — the paper's task-by-task decision with known DRAM
 // contents. The hypothetical residency is a bitset plus an int64 byte
-// accumulator; same-kind tasks repeat candidate patterns, so the
-// per-task knapsacks mostly hit the solver's memo.
+// accumulator. The per-task knapsacks skip the solver's memo: their
+// weights carry use counts and overlap windows, so few patterns repeat
+// (DESIGN.md "Planner internals" on why no modeled charge moves).
 func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 	p := r.pt
 	p.refreshTotals(r)
 	capacity := r.cfg.HMS.Capacity(r.fastTier)
+	meanSec := r.meanTaskSec()
 
 	resident := p.resident
 	resident.clearAll()
@@ -586,10 +615,11 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 		}
 	}
 
-	horizon := task.TaskID(8 * r.cfg.Lookahead)
-	if horizon < 64 {
-		horizon = 64
-	}
+	// Any horizon past the last task counts the same uses; capping it
+	// there keeps t.ID+horizon from overflowing.
+	horizon := min(max(task.TaskID(8*r.cfg.Lookahead), 64), task.TaskID(len(r.g.Tasks)))
+	clear(p.ahead)
+	clear(p.beyond)
 
 	if len(p.perTask) < len(r.g.Tasks) {
 		p.perTask = make([]planSet, len(r.g.Tasks))
@@ -625,7 +655,7 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 		for _, obj := range acc {
 			p.objMark[obj] = false
 		}
-		insertionSortObjs(acc)
+		slices.Sort(acc)
 		p.accObjs = acc
 		candObjs := mergeObjs(p.candObjs[:0], acc, resObjs)
 		p.candObjs = candObjs
@@ -639,18 +669,17 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 			if pu <= 0 {
 				continue
 			}
+			// The last user before t is the earliest safe promotion point.
+			uses, from := p.usersAround(obj, t.ID, horizon)
+			overlap := r.overlapSec(from, t.ID, meanSec)
 			refs := r.st.Refs(obj)
-			each := pu * float64(r.usesAhead(obj, t.ID, horizon)) / float64(len(refs))
+			each := pu * float64(uses) / float64(len(refs))
 			base := r.st.ChunkBase(obj)
 			for i, ref := range refs {
 				size := p.chunkSize[base+i]
 				w := each
 				if !resident.has(base + i) {
-					from := task.TaskID(-1)
-					if pu2, ok := r.g.PrevUser(obj, t.ID); ok {
-						from = pu2
-					}
-					w -= r.params.MigrationCostBetween(size, r.overlapSec(from, t.ID), 0, r.fastTier)
+					w -= r.params.MigrationCostBetween(size, overlap, 0, r.fastTier)
 					if residentBytes+size > capacity {
 						// Paper's extra_COST: demote just enough.
 						w -= float64(size) / r.cfg.HMS.CopyBW
@@ -661,7 +690,8 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 		}
 		p.items = cand
 		items += len(cand)
-		chosen := p.solver.Solve(cand, capacity, placement.DefaultGranularity)
+		chosen := p.solver.AppendKnapsack(p.chosen[:0], cand, capacity, placement.DefaultGranularity)
+		p.chosen = chosen
 
 		// The knapsack owns the residency decision: incumbents it did not
 		// re-choose are hypothetically demoted. chosen is ascending over
@@ -701,29 +731,35 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 
 // computeLevelPlan is the PhaseBased comparator: one knapsack per
 // topological level over the objects its tasks touch, enforced at level
-// boundaries. PhaseBased plans at most maxReplans+1 times per run, so
-// this path keeps the simple per-call allocations; it still shares the
-// bitset representation, the benefit cache, and the memoizing solver.
+// boundaries. It shares the bitset representation, the benefit cache,
+// the memoizing solver and, like the local search, reusable scratch.
 func (r *runner) computeLevelPlan(future []*task.Task) planResult {
 	p := r.pt
 	levels := r.levels
-	maxLevel := 0
-	for _, lv := range levels {
-		if lv > maxLevel {
-			maxLevel = lv
+	if p.byLevel == nil {
+		maxLevel := 0
+		for _, lv := range levels {
+			maxLevel = max(maxLevel, lv)
 		}
+		p.byLevel = make([][]*task.Task, maxLevel+1)
+		p.perLevel = make([]planSet, maxLevel+1)
+		p.agg = make([]float64, p.nobj)
 	}
-	perLevel := make([]planSet, maxLevel+1)
-	items := 0
-	predicted := 0.0
-	byLevel := make([][]*task.Task, maxLevel+1)
+	byLevel, perLevel := p.byLevel, p.perLevel
+	for lv := range byLevel {
+		byLevel[lv] = byLevel[lv][:0]
+		perLevel[lv] = nil
+	}
 	for _, t := range future {
 		byLevel[levels[t.ID]] = append(byLevel[levels[t.ID]], t)
 	}
+	items := 0
+	predicted := 0.0
 	// Hypothetical residency carried across levels: promoting an object
 	// that is already resident from the previous level costs nothing, so
 	// stable hot sets stay put instead of bouncing at every boundary.
-	resident := make(planSet, p.words)
+	resident := p.resident
+	resident.clearAll()
 	for _, o := range r.g.Objects {
 		base := r.st.ChunkBase(o.ID)
 		for i, ref := range r.st.Refs(o.ID) {
@@ -732,14 +768,15 @@ func (r *runner) computeLevelPlan(future []*task.Task) planResult {
 			}
 		}
 	}
-	agg := make([]float64, p.nobj)
+	agg := p.agg
+	p.levelBuf = p.levelBuf[:0]
 	for lv, tasks := range byLevel {
 		if len(tasks) == 0 {
 			continue
 		}
 		// Aggregate benefit per object over the level's tasks, visited in
 		// ascending object order (see plan_ref.go on determinism).
-		objs := make([]task.ObjectID, 0, 8)
+		objs := p.accObjs[:0]
 		for _, t := range tasks {
 			k := p.kindOf[t.ID]
 			for _, a := range t.Accesses {
@@ -750,8 +787,9 @@ func (r *runner) computeLevelPlan(future []*task.Task) planResult {
 				agg[a.Obj] += p.benefit(r, k, a.Obj)
 			}
 		}
-		sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-		var cand []placement.Item
+		slices.Sort(objs)
+		p.accObjs = objs
+		cand := p.items[:0]
 		for _, obj := range objs {
 			benefit := agg[obj]
 			if benefit <= 0 {
@@ -769,6 +807,7 @@ func (r *runner) computeLevelPlan(future []*task.Task) planResult {
 				cand = append(cand, placement.Item{Ref: ref, Size: size, Weight: w})
 			}
 		}
+		p.items = cand
 		for _, obj := range objs { // reset scratch for the next level
 			p.objMark[obj] = false
 			agg[obj] = 0
@@ -782,7 +821,10 @@ func (r *runner) computeLevelPlan(future []*task.Task) planResult {
 			}
 			continue
 		}
-		target := make(planSet, p.words)
+		off := len(p.levelBuf)
+		p.levelBuf = slices.Grow(p.levelBuf, p.words)[:off+p.words]
+		target := planSet(p.levelBuf[off:])
+		target.clearAll()
 		for _, i := range chosen {
 			ix := r.st.ChunkIndex(cand[i].Ref)
 			target.set(ix)
@@ -800,8 +842,8 @@ func (r *runner) computeLevelPlan(future []*task.Task) planResult {
 		solverSec: float64(len(perLevel))*solverItemSec + float64(items)*solverLookupSec}
 }
 
-// Solver cost constants: the DP pays per candidate item; memoized
-// repeats pay a hash lookup.
+// Solver cost constants, simulated seconds whatever the host does: the
+// modeled DP pays per candidate item, a repeated pattern a lookup.
 const (
 	solverItemSec   = 20e-6
 	solverLookupSec = 0.5e-6

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/mem"
@@ -268,9 +269,50 @@ func TestPlannerEquivalence(t *testing.T) {
 	}
 }
 
+// TestUsersAroundMatchesSearch checks the local search's cursor walk
+// against binary searches of the user lists — the usesAhead count and
+// PrevUser lookup the reference planner makes — at every task, in
+// task order, with tasks skipped as started tasks are, including the
+// horizon's exact edge.
+func TestUsersAroundMatchesSearch(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		g := equivGraph(seed)
+		rng := rand.New(rand.NewSource(seed))
+		nobj := len(g.Objects)
+		p := &plannerState{users: make([][]task.TaskID, nobj), ahead: make([]int, nobj), beyond: make([]int, nobj)}
+		for obj := range p.users {
+			p.users[obj] = g.Users(task.ObjectID(obj))
+		}
+		for _, horizon := range []task.TaskID{1, 2, 7, 64, task.TaskID(len(g.Tasks))} {
+			clear(p.ahead)
+			clear(p.beyond)
+			for _, tk := range g.Tasks {
+				if rng.Intn(4) == 0 {
+					continue
+				}
+				for obj := range p.users {
+					users := p.users[obj]
+					lo := sort.Search(len(users), func(i int) bool { return users[i] > tk.ID })
+					hi := sort.Search(len(users), func(i int) bool { return users[i] > tk.ID+horizon })
+					want := task.TaskID(-1)
+					if pu, ok := g.PrevUser(task.ObjectID(obj), tk.ID); ok {
+						want = pu
+					}
+					uses, prev := p.usersAround(task.ObjectID(obj), tk.ID, horizon)
+					if uses != hi-lo || prev != want {
+						t.Fatalf("seed %d horizon %d task %d obj %d: usersAround = (%d, %d), search = (%d, %d)",
+							seed, horizon, tk.ID, obj, uses, prev, hi-lo, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPlannerSteadyStateAllocs pins down the optimization's headline
-// property: once the caches are warm, recomputing both searches on a
-// stable runner state allocates (essentially) nothing.
+// property: once the caches are warm, recomputing the searches on a
+// stable runner state allocates (essentially) nothing — the global and
+// local searches under Tahoe, the level search under PhaseBased.
 func TestPlannerSteadyStateAllocs(t *testing.T) {
 	g := equivGraph(8) // even seed: no drift, stable state
 	h := mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), 32*mem.MB)
@@ -288,6 +330,16 @@ func TestPlannerSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("steady-state global+local plan allocates %v objects per run, want <= 2", allocs)
+	}
+
+	cfg.Policy = PhaseBased
+	lb, err := NewPlannerBench(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb.Level()
+	if allocs := testing.AllocsPerRun(100, func() { lb.Level() }); allocs > 0 {
+		t.Errorf("steady-state level plan allocates %v objects per run, want 0", allocs)
 	}
 }
 

@@ -119,7 +119,7 @@ func (r *runner) refComputeGlobalPlan(future []*task.Task) refPlanResult {
 				if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
 					firstUse = nu
 				}
-				cost = r.params.MigrationCostBetween(size, r.overlapSec(r.frontier()-1, firstUse), 0, r.fastTier)
+				cost = r.params.MigrationCostBetween(size, r.overlapSec(r.frontier()-1, firstUse, r.meanTaskSec()), 0, r.fastTier)
 			}
 			items = append(items, placement.Item{
 				Ref:    ref,
@@ -237,7 +237,7 @@ func (r *runner) refComputeLocalPlan(future []*task.Task) refPlanResult {
 					if pu2, ok := r.g.PrevUser(obj, t.ID); ok {
 						from = pu2
 					}
-					w -= r.params.MigrationCostBetween(size, r.overlapSec(from, t.ID), 0, r.fastTier)
+					w -= r.params.MigrationCostBetween(size, r.overlapSec(from, t.ID, r.meanTaskSec()), 0, r.fastTier)
 					if residentBytes+size > capacity {
 						// Paper's extra_COST: demote just enough.
 						w -= float64(size) / r.cfg.HMS.CopyBW

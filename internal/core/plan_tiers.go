@@ -67,6 +67,7 @@ func (r *runner) computeTierPlan(future []*task.Task) planResult {
 
 	// One TierItem per chunk of every object with any nonzero benefit.
 	var items []placement.TierItem
+	meanSec := r.meanTaskSec()
 	for _, o := range r.g.Objects {
 		tot := totals[o.ID]
 		if tot == nil {
@@ -78,7 +79,7 @@ func (r *runner) computeTierPlan(future []*task.Task) planResult {
 		if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
 			firstUse = nu
 		}
-		overlap := r.overlapSec(r.frontier()-1, firstUse)
+		overlap := r.overlapSec(r.frontier()-1, firstUse, meanSec)
 		for i, ref := range refs {
 			size := p.chunkSize[base+i]
 			cur := r.st.Tier(ref)

@@ -111,6 +111,11 @@ func (pb *PlannerBench) Local() float64 {
 	return pb.r.computeLocalPlan(pb.future()).predicted
 }
 
+// Level runs the level search once (on a bench built for PhaseBased).
+func (pb *PlannerBench) Level() float64 {
+	return pb.r.computeLevelPlan(pb.future()).predicted
+}
+
 // Replan models one workload-variation replan: a kind's estimates went
 // stale, and the runtime recomputes both searches and takes the winner.
 func (pb *PlannerBench) Replan() float64 {

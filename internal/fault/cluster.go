@@ -218,6 +218,9 @@ func ParseClusterSpec(spec string) (*ClusterSchedule, error) {
 	if !nonNegFinite(nodeRate) || !nonNegFinite(devRate) || !nonNegFinite(horizon) {
 		return nil, fmt.Errorf("fault: cluster spec %q needs finite, non-negative rates and horizon", spec)
 	}
+	if n := max(nodeRate*float64(nodes), devRate) * horizon; n > MaxEvents {
+		return nil, fmt.Errorf("fault: cluster spec %q asks for %.3g outages or device events per node, above the cap of %d", spec, n, MaxEvents)
+	}
 	return RandomCluster(seed, nodeRate, devRate, horizon, nodes, rpn, tiers), nil
 }
 

@@ -153,6 +153,11 @@ func (s *Schedule) Validate(numTiers int) error {
 	return nil
 }
 
+// MaxEvents caps the events a spec asks for: rate*horizon, or for a
+// cluster spec nodes*node-rate*horizon outages and dev-rate*horizon
+// device events per node. Specs come from flags, recordings and requests.
+const MaxEvents = 1 << 20
+
 // Random derives a schedule from a seed: about rate events per simulated
 // second over [0, horizon), mixing all four kinds, targeting a machine
 // with the given tier count. The same (seed, rate, horizon, tiers) always
@@ -266,6 +271,9 @@ func ParseSpec(spec string) (*Schedule, error) {
 	}
 	if !nonNegFinite(rate) || !nonNegFinite(horizon) {
 		return nil, fmt.Errorf("fault: spec %q needs a finite, non-negative rate and horizon", spec)
+	}
+	if n := rate * horizon; n > MaxEvents {
+		return nil, fmt.Errorf("fault: spec %q asks for %.3g events, above the cap of %d", spec, n, MaxEvents)
 	}
 	return Random(seed, rate, horizon, tiers), nil
 }

@@ -252,3 +252,40 @@ func TestInjectorNilScheduleIsInert(t *testing.T) {
 		t.Fatalf("empty injector kept the engine alive until %g", end)
 	}
 }
+
+// TestParseSpecCapsEventCount: a spec asking for more than MaxEvents
+// events is refused before Random allocates them; rate=1e9,horizon=1
+// used to ask for 1e9.
+func TestParseSpecCapsEventCount(t *testing.T) {
+	for _, spec := range []string{
+		"rate=1e9,horizon=1",
+		"rate=1048577,horizon=1",
+		"rate=1,horizon=1e300",
+		"cluster:nodes=2,horizon=1,dev-rate=1e9;rank=0",
+	} {
+		if _, err := ParseSpec(spec); err == nil {
+			t.Errorf("ParseSpec(%q) accepted", spec)
+		}
+	}
+	if s, err := ParseSpec("rate=2000,horizon=2"); err != nil || len(s.Events) != 4000 {
+		t.Fatalf("4000-event spec: %v (events %d)", err, len(s.Events))
+	}
+}
+
+// TestParseClusterSpecCapsEventCount: the same cap holds for a cluster
+// spec's node outages (node-rate*horizon*nodes) and for each node's
+// device schedule (dev-rate*horizon).
+func TestParseClusterSpecCapsEventCount(t *testing.T) {
+	for _, spec := range []string{
+		"nodes=4,horizon=1,node-rate=1e9",
+		"nodes=1000000,horizon=1,node-rate=2",
+		"nodes=4,horizon=1,dev-rate=1e9",
+	} {
+		if _, err := ParseClusterSpec(spec); err == nil {
+			t.Errorf("ParseClusterSpec(%q) accepted", spec)
+		}
+	}
+	if _, err := ParseClusterSpec("nodes=1000,horizon=1,node-rate=2,dev-rate=1000"); err != nil {
+		t.Fatalf("spec under the cap rejected: %v", err)
+	}
+}

@@ -17,6 +17,7 @@
 package placement
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/heap"
@@ -39,7 +40,7 @@ const DefaultGranularity = 1 << 20
 // non-positive weight are never chosen — moving them cannot pay off.
 func Knapsack(items []Item, capacity int64, gran int64) []int {
 	var sc knapScratch
-	return sc.solve(items, capacity, gran)
+	return sc.solve(nil, items, capacity, gran)
 }
 
 // knapCand is one filtered DP candidate.
@@ -49,30 +50,40 @@ type knapCand struct {
 	w     float64
 }
 
-// knapScratch holds the DP working set — the candidate list, the best[]
-// value row, and the taken choice matrix (flattened into one slab) — so
-// a long-lived owner (the Solver) re-runs the DP without allocating.
-// The DP result is independent of stale scratch contents: best is
-// zeroed and every taken row is written before it is read. Only the
-// returned chosen slice is freshly allocated (callers keep it).
+type knapRow struct{ lo, top, off int } // live range [lo, top], flags at taken[off:]
+
+// knapScratch holds the DP working set — the candidates, their rows, the
+// best[] value row and the rows' taken flags in one slab — so a
+// long-lived owner (the Solver) re-runs the DP without allocating. Every
+// best cell and taken flag is written before it is read.
 type knapScratch struct {
 	cands []knapCand
+	rows  []knapRow
 	best  []float64
-	taken []bool // len(cands) rows of (cells+1) entries
+	taken []bool
 }
 
-// solve is Knapsack with owner-provided scratch.
-func (sc *knapScratch) solve(items []Item, capacity int64, gran int64) []int {
+// solve appends Knapsack(items, capacity, gran) to dst, using the
+// scratch, and returns the extended slice. With c_i a candidate's size in
+// cells, P_i = c_0+...+c_i and S_i = c_i+...+c_{n-1}, row i visits only
+// [max(c_i, cells-S_{i+1}), min(cells, P_i)]: above P_i every cell equals
+// P_i's (same additions), so best is extended by copying and lookups
+// clamp to the row's top; below cells-S_{i+1} nothing reads, and a
+// reconstruction lookup below the floor is below c_i, never taken. The
+// arithmetic, its order and the strict > are the full table's, so the
+// indices are identical (DESIGN.md "Planner internals"; FuzzKnapsack).
+func (sc *knapScratch) solve(dst []int, items []Item, capacity int64, gran int64) []int {
 	if gran <= 0 {
 		gran = DefaultGranularity
 	}
 	cells := int(capacity / gran)
 	if cells <= 0 || len(items) == 0 {
-		return nil
+		return dst
 	}
 
 	// Candidate filter: positive weight and fits at all.
 	cands := sc.cands[:0]
+	total := 0
 	for i, it := range items {
 		if it.Weight <= 0 || it.Size <= 0 {
 			continue
@@ -82,67 +93,71 @@ func (sc *knapScratch) solve(items []Item, capacity int64, gran int64) []int {
 			continue
 		}
 		cands = append(cands, knapCand{idx: i, cells: c, w: it.Weight})
+		total += c
 	}
 	sc.cands = cands
-	if len(cands) == 0 {
-		return nil
-	}
 
 	// Fast path: if every positive-weight candidate fits together, the
 	// optimum is all of them — the DP would reconstruct exactly that set
 	// (dropping any candidate only loses weight). Local searches pose
 	// this case constantly: one task's few chunks against a whole tier.
-	total := 0
-	for _, c := range cands {
-		total += c.cells
-	}
 	if total <= cells {
-		chosen := make([]int, len(cands))
-		for i, c := range cands {
-			chosen[i] = c.idx // ascending already: the filter preserves item order
+		for _, c := range cands {
+			dst = append(dst, c.idx)
 		}
-		return chosen
+		return dst
 	}
 
-	// Classic DP over capacity cells, tracking choices with a row per
-	// item to reconstruct the solution.
-	row := cells + 1
-	if cap(sc.best) < row {
-		sc.best = make([]float64, row)
+	rows := sc.rows[:0]
+	prefix, suffix, need := 0, total, 0
+	for _, c := range cands {
+		prefix += c.cells
+		suffix -= c.cells
+		rw := knapRow{lo: max(c.cells, cells-suffix), top: min(cells, prefix), off: need}
+		rows = append(rows, rw)
+		need += rw.top - rw.lo + 1
 	}
-	best := sc.best[:row]
-	for i := range best {
-		best[i] = 0
+	sc.rows = rows
+	if cap(sc.best) < cells+1 {
+		sc.best = make([]float64, cells+1)
 	}
-	if need := len(cands) * row; cap(sc.taken) < need {
+	best := sc.best[:cells+1]
+	if cap(sc.taken) < need {
 		sc.taken = make([]bool, need)
 	}
-	taken := sc.taken[:len(cands)*row]
+	taken := sc.taken[:need]
+
+	best[0] = 0
+	top := 0
 	for i, c := range cands {
-		// Bulk-clear the row (memclr), then mark only the improvements:
-		// cheaper than a branch-and-store per cell, and cells below the
-		// item's own size can never take it at all.
-		tr := taken[i*row : (i+1)*row]
+		rw := rows[i]
+		for x := top + 1; x <= rw.top; x++ {
+			best[x] = best[top]
+		}
+		top = rw.top
+		// Bulk-clear the row (memclr), then mark only the improvements.
+		tr := taken[rw.off : rw.off+rw.top-rw.lo+1]
 		clear(tr)
-		for cap := cells; cap >= c.cells; cap-- {
+		for cap := rw.top; cap >= rw.lo; cap-- {
 			if v := best[cap-c.cells] + c.w; v > best[cap] {
 				best[cap] = v
-				tr[cap] = true
+				tr[cap-rw.lo] = true
 			}
 		}
 	}
 
-	// Reconstruct.
-	var chosen []int
+	// Reconstruct, last row first; the indices come out descending.
+	n0 := len(dst)
 	cap := cells
 	for i := len(cands) - 1; i >= 0; i-- {
-		if taken[i*row+cap] {
-			chosen = append(chosen, cands[i].idx)
+		rw := rows[i]
+		if x := min(cap, rw.top); x >= rw.lo && taken[rw.off+x-rw.lo] {
+			dst = append(dst, cands[i].idx)
 			cap -= cands[i].cells
 		}
 	}
-	sort.Ints(chosen)
-	return chosen
+	slices.Reverse(dst[n0:])
+	return dst
 }
 
 // Greedy chooses items by weight density (weight per byte) until the

@@ -5,13 +5,11 @@ import (
 	"math"
 )
 
-// Solver memoizes Knapsack solutions. Task-parallel graphs are built from
-// a handful of task kinds, so the per-task local search poses the same
-// candidate pattern (sizes, weights, capacity) over and over; the solver
-// keys each call by an exact canonical signature of its inputs and pays a
-// map lookup on repeats instead of re-running the DP. This is what makes
-// the planner's solverSec accounting (20 table builds per kind plus a
-// lookup per item) honest.
+// Solver runs Knapsack on reusable scratch. Solve and SolveTagged key
+// each call by an exact canonical signature of its inputs and pay a map
+// lookup on repeats instead of re-running the DP; AppendKnapsack skips
+// the memo. Of the runtime's modeled charges only the adaptive-sampling
+// query reads the memo (through Misses).
 //
 // The signature covers capacity, granularity, and every item's (Size,
 // Float64bits(Weight)) in order. Item Refs are deliberately excluded: the
@@ -28,7 +26,7 @@ type Solver struct {
 	key     []byte
 	scratch knapScratch // reused DP working set; misses allocate only the result
 
-	// Hits and Misses count Solve outcomes, for tests and benchmarks.
+	// Hits and Misses count Solve and SolveTagged outcomes.
 	Hits, Misses int
 }
 
@@ -56,9 +54,17 @@ func (s *Solver) Solve(items []Item, capacity, gran int64) []int {
 		return chosen
 	}
 	s.Misses++
-	chosen := s.scratch.solve(items, capacity, gran)
+	chosen := s.scratch.solve(nil, items, capacity, gran)
 	s.cache[string(k)] = chosen
 	return chosen
+}
+
+// AppendKnapsack appends Knapsack(items, capacity, gran) to dst and
+// returns the extended slice. It runs on the solver's scratch but not
+// through the memo, so it neither reads nor fills the cache nor moves
+// Hits and Misses; a caller that reuses dst allocates nothing.
+func (s *Solver) AppendKnapsack(dst []int, items []Item, capacity, gran int64) []int {
+	return s.scratch.solve(dst, items, capacity, gran)
 }
 
 // SolveTagged is Solve with an extra caller-chosen tag folded into the
@@ -84,7 +90,7 @@ func (s *Solver) SolveTagged(tag uint64, items []Item, capacity, gran int64) []i
 		return chosen
 	}
 	s.Misses++
-	chosen := s.scratch.solve(items, capacity, gran)
+	chosen := s.scratch.solve(nil, items, capacity, gran)
 	s.cache[string(k)] = chosen
 	return chosen
 }

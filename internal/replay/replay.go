@@ -90,10 +90,13 @@ func (rec *Recording) Order() []task.TaskID {
 	return order
 }
 
-// Validate reports structural problems that would make a replay
-// meaningless: no dispatch records, fewer dispatches than tasks, or a
-// dispatch of a task outside [0, Meta.Tasks).
+// Validate reports what would make a replay meaningless: workers outside
+// [1, core.MaxWorkers], no dispatch records, fewer dispatches than
+// tasks, or a dispatch of a task outside [0, Meta.Tasks).
 func (rec *Recording) Validate() error {
+	if rec.Meta.Workers < 1 || rec.Meta.Workers > core.MaxWorkers {
+		return fmt.Errorf("replay: recording names %d workers, want 1 to %d", rec.Meta.Workers, core.MaxWorkers)
+	}
 	if rec.Trace == nil {
 		return fmt.Errorf("replay: recording has no trace")
 	}

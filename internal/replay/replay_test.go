@@ -192,6 +192,58 @@ func TestReplayRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestRecordingRejectsWorkerCount: a replay that inherits the recorded
+// worker count (cfg.Workers == 0) used to size per-worker scheduler
+// state from the file unchecked.
+func TestRecordingRejectsWorkerCount(t *testing.T) {
+	g := buildGraph(t, "cg")
+	_, rec, err := Record(g, testConfig(core.Tahoe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved strings.Builder
+	if err := rec.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -1, core.MaxWorkers + 1, 1099511627776} {
+		in := strings.Replace(saved.String(), fmt.Sprintf(`"workers":%d`, rec.Meta.Workers), fmt.Sprintf(`"workers":%d`, n), 1)
+		loaded, err := Load(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.Validate(); err == nil || !strings.Contains(err.Error(), "workers") {
+			t.Errorf("workers %d: Validate = %v, want a worker-count error", n, err)
+		}
+		cfg := testConfig(core.Tahoe)
+		cfg.Workers = 0
+		if _, err := Replay(g, cfg, loaded); err == nil {
+			t.Errorf("workers %d: replay accepted", n)
+		}
+	}
+}
+
+// TestReplayRejectsHugeFaultSpec: a recording's fault spec is parsed on
+// replay; one asking for 1e9 events is refused, not allocated.
+func TestReplayRejectsHugeFaultSpec(t *testing.T) {
+	g := buildGraph(t, "cg")
+	_, rec, err := Record(g, testConfig(core.Tahoe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Meta.Faults = "rate=1e9,horizon=1"
+	var saved strings.Builder
+	if err := rec.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(strings.NewReader(saved.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(g, testConfig(core.Tahoe), loaded); err == nil {
+		t.Fatal("replay accepted a recorded spec asking for 1e9 fault events")
+	}
+}
+
 // TestLoadErrorNamesFileLine: a bad record is reported at its line in
 // the file, header included, with one "trace:" prefix.
 func TestLoadErrorNamesFileLine(t *testing.T) {

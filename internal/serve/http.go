@@ -3,7 +3,9 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -32,6 +34,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.NotFound(w, r)
 	}
+}
+
+// MaxRequestBytes bounds a /v1/run body, single or batch (413; an inline
+// error once a batch has read a run). Benchmark bodies are a few kB.
+const MaxRequestBytes = 1 << 20
+
+// bodyStatus maps a body read error to 413 (past MaxRequestBytes) or 400.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // apiError is the JSON error body of non-200 responses.
@@ -64,10 +79,14 @@ func peekNonSpace(br *bufio.Reader) (byte, error) {
 
 // handleRun admits and answers POST /v1/run.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	br := bufio.NewReader(r.Body)
+	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	first, err := peekNonSpace(br)
-	if err != nil {
+	if err == io.EOF {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "empty request body"})
+		return
+	}
+	if err != nil {
+		writeJSON(w, bodyStatus(err), apiError{Error: fmt.Sprintf("bad request: %v", err)})
 		return
 	}
 	// One json.Decoder and one json.Encoder per connection, reused for
@@ -80,7 +99,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	var req RunRequest
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad request: %v", err)})
+		writeJSON(w, bodyStatus(err), apiError{Error: fmt.Sprintf("bad request: %v", err)})
 		return
 	}
 	j := s.getJob(req.Tenant)
@@ -120,7 +139,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // must complete and its response is flushed.
 func (s *Server) handleBatch(w http.ResponseWriter, dec *json.Decoder) {
 	if _, err := dec.Token(); err != nil { // consume '['
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad batch: %v", err)})
+		writeJSON(w, bodyStatus(err), apiError{Error: fmt.Sprintf("bad batch: %v", err)})
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -148,9 +167,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, dec *json.Decoder) {
 			flusher.Flush()
 		}
 	}
-	for dec.More() {
+	for n := 0; dec.More(); n++ {
 		var req RunRequest
 		if err := dec.Decode(&req); err != nil {
+			// Nothing answered yet: refuse the batch whole, like one run.
+			if status := bodyStatus(err); n == 0 && status != http.StatusBadRequest {
+				writeJSON(w, status, apiError{Error: fmt.Sprintf("bad request: %v", err)})
+				return
+			}
 			reject(fmt.Sprintf("bad request: %v", err))
 			break
 		}

@@ -109,6 +109,55 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsHugeFaultSpec: a request's fault spec asking for 1e9
+// events is a 400 at admission, not a billion-event allocation.
+func TestHTTPRejectsHugeFaultSpec(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	for _, body := range []string{
+		`{"workload":"heat","faults":"rate=1e9,horizon=1"}`,
+		`{"workload":"heat","workers":1099511627776}`,
+	} {
+		resp, b := postRun(t, ts.URL, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %s: status %d want 400 (%s)", body, resp.StatusCode, b)
+		}
+	}
+}
+
+// TestHTTPBodyLimit: bodies past MaxRequestBytes, single or batch, are
+// refused with 413 and the usual JSON error, and the daemon keeps
+// serving.
+func TestHTTPBodyLimit(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	pad := strings.Repeat(" ", MaxRequestBytes)
+	for _, body := range []string{
+		`{"workload":"heat","tenant":"` + strings.Repeat("x", MaxRequestBytes) + `"}`,
+		pad + `{"workload":"heat"}`,
+		`[{"workload":"heat","tenant":"` + strings.Repeat("x", MaxRequestBytes) + `"}]`,
+	} {
+		resp, b := postRun(t, ts.URL, body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%d-byte body: status %d want 413", len(body), resp.StatusCode)
+		}
+		var ae apiError
+		if err := json.Unmarshal(b, &ae); err != nil || ae.Error == "" {
+			t.Errorf("%d-byte body: error response not JSON: %.200s", len(body), b)
+		}
+	}
+	resp, b := postRun(t, ts.URL, `{"workload":"heat","scale":4}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the refusals: status %d (%s)", resp.StatusCode, b)
+	}
+}
+
 // TestHTTPIntrospection covers /v1/workloads, /v1/stats and /healthz.
 func TestHTTPIntrospection(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 2})

@@ -296,6 +296,9 @@ func (s *Server) resolve(j *job) error {
 	if req.Workers < 0 || req.Scale < 0 || req.Lookahead < 0 {
 		return fmt.Errorf("serve: negative workers/scale/lookahead")
 	}
+	if req.Workers > core.MaxWorkers {
+		return fmt.Errorf("serve: %d workers, above the cap of %d", req.Workers, core.MaxWorkers)
+	}
 	switch {
 	case req.Graph != nil:
 		if req.Workload != "" {
