@@ -122,8 +122,8 @@ type AccessSpec struct {
 	// Loads and Stores are main-memory accesses in cache lines.
 	Loads  int64 `json:"loads"`
 	Stores int64 `json:"stores"`
-	// MLP is the stream's memory-level parallelism (0 = 1, i.e.
-	// dependent accesses).
+	// MLP is the stream's memory-level parallelism: 0 (the default)
+	// means 1, i.e. dependent accesses; any other value must be >= 1.
 	MLP float64 `json:"mlp,omitempty"`
 }
 
@@ -167,8 +167,11 @@ func (g *GraphSpec) validate() error {
 			if _, err := parseMode(a.Mode); err != nil {
 				return err
 			}
-			if a.Loads < 0 || a.Stores < 0 || a.MLP < 0 {
+			if a.Loads < 0 || a.Stores < 0 {
 				return fmt.Errorf("serve: inline task %d access %d has negative traffic", ti, ai)
+			}
+			if a.MLP != 0 && !(a.MLP >= 1) {
+				return fmt.Errorf("serve: inline task %d access %d has mlp %g (want 0 for the default or >= 1)", ti, ai, a.MLP)
 			}
 		}
 	}

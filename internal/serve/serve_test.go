@@ -271,6 +271,7 @@ func TestResolveRejects(t *testing.T) {
 		{Workload: "heat", Graph: &GraphSpec{}},
 		{Graph: &GraphSpec{Objects: []ObjectSpec{{Size: 1}}, Tasks: []TaskSpec{{Kind: "k", Accesses: []AccessSpec{{Obj: 7, Mode: "in"}}}}}},
 		{Graph: &GraphSpec{Objects: []ObjectSpec{{Size: 1}}, Tasks: []TaskSpec{{Kind: "k", Accesses: []AccessSpec{{Obj: 0, Mode: "sideways"}}}}}},
+		{Graph: &GraphSpec{Objects: []ObjectSpec{{Size: 1}}, Tasks: []TaskSpec{{Kind: "k", Accesses: []AccessSpec{{Obj: 0, Mode: "in", MLP: 0.5}}}}}},
 	}
 	for i, req := range bad {
 		r := req

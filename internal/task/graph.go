@@ -2,7 +2,7 @@ package task
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -18,7 +18,10 @@ type Graph struct {
 	// any task t, the users before t in this list are exactly the tasks
 	// that dependence-safety requires to finish before the object may be
 	// migrated for t.
-	usersOf map[ObjectID][]TaskID
+	usersOf [][]TaskID
+
+	// levels[t] is task t's topological level, computed by Build.
+	levels []int
 
 	// Kind table, precomputed by Build: kinds in first-appearance order
 	// and each task's index into it. Gives planners a deterministic
@@ -28,9 +31,8 @@ type Graph struct {
 	kindOf    []int32
 
 	// validated latches a successful Validate. The graph is immutable
-	// once built, so the structural checks cannot change answer; every
-	// run re-validates its input graph, and without the latch the check's
-	// succSeen map dominated small-run allocation profiles.
+	// once built, so the structural checks cannot change answer, and
+	// every run re-validates its input graph.
 	validated atomic.Bool
 }
 
@@ -75,16 +77,22 @@ func (g *Graph) Object(id ObjectID) *Object { return g.Objects[id] }
 // Task returns the task with the given ID.
 func (g *Graph) Task(id TaskID) *Task { return g.Tasks[id] }
 
-// Users returns, in submission order, the tasks that touch obj.
-func (g *Graph) Users(obj ObjectID) []TaskID { return g.usersOf[obj] }
+// Users returns, in submission order, the tasks that touch obj; nil for
+// an object outside the graph's user lists.
+func (g *Graph) Users(obj ObjectID) []TaskID {
+	if obj < 0 || int(obj) >= len(g.usersOf) {
+		return nil
+	}
+	return g.usersOf[obj]
+}
 
 // PrevUser returns the last task before t (in submission order) that
 // touches obj, and whether one exists. Its completion is the earliest
 // dependence-safe point at which obj may be migrated for task t.
 func (g *Graph) PrevUser(obj ObjectID, t TaskID) (TaskID, bool) {
-	users := g.usersOf[obj]
-	// Binary search for the first user >= t, then step back.
-	i := sort.Search(len(users), func(i int) bool { return users[i] >= t })
+	users := g.Users(obj)
+	// The first user >= t, then step back.
+	i, _ := slices.BinarySearch(users, t)
 	if i == 0 {
 		return 0, false
 	}
@@ -94,8 +102,11 @@ func (g *Graph) PrevUser(obj ObjectID, t TaskID) (TaskID, bool) {
 // NextUser returns the first task after t (in submission order) that
 // touches obj, and whether one exists.
 func (g *Graph) NextUser(obj ObjectID, t TaskID) (TaskID, bool) {
-	users := g.usersOf[obj]
-	i := sort.Search(len(users), func(i int) bool { return users[i] > t })
+	users := g.Users(obj)
+	i, found := slices.BinarySearch(users, t)
+	if found {
+		i++
+	}
 	if i == len(users) {
 		return 0, false
 	}
@@ -113,25 +124,17 @@ func (g *Graph) Roots() []TaskID {
 	return roots
 }
 
-// Levels assigns each task its topological level: roots are level 0, and
+// Levels returns each task's topological level: roots are level 0, and
 // every other task is one past its deepest predecessor. Tasks on the same
 // level never depend on one another, so levels are the task-graph analog
 // of the MPI paper's "phases" and are what the phase-based baseline plans
-// over.
+// over. The slice is computed once by Build and shared by every caller,
+// across goroutines too: it is read-only.
 func (g *Graph) Levels() []int {
-	levels := make([]int, len(g.Tasks))
-	// Submission order is a topological order: a task can only depend on
-	// previously submitted tasks.
-	for _, t := range g.Tasks {
-		lv := 0
-		for _, d := range t.deps {
-			if levels[d]+1 > lv {
-				lv = levels[d] + 1
-			}
-		}
-		levels[t.ID] = lv
+	if g.levels == nil && len(g.Tasks) > 0 {
+		return computeLevels(g.Tasks) // graph built without Builder
 	}
-	return levels
+	return g.levels
 }
 
 // CriticalPath returns the length of the longest dependence chain through
@@ -208,8 +211,9 @@ func (g *Graph) ObjectTraffic() map[ObjectID]Access {
 }
 
 // Validate checks structural invariants: dense IDs, in-range references,
-// dependence edges pointing backwards in submission order, and symmetric
-// dep/succ lists. Workload generators are tested against it.
+// dependence edges pointing backwards in submission order, strictly
+// ascending dep/succ lists that are symmetric, and strictly ordered user
+// lists. Workload generators are tested against it.
 func (g *Graph) Validate() error {
 	if g.validated.Load() {
 		return nil
@@ -222,7 +226,6 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("task: object %q has size %d", o.Name, o.Size)
 		}
 	}
-	succSeen := make(map[[2]TaskID]bool)
 	for i, t := range g.Tasks {
 		if t.ID != TaskID(i) {
 			return fmt.Errorf("task: task %d has ID %d", i, t.ID)
@@ -241,21 +244,23 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("task %d: MLP %g < 1", t.ID, a.MLP)
 			}
 		}
-		for _, d := range t.deps {
+		for j, d := range t.deps {
 			if d >= t.ID || d < 0 {
 				return fmt.Errorf("task %d: dependence on %d violates submission order", t.ID, d)
 			}
+			if j > 0 && d <= t.deps[j-1] {
+				return fmt.Errorf("task %d: dependence on %d out of order", t.ID, d)
+			}
 		}
-		for _, s := range t.succs {
-			if s <= t.ID || int(s) >= len(g.Tasks) {
+		for j, s := range t.succs {
+			if s <= t.ID || int(s) >= len(g.Tasks) || (j > 0 && s <= t.succs[j-1]) {
 				return fmt.Errorf("task %d: successor %d out of order", t.ID, s)
 			}
-			succSeen[[2]TaskID{t.ID, s}] = true
 		}
 	}
 	for _, t := range g.Tasks {
 		for _, d := range t.deps {
-			if !succSeen[[2]TaskID{d, t.ID}] {
+			if _, ok := slices.BinarySearch(g.Tasks[d].succs, t.ID); !ok {
 				return fmt.Errorf("task %d: dep %d lacks matching successor edge", t.ID, d)
 			}
 		}

@@ -2,6 +2,7 @@ package task
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -265,6 +266,62 @@ func TestRandomGraphInvariants(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestHandAssembledGraph: a graph assembled without a Builder has no
+// user lists or level table; the accessors answer as for unused objects
+// and level-0 tasks instead of indexing out of range.
+func TestHandAssembledGraph(t *testing.T) {
+	g := &Graph{
+		Objects: []*Object{{ID: 0, Name: "A", Size: 64}},
+		Tasks: []*Task{
+			{ID: 0, Kind: "k", Accesses: []Access{{Obj: 0, Mode: Out, Stores: 1, MLP: 1}}},
+			{ID: 1, Kind: "k", Accesses: []Access{{Obj: 0, Mode: In, Loads: 1, MLP: 1}}},
+		},
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if u := g.Users(0); u != nil {
+		t.Fatalf("Users(0) = %v, want nil", u)
+	}
+	if _, ok := g.PrevUser(0, 1); ok {
+		t.Fatal("PrevUser found a user")
+	}
+	if _, ok := g.NextUser(0, 0); ok {
+		t.Fatal("NextUser found a user")
+	}
+	if lv := g.Levels(); len(lv) != 2 || lv[0] != 0 || lv[1] != 0 {
+		t.Fatalf("Levels = %v, want [0 0]", lv)
+	}
+}
+
+// TestGraphConcurrentReads: the harness and the daemon share built
+// graphs across goroutines, so every accessor must be a pure read (run
+// under -race).
+func TestGraphConcurrentReads(t *testing.T) {
+	g := diamond() // not yet validated
+	want := g.Levels()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := g.Validate(); err != nil {
+				t.Error(err)
+			}
+			if lv := g.Levels(); len(lv) != 4 || lv[3] != want[3] {
+				t.Errorf("Levels = %v, want %v", lv, want)
+			}
+			if p, ok := g.PrevUser(0, 3); !ok || p != 2 {
+				t.Errorf("PrevUser(A, 3) = %v %v", p, ok)
+			}
+			if k := g.KindIndex(3); g.Kinds()[k] != "sink" {
+				t.Errorf("KindIndex(3) = %d", k)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSubmitUndeclaredObjectPanics(t *testing.T) {
