@@ -260,6 +260,39 @@ func BenchmarkKnapsackDP(b *testing.B) {
 	}
 }
 
+// BenchmarkHeapMove times the heap layer alone: one op promotes every
+// chunk of the cholesky graph's state, each chunkable object split in
+// 16, to DRAM and demotes it again, so it allocates nothing.
+func BenchmarkHeapMove(b *testing.B) {
+	w, err := BuildWorkload("cholesky", WorkloadParams{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	chunks := make(map[task.ObjectID]int, len(w.Graph.Objects))
+	for _, o := range w.Graph.Objects {
+		chunks[o.ID] = 16
+	}
+	st, err := heap.NewState(NewHMS(DRAM(), NVMBandwidth(0.5), 1<<44), w.Graph.Objects, chunks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fast := st.Fastest()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for ix := 0; ix < st.TotalChunks(); ix++ {
+			if err := st.Move(st.RefAt(ix), fast); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for ix := 0; ix < st.TotalChunks(); ix++ {
+			if err := st.Move(st.RefAt(ix), 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // graphBuildMix is perfbench's serve-http mix: each app at the scale its
 // ops build it.
 var graphBuildMix = []struct {

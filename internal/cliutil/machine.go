@@ -3,6 +3,7 @@ package cliutil
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -59,6 +60,14 @@ func (m MachineSpec) Build() (mem.HMS, error) {
 	}
 	if m.DRAMMB < 0 || m.CXLMB < 0 {
 		return mem.HMS{}, fmt.Errorf("cliutil: negative capacity in machine spec %s", m)
+	}
+	// Larger capacities would wrap when scaled to bytes.
+	const maxMB = math.MaxInt64 / mem.MB
+	if m.DRAMMB > maxMB {
+		return mem.HMS{}, fmt.Errorf("cliutil: dram_mb %d exceeds the largest capacity, %d MB", m.DRAMMB, maxMB)
+	}
+	if m.CXLMB > maxMB {
+		return mem.HMS{}, fmt.Errorf("cliutil: cxl_mb %d exceeds the largest capacity, %d MB", m.CXLMB, maxMB)
 	}
 	if m.CXLMB > 0 {
 		return mem.NewTieredHMS(

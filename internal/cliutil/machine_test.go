@@ -3,6 +3,8 @@ package cliutil
 import (
 	"encoding/json"
 	"flag"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -51,6 +53,29 @@ func TestMachineSpecErrors(t *testing.T) {
 	}
 	if _, err := (MachineSpec{DRAMMB: -1}).Build(); err == nil {
 		t.Fatal("negative DRAM accepted")
+	}
+	// Capacities that wrap when scaled to bytes used to build a machine
+	// with 1 MB of DRAM (2^44+1 MB) or none (2^44 MB).
+	for _, m := range []MachineSpec{
+		{DRAMMB: 1<<44 + 1},
+		{DRAMMB: 1 << 44},
+		{CXLMB: 1<<44 + 1},
+		{CXLMB: 1 << 44},
+	} {
+		_, err := m.Build()
+		if err == nil {
+			t.Fatalf("%+v: oversized capacity accepted", m)
+		}
+		field := "dram_mb"
+		if m.CXLMB != 0 {
+			field = "cxl_mb"
+		}
+		if !strings.Contains(err.Error(), field) {
+			t.Fatalf("%+v: error %q does not name %s", m, err, field)
+		}
+	}
+	if _, err := (MachineSpec{DRAMMB: math.MaxInt64 / mem.MB, CXLMB: math.MaxInt64 / mem.MB}).Build(); err != nil {
+		t.Fatalf("largest capacities refused: %v", err)
 	}
 }
 

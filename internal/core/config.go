@@ -172,7 +172,7 @@ func SchedulerNames() []string {
 	return out
 }
 
-// Techniques are the individually ablatable pieces of the full system —
+// Techniques are the individually ablatable parts of the full system —
 // the contribution-breakdown experiment toggles these one by one.
 type Techniques struct {
 	// GlobalSearch considers one whole-graph placement.

@@ -261,10 +261,10 @@ func Run(g *task.Graph, cfg Config) (Result, error) {
 	if q, p := r.mig.QueueLen(), r.mig.PendingCount(); q != 0 || p != 0 {
 		return Result{}, fmt.Errorf("core: %d queued and %d pending migrations after quiescence", q, p)
 	}
-	if r.cfg.Faults != nil {
-		if err := r.st.CheckInvariants(); err != nil {
-			return Result{}, fmt.Errorf("core: after faulty run: %w", err)
-		}
+	// Heap invariants: every tier's ledger matches the chunk map and
+	// fits the tier's capacity.
+	if err := r.st.CheckInvariants(); err != nil {
+		return Result{}, fmt.Errorf("core: after run: %w", err)
 	}
 	if testHook != nil {
 		testHook(r)

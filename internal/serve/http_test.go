@@ -77,6 +77,9 @@ func TestHTTPErrors(t *testing.T) {
 		// the whole daemon down; the requests below prove it still serves.
 		{`{"workload":"heat","machine":{"nvm":"bw:NaN"}}`, http.StatusBadRequest},
 		{`{"workload":"heat","machine":{"nvm":"lat:Inf"}}`, http.StatusBadRequest},
+		// A DRAM size that wraps when scaled to bytes used to run on a
+		// 1 MB machine and echo the size it was asked for.
+		{`{"workload":"heat","scale":5,"machine":{"dram_mb":17592186044417}}`, http.StatusBadRequest},
 		// An mlp between 0 and 1 is refused at admission, not run to a failure.
 		{`{"graph":{"objects":[{"size":64}],"tasks":[{"kind":"k","accesses":[{"obj":0,"mode":"in","loads":1,"mlp":0.5}]}]}}`, http.StatusBadRequest},
 		{`{"workload":"heat","scale":4}`, http.StatusOK},

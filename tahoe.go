@@ -95,7 +95,7 @@ type (
 	Policy = core.Policy
 	// Scheduler selects the ready-queue discipline.
 	Scheduler = core.Scheduler
-	// Techniques toggles the ablatable pieces of the full system.
+	// Techniques toggles the ablatable parts of the full system.
 	Techniques = core.Techniques
 	// Result summarizes one simulated run.
 	Result = core.Result
