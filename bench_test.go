@@ -481,8 +481,8 @@ func BenchmarkFeedbackObserve(b *testing.B) {
 // allocation-free in steady state.
 func BenchmarkProfilerRecord(b *testing.B) {
 	cfg := prof.DefaultConfig()
-	p := prof.New(cfg)
 	obs := make([]prof.AccessObs, 8)
+	p := prof.New(cfg, []string{"bench"}, len(obs))
 	for i := range obs {
 		obs[i] = prof.AccessObs{
 			Obj:       task.ObjectID(i),
@@ -492,12 +492,11 @@ func BenchmarkProfilerRecord(b *testing.B) {
 			TimeShare: 0.8,
 		}
 	}
-	e := prof.Exec{Kind: "bench", Duration: 0.01, Obs: obs}
+	e := prof.Exec{Kind: 0, Duration: 0.01, Obs: obs}
 	p.Record(e) // warm: allocate the per-pair accumulators once
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.TaskID = task.TaskID(i)
 		p.Record(e)
 	}
 }
@@ -556,10 +555,10 @@ func BenchmarkServeScaling(b *testing.B) {
 	}
 }
 
-// Planner micro-benchmarks: the optimized searches and the retained
-// reference planner run on the same frozen mid-run state (profiled
-// kinds, frontier one third in — see core.PlannerBench), so the
-// optimized/Ref ratio is the planner optimization's honest speedup.
+// Planner micro-benchmarks: the optimized searches on a frozen mid-run
+// state (profiled kinds, frontier one third in — see core.PlannerBench).
+// Their reference-planner twins (BenchmarkPlanner*Ref) live in
+// internal/core, on the same state, beside the reference they time.
 func plannerBench(b *testing.B) *core.PlannerBench {
 	b.Helper()
 	pb := newPlannerBench(b, Tahoe)
@@ -622,29 +621,5 @@ func BenchmarkPlannerLevel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pb.Level()
-	}
-}
-
-func BenchmarkPlannerGlobalRef(b *testing.B) {
-	pb := plannerBench(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pb.RefGlobal()
-	}
-}
-
-func BenchmarkPlannerLocalRef(b *testing.B) {
-	pb := plannerBench(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pb.RefLocal()
-	}
-}
-
-func BenchmarkPlannerReplanRef(b *testing.B) {
-	pb := plannerBench(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pb.RefReplan()
 	}
 }

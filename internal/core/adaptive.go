@@ -105,9 +105,8 @@ func (r *runner) adaptSampling() (boosted int) {
 		if !b {
 			continue
 		}
-		kind := p.kindNames[ki]
-		if r.profiler.Profiled(kind) && r.profiler.IntervalFor(kind) != r.profiler.BaseInterval() {
-			r.profiler.SetKindInterval(kind, r.profiler.BaseInterval())
+		if r.profiler.Profiled(ki) && r.profiler.IntervalFor(ki) != r.profiler.BaseInterval() {
+			r.profiler.SetKindInterval(ki, r.profiler.BaseInterval())
 		}
 	}
 
@@ -172,18 +171,17 @@ func (r *runner) adaptSampling() (boosted int) {
 			if r.kindBoosted[ki] || r.kindRemaining[ki] <= win {
 				continue
 			}
-			kind := p.kindNames[ki]
-			errRel := r.profiler.RelErrorFor(kind, task.ObjectID(obj))
+			errRel := r.profiler.RelErrorFor(ki, task.ObjectID(obj))
 			if errRel*adaptSafety <= tol {
 				continue
 			}
-			ivl := r.profiler.IntervalFor(kind)
+			ivl := r.profiler.IntervalFor(ki)
 			boostIvl := boostInterval(ivl, errRel, tol)
 			if boostIvl >= ivl {
 				continue // already at or beyond the calibrated floor
 			}
 			r.kindBoosted[ki] = true
-			r.profiler.SetKindInterval(kind, boostIvl)
+			r.profiler.SetKindInterval(ki, boostIvl)
 			r.reopenKind(ki)
 			boosted++
 		}

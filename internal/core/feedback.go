@@ -24,11 +24,11 @@ import (
 // Observation piggybacks on the completion hook the profiler already
 // uses and charges no modeled overhead; corrections enter the planner
 // through benefitPerExecTo — the single choke point the incremental
-// planner, the reference planner (plan_ref.go) and the N-tier planner
-// all funnel through — so the planAudit bit-identity contract holds
-// with corrections active. An effective-factor change invalidates the
-// kind through the same pt.invalidateKind hooks the profiler's Record
-// path uses, keeping replans O(Δ).
+// planner, the reference planner (plan_ref_test.go) and the N-tier
+// planner all funnel through — so the planAudit bit-identity contract
+// holds with corrections active. An effective-factor change invalidates
+// the kind through the same pt.invalidateKind hooks the profiler's
+// Record path uses, keeping replans O(Δ).
 
 // observeFeedback folds one completed task into the feedback estimator:
 // for each distinct object the task touched, the observed per-object
@@ -58,7 +58,7 @@ func (r *runner) observeFeedback(t *task.Task, ki int, d model.Demand) {
 		if dup {
 			continue
 		}
-		est, ok := r.profiler.EstimateFor(t.Kind, a.Obj, r.g.Object(a.Obj).Size)
+		est, ok := r.profiler.EstimateFor(ki, a.Obj, r.g.Object(a.Obj).Size)
 		if !ok {
 			continue
 		}
@@ -81,7 +81,7 @@ func (r *runner) observeFeedback(t *task.Task, ki int, d model.Demand) {
 	}
 	if invalidated {
 		// The kind's cached benefits were computed under the old factors.
-		r.pt.invalidateKindName(t.Kind)
+		r.pt.invalidateKind(ki)
 	}
 	// A factor moving past the threshold requests one replan, against the
 	// feedback budget — separate from maxReplans, which still bounds the

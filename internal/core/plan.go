@@ -27,11 +27,11 @@ import (
 //
 // Correctness contract: every plan must be bit-identical (plan kind,
 // target membership, Float64bits of predicted and solverSec) to the
-// retained reference planner in plan_ref.go. That forbids shortcuts like
-// maintaining float sums by subtraction — instead, a dirty object's
-// total is re-folded from its per-object use table in exactly the
-// reference's addition order. plan_equiv_test.go enforces the contract
-// over randomized runs; see DESIGN.md "Planner internals".
+// retained reference planner in plan_ref_test.go. That forbids
+// shortcuts like maintaining float sums by subtraction — instead, a
+// dirty object's total is re-folded from its per-object use table in
+// exactly the reference's addition order. plan_equiv_test.go enforces
+// the contract over randomized runs; see DESIGN.md "Planner internals".
 
 // planSet is a set of chunks targeted for DRAM residency: a dense bitset
 // over heap.State's global chunk index. nil means "no target".
@@ -137,11 +137,6 @@ type planResult struct {
 	solverSec float64
 }
 
-type benefitKey struct {
-	kind string
-	obj  task.ObjectID
-}
-
 // objUse is one access entry to an object: the task and its kind index.
 // An object's uses are stored in (task, access-position) order — the
 // exact order the reference's objBenefitTotals adds benefits in, so a
@@ -159,10 +154,6 @@ type plannerState struct {
 	words int // bitset words per planSet
 	nobj  int
 	nk    int
-
-	kindNames []string
-	kindIx    map[string]int32
-	kindOf    []int32 // per task: index into kindNames
 
 	chunkSize []int64 // per global chunk index (immutable)
 
@@ -229,15 +220,12 @@ type wantPromo struct {
 func newPlannerState(r *runner) *plannerState {
 	g, st := r.g, r.st
 	nobj := len(g.Objects)
-	nk := len(r.kindList)
+	nk := len(g.Kinds())
 	total := st.TotalChunks()
 	p := &plannerState{
 		words:      planWords(total),
 		nobj:       nobj,
 		nk:         nk,
-		kindNames:  r.kindList,
-		kindIx:     make(map[string]int32, nk),
-		kindOf:     make([]int32, len(g.Tasks)),
 		chunkSize:  make([]int64, total),
 		uses:       make([][]objUse, nobj),
 		kindObjs:   make([][]task.ObjectID, nk),
@@ -253,9 +241,6 @@ func newPlannerState(r *runner) *plannerState {
 		ahead:      make([]int, nobj),
 		beyond:     make([]int, nobj),
 	}
-	for i, k := range p.kindNames {
-		p.kindIx[k] = int32(i)
-	}
 	for ix := 0; ix < total; ix++ {
 		p.chunkSize[ix] = st.ChunkSize(st.RefAt(ix))
 	}
@@ -265,7 +250,6 @@ func newPlannerState(r *runner) *plannerState {
 	// Use tables: count, then fill flat, preserving (task, access) order.
 	counts := make([]int32, nobj)
 	for _, t := range g.Tasks {
-		p.kindOf[t.ID] = int32(g.KindIndex(t.ID))
 		for _, a := range t.Accesses {
 			counts[a.Obj]++
 		}
@@ -284,7 +268,7 @@ func newPlannerState(r *runner) *plannerState {
 	}
 	pairMark := make([]bool, nk*nobj)
 	for _, t := range g.Tasks {
-		k := p.kindOf[t.ID]
+		k := int32(g.KindIndex(t.ID))
 		for _, a := range t.Accesses {
 			flat[offs[a.Obj]] = objUse{task: int32(t.ID), kind: k}
 			offs[a.Obj]++
@@ -328,30 +312,20 @@ func (p *plannerState) taskStarted(t *task.Task) {
 // invalidateKind drops the kind's cached benefits and dirties every
 // object it touches — called when the kind records a profile (estimates
 // are running means, so every Record shifts them) or is marked stale.
-func (p *plannerState) invalidateKind(k int32) {
-	lo := int(k) * p.nobj
-	for i := lo; i < lo+p.nobj; i++ {
-		p.pairOK[i] = false
-	}
+func (p *plannerState) invalidateKind(k int) {
+	clear(p.pairOK[k*p.nobj : (k+1)*p.nobj])
 	for _, obj := range p.kindObjs[k] {
 		p.markDirty(obj)
-	}
-}
-
-// invalidateKindName is invalidateKind for callers holding the name.
-func (p *plannerState) invalidateKindName(kind string) {
-	if k, ok := p.kindIx[kind]; ok {
-		p.invalidateKind(k)
 	}
 }
 
 // benefit is the cached fastest-tier benefitPerExecTo for a (kind,
 // object) pair. Cached values were produced by the same pure computation
 // on the same profiler state, so they are bit-identical to a fresh call.
-func (p *plannerState) benefit(r *runner, k int32, obj task.ObjectID) float64 {
-	ix := int(k)*p.nobj + int(obj)
+func (p *plannerState) benefit(r *runner, k int, obj task.ObjectID) float64 {
+	ix := k*p.nobj + int(obj)
 	if !p.pairOK[ix] {
-		p.pairB[ix] = r.benefitPerExecTo(p.kindNames[k], obj, r.fastTier)
+		p.pairB[ix] = r.benefitPerExecTo(k, obj, r.fastTier)
 		p.pairOK[ix] = true
 	}
 	return p.pairB[ix]
@@ -369,7 +343,7 @@ func (p *plannerState) refreshTotals(r *runner) {
 			if r.started[u.task] {
 				continue
 			}
-			sum += p.benefit(r, u.kind, obj)
+			sum += p.benefit(r, int(u.kind), obj)
 		}
 		p.totals[obj] = sum
 	}
@@ -377,7 +351,7 @@ func (p *plannerState) refreshTotals(r *runner) {
 }
 
 // benefitPerExecTo returns the modeled seconds saved per execution of
-// kind if obj lived on tier `to` instead of the slow default tier 0,
+// kind k if obj lived on tier `to` instead of the slow default tier 0,
 // using the sampled profile: the equation-(1) bandwidth-consumption
 // estimate feeds the profiled benefit equation
 // (model.BenefitProfiledBetween). With feedback enabled the result
@@ -385,29 +359,28 @@ func (p *plannerState) refreshTotals(r *runner) {
 // point every planner (incremental, reference, N-tier) funnels through,
 // so corrections reach all of them identically and the planAudit
 // bit-identity contract holds.
-func (r *runner) benefitPerExecTo(kind string, obj task.ObjectID, to mem.Tier) float64 {
-	est, ok := r.profiler.EstimateFor(kind, obj, r.g.Object(obj).Size)
+func (r *runner) benefitPerExecTo(k int, obj task.ObjectID, to mem.Tier) float64 {
+	est, ok := r.profiler.EstimateFor(k, obj, r.g.Object(obj).Size)
 	if !ok {
 		return 0
 	}
 	b := r.params.BenefitProfiledBetween(est.Loads, est.Stores, est.BWCons, 0, to)
 	if r.fb != nil {
-		b = r.fb.Apply(int(r.pt.kindIx[kind]), obj, b)
+		b = r.fb.Apply(k, obj, b)
 	}
 	return b
 }
 
 // meanTaskSec is the runtime's estimate of one task's duration, from
 // profiled means; used to convert task-count distances into time. Kinds
-// are visited in the graph's stable first-appearance order: float
-// accumulation is order-sensitive, and both planners (and run-to-run
-// determinism) depend on a fixed order.
+// are visited in kind-index order, the graph's stable first-appearance
+// order: float accumulation is order-sensitive, and both planners (and
+// run-to-run determinism) depend on a fixed order.
 func (r *runner) meanTaskSec() float64 {
 	var sum float64
 	var n int
-	for ki, kind := range r.kindList {
-		if d, ok := r.profiler.MeanDuration(kind); ok {
-			cnt := r.kindTotal[ki]
+	for ki, cnt := range r.kindTotal {
+		if d, ok := r.profiler.MeanDuration(ki); ok {
 			sum += d * float64(cnt)
 			n += cnt
 		}
@@ -438,12 +411,12 @@ func (r *runner) overlapSec(from, to task.TaskID, meanSec float64) float64 {
 // mean minus the modeled benefit of every fully targeted object it
 // touches (the bitset equivalent of targetFraction == 1).
 func (r *runner) estTaskSec(t *task.Task, target planSet) float64 {
-	dur, ok := r.profiler.MeanDuration(t.Kind)
+	k := r.g.KindIndex(t.ID)
+	dur, ok := r.profiler.MeanDuration(k)
 	if !ok {
 		dur = r.meanTaskSec()
 	}
 	p := r.pt
-	k := p.kindOf[t.ID]
 	for _, a := range t.Accesses {
 		if target.containsRange(r.st.ChunkBase(a.Obj), r.st.Chunks(a.Obj)) {
 			dur -= p.benefit(r, k, a.Obj)
@@ -615,9 +588,11 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 		}
 	}
 
-	// Any horizon past the last task counts the same uses; capping it
-	// there keeps t.ID+horizon from overflowing.
-	horizon := min(max(task.TaskID(8*r.cfg.Lookahead), 64), task.TaskID(len(r.g.Tasks)))
+	// Any horizon past the last task counts the same uses; capping the
+	// lookahead and the horizon there keeps 8*Lookahead and t.ID+horizon
+	// from overflowing.
+	n := task.TaskID(len(r.g.Tasks))
+	horizon := min(max(8*min(task.TaskID(r.cfg.Lookahead), n), 64), n)
 	clear(p.ahead)
 	clear(p.beyond)
 
@@ -638,7 +613,7 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 	items := 0
 	kinds := 0
 	for _, t := range future {
-		if k := p.kindOf[t.ID]; !p.kindMark[k] {
+		if k := r.g.KindIndex(t.ID); !p.kindMark[k] {
 			p.kindMark[k] = true
 			kinds++
 		}
@@ -775,10 +750,10 @@ func (r *runner) computeLevelPlan(future []*task.Task) planResult {
 			continue
 		}
 		// Aggregate benefit per object over the level's tasks, visited in
-		// ascending object order (see plan_ref.go on determinism).
+		// ascending object order (see plan_ref_test.go on determinism).
 		objs := p.accObjs[:0]
 		for _, t := range tasks {
-			k := p.kindOf[t.ID]
+			k := r.g.KindIndex(t.ID)
 			for _, a := range t.Accesses {
 				if !p.objMark[a.Obj] {
 					p.objMark[a.Obj] = true

@@ -31,15 +31,15 @@ func (r *runner) computeTierPlan(future []*task.Task) planResult {
 	// Per-(kind, object) per-tier benefits, computed once per pair per
 	// plan; per-object totals fold them over unstarted uses, mirroring
 	// refreshTotals.
-	pair := make(map[int][]float64)
+	pair := make([][]float64, p.nk*p.nobj)
 	pairFor := func(k int32, obj task.ObjectID) []float64 {
 		ix := int(k)*p.nobj + int(obj)
-		if b, ok := pair[ix]; ok {
+		if b := pair[ix]; b != nil {
 			return b
 		}
 		b := make([]float64, nt)
 		for t := 1; t < nt; t++ {
-			b[t] = r.benefitPerExecTo(p.kindNames[k], obj, mem.Tier(t))
+			b[t] = r.benefitPerExecTo(int(k), obj, mem.Tier(t))
 		}
 		pair[ix] = b
 		return b

@@ -12,11 +12,12 @@ import (
 // can drive the placement searches directly, outside the event loop: a
 // runner whose profiler has seen every (kind, object) pair and whose
 // first third of tasks is bookkeeping-started. It exposes the optimized
-// planning path and the retained reference path (plan_ref.go) on the
-// same state, so their ratio is the optimization's honest speedup.
+// planning path; the package's tests add the retained reference path
+// (plan_ref_test.go) on the same state, so their ratio is the
+// optimization's honest speedup.
 type PlannerBench struct {
 	r        *runner
-	nextKind int32
+	nextKind int
 }
 
 // NewPlannerBench builds the frozen state for a profiling policy
@@ -65,10 +66,10 @@ func (pb *PlannerBench) record(t *task.Task) {
 			Obj: a.Obj, Loads: a.Loads, Stores: a.Stores,
 			Size: r.g.Object(a.Obj).Size, TimeShare: share,
 		})
-		r.pairSeen[r.pairIx(r.g.KindIndex(t.ID), a.Obj)] = true
 	}
-	r.profiler.Record(prof.Exec{TaskID: t.ID, Kind: t.Kind, Duration: dur, Obs: obs})
-	r.pt.invalidateKind(r.pt.kindOf[t.ID])
+	ki := r.g.KindIndex(t.ID)
+	r.profiler.Record(prof.Exec{Kind: ki, Duration: dur, Obs: obs})
+	r.pt.invalidateKind(ki)
 }
 
 // startTask mirrors the planner-relevant bookkeeping of runner.start.
@@ -98,7 +99,7 @@ func (pb *PlannerBench) future() []*task.Task {
 func (pb *PlannerBench) perturb() {
 	p := pb.r.pt
 	p.invalidateKind(pb.nextKind)
-	pb.nextKind = (pb.nextKind + 1) % int32(p.nk)
+	pb.nextKind = (pb.nextKind + 1) % p.nk
 }
 
 // Global runs the optimized global search once.
@@ -123,26 +124,6 @@ func (pb *PlannerBench) Replan() float64 {
 	f := pb.future()
 	g := pb.r.computeGlobalPlan(f)
 	l := pb.r.computeLocalPlan(f)
-	if l.predicted < g.predicted {
-		return l.predicted
-	}
-	return g.predicted
-}
-
-// RefGlobal, RefLocal and RefReplan are the reference-planner twins.
-func (pb *PlannerBench) RefGlobal() float64 {
-	return pb.r.refComputeGlobalPlan(pb.future()).predicted
-}
-
-func (pb *PlannerBench) RefLocal() float64 {
-	return pb.r.refComputeLocalPlan(pb.future()).predicted
-}
-
-func (pb *PlannerBench) RefReplan() float64 {
-	pb.perturb()
-	f := pb.future()
-	g := pb.r.refComputeGlobalPlan(f)
-	l := pb.r.refComputeLocalPlan(f)
 	if l.predicted < g.predicted {
 		return l.predicted
 	}

@@ -65,7 +65,7 @@ func (r *runner) applyInitialPlacement() error {
 	case FirstTouch:
 		// Fill DRAM in first-use order: the order objects first appear in
 		// the submission stream.
-		seen := make(map[task.ObjectID]bool)
+		seen := make([]bool, len(r.g.Objects))
 		for _, t := range r.g.Tasks {
 			for _, a := range t.Accesses {
 				if seen[a.Obj] {
@@ -123,10 +123,10 @@ func (r *runner) placeXMem() error {
 	params := model.Params{HMS: r.cfg.HMS, DistinguishRW: false}
 	var items []placement.Item
 	for _, o := range r.g.Objects {
-		agg, ok := traffic[o.ID]
-		if !ok {
-			continue
+		if len(r.g.Users(o.ID)) == 0 {
+			continue // no task touches it: nothing to profile
 		}
+		agg := traffic[o.ID]
 		// Offline profiling classifies the aggregate pattern; the oracle
 		// uses the true per-access character via the MLP-weighted mean:
 		// a latency-bound object is weighed by the latency equation, any
@@ -168,7 +168,7 @@ func (r *runner) placeByReferenceCount() error {
 	}
 	counts := make([]refCount, 0, len(traffic))
 	for obj, agg := range traffic {
-		counts = append(counts, refCount{obj, agg.Loads + agg.Stores})
+		counts = append(counts, refCount{task.ObjectID(obj), agg.Loads + agg.Stores})
 	}
 	sort.Slice(counts, func(i, j int) bool {
 		if counts[i].refs != counts[j].refs {

@@ -126,26 +126,15 @@ type runner struct {
 	inUse []int
 
 	// Per-kind counters, indexed by the graph's dense kind index
-	// (kindList order); the hot paths reach them via g.KindIndex.
+	// (g.Kinds order); the hot paths reach them via g.KindIndex.
 	kindTotal      []int
 	kindRemaining  []int
 	kindSinceAudit []int
 	auditDrift     []int
-	// kindList fixes kind iteration order (first appearance in the graph)
-	// wherever float accumulation or candidate order would otherwise
-	// depend on Go's random map order.
-	kindList []string
 
 	// pt is the incremental planning state (profiling policies only);
 	// see plannerState in plan.go.
 	pt *plannerState
-
-	// pairSeen marks the (kind, object) pairs with at least one profiled
-	// observation: start() profiles a task narrowly while any of its
-	// pairs is unseen, so objects a kind has not yet been observed
-	// touching do not look worthless to the planner. A flat kind-major
-	// matrix (nk x nobj), indexed by pairIx.
-	pairSeen []bool
 
 	plan       planResult
 	planned    bool
@@ -285,9 +274,11 @@ func Run(g *task.Graph, cfg Config) (Result, error) {
 		FaultEvents:          r.faultEvents,
 		Quarantines:          r.quarantines,
 		Readmits:             r.readmits,
-		ProfileSamples:       r.profiler.SamplesTaken(),
 		FeedbackReplans:      r.fbReplans,
 		FeedbackCorrections:  r.feedbackStats().Corrections,
+	}
+	if r.profiler != nil {
+		res.ProfileSamples = r.profiler.SamplesTaken()
 	}
 	res.EnergyDynamicJ, res.EnergyStaticJ = r.energy(end)
 	res.EnergyJ = res.EnergyDynamicJ + res.EnergyStaticJ
@@ -393,7 +384,6 @@ func (r *runner) setup() error {
 		r.quarantined = make([]bool, hms.NumTiers())
 		r.tierFaults = make([]int, hms.NumTiers())
 	}
-	r.profiler = prof.New(r.cfg.Prof)
 	r.params = model.Params{
 		HMS:           r.cfg.HMS,
 		CFBw:          r.cfg.CFBw,
@@ -414,11 +404,10 @@ func (r *runner) setup() error {
 	r.inUse = make([]int, nobj)
 	r.exposureSince = -1
 
-	r.kindList = r.g.Kinds()
-	nk := len(r.kindList)
+	kinds := r.g.Kinds()
+	nk := len(kinds)
 	r.kindTotal = make([]int, nk)
 	r.kindRemaining = make([]int, nk)
-	r.pairSeen = make([]bool, nk*nobj)
 	for _, t := range r.g.Tasks {
 		ki := r.g.KindIndex(t.ID)
 		r.kindTotal[ki]++
@@ -428,6 +417,7 @@ func (r *runner) setup() error {
 	r.auditDrift = make([]int, nk)
 	r.promoBlock = make([]bool, r.st.TotalChunks())
 	if r.profilesKinds() {
+		r.profiler = prof.New(r.cfg.Prof, kinds, nobj)
 		r.pt = newPlannerState(r)
 		if r.cfg.Prof.Adaptive {
 			r.kindBoosted = make([]bool, nk)
@@ -588,32 +578,20 @@ const (
 	auditDevThreshold = 1.0 // Record's drift score is already normalized
 )
 
-// pairIx returns the flat index of the (kind, object) pair in the
-// kind-major coverage tables.
-func (r *runner) pairIx(ki int, obj task.ObjectID) int {
-	return ki*len(r.g.Objects) + int(obj)
-}
-
 // reopenKind marks a kind's profile stale (workload variation detected):
 // its estimates and pair coverage reset and the placement is recomputed
 // once the kind is re-profiled.
 func (r *runner) reopenKind(ki int) {
-	kind := r.kindList[ki]
-	r.profiler.MarkStale(kind)
+	r.profiler.MarkStale(ki)
 	r.needReplan = true
-	if r.pt != nil {
-		r.pt.invalidateKindName(kind)
-	}
-	lo := r.pairIx(ki, 0)
-	clear(r.pairSeen[lo : lo+len(r.g.Objects)])
+	r.pt.invalidateKind(ki)
 }
 
-// allPairsSeen reports whether every (kind, object) pair of the task has
-// a profiled estimate.
-func (r *runner) allPairsSeen(t *task.Task) bool {
-	ki := r.g.KindIndex(t.ID)
+// allPairsObserved reports whether every (kind, object) pair of task t,
+// of kind ki, has a profiled estimate.
+func (r *runner) allPairsObserved(t *task.Task, ki int) bool {
 	for _, a := range t.Accesses {
-		if !r.pairSeen[r.pairIx(ki, a.Obj)] {
+		if !r.profiler.Observed(ki, a.Obj) {
 			return false
 		}
 	}
@@ -681,7 +659,7 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 	// traffic shifts within known pairs is caught by its own counters.
 	// Coverage and audit profiling sample narrowly and cost a fraction
 	// of a full pass.
-	windowOpen := r.profilesKinds() && !r.profiler.Profiled(t.Kind)
+	windowOpen := r.profilesKinds() && !r.profiler.Profiled(ki)
 	audit := false
 	if r.profilesKinds() && !windowOpen {
 		r.kindSinceAudit[ki]++
@@ -690,7 +668,7 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 			audit = true
 		}
 	}
-	coverage := r.profilesKinds() && !windowOpen && (audit || !r.allPairsSeen(t))
+	coverage := r.profilesKinds() && !windowOpen && (audit || !r.allPairsObserved(t, ki))
 	profiling := windowOpen || coverage
 	if profiling {
 		frac := profilingFrac
@@ -703,7 +681,7 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 			// anchored at the default interval profilingFrac was
 			// calibrated for. Gated on Adaptive: the fixed-rate path
 			// keeps the flat calibrated fraction and stays bit-identical.
-			frac *= float64(prof.DefaultSamplingInterval) / float64(r.profiler.IntervalFor(t.Kind))
+			frac *= float64(prof.DefaultSamplingInterval) / float64(r.profiler.IntervalFor(ki))
 		}
 		over := d.MemSec() * frac
 		fixed += over
@@ -838,16 +816,13 @@ func (r *runner) complete(end, began float64, w int, t *task.Task, d model.Deman
 					Obj: a.Obj, Loads: a.Loads, Stores: a.Stores,
 					Size: r.g.Object(a.Obj).Size, TimeShare: share,
 				})
-				r.pairSeen[r.pairIx(ki, a.Obj)] = true
 			}
 			r.obsScratch = obs
-			dev := r.profiler.Record(prof.Exec{TaskID: t.ID, Kind: t.Kind, Duration: dur, Obs: obs})
-			if r.pt != nil {
-				// Profiled estimates are running means: every Record shifts
-				// the kind's benefits, so its cached pairs and totals go
-				// stale.
-				r.pt.invalidateKind(r.pt.kindOf[t.ID])
-			}
+			dev := r.profiler.Record(prof.Exec{Kind: ki, Duration: dur, Obs: obs})
+			// Profiled estimates are running means: every Record shifts
+			// the kind's benefits, so its cached pairs and totals go
+			// stale.
+			r.pt.invalidateKind(ki)
 			// Count-level drift: a periodic audit whose sampled counts
 			// disagree strongly with the stored profile means the kind's
 			// behaviour changed within known pairs. Two consecutive
@@ -958,7 +933,7 @@ func (r *runner) maybePlan(now float64) {
 	// learn nothing.
 	readyToPlan := true
 	for ki, rem := range r.kindRemaining {
-		if rem > 0 && !r.profiler.Profiled(r.kindList[ki]) {
+		if rem > 0 && !r.profiler.Profiled(ki) {
 			readyToPlan = false
 			break
 		}
@@ -1399,7 +1374,8 @@ func (r *runner) makeRoomOn(t mem.Tier, size int64, keep planSet) {
 			// enforcement passes use forTask == -1 (yielding the object's
 			// first-ever, usually finished, user), and far-ahead proactive
 			// promotions skipped every use between the frontier and the
-			// beneficiary. Same origin as the planners (plan.go, plan_ref.go).
+			// beneficiary. Same origin as the planners (plan.go and
+			// plan_ref_test.go).
 			next := len(r.g.Tasks) + 1
 			if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
 				next = int(nu)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/heap"
@@ -173,5 +174,24 @@ func TestFailedPromotionTraced(t *testing.T) {
 	}
 	if s := r.mig.Stats(); s.Migrations != 1 || s.Failed() != 1 {
 		t.Fatalf("engine stats = %+v", s)
+	}
+}
+
+// TestLookaheadBeyondGraph pins that a lookahead past the last task means
+// "every task": cholesky under Tahoe plans the same at a lookahead of the
+// task count and at 2^59, 2^60 and MaxInt64. The local search used to
+// widen the lookahead into a horizon (8*Lookahead) before capping it, so
+// from 2^60 on the product overflowed and the horizon fell to its
+// 64-task floor — planning like a lookahead of 8.
+func TestLookaheadBeyondGraph(t *testing.T) {
+	tg := build(t, "cholesky")
+	n := len(tg.g.Graph.Tasks)
+	h := mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), 128*mem.MB)
+	want := runPolicy(t, tg, h, Tahoe, func(c *Config) { c.Lookahead = n })
+	for _, la := range []int{1 << 59, 1 << 60, math.MaxInt64} {
+		got := runPolicy(t, tg, h, Tahoe, func(c *Config) { c.Lookahead = la })
+		if math.Float64bits(got.Time) != math.Float64bits(want.Time) {
+			t.Errorf("lookahead %d: makespan %v, want %v (lookahead %d)", la, got.Time, want.Time, n)
+		}
 	}
 }

@@ -21,6 +21,11 @@
 // adaptive controller densify sampling only for the kinds whose placement
 // is noise-sensitive, and SamplesTaken totals the expected sample count
 // so that rate choices have a visible cost.
+//
+// A Profiler serves one task graph and speaks its dense indices: kinds
+// are task.Graph.KindIndex values and objects are task.ObjectIDs. Per-kind
+// state is one slice entry and the (kind, object) accumulators one
+// kind-major slice; a kind's name only seeds its noise streams.
 package prof
 
 import (
@@ -177,10 +182,10 @@ type AccessObs struct {
 	TimeShare float64
 }
 
-// Exec is one profiled task execution.
+// Exec is one profiled task execution. Kind is the task's index into
+// the kind list the Profiler was built with (task.Graph.KindIndex).
 type Exec struct {
-	TaskID   task.TaskID
-	Kind     string
+	Kind     int
 	Duration float64 // seconds
 	Obs      []AccessObs
 }
@@ -192,11 +197,6 @@ type Estimate struct {
 	Loads  float64
 	Stores float64
 	BWCons float64
-}
-
-type key struct {
-	kind string
-	obj  task.ObjectID
 }
 
 type accum struct {
@@ -230,21 +230,32 @@ type kindAccum struct {
 	n        int
 }
 
-// Profiler aggregates sampled observations per task kind.
+// kindState is one kind's profile bookkeeping.
+type kindState struct {
+	// noise is splitmix64(seed ^ hashKind(name)): the kind name's only
+	// role in the profiler is to key the noise streams.
+	noise uint64
+	execs int
+	// dur is the mean profiled duration.
+	dur float64
+	// stale marks a profile re-opened by MarkStale.
+	stale bool
+	// ivl is the sampling-interval override (adaptive densification); 0
+	// samples at cfg.SamplingInterval. It survives MarkStale on purpose —
+	// a densified re-profile is the whole point of boosting a kind.
+	ivl int64
+	agg kindAccum
+}
+
+// Profiler aggregates sampled observations per task kind. Kinds and
+// objects are the graph's dense indices; every query takes them.
 type Profiler struct {
-	cfg       Config
-	stats     map[key]*accum
-	kindStats map[string]*kindAccum
-	kindExecs map[string]int
-	// kindDur tracks mean profiled duration per kind.
-	kindDur map[string]float64
-	// stale marks kinds whose profile was re-opened by MarkStale.
-	stale map[string]bool
-	// kindIvl holds per-kind sampling-interval overrides (adaptive
-	// densification); kinds not present sample at cfg.SamplingInterval.
-	// Overrides survive MarkStale on purpose — a densified re-profile is
-	// the whole point of boosting a kind.
-	kindIvl map[string]int64
+	cfg   Config
+	nobj  int
+	kinds []kindState
+	// pairs holds the (kind, object) accumulators kind-major, at
+	// kind*nobj+obj; nil marks a pair with no observation.
+	pairs []*accum
 	// samples accumulates the expected sample count of every recorded
 	// observation — the profiling cost the sampling rate buys accuracy
 	// with.
@@ -253,8 +264,9 @@ type Profiler struct {
 	ord []int32
 }
 
-// New returns a Profiler with the given configuration.
-func New(cfg Config) *Profiler {
+// New returns a Profiler for a graph with the given kinds (in kind-index
+// order, task.Graph.Kinds) and nobj objects.
+func New(cfg Config, kinds []string, nobj int) *Profiler {
 	if cfg.SamplingInterval <= 0 {
 		cfg.SamplingInterval = 1000
 	}
@@ -264,45 +276,51 @@ func New(cfg Config) *Profiler {
 	if cfg.Bias <= 0 {
 		cfg.Bias = 1
 	}
-	return &Profiler{
-		cfg:       cfg,
-		stats:     make(map[key]*accum),
-		kindStats: make(map[string]*kindAccum),
-		kindExecs: make(map[string]int),
-		kindDur:   make(map[string]float64),
-		stale:     make(map[string]bool),
-		kindIvl:   make(map[string]int64),
+	p := &Profiler{
+		cfg:   cfg,
+		nobj:  nobj,
+		kinds: make([]kindState, len(kinds)),
+		pairs: make([]*accum, len(kinds)*nobj),
 	}
+	for k, name := range kinds {
+		p.kinds[k].noise = splitmix64(cfg.Seed ^ hashKind(name))
+	}
+	return p
 }
 
-// Profiled reports whether the kind has completed its profiling window.
-func (p *Profiler) Profiled(kind string) bool {
-	return p.kindExecs[kind] >= p.cfg.Window && !p.stale[kind]
+// Profiled reports whether kind k has completed its profiling window.
+func (p *Profiler) Profiled(k int) bool {
+	ks := &p.kinds[k]
+	return ks.execs >= p.cfg.Window && !ks.stale
 }
 
-// Seen reports whether the kind has been observed at all.
-func (p *Profiler) Seen(kind string) bool { return p.kindExecs[kind] > 0 }
+// row returns kind k's pair accumulators, indexed by object.
+func (p *Profiler) row(k int) []*accum { return p.pairs[k*p.nobj : (k+1)*p.nobj] }
+
+// pair returns the (kind, object) accumulator; nil when unobserved.
+func (p *Profiler) pair(k int, obj task.ObjectID) *accum { return p.pairs[k*p.nobj+int(obj)] }
+
+// Observed reports whether the (kind, object) pair has a profiled
+// observation since the kind's profile last opened.
+func (p *Profiler) Observed(k int, obj task.ObjectID) bool { return p.pair(k, obj) != nil }
 
 // BaseInterval returns the configuration's (normalized) sampling interval.
 func (p *Profiler) BaseInterval() int64 { return p.cfg.SamplingInterval }
 
-// IntervalFor returns the sampling interval in effect for a kind.
-func (p *Profiler) IntervalFor(kind string) int64 {
-	if ivl, ok := p.kindIvl[kind]; ok {
+// IntervalFor returns the sampling interval in effect for kind k.
+func (p *Profiler) IntervalFor(k int) int64 {
+	if ivl := p.kinds[k].ivl; ivl > 0 {
 		return ivl
 	}
 	return p.cfg.SamplingInterval
 }
 
-// SetKindInterval overrides one kind's sampling interval (smaller =
+// SetKindInterval overrides kind k's sampling interval (smaller =
 // denser = tighter estimates at higher profiling cost). The override
 // persists across MarkStale so the densified re-profile it was set for
 // actually happens at the new rate.
-func (p *Profiler) SetKindInterval(kind string, interval int64) {
-	if interval <= 0 {
-		interval = 1
-	}
-	p.kindIvl[kind] = interval
+func (p *Profiler) SetKindInterval(k int, interval int64) {
+	p.kinds[k].ivl = max(interval, 1)
 }
 
 // SamplesTaken returns the cumulative expected sample count across every
@@ -315,17 +333,17 @@ func (p *Profiler) SamplesTaken() float64 { return p.samples }
 // observation fall back to the kind's per-byte aggregate — mirroring the
 // estimate EstimateFor would serve for them — and are infinite only when
 // the kind itself has never been seen.
-func (p *Profiler) RelErrorFor(kind string, obj task.ObjectID) float64 {
-	if a := p.stats[key{kind, obj}]; a != nil && a.execs > 0 {
+func (p *Profiler) RelErrorFor(k int, obj task.ObjectID) float64 {
+	if a := p.pair(k, obj); a != nil {
 		count := int64((a.loads + a.stores) / p.cfg.Bias)
 		return p.cfg.RelError(count, a.ivl) / math.Sqrt(float64(a.execs))
 	}
-	ka := p.kindStats[kind]
-	if ka == nil || ka.n == 0 || ka.obsBytes <= 0 {
+	ka := &p.kinds[k].agg
+	if ka.n == 0 || ka.obsBytes <= 0 {
 		return math.Inf(1)
 	}
 	count := int64((ka.loads + ka.stores) / float64(ka.n) / p.cfg.Bias)
-	return p.cfg.RelError(count, p.IntervalFor(kind)) / math.Sqrt(float64(ka.n))
+	return p.cfg.RelError(count, p.IntervalFor(k)) / math.Sqrt(float64(ka.n))
 }
 
 // Record ingests one profiled execution, applying sampling emulation.
@@ -339,14 +357,14 @@ func (p *Profiler) RelErrorFor(kind string, obj task.ObjectID) float64 {
 // float accumulation depend only on the multiset of observations — the
 // package's order-independence promise.
 func (p *Profiler) Record(e Exec) (maxRelDev float64) {
-	p.kindExecs[e.Kind]++
-	n := float64(p.kindExecs[e.Kind])
-	p.kindDur[e.Kind] += (e.Duration - p.kindDur[e.Kind]) / n
-	if p.stale[e.Kind] && p.kindExecs[e.Kind] >= p.cfg.Window {
-		delete(p.stale, e.Kind)
+	ks := &p.kinds[e.Kind]
+	ks.execs++
+	ks.dur += (e.Duration - ks.dur) / float64(ks.execs)
+	if ks.stale && ks.execs >= p.cfg.Window {
+		ks.stale = false
 	}
 	ivl := p.IntervalFor(e.Kind)
-	kh := splitmix64(p.cfg.Seed ^ hashKind(e.Kind))
+	row := p.row(e.Kind)
 	ord := p.ord[:0]
 	for i := range e.Obs {
 		ord = append(ord, int32(i))
@@ -359,11 +377,10 @@ func (p *Profiler) Record(e Exec) (maxRelDev float64) {
 	p.ord = ord
 	for _, oi := range ord {
 		o := &e.Obs[oi]
-		k := key{e.Kind, o.Obj}
-		a := p.stats[k]
+		a := row[o.Obj]
 		if a == nil {
-			a = &accum{noiseBase: splitmix64(kh ^ uint64(o.Obj))}
-			p.stats[k] = a
+			a = &accum{noiseBase: splitmix64(ks.noise ^ uint64(o.Obj))}
+			row[o.Obj] = a
 		}
 		a.ivl = ivl
 		h := splitmix64(a.noiseBase ^ uint64(a.execs))
@@ -404,11 +421,7 @@ func (p *Profiler) Record(e Exec) (maxRelDev float64) {
 		a.bwCons += (bw - a.bwCons) / m
 
 		if o.Size > 0 {
-			ka := p.kindStats[e.Kind]
-			if ka == nil {
-				ka = &kindAccum{}
-				p.kindStats[e.Kind] = ka
-			}
+			ka := &ks.agg
 			ka.obsBytes += float64(o.Size)
 			ka.loads += float64(loads)
 			ka.stores += float64(stores)
@@ -424,12 +437,12 @@ func (p *Profiler) Record(e Exec) (maxRelDev float64) {
 // the exact pair has not been observed. The task annotations make the
 // fallback sound: same-kind tasks run the same code over same-shaped
 // regions, so traffic scales with region size to first order.
-func (p *Profiler) EstimateFor(kind string, obj task.ObjectID, size int64) (Estimate, bool) {
-	if est, ok := p.Estimate(kind, obj); ok {
-		return est, true
+func (p *Profiler) EstimateFor(k int, obj task.ObjectID, size int64) (Estimate, bool) {
+	if a := p.pair(k, obj); a != nil {
+		return Estimate{Loads: a.loads, Stores: a.stores, BWCons: a.bwCons}, true
 	}
-	ka := p.kindStats[kind]
-	if ka == nil || ka.obsBytes <= 0 {
+	ka := &p.kinds[k].agg
+	if ka.obsBytes <= 0 {
 		return Estimate{}, false
 	}
 	return Estimate{
@@ -437,15 +450,6 @@ func (p *Profiler) EstimateFor(kind string, obj task.ObjectID, size int64) (Esti
 		Stores: ka.stores / ka.obsBytes * float64(size),
 		BWCons: ka.bwCons,
 	}, true
-}
-
-// Estimate returns the profile for a (kind, object) pair.
-func (p *Profiler) Estimate(kind string, obj task.ObjectID) (Estimate, bool) {
-	a, ok := p.stats[key{kind, obj}]
-	if !ok || a.execs == 0 {
-		return Estimate{}, false
-	}
-	return Estimate{Loads: a.loads, Stores: a.stores, BWCons: a.bwCons}, true
 }
 
 // DriftStreak floors the runner's replan cool-down: a replan requested
@@ -461,27 +465,21 @@ func absf(v float64) float64 {
 	return v
 }
 
-// MarkStale re-opens the profiling window for a kind. Per-kind sampling
+// MarkStale re-opens the profiling window for kind k. Per-kind sampling
 // overrides persist; the pair noise streams restart at observation zero
 // (re-profiling the same counts at the same rate reproduces the same
 // noise — determinism, not amnesia).
-func (p *Profiler) MarkStale(kind string) {
-	p.stale[kind] = true
-	p.kindExecs[kind] = 0
-	p.kindDur[kind] = 0
-	delete(p.kindStats, kind)
-	for k := range p.stats {
-		if k.kind == kind {
-			delete(p.stats, k)
-		}
-	}
+func (p *Profiler) MarkStale(k int) {
+	ks := &p.kinds[k]
+	ks.stale = true
+	ks.execs = 0
+	ks.dur = 0
+	ks.agg = kindAccum{}
+	clear(p.row(k))
 }
 
-// Kinds returns the number of distinct task kinds observed.
-func (p *Profiler) Kinds() int { return len(p.kindExecs) }
-
-// MeanDuration returns the mean profiled execution time of a kind.
-func (p *Profiler) MeanDuration(kind string) (float64, bool) {
-	d, ok := p.kindDur[kind]
-	return d, ok && d > 0
+// MeanDuration returns the mean profiled execution time of kind k.
+func (p *Profiler) MeanDuration(k int) (float64, bool) {
+	d := p.kinds[k].dur
+	return d, d > 0
 }

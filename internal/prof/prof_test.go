@@ -8,39 +8,53 @@ import (
 	"repro/internal/task"
 )
 
-func exec(id task.TaskID, kind string, dur float64, loads, stores int64, share float64) Exec {
+// newK returns a profiler for one kind with the given name and nobj
+// objects; the tests' kind is index 0.
+func newK(cfg Config, kind string, nobj int) *Profiler {
+	return New(cfg, []string{kind}, nobj)
+}
+
+// exec is one execution of kind 0 touching object 0.
+func exec(dur float64, loads, stores int64, share float64) Exec {
 	return Exec{
-		TaskID:   id,
-		Kind:     kind,
 		Duration: dur,
 		Obs:      []AccessObs{{Obj: 0, Loads: loads, Stores: stores, TimeShare: share}},
 	}
 }
 
+// estimate returns a pair's own profile, ok only for an observed pair
+// (EstimateFor alone would serve the kind fallback).
+func estimate(p *Profiler, k int, obj task.ObjectID) (Estimate, bool) {
+	if !p.Observed(k, obj) {
+		return Estimate{}, false
+	}
+	return p.EstimateFor(k, obj, 0)
+}
+
 func TestProfilingWindow(t *testing.T) {
-	p := New(DefaultConfig())
-	if p.Profiled("gemm") || p.Seen("gemm") {
+	p := newK(DefaultConfig(), "gemm", 1)
+	if p.Profiled(0) || p.Observed(0, 0) {
 		t.Fatal("unseen kind reported profiled")
 	}
-	p.Record(exec(0, "gemm", 0.01, 1e6, 5e5, 0.8))
-	if p.Profiled("gemm") {
+	p.Record(exec(0.01, 1e6, 5e5, 0.8))
+	if p.Profiled(0) {
 		t.Fatal("one execution should not complete the window")
 	}
-	if !p.Seen("gemm") {
+	if !p.Observed(0, 0) {
 		t.Fatal("kind not seen after record")
 	}
-	p.Record(exec(1, "gemm", 0.01, 1e6, 5e5, 0.8))
-	if !p.Profiled("gemm") {
+	p.Record(exec(0.01, 1e6, 5e5, 0.8))
+	if !p.Profiled(0) {
 		t.Fatal("two executions should complete the window")
 	}
 }
 
 func TestSampledCountsNearTruthForLargeCounts(t *testing.T) {
-	p := New(DefaultConfig())
+	p := newK(DefaultConfig(), "k", 1)
 	const trueLoads, trueStores = int64(10e6), int64(4e6)
-	p.Record(exec(0, "k", 0.05, trueLoads, trueStores, 0.9))
-	p.Record(exec(1, "k", 0.05, trueLoads, trueStores, 0.9))
-	est, ok := p.Estimate("k", 0)
+	p.Record(exec(0.05, trueLoads, trueStores, 0.9))
+	p.Record(exec(0.05, trueLoads, trueStores, 0.9))
+	est, ok := estimate(p, 0, 0)
 	if !ok {
 		t.Fatal("no estimate")
 	}
@@ -59,18 +73,18 @@ func TestSampledCountsNearTruthForLargeCounts(t *testing.T) {
 func TestBandwidthConsumptionEstimate(t *testing.T) {
 	// 1e6 loads + 0 stores over a 0.01 s task fully occupied by this
 	// object: ~64 MB / 0.01 s = 6.4 GB/s (times sampling bias).
-	p := New(DefaultConfig())
-	p.Record(exec(0, "k", 0.01, 1e6, 0, 1.0))
-	est, _ := p.Estimate("k", 0)
+	p := newK(DefaultConfig(), "k", 1)
+	p.Record(exec(0.01, 1e6, 0, 1.0))
+	est, _ := estimate(p, 0, 0)
 	want := 0.92 * 1e6 * 64 / 0.01
 	if math.Abs(est.BWCons-want) > 0.1*want {
 		t.Fatalf("BWCons = %g, want about %g", est.BWCons, want)
 	}
 	// Same traffic but active only 10% of the time: 10x the consumption
 	// rate, per equation (1).
-	p2 := New(DefaultConfig())
-	p2.Record(exec(0, "k", 0.01, 1e6, 0, 0.1))
-	est2, _ := p2.Estimate("k", 0)
+	p2 := newK(DefaultConfig(), "k", 1)
+	p2.Record(exec(0.01, 1e6, 0, 0.1))
+	est2, _ := estimate(p2, 0, 0)
 	if est2.BWCons < 5*est.BWCons {
 		t.Fatalf("time-share scaling broken: %g vs %g", est2.BWCons, est.BWCons)
 	}
@@ -78,9 +92,9 @@ func TestBandwidthConsumptionEstimate(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() Estimate {
-		p := New(DefaultConfig())
-		p.Record(exec(7, "k", 0.02, 3e5, 2e5, 0.5))
-		e, _ := p.Estimate("k", 0)
+		p := newK(DefaultConfig(), "k", 1)
+		p.Record(exec(0.02, 3e5, 2e5, 0.5))
+		e, _ := estimate(p, 0, 0)
 		return e
 	}
 	if run() != run() {
@@ -90,13 +104,13 @@ func TestDeterminism(t *testing.T) {
 
 func TestSeedChangesNoise(t *testing.T) {
 	cfg := DefaultConfig()
-	p1 := New(cfg)
+	p1 := newK(cfg, "k", 1)
 	cfg.Seed = 99
-	p2 := New(cfg)
-	p1.Record(exec(7, "k", 0.02, 3e5, 2e5, 0.5))
-	p2.Record(exec(7, "k", 0.02, 3e5, 2e5, 0.5))
-	e1, _ := p1.Estimate("k", 0)
-	e2, _ := p2.Estimate("k", 0)
+	p2 := newK(cfg, "k", 1)
+	p1.Record(exec(0.02, 3e5, 2e5, 0.5))
+	p2.Record(exec(0.02, 3e5, 2e5, 0.5))
+	e1, _ := estimate(p1, 0, 0)
+	e2, _ := estimate(p2, 0, 0)
 	if e1 == e2 {
 		t.Fatal("different seeds produced identical noise")
 	}
@@ -107,32 +121,32 @@ func TestSeedChangesNoise(t *testing.T) {
 // past 1, MarkStale re-opens the kind, and re-profiling restores it at
 // the new baseline.
 func TestDriftDetection(t *testing.T) {
-	p := New(DefaultConfig())
-	p.Record(exec(0, "k", 0.010, 1e6, 0, 1))
-	p.Record(exec(1, "k", 0.010, 1e6, 0, 1))
-	if !p.Profiled("k") {
+	p := newK(DefaultConfig(), "k", 1)
+	p.Record(exec(0.010, 1e6, 0, 1))
+	p.Record(exec(0.010, 1e6, 0, 1))
+	if !p.Profiled(0) {
 		t.Fatal("not profiled")
 	}
-	if dev := p.Record(exec(2, "k", 0.010, 1e6, 0, 1)); dev > 1 {
+	if dev := p.Record(exec(0.010, 1e6, 0, 1)); dev > 1 {
 		t.Fatalf("unchanged counts scored %g as drift", dev)
 	}
-	if dev := p.Record(exec(3, "k", 0.016, 3e6, 0, 1)); dev <= 1 {
+	if dev := p.Record(exec(0.016, 3e6, 0, 1)); dev <= 1 {
 		t.Fatalf("3x count shift scored %g, want > 1", dev)
 	}
-	p.MarkStale("k")
-	if p.Profiled("k") {
+	p.MarkStale(0)
+	if p.Profiled(0) {
 		t.Fatal("stale kind still reported profiled")
 	}
 	// Re-profiling restores the kind at the new baseline.
-	p.Record(exec(4, "k", 0.016, 3e6, 0, 1))
-	p.Record(exec(5, "k", 0.016, 3e6, 0, 1))
-	if !p.Profiled("k") {
+	p.Record(exec(0.016, 3e6, 0, 1))
+	p.Record(exec(0.016, 3e6, 0, 1))
+	if !p.Profiled(0) {
 		t.Fatal("kind not restored after re-profiling")
 	}
-	if mean, _ := p.MeanDuration("k"); mean != 0.016 {
+	if mean, _ := p.MeanDuration(0); mean != 0.016 {
 		t.Fatalf("re-profiled mean %g, want 0.016", mean)
 	}
-	if dev := p.Record(exec(6, "k", 0.016, 3e6, 0, 1)); dev > 1 {
+	if dev := p.Record(exec(0.016, 3e6, 0, 1)); dev > 1 {
 		t.Fatalf("new baseline scored %g as drift", dev)
 	}
 }
@@ -141,24 +155,24 @@ func TestDriftDetection(t *testing.T) {
 // counts stay put — a data placement that worked — never scores as
 // drift, and its mean duration follows the improvement.
 func TestFasterRunsNeverDrift(t *testing.T) {
-	p := New(DefaultConfig())
-	p.Record(exec(0, "k", 0.010, 1e6, 0, 1))
-	p.Record(exec(1, "k", 0.010, 1e6, 0, 1))
+	p := newK(DefaultConfig(), "k", 1)
+	p.Record(exec(0.010, 1e6, 0, 1))
+	p.Record(exec(0.010, 1e6, 0, 1))
 	for i := 0; i < 48; i++ {
-		if dev := p.Record(exec(task.TaskID(2+i), "k", 0.002, 1e6, 0, 1)); dev > 1 {
+		if dev := p.Record(exec(0.002, 1e6, 0, 1)); dev > 1 {
 			t.Fatalf("improvement scored %g as drift", dev)
 		}
 	}
-	mean, _ := p.MeanDuration("k")
+	mean, _ := p.MeanDuration(0)
 	if mean >= 0.010 {
 		t.Fatal("mean duration did not follow the improved duration")
 	}
 }
 
 func TestZeroAndSmallCounts(t *testing.T) {
-	p := New(DefaultConfig())
-	p.Record(exec(0, "k", 0.01, 0, 0, 0))
-	est, ok := p.Estimate("k", 0)
+	p := newK(DefaultConfig(), "k", 1)
+	p.Record(exec(0.01, 0, 0, 0))
+	est, ok := estimate(p, 0, 0)
 	if !ok {
 		t.Fatal("no estimate recorded")
 	}
@@ -168,9 +182,12 @@ func TestZeroAndSmallCounts(t *testing.T) {
 }
 
 func TestEstimateUnknown(t *testing.T) {
-	p := New(DefaultConfig())
-	if _, ok := p.Estimate("nope", 3); ok {
+	p := newK(DefaultConfig(), "nope", 4)
+	if _, ok := estimate(p, 0, 3); ok {
 		t.Fatal("estimate for unknown kind")
+	}
+	if _, ok := p.EstimateFor(0, 3, 1<<20); ok {
+		t.Fatal("fallback estimate for a kind never seen")
 	}
 }
 
@@ -241,29 +258,6 @@ func TestErrorGrowsWithSamplingInterval(t *testing.T) {
 	}
 }
 
-// Regression: the package doc promises profiles independent of execution
-// order, but noise used to be keyed on TaskID — reassigning which task
-// instances land in the window changed the profile.
-func TestNoiseIndependentOfTaskIDs(t *testing.T) {
-	run := func(ids []task.TaskID) (Estimate, Estimate) {
-		p := New(DefaultConfig())
-		for _, id := range ids {
-			p.Record(Exec{TaskID: id, Kind: "k", Duration: 0.01, Obs: []AccessObs{
-				{Obj: 0, Loads: 3e5, Stores: 1e5, TimeShare: 0.6},
-				{Obj: 1, Loads: 2e5, Stores: 4e4, TimeShare: 0.3},
-			}})
-		}
-		a, _ := p.Estimate("k", 0)
-		b, _ := p.Estimate("k", 1)
-		return a, b
-	}
-	a1, b1 := run([]task.TaskID{0, 1})
-	a2, b2 := run([]task.TaskID{17, 4096})
-	if a1 != a2 || b1 != b2 {
-		t.Fatalf("profile depends on task IDs: %+v/%+v vs %+v/%+v", a1, b1, a2, b2)
-	}
-}
-
 // Estimates must be invariant under the ordering of an execution's Obs
 // slice: the float accumulation and the noise stream both run in
 // canonical (object-ascending) order.
@@ -274,17 +268,17 @@ func TestObsOrderInvariance(t *testing.T) {
 		{Obj: 1, Loads: 9e4, Stores: 2e4, Size: 1 << 20, TimeShare: 0.2},
 	}
 	run := func(perm []int) [3]Estimate {
-		p := New(DefaultConfig())
+		p := newK(DefaultConfig(), "k", 3)
 		for rep := 0; rep < 3; rep++ {
 			o := make([]AccessObs, len(perm))
 			for i, pi := range perm {
 				o[i] = obs[pi]
 			}
-			p.Record(Exec{TaskID: task.TaskID(rep), Kind: "k", Duration: 0.01, Obs: o})
+			p.Record(Exec{Duration: 0.01, Obs: o})
 		}
 		var out [3]Estimate
 		for i := range out {
-			out[i], _ = p.Estimate("k", task.ObjectID(i))
+			out[i], _ = estimate(p, 0, task.ObjectID(i))
 		}
 		return out
 	}
@@ -302,21 +296,21 @@ func TestObsOrderInvariance(t *testing.T) {
 // the MAD updated from the second, an off-by-one that delayed detection
 // by a full execution.
 func TestDriftFlagsOnThirdExecution(t *testing.T) {
-	p := New(DefaultConfig())
+	p := newK(DefaultConfig(), "k", 2)
 	// Window executions 1 and 2: object 1 appears only in the first.
-	p.Record(Exec{TaskID: 0, Kind: "k", Duration: 0.01, Obs: []AccessObs{
+	p.Record(Exec{Duration: 0.01, Obs: []AccessObs{
 		{Obj: 0, Loads: 1e6, TimeShare: 0.5},
 		{Obj: 1, Loads: 1e6, TimeShare: 0.5},
 	}})
-	p.Record(Exec{TaskID: 1, Kind: "k", Duration: 0.01, Obs: []AccessObs{
+	p.Record(Exec{Duration: 0.01, Obs: []AccessObs{
 		{Obj: 0, Loads: 1e6, TimeShare: 1},
 	}})
-	if !p.Profiled("k") {
+	if !p.Profiled(0) {
 		t.Fatal("window not closed after two executions")
 	}
 	// Third execution: object 1's traffic tripled. This is the pair's
 	// second observation; it must score.
-	dev := p.Record(Exec{TaskID: 2, Kind: "k", Duration: 0.01, Obs: []AccessObs{
+	dev := p.Record(Exec{Duration: 0.01, Obs: []AccessObs{
 		{Obj: 1, Loads: 3e6, TimeShare: 1},
 	}})
 	if dev <= 1 {
@@ -331,19 +325,21 @@ func TestKindFallbackConvergence(t *testing.T) {
 	const size = int64(1 << 20)
 	const loads, stores = int64(1e6), int64(2e5)
 	diffAfter := func(execs int) float64 {
-		p := New(DefaultConfig())
+		// Objects 0..execs are observed; object execs+1 never is.
+		unseen := task.ObjectID(execs + 1)
+		p := newK(DefaultConfig(), "k", execs+2)
 		for i := 0; i < execs; i++ {
-			p.Record(Exec{TaskID: task.TaskID(i), Kind: "k", Duration: 0.01, Obs: []AccessObs{
+			p.Record(Exec{Duration: 0.01, Obs: []AccessObs{
 				{Obj: 0, Loads: loads, Stores: stores, Size: size, TimeShare: 0.5},
 				{Obj: task.ObjectID(1 + i), Loads: loads, Stores: stores, Size: size, TimeShare: 0.5},
 			}})
 		}
-		exact, ok := p.Estimate("k", 0)
+		exact, ok := estimate(p, 0, 0)
 		if !ok {
 			t.Fatal("no exact estimate")
 		}
-		// Object 999999 was never observed: served by the kind fallback.
-		fb, ok := p.EstimateFor("k", 999999, size)
+		// The unseen object is served by the kind fallback.
+		fb, ok := p.EstimateFor(0, unseen, size)
 		if !ok {
 			t.Fatal("no fallback estimate")
 		}
@@ -361,39 +357,39 @@ func TestKindFallbackConvergence(t *testing.T) {
 func TestPerKindIntervalAndSampleAccounting(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Jitter = 0.5
-	p := New(cfg)
-	if p.IntervalFor("k") != cfg.SamplingInterval {
+	p := newK(cfg, "k", 1)
+	if p.IntervalFor(0) != cfg.SamplingInterval {
 		t.Fatal("unset kind does not use the base interval")
 	}
-	p.Record(exec(0, "k", 0.01, 1e5, 0, 1))
+	p.Record(exec(0.01, 1e5, 0, 1))
 	if got, want := p.SamplesTaken(), 1e5/float64(cfg.SamplingInterval); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("SamplesTaken = %g, want %g", got, want)
 	}
-	coarse := p.RelErrorFor("k", 0)
-	p.SetKindInterval("k", cfg.SamplingInterval/8)
-	if p.IntervalFor("k") != cfg.SamplingInterval/8 {
+	coarse := p.RelErrorFor(0, 0)
+	p.SetKindInterval(0, cfg.SamplingInterval/8)
+	if p.IntervalFor(0) != cfg.SamplingInterval/8 {
 		t.Fatal("override not applied")
 	}
 	// The error reports the rate the estimate was *taken* at, so the
 	// override alone changes nothing until a densified re-profile lands.
-	if got := p.RelErrorFor("k", 0); got != coarse {
+	if got := p.RelErrorFor(0, 0); got != coarse {
 		t.Fatalf("override changed the stored estimate's error: %g -> %g", coarse, got)
 	}
 	// The override survives a re-profile — that is what it exists for.
-	p.MarkStale("k")
-	if p.IntervalFor("k") != cfg.SamplingInterval/8 {
+	p.MarkStale(0)
+	if p.IntervalFor(0) != cfg.SamplingInterval/8 {
 		t.Fatal("override lost across MarkStale")
 	}
-	if math.IsInf(p.RelErrorFor("k", 0), 1) != true {
+	if math.IsInf(p.RelErrorFor(0, 0), 1) != true {
 		t.Fatal("stale pair should have unbounded error")
 	}
 	before := p.SamplesTaken()
-	p.Record(exec(1, "k", 0.01, 1e5, 0, 1))
+	p.Record(exec(0.01, 1e5, 0, 1))
 	gotDelta := p.SamplesTaken() - before
 	if want := 1e5 / float64(cfg.SamplingInterval/8); math.Abs(gotDelta-want) > 1e-9 {
 		t.Fatalf("densified recording cost %g samples, want %g", gotDelta, want)
 	}
-	if dense := p.RelErrorFor("k", 0); dense >= coarse {
+	if dense := p.RelErrorFor(0, 0); dense >= coarse {
 		t.Fatalf("densified re-profile did not tighten the error: %g -> %g", coarse, dense)
 	}
 }
@@ -408,20 +404,10 @@ func TestExactConfigDisablesNoise(t *testing.T) {
 	if e.Bias != cfg.Bias || e.SamplingInterval != cfg.SamplingInterval {
 		t.Fatal("Exact() must keep bias and interval")
 	}
-	p := New(e)
-	p.Record(exec(0, "k", 0.01, 1e5, 3e4, 1))
-	est, _ := p.Estimate("k", 0)
+	p := newK(e, "k", 1)
+	p.Record(exec(0.01, 1e5, 3e4, 1))
+	est, _ := estimate(p, 0, 0)
 	if est.Loads != e.Bias*1e5 || est.Stores != e.Bias*3e4 {
 		t.Fatalf("noise-free estimate %+v not exactly biased truth", est)
-	}
-}
-
-func TestKinds(t *testing.T) {
-	p := New(DefaultConfig())
-	p.Record(exec(0, "a", 0.01, 1, 1, 1))
-	p.Record(exec(1, "b", 0.01, 1, 1, 1))
-	p.Record(exec(2, "a", 0.01, 1, 1, 1))
-	if p.Kinds() != 2 {
-		t.Fatalf("Kinds = %d, want 2", p.Kinds())
 	}
 }

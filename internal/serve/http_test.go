@@ -83,6 +83,10 @@ func TestHTTPErrors(t *testing.T) {
 		// An mlp between 0 and 1 is refused at admission, not run to a failure.
 		{`{"graph":{"objects":[{"size":64}],"tasks":[{"kind":"k","accesses":[{"obj":0,"mode":"in","loads":1,"mlp":0.5}]}]}}`, http.StatusBadRequest},
 		{`{"workload":"heat","scale":4}`, http.StatusOK},
+		// Kinds x objects is capped at MaxInlinePairs: a graph one kind
+		// past the cap is refused, a graph at the cap runs.
+		{pairGraphBody(t, 1025, 1024), http.StatusBadRequest},
+		{pairGraphBody(t, 1024, 1024), http.StatusOK},
 	} {
 		resp, body := postRun(t, ts.URL, tc.body)
 		if resp.StatusCode != tc.want {
@@ -112,6 +116,16 @@ func TestHTTPErrors(t *testing.T) {
 			t.Fatalf("GET /v1/nope: %d", resp.StatusCode)
 		}
 	}
+}
+
+// pairGraphBody is a /v1/run body running pairGraph(nk, nobj).
+func pairGraphBody(t *testing.T, nk, nobj int) string {
+	t.Helper()
+	b, err := json.Marshal(pairGraph(nk, nobj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return `{"graph":` + string(b) + `}`
 }
 
 // TestHTTPRejectsHugeFaultSpec: a request's fault spec asking for 1e9

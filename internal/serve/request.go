@@ -140,11 +140,18 @@ func parseMode(s string) (task.AccessMode, error) {
 	return task.In, fmt.Errorf("serve: unknown access mode %q (want in|out|inout)", s)
 }
 
+// MaxInlinePairs caps an inline graph's distinct kinds times its objects.
+// The runtime keeps per-(kind, object) tables (the profiler's pairs, the
+// planner's benefit cache), so this product, not the body size, bounds
+// what one run allocates: a 1 MiB body could otherwise name ~490M pairs.
+const MaxInlinePairs = 1 << 20
+
 // validate rejects malformed inline graphs before admission.
 func (g *GraphSpec) validate() error {
 	if len(g.Objects) == 0 || len(g.Tasks) == 0 {
 		return fmt.Errorf("serve: inline graph needs at least one object and one task")
 	}
+	kinds := make(map[string]struct{})
 	for i, o := range g.Objects {
 		if o.Size <= 0 {
 			return fmt.Errorf("serve: inline object %d has size %d", i, o.Size)
@@ -154,6 +161,7 @@ func (g *GraphSpec) validate() error {
 		if t.Kind == "" {
 			return fmt.Errorf("serve: inline task %d has no kind", ti)
 		}
+		kinds[t.Kind] = struct{}{}
 		if t.CPUSec < 0 {
 			return fmt.Errorf("serve: inline task %d has negative cpu_sec", ti)
 		}
@@ -174,6 +182,10 @@ func (g *GraphSpec) validate() error {
 				return fmt.Errorf("serve: inline task %d access %d has mlp %g (want 0 for the default or >= 1)", ti, ai, a.MLP)
 			}
 		}
+	}
+	if len(kinds)*len(g.Objects) > MaxInlinePairs {
+		return fmt.Errorf("serve: inline graph has %d kinds and %d objects, above the cap of %d (kind, object) pairs",
+			len(kinds), len(g.Objects), MaxInlinePairs)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -272,6 +273,7 @@ func TestResolveRejects(t *testing.T) {
 		{Graph: &GraphSpec{Objects: []ObjectSpec{{Size: 1}}, Tasks: []TaskSpec{{Kind: "k", Accesses: []AccessSpec{{Obj: 7, Mode: "in"}}}}}},
 		{Graph: &GraphSpec{Objects: []ObjectSpec{{Size: 1}}, Tasks: []TaskSpec{{Kind: "k", Accesses: []AccessSpec{{Obj: 0, Mode: "sideways"}}}}}},
 		{Graph: &GraphSpec{Objects: []ObjectSpec{{Size: 1}}, Tasks: []TaskSpec{{Kind: "k", Accesses: []AccessSpec{{Obj: 0, Mode: "in", MLP: 0.5}}}}}},
+		{Graph: pairGraph(1025, 1024)}, // one pair past MaxInlinePairs
 	}
 	for i, req := range bad {
 		r := req
@@ -282,6 +284,23 @@ func TestResolveRejects(t *testing.T) {
 	if st := s.Snapshot(); st.Accepted != 0 {
 		t.Fatalf("invalid requests consumed %d admissions", st.Accepted)
 	}
+}
+
+// pairGraph is an inline graph with nk kinds and nobj 64-byte objects:
+// task i, of kind "k<i mod nk>", reads object i mod nobj, so every kind
+// and every object has a task.
+func pairGraph(nk, nobj int) *GraphSpec {
+	g := &GraphSpec{Objects: make([]ObjectSpec, nobj)}
+	for i := range g.Objects {
+		g.Objects[i].Size = 64
+	}
+	for i := 0; i < max(nk, nobj); i++ {
+		g.Tasks = append(g.Tasks, TaskSpec{
+			Kind:     fmt.Sprintf("k%d", i%nk),
+			Accesses: []AccessSpec{{Obj: i % nobj, Mode: "in", Loads: 1}},
+		})
+	}
+	return g
 }
 
 // TestRetryAfterFloor pins the Retry-After floor of one second before

@@ -186,13 +186,14 @@ func (g *Graph) TotalWork(est func(*Task) float64) float64 {
 	return total
 }
 
-// ObjectTraffic aggregates the whole graph's loads and stores per object —
-// the oracle profile an offline-profiling baseline (X-Mem) plans with.
-func (g *Graph) ObjectTraffic() map[ObjectID]Access {
-	agg := make(map[ObjectID]Access, len(g.Objects))
+// ObjectTraffic aggregates the whole graph's loads and stores per object,
+// indexed by ObjectID — the oracle profile an offline-profiling baseline
+// (X-Mem) plans with. An object no task touches has a zero entry.
+func (g *Graph) ObjectTraffic() []Access {
+	agg := make([]Access, len(g.Objects))
 	for _, t := range g.Tasks {
 		for _, a := range t.Accesses {
-			cur := agg[a.Obj]
+			cur := &agg[a.Obj]
 			cur.Obj = a.Obj
 			cur.Loads += a.Loads
 			cur.Stores += a.Stores
@@ -204,7 +205,6 @@ func (g *Graph) ObjectTraffic() map[ObjectID]Access {
 			if w+cw > 0 {
 				cur.MLP = (cur.MLP*cw + a.MLP*w) / (cw + w)
 			}
-			agg[a.Obj] = cur
 		}
 	}
 	return agg
