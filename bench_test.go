@@ -63,13 +63,22 @@ func BenchmarkE12_LookaheadSweep(b *testing.B)    { benchExperiment(b, "E12") }
 // BenchmarkRuntimeFullRun measures the cost of one complete managed run
 // (plan + simulate + migrate) on the standard machine and workload, and
 // reports the simulated makespan as a metric.
-func BenchmarkRuntimeFullRun(b *testing.B) {
+func BenchmarkRuntimeFullRun(b *testing.B) { benchFullRun(b, Tahoe) }
+
+// BenchmarkRuntimeFullRunFirstTouch is its unmanaged twin: the same graph
+// and machine under FirstTouch, which never plans or migrates, so its
+// cost is the task lifecycle and per-run set-up alone.
+func BenchmarkRuntimeFullRunFirstTouch(b *testing.B) { benchFullRun(b, FirstTouch) }
+
+func benchFullRun(b *testing.B, p Policy) {
 	h := NewHMS(DRAM(), NVMBandwidth(0.5), 128*MB)
 	w, err := BuildWorkload("cholesky", WorkloadParams{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := DefaultConfig(h)
+	cfg.Policy = p
+	b.ReportAllocs()
 	b.ResetTimer()
 	var last Result
 	for i := 0; i < b.N; i++ {

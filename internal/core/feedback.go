@@ -38,13 +38,13 @@ import (
 // (model.PredictAccessSec, summed over the object's access entries).
 // Placement of an in-use object is frozen while its task runs (inUse /
 // migBusy), so completion-time tier fractions are the at-start ones.
-func (r *runner) observeFeedback(t *task.Task, ki int, d model.Demand) {
+func (r *runner) observeFeedback(t *task.Task, ki int, d *model.Demand) {
 	invalidated := false
 	trip := false
 	nt := r.st.NumTiers()
 	for i, a := range t.Accesses {
 		// Dedup repeat accesses quadratically over the short access list
-		// (same idiom as advanceCursors): observed ObjSecOf aggregates all
+		// (no per-call map): observed ObjSecOf aggregates all
 		// of an object's entries, so predict them together — each entry
 		// with its own stream MLP, all with the pair's profiled per-entry
 		// count estimate.

@@ -117,10 +117,10 @@ type runner struct {
 	finished    []bool
 	levels      []int
 
-	// userDone tracks, per object, a cursor into Users(obj): every user
-	// before the cursor has finished. Dependence-safe migration for task
-	// t requires the cursor to have passed all users < t. Objects have
-	// dense IDs, so per-object state is flat slices, not maps.
+	// userCursor is, per object, a cursor into Users(obj): every user
+	// before it has finished. safeFor, its only reader, advances it
+	// lazily. Objects have dense IDs, so per-object state is flat slices,
+	// not maps.
 	userCursor []int
 	// inUse counts running tasks touching each object.
 	inUse []int
@@ -169,6 +169,9 @@ type runner struct {
 	lastPlanAt  int
 	frontierIdx int
 	dispatchQ   bool // dispatch scheduled for this instant
+	// dispatchFn is the dispatch timer's callback, bound once per run so
+	// scheduling a dispatch allocates no closure.
+	dispatchFn func(now float64)
 
 	// obsScratch is the reusable observation buffer complete() hands the
 	// profiler (Record does not retain it).
@@ -176,8 +179,9 @@ type runner struct {
 
 	// flowPool recycles task-execution flows: once a flow's OnDone has
 	// fired the engine holds no reference to it, so start() can reuse the
-	// Flow, its two-stage array, and the pre-bound completion context.
-	// The pool's high-water mark is the worker count, not the task count.
+	// Flow, its two-stage array, its Demand's ObjSecs array and the
+	// pre-bound completion context. The pool's high-water mark is the
+	// worker count, not the task count.
 	flowPool []*taskFlow
 
 	// exposureSince, when >= 0, marks the start of an interval in which a
@@ -455,6 +459,10 @@ func (r *runner) setup() error {
 	for w := r.cfg.Workers - 1; w >= 0; w-- {
 		r.freeWorkers = append(r.freeWorkers, w)
 	}
+	r.dispatchFn = func(now float64) {
+		r.dispatchQ = false
+		r.dispatch(now)
+	}
 
 	return r.applyInitialPlacement()
 }
@@ -508,10 +516,7 @@ func (r *runner) scheduleDispatch() {
 		return
 	}
 	r.dispatchQ = true
-	r.e.After(0, func(now float64) {
-		r.dispatchQ = false
-		r.dispatch(now)
-	})
+	r.e.After(0, r.dispatchFn)
 }
 
 // dispatch hands ready tasks to free workers, blocking tasks whose data
@@ -602,8 +607,13 @@ func (r *runner) allPairsObserved(t *task.Task, ki int) bool {
 // move. Movements that are merely queued — speculative promotions for
 // other tasks — are cancelled rather than waited on: a ready task always
 // outranks a movement whose copy has not started. Only an actual
-// in-flight copy (or this task's own reactive request) blocks.
+// in-flight copy (or this task's own reactive request) blocks. With no
+// chunk pending anywhere — always, under the policies that never
+// migrate — there is nothing to scan.
 func (r *runner) migBusy(t *task.Task) bool {
+	if r.mig.PendingCount() == 0 {
+		return false
+	}
 	blocked := false
 	for _, a := range t.Accesses {
 		for i := 0; i < r.st.Chunks(a.Obj); i++ {
@@ -639,11 +649,22 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 		r.highWater = hw
 	}
 
-	var d model.Demand
-	if r.cfg.Policy == HWCache {
-		d = model.HWCacheDemand(t, r.machineHMS(), r.hwFrac)
+	var tf *taskFlow
+	if n := len(r.flowPool); n > 0 {
+		tf = r.flowPool[n-1]
+		r.flowPool[n-1] = nil
+		r.flowPool = r.flowPool[:n-1]
+		tf.flow.Reuse()
 	} else {
-		d = model.TaskDemandTiered(t, r.machineHMS(), r.tierFrac)
+		tf = &taskFlow{r: r}
+		tf.flow.Stages = tf.stages[:]
+		tf.flow.OnDone = tf.onDone
+	}
+	d := &tf.d
+	if r.cfg.Policy == HWCache {
+		d.FillHWCache(t, r.machineHMS(), r.hwFrac)
+	} else {
+		d.FillTiered(t, r.machineHMS(), r.tierFrac)
 	}
 	for tier := 0; tier < r.st.NumTiers(); tier++ {
 		dev := r.cfg.HMS.Device(mem.Tier(tier))
@@ -718,19 +739,7 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 	if r.e.Trace != nil {
 		label = fmt.Sprintf("task:%s#%d", t.Kind, t.ID)
 	}
-	var tf *taskFlow
-	if n := len(r.flowPool); n > 0 {
-		tf = r.flowPool[n-1]
-		r.flowPool[n-1] = nil
-		r.flowPool = r.flowPool[:n-1]
-		tf.flow.Reuse()
-	} else {
-		tf = &taskFlow{r: r}
-		tf.flow.Stages = tf.stages[:]
-		tf.flow.OnDone = tf.onDone
-	}
-	tf.t, tf.began, tf.w = t, now, w
-	tf.d, tf.profiled = d, profiling
+	tf.t, tf.began, tf.w, tf.profiled = t, now, w, profiling
 	tf.flow.Label = label
 	tf.stages[0] = sim.Stage{Fixed: fixed}
 	tf.stages[1] = sim.Stage{Res: r.memRes, Bytes: memSec, MaxRate: maxRate}
@@ -741,10 +750,12 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 	}
 }
 
-// taskFlow bundles a task-execution flow with its stage backing array
-// and completion context in one pooled allocation. OnDone is bound once
-// at creation; onDone returns the carrier to the pool before running
-// complete(), so a task started by the ensuing redispatch can reuse it.
+// taskFlow bundles a task-execution flow with its stage backing array,
+// its demand and its completion context in one pooled allocation. OnDone
+// is bound once at creation; onDone returns the carrier to the pool after
+// complete() has read its demand. Nothing reuses it earlier: complete()
+// only schedules the redispatch, and every start() runs from that
+// zero-delay dispatch timer.
 type taskFlow struct {
 	r        *runner
 	flow     sim.Flow
@@ -757,11 +768,10 @@ type taskFlow struct {
 }
 
 func (tf *taskFlow) onDone(end float64) {
-	r, t, began, w, d, profiled := tf.r, tf.t, tf.began, tf.w, tf.d, tf.profiled
+	r := tf.r
+	r.complete(end, tf.began, tf.w, tf.t, &tf.d, tf.profiled)
 	tf.t = nil
-	tf.d = model.Demand{}
 	r.flowPool = append(r.flowPool, tf)
-	r.complete(end, began, w, t, d, profiled)
 }
 
 // machineHMS returns the device view the timing model should use: for
@@ -783,7 +793,7 @@ func (r *runner) profilesKinds() bool {
 
 // complete finishes task t: profiling, drift detection, dependence
 // release, planning trigger, proactive scan, and redispatch.
-func (r *runner) complete(end, began float64, w int, t *task.Task, d model.Demand, profiled bool) {
+func (r *runner) complete(end, began float64, w int, t *task.Task, d *model.Demand, profiled bool) {
 	if r.cfg.Trace != nil {
 		r.cfg.Trace.Add(trace.Event{
 			Time: end, Kind: trace.TaskEnd, Task: t.ID, TaskKind: t.Kind, Worker: w, OK: true,
@@ -800,7 +810,6 @@ func (r *runner) complete(end, began float64, w int, t *task.Task, d model.Deman
 	for _, a := range t.Accesses {
 		r.inUse[a.Obj]--
 	}
-	r.advanceCursors(t)
 
 	dur := end - began
 	ki := r.g.KindIndex(t.ID)
@@ -864,39 +873,22 @@ func (r *runner) complete(end, began float64, w int, t *task.Task, d model.Deman
 	r.scheduleDispatch()
 }
 
-// advanceCursors moves each touched object's user cursor past every
-// finished user, unlocking dependence-safe migrations.
-func (r *runner) advanceCursors(t *task.Task) {
-	// Tasks touch a handful of objects; a quadratic scan over the access
-	// prefix dedups repeats without a per-call map.
-	for i, a := range t.Accesses {
-		dup := false
-		for _, b := range t.Accesses[:i] {
-			if b.Obj == a.Obj {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		users := r.g.Users(a.Obj)
-		cur := r.userCursor[a.Obj]
-		for cur < len(users) && r.finished[users[cur]] {
-			cur++
-		}
-		r.userCursor[a.Obj] = cur
-	}
-}
-
 // safeFor reports whether obj may be migrated for task t: every earlier
-// user has finished and no running task touches it.
+// user has finished and no running task touches it. It first moves the
+// object's user cursor past every finished user. finished[] bits only
+// ever turn on, so advancing here, lazily, lands on the same first
+// unfinished user that advancing after every completion would, and runs
+// that never migrate never pay for it.
 func (r *runner) safeFor(obj task.ObjectID, t task.TaskID) bool {
 	if r.inUse[obj] > 0 {
 		return false
 	}
 	users := r.g.Users(obj)
 	cur := r.userCursor[obj]
+	for cur < len(users) && r.finished[users[cur]] {
+		cur++
+	}
+	r.userCursor[obj] = cur
 	return cur >= len(users) || users[cur] >= t
 }
 

@@ -66,8 +66,9 @@ type ObjSec struct {
 // Bandwidth demand is expressed in service seconds at the device's peak
 // (the simulation's device resources run at unit rate), so one second of
 // DevSec occupies the whole device for one second. Per-tier accumulators
-// are fixed mem.MaxTiers arrays (unused tiers stay zero) so the hot path
-// allocates nothing beyond the ObjSecs list.
+// are fixed mem.MaxTiers arrays (unused tiers stay zero), and the Fill
+// methods reuse the ObjSecs list, so a caller-owned Demand is recomputed
+// without allocating.
 type Demand struct {
 	// FixedSec is pure CPU time; it does not touch memory devices.
 	FixedSec float64
@@ -79,8 +80,8 @@ type Demand struct {
 	// ObjSecs holds the per-object memory time (the larger of floor and
 	// zero-contention bandwidth time) in first-access order; the
 	// profiler's time-share observations derive from it. Tasks touch a
-	// handful of objects, so a flat association list in one allocation
-	// beats a map — read it with ObjSecOf.
+	// handful of objects, so a flat association list beats a map — read
+	// it with ObjSecOf.
 	ObjSecs []ObjSec
 
 	// BytesRead[tier] and BytesWritten[tier] are the task's traffic per
@@ -169,8 +170,26 @@ func (d Demand) StageRate(tier mem.Tier) float64 {
 // assumption over the object, refined only by chunking). Tiers are
 // visited fastest to slowest.
 func TaskDemandTiered(t *task.Task, h mem.HMS, tierFrac func(task.ObjectID, mem.Tier) float64) Demand {
-	d := Demand{ObjSecs: make([]ObjSec, 0, len(t.Accesses))}
-	d.FixedSec = t.CPUSec
+	var d Demand
+	d.FillTiered(t, h, tierFrac)
+	return d
+}
+
+// reset clears d for task t, keeping the ObjSecs backing array when it
+// can hold one entry per access: a caller that owns a Demand, like the
+// runtime's pooled task flows, computes demands without allocating.
+func (d *Demand) reset(t *task.Task) {
+	objSecs := d.ObjSecs[:0]
+	if cap(objSecs) < len(t.Accesses) {
+		objSecs = make([]ObjSec, 0, len(t.Accesses))
+	}
+	*d = Demand{FixedSec: t.CPUSec, ObjSecs: objSecs}
+}
+
+// FillTiered overwrites d with TaskDemandTiered(t, h, tierFrac), reusing
+// d's ObjSecs array.
+func (d *Demand) FillTiered(t *task.Task, h mem.HMS, tierFrac func(task.ObjectID, mem.Tier) float64) {
+	d.reset(t)
 	nt := h.NumTiers()
 	for _, a := range t.Accesses {
 		var objTime float64
@@ -196,7 +215,6 @@ func TaskDemandTiered(t *task.Task, h mem.HMS, tierFrac func(task.ObjectID, mem.
 		d.addObjSec(a.Obj, objTime)
 		d.memSec += objTime
 	}
-	return d
 }
 
 // TaskDemand is TaskDemandTiered for a two-way split: dramFrac gives,

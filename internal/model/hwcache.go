@@ -18,14 +18,21 @@ import (
 // placement: the cache pays fill and write-back bandwidth that explicit
 // placement avoids.
 func HWCacheDemand(t *task.Task, h mem.HMS, hit float64) Demand {
+	var d Demand
+	d.FillHWCache(t, h, hit)
+	return d
+}
+
+// FillHWCache overwrites d with HWCacheDemand(t, h, hit), reusing d's
+// ObjSecs array.
+func (d *Demand) FillHWCache(t *task.Task, h mem.HMS, hit float64) {
 	if hit < 0 {
 		hit = 0
 	}
 	if hit > 1 {
 		hit = 1
 	}
-	d := Demand{ObjSecs: make([]ObjSec, 0, len(t.Accesses))}
-	d.FixedSec = t.CPUSec
+	d.reset(t)
 	// The cache pair is the fastest tier in front of the slowest; middle
 	// tiers of an N-tier machine are not part of Memory Mode.
 	fastT, slowT := h.Fastest(), mem.Tier(0)
@@ -65,5 +72,4 @@ func HWCacheDemand(t *task.Task, h mem.HMS, hit float64) Demand {
 		d.addObjSec(a.Obj, objTime)
 		d.memSec += objTime
 	}
-	return d
 }

@@ -132,9 +132,25 @@ func (p *Priority) Len() int { return p.h.Len() }
 // non-empty victim otherwise (breadth-first remotely) — the classic
 // work-stealing discipline, deterministic for the simulation.
 type WorkSteal struct {
-	deques [][]*task.Task
+	deques []deque
 	rr     int
 	n      int
+}
+
+// deque holds a worker's ready tasks in tasks[head:]. A steal advances
+// head rather than re-slicing the front away, and an emptied deque
+// rewinds to the start of its array, so deques keep their capacity and
+// a run's steady state pushes without allocating.
+type deque struct {
+	tasks []*task.Task
+	head  int
+}
+
+// rewindIfEmpty restarts an emptied deque at the start of its array.
+func (d *deque) rewindIfEmpty() {
+	if d.head == len(d.tasks) {
+		d.tasks, d.head = d.tasks[:0], 0
+	}
 }
 
 // NewWorkSteal returns deques for the given number of workers.
@@ -142,7 +158,7 @@ func NewWorkSteal(workers int) *WorkSteal {
 	if workers < 1 {
 		workers = 1
 	}
-	return &WorkSteal{deques: make([][]*task.Task, workers)}
+	return &WorkSteal{deques: make([]deque, workers)}
 }
 
 // Push appends to the readying worker's deque.
@@ -151,7 +167,8 @@ func (w *WorkSteal) Push(t *task.Task, worker int) {
 		worker = w.rr % len(w.deques)
 		w.rr++
 	}
-	w.deques[worker] = append(w.deques[worker], t)
+	d := &w.deques[worker]
+	d.tasks = append(d.tasks, t)
 	w.n++
 }
 
@@ -160,17 +177,18 @@ func (w *WorkSteal) Pop(worker int) (*task.Task, bool) {
 	if worker < 0 || worker >= len(w.deques) {
 		worker = 0
 	}
-	if d := w.deques[worker]; len(d) > 0 {
-		t := d[len(d)-1]
-		w.deques[worker] = d[:len(d)-1]
+	if d := &w.deques[worker]; len(d.tasks) > d.head {
+		t := d.tasks[len(d.tasks)-1]
+		d.tasks = d.tasks[:len(d.tasks)-1]
+		d.rewindIfEmpty()
 		w.n--
 		return t, true
 	}
 	for i := 1; i <= len(w.deques); i++ {
-		v := (worker + i) % len(w.deques)
-		if d := w.deques[v]; len(d) > 0 {
-			t := d[0]
-			w.deques[v] = d[1:]
+		if d := &w.deques[(worker+i)%len(w.deques)]; len(d.tasks) > d.head {
+			t := d.tasks[d.head]
+			d.head++
+			d.rewindIfEmpty()
 			w.n--
 			return t, true
 		}

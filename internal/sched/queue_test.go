@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/task"
@@ -116,6 +117,96 @@ func TestWorkStealEmpty(t *testing.T) {
 	q.Push(mk(1)[0], 99)
 	if tk, ok := q.Pop(-5); !ok || tk.ID != 0 {
 		t.Fatal("out-of-range worker handling broken")
+	}
+}
+
+// sliceSteal is the re-slicing work-stealing queue WorkSteal replaced: a
+// steal drops the victim's front with d[1:].
+type sliceSteal struct {
+	deques [][]*task.Task
+	rr     int
+}
+
+func (w *sliceSteal) Push(t *task.Task, worker int) {
+	if worker < 0 || worker >= len(w.deques) {
+		worker = w.rr % len(w.deques)
+		w.rr++
+	}
+	w.deques[worker] = append(w.deques[worker], t)
+}
+
+func (w *sliceSteal) Pop(worker int) (*task.Task, bool) {
+	if worker < 0 || worker >= len(w.deques) {
+		worker = 0
+	}
+	if d := w.deques[worker]; len(d) > 0 {
+		w.deques[worker] = d[:len(d)-1]
+		return d[len(d)-1], true
+	}
+	for i := 1; i <= len(w.deques); i++ {
+		v := (worker + i) % len(w.deques)
+		if d := w.deques[v]; len(d) > 0 {
+			w.deques[v] = d[1:]
+			return d[0], true
+		}
+	}
+	return nil, false
+}
+
+// TestWorkStealMatchesSliceDeques drives WorkSteal and the re-slicing
+// queue through the same random push and pop sequences: the head index
+// must pop exactly the same tasks in the same order.
+func TestWorkStealMatchesSliceDeques(t *testing.T) {
+	ts := mk(4096)
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		workers := 1 + rng.Intn(6)
+		q, ref := NewWorkSteal(workers), &sliceSteal{deques: make([][]*task.Task, workers)}
+		next, queued := 0, 0
+		for step := 0; step < 2000; step++ {
+			w := rng.Intn(workers+1) - 1 // -1 is a root push
+			if next < len(ts) && (queued == 0 || rng.Intn(2) == 0) {
+				q.Push(ts[next], w)
+				ref.Push(ts[next], w)
+				next++
+				queued++
+				continue
+			}
+			got, ok := q.Pop(w)
+			want, wok := ref.Pop(w)
+			if ok != wok || got != want {
+				t.Fatalf("seed %d step %d: Pop(%d) = %v %v, want %v %v", seed, step, w, got, ok, want, wok)
+			}
+			if ok {
+				queued--
+			}
+			if q.Len() != queued {
+				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, q.Len(), queued)
+			}
+		}
+	}
+}
+
+// TestWorkStealSteadyStateAllocs checks that deques keep their capacity
+// across steals: once warm, pushing and draining by steals and own pops
+// allocates nothing.
+func TestWorkStealSteadyStateAllocs(t *testing.T) {
+	q := NewWorkSteal(2)
+	ts := mk(64)
+	cycle := func() {
+		for _, tk := range ts {
+			q.Push(tk, 0)
+		}
+		for i := 0; i < len(ts)/2; i++ {
+			q.Pop(1) // steals from worker 0's top
+		}
+		for q.Len() > 0 {
+			q.Pop(0)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Fatalf("%v allocs per push/steal/pop cycle, want 0", n)
 	}
 }
 

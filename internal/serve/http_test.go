@@ -83,6 +83,10 @@ func TestHTTPErrors(t *testing.T) {
 		// An mlp between 0 and 1 is refused at admission, not run to a failure.
 		{`{"graph":{"objects":[{"size":64}],"tasks":[{"kind":"k","accesses":[{"obj":0,"mode":"in","loads":1,"mlp":0.5}]}]}}`, http.StatusBadRequest},
 		{`{"workload":"heat","scale":4}`, http.StatusOK},
+		// An fft scale whose sizes overflow used to panic a worker with
+		// a divide by zero (64) or build negative sizes (59).
+		{`{"workload":"fft","scale":64}`, http.StatusBadRequest},
+		{`{"workload":"fft","scale":59}`, http.StatusBadRequest},
 		// Kinds x objects is capped at MaxInlinePairs: a graph one kind
 		// past the cap is refused, a graph at the cap runs.
 		{pairGraphBody(t, 1025, 1024), http.StatusBadRequest},

@@ -316,6 +316,9 @@ func (s *Server) resolve(j *job) error {
 		if j.wl, err = workloads.ByName(name); err != nil {
 			return err
 		}
+		if err := j.wl.CheckScale(req.Scale); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -274,6 +274,8 @@ func TestResolveRejects(t *testing.T) {
 		{Graph: &GraphSpec{Objects: []ObjectSpec{{Size: 1}}, Tasks: []TaskSpec{{Kind: "k", Accesses: []AccessSpec{{Obj: 0, Mode: "sideways"}}}}}},
 		{Graph: &GraphSpec{Objects: []ObjectSpec{{Size: 1}}, Tasks: []TaskSpec{{Kind: "k", Accesses: []AccessSpec{{Obj: 0, Mode: "in", MLP: 0.5}}}}}},
 		{Graph: pairGraph(1025, 1024)}, // one pair past MaxInlinePairs
+		{Workload: "fft", Scale: 64},   // sizes overflow int64
+		{Workload: "fft", Scale: 59},
 	}
 	for i, req := range bad {
 		r := req

@@ -14,6 +14,9 @@ func init() {
 		Description: "Iterative radix-2 FFT over blocks; stage stride alternates access patterns",
 		Build:       buildFFT,
 		App:         true,
+		// 2^58 points are the most whose twiddle bytes, 16·2^58/2, and
+		// total footprint fit in an int64; 16·2^59 already wraps.
+		MaxScale: 58,
 	})
 }
 

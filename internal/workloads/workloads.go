@@ -70,6 +70,19 @@ type Spec struct {
 	// App marks application workloads (shown in the main experiment
 	// figures); calibration microbenchmarks are not apps.
 	App bool
+	// MaxScale is the largest Params.Scale the workload builds: above it
+	// the instance's sizes overflow. 0 means any scale builds. Callers
+	// that take a scale from users check it with CheckScale first.
+	MaxScale int
+}
+
+// CheckScale reports an error when scale is above the workload's
+// MaxScale.
+func (s Spec) CheckScale(scale int) error {
+	if s.MaxScale > 0 && scale > s.MaxScale {
+		return fmt.Errorf("workloads: %s scale %d is above its maximum, %d", s.Name, scale, s.MaxScale)
+	}
+	return nil
 }
 
 var registry = map[string]Spec{}

@@ -95,6 +95,38 @@ func TestScaleChangesSize(t *testing.T) {
 	}
 }
 
+// TestMaxScale builds every capped workload at its cap: the graph must
+// validate with positive object sizes and a footprint that fits in an
+// int64, and one scale more must be refused. fft, whose sizes are
+// powers of two of its scale, must be capped.
+func TestMaxScale(t *testing.T) {
+	if s, _ := ByName("fft"); s.MaxScale == 0 {
+		t.Fatal("fft has no MaxScale")
+	}
+	for _, s := range All() {
+		if s.MaxScale == 0 {
+			continue
+		}
+		g := s.Build(Params{Scale: s.MaxScale}).Graph
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s at scale %d: %v", s.Name, s.MaxScale, err)
+		}
+		var total int64
+		for _, o := range g.Objects {
+			if o.Size <= 0 || total+o.Size < total {
+				t.Fatalf("%s at scale %d: object %s size %d overflows (footprint so far %d)", s.Name, s.MaxScale, o.Name, o.Size, total)
+			}
+			total += o.Size
+		}
+		if err := s.CheckScale(s.MaxScale); err != nil {
+			t.Fatalf("%s: its own cap refused: %v", s.Name, err)
+		}
+		if err := s.CheckScale(s.MaxScale + 1); err == nil {
+			t.Fatalf("%s: scale %d accepted above the cap", s.Name, s.MaxScale+1)
+		}
+	}
+}
+
 func TestDefaultFootprintsAreHMSScale(t *testing.T) {
 	// Application footprints must be large enough that a 256 MB DRAM
 	// cannot hold everything (otherwise the experiments degenerate).

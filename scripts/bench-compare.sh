@@ -20,7 +20,7 @@ go run ./cmd/tahoe-replay -check -workload heat -cxl 64 -dram 32
 go run ./cmd/tahoe-replay -check -workload cg -faults "rate=8,seed=7,horizon=0.3"
 
 out="$(go test -run '^$' \
-  -bench 'BenchmarkSimEngineContention|BenchmarkSimEngineManyFlows|BenchmarkE4_MainComparisonBW|BenchmarkExperimentSuiteQuick|BenchmarkPlannerGlobal$|BenchmarkPlannerLocal$|BenchmarkPlannerReplan$|BenchmarkPlannerLevel$|BenchmarkKnapsackDP$|BenchmarkTraceRecord$|BenchmarkTraceJSONL$|BenchmarkChaosSuite$|BenchmarkServeThroughput$|BenchmarkProfilerRecord$|BenchmarkE20_ProfNoiseRegret$|BenchmarkE21_Feedback$|BenchmarkE22_ClusterFaults$|BenchmarkClusterFailover$|BenchmarkFeedbackObserve$|BenchmarkGraphBuild$|BenchmarkHeapMove$' \
+  -bench 'BenchmarkSimEngineContention|BenchmarkSimEngineManyFlows|BenchmarkE4_MainComparisonBW|BenchmarkExperimentSuiteQuick|BenchmarkPlannerGlobal$|BenchmarkPlannerLocal$|BenchmarkPlannerReplan$|BenchmarkPlannerLevel$|BenchmarkKnapsackDP$|BenchmarkTraceRecord$|BenchmarkTraceJSONL$|BenchmarkChaosSuite$|BenchmarkServeThroughput$|BenchmarkProfilerRecord$|BenchmarkE20_ProfNoiseRegret$|BenchmarkE21_Feedback$|BenchmarkE22_ClusterFaults$|BenchmarkClusterFailover$|BenchmarkFeedbackObserve$|BenchmarkGraphBuild$|BenchmarkHeapMove$|BenchmarkRuntimeFullRun$|BenchmarkRuntimeFullRunFirstTouch$' \
   -benchtime "$benchtime" -benchmem -count 1 .)"
 echo "$out"
 

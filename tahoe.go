@@ -181,6 +181,9 @@ func BuildWorkload(name string, p WorkloadParams) (Workload, error) {
 	if err != nil {
 		return Workload{}, err
 	}
+	if err := s.CheckScale(p.Scale); err != nil {
+		return Workload{}, err
+	}
 	return s.Build(p), nil
 }
 

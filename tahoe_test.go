@@ -71,6 +71,10 @@ func TestBuildWorkloadUnknown(t *testing.T) {
 	if _, err := BuildWorkload("no-such-thing", WorkloadParams{}); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
+	// Above fft's MaxScale its sizes overflow; the build used to panic.
+	if _, err := BuildWorkload("fft", WorkloadParams{Scale: 64}); err == nil {
+		t.Fatal("fft scale 64 accepted")
+	}
 }
 
 func TestExperimentRegistry(t *testing.T) {
