@@ -13,6 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/feedback"
 	"repro/internal/heap"
+	"repro/internal/migrate"
 	"repro/internal/placement"
 	"repro/internal/prof"
 	"repro/internal/serve"
@@ -69,6 +70,10 @@ func BenchmarkRuntimeFullRun(b *testing.B) { benchFullRun(b, Tahoe) }
 // and machine under FirstTouch, which never plans or migrates, so its
 // cost is the task lifecycle and per-run set-up alone.
 func BenchmarkRuntimeFullRunFirstTouch(b *testing.B) { benchFullRun(b, FirstTouch) }
+
+// BenchmarkRuntimeFullRunPhaseBased is its PhaseBased twin: the other
+// planning policy, with per-level knapsacks through the solver's memo.
+func BenchmarkRuntimeFullRunPhaseBased(b *testing.B) { benchFullRun(b, PhaseBased) }
 
 func benchFullRun(b *testing.B, p Policy) {
 	h := NewHMS(DRAM(), NVMBandwidth(0.5), 128*MB)
@@ -299,6 +304,58 @@ func BenchmarkHeapMove(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkMigrateEnqueueSettle times the migration layer alone: one op
+// enqueues, on a warm engine, a request its chunk already satisfies and
+// eight promotions, cancels two queued promotions, runs the helper thread to
+// quiescence, then demotes every promoted chunk and runs to quiescence
+// again. allocs/op is pinned at 0: copies run on one reused flow and
+// settlements on one bound callback.
+func BenchmarkMigrateEnqueueSettle(b *testing.B) {
+	h := NewHMS(DRAM(), NVMBandwidth(0.5), 128*MB)
+	objs := make([]*task.Object, 8)
+	for i := range objs {
+		objs[i] = &task.Object{ID: task.ObjectID(i), Size: 4 * MB}
+	}
+	st, err := heap.NewState(h, objs, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := sim.NewEngine()
+	m := migrate.New(e, st, h)
+	settled := 0
+	done := func(float64, migrate.Request, bool) { settled++ }
+	op := func() {
+		m.Enqueue(migrate.Request{Ref: heap.ChunkRef{Obj: 7}, To: 0, ForTask: -1, Done: done})
+		for i := range objs {
+			ref := heap.ChunkRef{Obj: task.ObjectID(i)}
+			m.Enqueue(migrate.Request{Ref: ref, To: st.Fastest(), ForTask: task.TaskID(i), Done: done})
+		}
+		m.CancelQueued(heap.ChunkRef{Obj: 3}, -1)
+		m.CancelQueued(heap.ChunkRef{Obj: 5}, -1)
+		e.Run()
+		for i := range objs {
+			if ref := (heap.ChunkRef{Obj: task.ObjectID(i)}); st.Tier(ref) != 0 {
+				m.Enqueue(migrate.Request{Ref: ref, To: 0, ForTask: -1, Done: done})
+			}
+		}
+		e.Run()
+		if m.QueueLen() != 0 || m.PendingCount() != 0 {
+			b.Fatalf("%d queued and %d pending after quiescence", m.QueueLen(), m.PendingCount())
+		}
+	}
+	op() // warm: grow the queues and the engine's timer heap once
+	settled = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	if settled != 15*b.N {
+		b.Fatalf("%d settlements in %d ops, want 15 per op", settled, b.N)
 	}
 }
 

@@ -112,13 +112,13 @@ func (r *runner) adaptSampling() (boosted int) {
 
 	// The global knapsack's item list, so the embedded Solve call is a
 	// memo lookup for Tahoe's global plan.
-	items := r.globalItems(r.adaptItems[:0])
-	r.adaptItems = items
+	items := r.globalItems(p.adaptItems[:0])
+	p.adaptItems = items
 	if len(items) == 0 {
 		return 0
 	}
 	misses := p.solver.Misses
-	r.adaptMargins = p.solver.Margins(items, r.cfg.HMS.Capacity(r.fastTier), placement.DefaultGranularity, r.adaptMargins)
+	p.adaptMargins = p.solver.Margins(items, r.cfg.HMS.Capacity(r.fastTier), placement.DefaultGranularity, p.adaptMargins)
 	if marginsAudit != nil {
 		marginsAudit(r, p.solver.Misses == misses)
 	}
@@ -136,7 +136,7 @@ func (r *runner) adaptSampling() (boosted int) {
 	// Fold per-chunk margins into a per-object tolerance: the smallest
 	// relative perturbation of the object's per-chunk benefit that could
 	// flip any of its chunks.
-	rel := r.adaptObjRel
+	rel := p.adaptObjRel
 	for i := range rel {
 		rel[i] = math.Inf(1)
 	}
@@ -147,7 +147,7 @@ func (r *runner) adaptSampling() (boosted int) {
 			continue
 		}
 		per := math.Abs(total) / float64(len(r.st.Refs(obj)))
-		if m := r.adaptMargins[i] / per; m < rel[obj] {
+		if m := p.adaptMargins[i] / per; m < rel[obj] {
 			rel[obj] = m
 		}
 	}

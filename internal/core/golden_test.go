@@ -79,13 +79,30 @@ func goldenRun(t *testing.T, name string, app string, scale int, cfg Config) str
 		res.Migration.Migrations, res.Replans, traceSHA(t, tr))
 }
 
-// goldenLines computes every line of the golden file: each app under six
-// policies on both grid machines, then Tahoe with noisy adaptive
-// sampling and Tahoe under a fault schedule with feedback on, both on a
-// 2-tier machine with 32 MB of DRAM, where most graphs overflow DRAM and
-// the noise, faults and corrections steer placement. Model factors are
-// calibrated per machine, as the daemon does.
+// goldenCase is one run of the golden grid.
+type goldenCase struct {
+	name  string
+	app   string
+	scale int
+	cfg   Config
+}
+
+// goldenLines computes every line of the golden file, in order.
 func goldenLines(t *testing.T) []string {
+	var lines []string
+	for _, c := range goldenCases(t) {
+		lines = append(lines, goldenRun(t, c.name, c.app, c.scale, c.cfg))
+	}
+	return lines
+}
+
+// goldenCases lists the golden grid: each app under six policies on both
+// grid machines, then Tahoe with noisy adaptive sampling and Tahoe under
+// a fault schedule with feedback on, both on a 2-tier machine with 32 MB
+// of DRAM, where most graphs overflow DRAM and the noise, faults and
+// corrections steer placement. Model factors are calibrated per machine,
+// as the daemon does.
+func goldenCases(t *testing.T) []goldenCase {
 	calibrated := func(h mem.HMS) Config {
 		f, err := calib.Calibrate(calib.Envelope(h), prof.DefaultConfig())
 		if err != nil {
@@ -95,7 +112,7 @@ func goldenLines(t *testing.T) []string {
 		cfg.CFBw, cfg.CFLat = f.CFBw, f.CFLat
 		return cfg
 	}
-	var lines []string
+	var cases []goldenCase
 	for _, m := range goldenMachines {
 		base := calibrated(m.hms)
 		for _, a := range goldenApps {
@@ -103,7 +120,7 @@ func goldenLines(t *testing.T) []string {
 				cfg := base
 				cfg.Policy = p
 				name := fmt.Sprintf("%s/%d %s %s", a.name, a.scale, p, m.name)
-				lines = append(lines, goldenRun(t, name, a.name, a.scale, cfg))
+				cases = append(cases, goldenCase{name, a.name, a.scale, cfg})
 			}
 		}
 	}
@@ -115,13 +132,13 @@ func goldenLines(t *testing.T) []string {
 	for _, a := range goldenApps {
 		noisy := base
 		noisy.Prof.Jitter, noisy.Prof.Seed, noisy.Prof.Adaptive = 0.3, 42, true
-		lines = append(lines, goldenRun(t, fmt.Sprintf("%s/%d %s 2tier-bw0.5-32MB noisy-adaptive", a.name, a.scale, Tahoe), a.name, a.scale, noisy))
+		cases = append(cases, goldenCase{fmt.Sprintf("%s/%d %s 2tier-bw0.5-32MB noisy-adaptive", a.name, a.scale, Tahoe), a.name, a.scale, noisy})
 		faulty := base
 		faulty.Faults = faults
 		faulty.Feedback.Enabled = true
-		lines = append(lines, goldenRun(t, fmt.Sprintf("%s/%d %s 2tier-bw0.5-32MB faults-feedback", a.name, a.scale, Tahoe), a.name, a.scale, faulty))
+		cases = append(cases, goldenCase{fmt.Sprintf("%s/%d %s 2tier-bw0.5-32MB faults-feedback", a.name, a.scale, Tahoe), a.name, a.scale, faulty})
 	}
-	return lines
+	return cases
 }
 
 // TestGoldenRuns pins the results of a fixed grid of runs bit for bit:
@@ -151,17 +168,7 @@ func TestGoldenRuns(t *testing.T) {
 		}
 		return
 	}
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	var want []string
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	for sc.Scan() {
-		if l := sc.Text(); l != "" && !strings.HasPrefix(l, "#") {
-			want = append(want, l)
-		}
-	}
+	want := goldenWant(t)
 	if len(got) != len(want) {
 		t.Fatalf("%d runs, golden file has %d", len(got), len(want))
 	}
@@ -177,4 +184,20 @@ func TestGoldenRuns(t *testing.T) {
 	if bad > 0 {
 		t.Errorf("%d of %d runs differ from %s", bad, len(got), goldenPath)
 	}
+}
+
+// goldenWant reads the golden file's lines.
+func goldenWant(t *testing.T) []string {
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	var want []string
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	for sc.Scan() {
+		if l := sc.Text(); l != "" && !strings.HasPrefix(l, "#") {
+			want = append(want, l)
+		}
+	}
+	return want
 }

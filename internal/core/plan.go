@@ -157,9 +157,12 @@ type plannerState struct {
 
 	chunkSize []int64 // per global chunk index (immutable)
 
-	uses     [][]objUse        // per object: future-relevant access entries
-	kindObjs [][]task.ObjectID // per kind: distinct objects it touches
+	uses     [][]objUse        // per object: future-relevant access entries, in useBuf
+	kindObjs [][]task.ObjectID // per kind: distinct objects it touches, in kindBuf
 	users    [][]task.TaskID   // per object: the graph's user list (g.Users)
+	useBuf   []objUse
+	kindBuf  []task.ObjectID
+	kindOff  []int // kindObjs offsets into kindBuf, during reset
 
 	// futureUses[obj] counts access entries among not-yet-started tasks;
 	// decremented as tasks start. Integer, hence exactly the reference's
@@ -178,7 +181,7 @@ type plannerState struct {
 	objDirty []bool
 	dirty    []task.ObjectID
 
-	solver *placement.Solver
+	solver placement.Solver
 
 	// Scratch reused across plans.
 	future   []*task.Task
@@ -199,6 +202,31 @@ type plannerState struct {
 	byLevel  [][]*task.Task // level-plan (PhaseBased) scratch
 	agg      []float64
 	levelBuf []uint64 // backing store of perLevel's targets
+	// levelEnforced marks the levels whose PhaseBased targets have been
+	// enqueued (enforceLevel).
+	levelEnforced []bool
+
+	// Adaptive-sampling scratch (adaptive.go): the flip-margin query's
+	// items and margins, the per-object minimum relative margin, and the
+	// storage of runner.kindBoosted.
+	adaptItems   []placement.Item
+	adaptMargins []float64
+	adaptObjRel  []float64
+	kindBoosted  []bool
+
+	// N-tier plan scratch (plan_tiers.go): per-(kind, object) per-tier
+	// benefits and their computed flags, per-object per-tier totals and
+	// their live flags, the items with their weights, and the plan's tier
+	// assignment.
+	tierPair   []float64
+	tierPairOK []bool
+	tierTotals []float64
+	tierLive   []bool
+	tierItems  []placement.TierItem
+	tierW      []float64
+	tierTo     []mem.Tier
+
+	refCounts []refCount // initial reference-count placement (policy.go)
 
 	// Plan storage, overwritten by the next plan: the global target, the
 	// per-task view table and its flat backing buffer (consecutive tasks
@@ -215,80 +243,102 @@ type wantPromo struct {
 	id  task.TaskID
 }
 
-// newPlannerState builds the planner's derived tables. All objects start
-// dirty; the first plan folds every total once.
-func newPlannerState(r *runner) *plannerState {
+// reset re-derives the planner's tables for r's graph and heap in p's
+// buffers and returns p. All objects start dirty; the first plan folds
+// every total once.
+func (p *plannerState) reset(r *runner) *plannerState {
 	g, st := r.g, r.st
 	nobj := len(g.Objects)
 	nk := len(g.Kinds())
 	total := st.TotalChunks()
-	p := &plannerState{
-		words:      planWords(total),
-		nobj:       nobj,
-		nk:         nk,
-		chunkSize:  make([]int64, total),
-		uses:       make([][]objUse, nobj),
-		kindObjs:   make([][]task.ObjectID, nk),
-		users:      make([][]task.TaskID, nobj),
-		futureUses: make([]int32, nobj),
-		pairB:      make([]float64, nk*nobj),
-		pairOK:     make([]bool, nk*nobj),
-		totals:     make([]float64, nobj),
-		objDirty:   make([]bool, nobj),
-		solver:     placement.NewSolver(),
-		objMark:    make([]bool, nobj),
-		kindMark:   make([]bool, nk),
-		ahead:      make([]int, nobj),
-		beyond:     make([]int, nobj),
-	}
-	for ix := 0; ix < total; ix++ {
+	p.words, p.nobj, p.nk = planWords(total), nobj, nk
+	p.chunkSize = reuse(p.chunkSize, total)
+	for ix := range p.chunkSize {
 		p.chunkSize[ix] = st.ChunkSize(st.RefAt(ix))
 	}
-	for obj := range p.users {
-		p.users[obj] = g.Users(task.ObjectID(obj))
-	}
-	// Use tables: count, then fill flat, preserving (task, access) order.
-	counts := make([]int32, nobj)
+	p.users = reuse(p.users, nobj)
+	p.uses = reuse(p.uses, nobj)
+	p.futureUses = reuse(p.futureUses, nobj)
+	p.pairB = reuse(p.pairB, nk*nobj)
+	p.pairOK = reuse(p.pairOK, nk*nobj)
+	p.totals = reuse(p.totals, nobj)
+	p.objDirty = reuse(p.objDirty, nobj)
+	p.objMark = reuse(p.objMark, nobj)
+	p.kindMark = reuse(p.kindMark, nk)
+	p.ahead = reuse(p.ahead, nobj)
+	p.beyond = reuse(p.beyond, nobj)
+	p.agg = reuse(p.agg, nobj)
+	p.adaptObjRel = reuse(p.adaptObjRel, nobj)
+	p.kindBoosted = reuse(p.kindBoosted, nk)
+	p.solver.Reset()
+
+	// Use tables, one flat buffer in (task, access-position) order per
+	// object: each user's entries for the object, users ascending.
+	var accesses int
 	for _, t := range g.Tasks {
+		accesses += len(t.Accesses)
+	}
+	flat := reuse(p.useBuf, accesses)[:0]
+	for obj := range p.uses {
+		users := g.Users(task.ObjectID(obj))
+		p.users[obj] = users
+		lo := len(flat)
+		for _, id := range users {
+			k := int32(g.KindIndex(id))
+			for _, a := range g.Task(id).Accesses {
+				if a.Obj == task.ObjectID(obj) {
+					flat = append(flat, objUse{task: int32(id), kind: k})
+				}
+			}
+		}
+		p.uses[obj] = flat[lo:len(flat):len(flat)]
+		p.futureUses[obj] = int32(len(flat) - lo)
+	}
+	p.useBuf = flat
+
+	// Kind tables, one flat buffer in first-touch order per kind. The
+	// first pass counts each kind's distinct objects, marking pairs in
+	// pairOK; the second fills them and clears the marks again.
+	off := reuse(p.kindOff, nk+1)
+	for _, t := range g.Tasks {
+		k := g.KindIndex(t.ID)
 		for _, a := range t.Accesses {
-			counts[a.Obj]++
+			if ix := k*nobj + int(a.Obj); !p.pairOK[ix] {
+				p.pairOK[ix] = true
+				off[k+1]++
+			}
 		}
 	}
-	var flatTotal int32
-	for _, c := range counts {
-		flatTotal += c
+	for k := 0; k < nk; k++ {
+		off[k+1] += off[k]
 	}
-	flat := make([]objUse, flatTotal)
-	offs := make([]int32, nobj)
-	var off int32
-	for obj, c := range counts {
-		p.uses[obj] = flat[off : off+c : off+c]
-		offs[obj] = off
-		off += c
+	p.kindOff = off
+	p.kindBuf = reuse(p.kindBuf, off[nk])
+	p.kindObjs = reuse(p.kindObjs, nk)
+	for k := range p.kindObjs {
+		p.kindObjs[k] = p.kindBuf[off[k]:off[k]:off[k+1]]
 	}
-	pairMark := make([]bool, nk*nobj)
 	for _, t := range g.Tasks {
-		k := int32(g.KindIndex(t.ID))
+		k := g.KindIndex(t.ID)
 		for _, a := range t.Accesses {
-			flat[offs[a.Obj]] = objUse{task: int32(t.ID), kind: k}
-			offs[a.Obj]++
-			p.futureUses[a.Obj]++
-			if ix := int(k)*nobj + int(a.Obj); !pairMark[ix] {
-				pairMark[ix] = true
+			if ix := k*nobj + int(a.Obj); p.pairOK[ix] {
+				p.pairOK[ix] = false
 				p.kindObjs[k] = append(p.kindObjs[k], a.Obj)
 			}
 		}
 	}
-	p.dirty = make([]task.ObjectID, 0, nobj)
+
+	p.dirty = p.dirty[:0]
 	for obj := 0; obj < nobj; obj++ {
 		p.objDirty[obj] = true
 		p.dirty = append(p.dirty, task.ObjectID(obj))
 	}
-	p.resident = make(planSet, p.words)
-	p.keep = make(planSet, p.words)
-	p.seen = make(planSet, p.words)
-	p.globalBuf = make(planSet, p.words)
-	p.perTask = make([]planSet, len(g.Tasks))
+	p.resident = reuse(p.resident, p.words)
+	p.keep = reuse(p.keep, p.words)
+	p.seen = reuse(p.seen, p.words)
+	p.globalBuf = reuse(p.globalBuf, p.words)
+	p.perTask = reuse(p.perTask, len(g.Tasks))
+	p.byLevel, p.perLevel, p.levelEnforced = p.byLevel[:0], p.perLevel[:0], p.levelEnforced[:0]
 	return p
 }
 
@@ -596,9 +646,6 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 	clear(p.ahead)
 	clear(p.beyond)
 
-	if len(p.perTask) < len(r.g.Tasks) {
-		p.perTask = make([]planSet, len(r.g.Tasks))
-	}
 	perTask := p.perTask
 	for i := range perTask {
 		perTask[i] = nil
@@ -711,14 +758,15 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 func (r *runner) computeLevelPlan(future []*task.Task) planResult {
 	p := r.pt
 	levels := r.levels
-	if p.byLevel == nil {
+	if len(p.byLevel) == 0 {
 		maxLevel := 0
 		for _, lv := range levels {
 			maxLevel = max(maxLevel, lv)
 		}
-		p.byLevel = make([][]*task.Task, maxLevel+1)
-		p.perLevel = make([]planSet, maxLevel+1)
-		p.agg = make([]float64, p.nobj)
+		// Keep the level lists' arrays: they hold only this run's tasks
+		// once the loop below has re-sliced them.
+		p.byLevel = slices.Grow(p.byLevel, maxLevel+1)[:maxLevel+1]
+		p.perLevel = reuse(p.perLevel, maxLevel+1)
 	}
 	byLevel, perLevel := p.byLevel, p.perLevel
 	for lv := range byLevel {

@@ -30,49 +30,46 @@ func (r *runner) computeTierPlan(future []*task.Task) planResult {
 
 	// Per-(kind, object) per-tier benefits, computed once per pair per
 	// plan; per-object totals fold them over unstarted uses, mirroring
-	// refreshTotals.
-	pair := make([][]float64, p.nk*p.nobj)
-	pairFor := func(k int32, obj task.ObjectID) []float64 {
-		ix := int(k)*p.nobj + int(obj)
-		if b := pair[ix]; b != nil {
-			return b
-		}
-		b := make([]float64, nt)
-		for t := 1; t < nt; t++ {
-			b[t] = r.benefitPerExecTo(int(k), obj, mem.Tier(t))
-		}
-		pair[ix] = b
-		return b
-	}
-	totals := make([][]float64, p.nobj)
+	// refreshTotals. An object is a candidate once any partial sum was
+	// nonzero. All of it lives in the planner's flat scratch, nt entries
+	// per pair and per object.
+	p.tierPair = reuse(p.tierPair, p.nk*p.nobj*nt)
+	p.tierPairOK = reuse(p.tierPairOK, p.nk*p.nobj)
+	p.tierTotals = reuse(p.tierTotals, p.nobj*nt)
+	p.tierLive = reuse(p.tierLive, p.nobj)
 	for obj := 0; obj < p.nobj; obj++ {
-		sum := make([]float64, nt)
-		any := false
+		sum := p.tierTotals[obj*nt : (obj+1)*nt]
 		for _, u := range p.uses[obj] {
 			if r.started[u.task] {
 				continue
 			}
-			b := pairFor(u.kind, task.ObjectID(obj))
+			ix := int(u.kind)*p.nobj + obj
+			b := p.tierPair[ix*nt : (ix+1)*nt]
+			if !p.tierPairOK[ix] {
+				p.tierPairOK[ix] = true
+				for t := 1; t < nt; t++ {
+					b[t] = r.benefitPerExecTo(int(u.kind), task.ObjectID(obj), mem.Tier(t))
+				}
+			}
 			for t := 1; t < nt; t++ {
 				sum[t] += b[t]
 				if sum[t] != 0 {
-					any = true
+					p.tierLive[obj] = true
 				}
 			}
 		}
-		if any {
-			totals[obj] = sum
-		}
 	}
 
-	// One TierItem per chunk of every object with any nonzero benefit.
-	var items []placement.TierItem
+	// One TierItem per chunk of every candidate object; item i's weights
+	// are tierW[i*nt:(i+1)*nt].
+	items := p.tierItems[:0]
+	w := p.tierW[:0]
 	meanSec := r.meanTaskSec()
 	for _, o := range r.g.Objects {
-		tot := totals[o.ID]
-		if tot == nil {
+		if !p.tierLive[o.ID] {
 			continue
 		}
+		tot := p.tierTotals[int(o.ID)*nt : (int(o.ID)+1)*nt]
 		refs := r.st.Refs(o.ID)
 		base := r.st.ChunkBase(o.ID)
 		firstUse := task.TaskID(len(r.g.Tasks))
@@ -83,31 +80,36 @@ func (r *runner) computeTierPlan(future []*task.Task) planResult {
 		for i, ref := range refs {
 			size := p.chunkSize[base+i]
 			cur := r.st.Tier(ref)
-			w := make([]float64, nt)
+			w = append(w, 0)
 			for t := 1; t < nt; t++ {
 				per := tot[t] / float64(len(refs))
 				cost := 0.0
 				if cur != mem.Tier(t) {
 					cost = r.params.MigrationCostBetween(size, overlap, cur, mem.Tier(t))
 				}
-				w[t] = per - cost
+				w = append(w, per-cost)
 			}
-			items = append(items, placement.TierItem{Ref: ref, Size: size, Weight: w})
+			items = append(items, placement.TierItem{Ref: ref, Size: size})
 		}
 	}
+	for i := range items {
+		items[i].Weight = w[i*nt : (i+1)*nt : (i+1)*nt]
+	}
+	p.tierItems, p.tierW = items, w
 
-	caps := make([]int64, nt)
+	var caps [mem.MaxTiers]int64
 	for t := 1; t < nt; t++ {
 		caps[t] = r.cfg.HMS.Capacity(mem.Tier(t))
 		if r.quarantinedTier(mem.Tier(t)) {
 			caps[t] = 0 // closed: AssignTiers skips the tier's stage
 		}
 	}
-	assign := placement.AssignTiers(p.solver, items, caps, placement.DefaultGranularity)
+	assign := placement.AssignTiers(&p.solver, items, caps[:nt], placement.DefaultGranularity)
 
 	// tierTo over the global chunk index: -1 = no opinion (chunk was not a
 	// candidate; it stays wherever it is, demoted only on demand).
-	tierTo := make([]mem.Tier, r.st.TotalChunks())
+	tierTo := reuse(p.tierTo, r.st.TotalChunks())
+	p.tierTo = tierTo
 	for ix := range tierTo {
 		tierTo[ix] = -1
 	}

@@ -132,6 +132,6 @@ func (pb *PlannerBench) Replan() float64 {
 
 // SolverStats exposes the knapsack memo's hit/miss counters.
 func (pb *PlannerBench) SolverStats() (hits, misses int) {
-	s := pb.r.pt.solver
+	s := &pb.r.pt.solver
 	return s.Hits, s.Misses
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/heap"
 	"repro/internal/model"
@@ -161,20 +162,18 @@ func (r *runner) placeXMem() error {
 // memory reference counts (no cache modeling, no sensitivity analysis —
 // just reference totals) fills DRAM with the most-referenced objects.
 func (r *runner) placeByReferenceCount() error {
-	traffic := r.g.ObjectTraffic()
-	type refCount struct {
-		obj  task.ObjectID
-		refs int64
+	counts := reuse(r.pt.refCounts, len(r.g.Objects))
+	r.pt.refCounts = counts
+	for obj := range counts {
+		counts[obj].obj = task.ObjectID(obj)
 	}
-	counts := make([]refCount, 0, len(traffic))
-	for obj, agg := range traffic {
-		counts = append(counts, refCount{task.ObjectID(obj), agg.Loads + agg.Stores})
-	}
-	sort.Slice(counts, func(i, j int) bool {
-		if counts[i].refs != counts[j].refs {
-			return counts[i].refs > counts[j].refs
+	for _, t := range r.g.Tasks {
+		for _, a := range t.Accesses {
+			counts[a.Obj].refs += a.Loads + a.Stores
 		}
-		return counts[i].obj < counts[j].obj
+	}
+	slices.SortFunc(counts, func(a, b refCount) int {
+		return cmp.Or(cmp.Compare(b.refs, a.refs), cmp.Compare(a.obj, b.obj))
 	})
 	for _, c := range counts {
 		if c.refs == 0 {
@@ -183,6 +182,13 @@ func (r *runner) placeByReferenceCount() error {
 		r.placeIfFits(c.obj)
 	}
 	return nil
+}
+
+// refCount is one object's total memory references, for
+// placeByReferenceCount.
+type refCount struct {
+	obj  task.ObjectID
+	refs int64
 }
 
 // hwCacheHitRatio models Memory Mode: DRAM as a direct-mapped,

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/feedback"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/migrate"
 	"repro/internal/model"
-	"repro/internal/placement"
 	"repro/internal/prof"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -132,6 +132,10 @@ type runner struct {
 	kindSinceAudit []int
 	auditDrift     []int
 
+	// ms is the pooled working set of a profiling policy's run (pool.go),
+	// nil under the other policies; pt, profiler, fb, flowPool and
+	// planFlows live in it while the run holds it.
+	ms *managed
 	// pt is the incremental planning state (profiling policies only);
 	// see plannerState in plan.go.
 	pt *plannerState
@@ -146,9 +150,8 @@ type runner struct {
 	// retry livelock. Cleared on every completion. Indexed by the dense
 	// global chunk index; promoBlocked counts set entries so the common
 	// nothing-blocked case clears nothing.
-	promoBlock    []bool
-	promoBlocked  int
-	levelEnforced []bool
+	promoBlock   []bool
+	promoBlocked int
 	// pendingTier[t] is the projected byte delta of tier t from queued and
 	// in-flight movements: promotions targeting t add their size, moves
 	// leaving t subtract it. TierAvail(t)-pendingTier[t] is the headroom a
@@ -181,8 +184,16 @@ type runner struct {
 	// fired the engine holds no reference to it, so start() can reuse the
 	// Flow, its two-stage array, its Demand's ObjSecs array and the
 	// pre-bound completion context. The pool's high-water mark is the
-	// worker count, not the task count.
-	flowPool []*taskFlow
+	// worker count, not the task count. planFlows recycles the plans'
+	// serialization flows the same way.
+	flowPool  []*taskFlow
+	planFlows []*planFlow
+
+	// victims is makeRoomOn's candidate stack: each call pushes its
+	// victims above those of the calls it cascades from and pops them on
+	// return. moveDoneFn is moveDone, bound once per run.
+	victims    []victim
+	moveDoneFn func(now float64, req migrate.Request, ok bool)
 
 	// exposureSince, when >= 0, marks the start of an interval in which a
 	// worker sits idle with no runnable task while tasks wait on
@@ -190,15 +201,12 @@ type runner struct {
 	// migration cost.
 	exposureSince float64
 
-	// Adaptive-sampling scratch (nil unless cfg.Prof.Adaptive and the
-	// policy profiles): reusable item/margin buffers for the flip-margin
-	// query, per-object minimum relative margin, and a once-per-run guard
-	// so each kind's sampling rate is raised at most once.
-	adaptItems   []placement.Item
-	adaptMargins []float64
-	adaptObjRel  []float64
-	kindBoosted  []bool
-	adaptRounds  int
+	// Adaptive sampling (adaptive.go; nil/zero unless cfg.Prof.Adaptive
+	// and the policy profiles): a once-per-run guard so each kind's
+	// sampling rate is raised at most once, held in the planner's
+	// buffers, and the count of boost rounds.
+	kindBoosted []bool
+	adaptRounds int
 
 	// Feedback state (nil/zero unless cfg.Feedback.Enabled and the policy
 	// profiles; every consumer is gated so feedback-off runs stay
@@ -240,6 +248,7 @@ func Run(g *task.Graph, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	r := &runner{cfg: cfg, g: g}
+	defer r.release()
 	if err := r.setup(); err != nil {
 		return Result{}, err
 	}
@@ -291,6 +300,15 @@ func Run(g *task.Graph, cfg Config) (Result, error) {
 		res.CopyBusyFrac = r.mig.CopyBusySec() / end
 	}
 	return res, nil
+}
+
+// release hands the run's managed working set, if it holds one, back to
+// the pool with the flow carriers the run has returned.
+func (r *runner) release() {
+	if m := r.ms; m != nil {
+		m.flows, m.planFlows = r.flowPool, r.planFlows
+		m.recycle()
+	}
 }
 
 // energy totals the run's memory-system energy: accumulated dynamic
@@ -421,15 +439,17 @@ func (r *runner) setup() error {
 	r.auditDrift = make([]int, nk)
 	r.promoBlock = make([]bool, r.st.TotalChunks())
 	if r.profilesKinds() {
-		r.profiler = prof.New(r.cfg.Prof, kinds, nobj)
-		r.pt = newPlannerState(r)
+		m := takeManaged()
+		r.ms = m
+		r.profiler = m.prof.Reset(r.cfg.Prof, kinds, nobj)
+		r.pt = m.pt.reset(r)
 		if r.cfg.Prof.Adaptive {
-			r.kindBoosted = make([]bool, nk)
-			r.adaptObjRel = make([]float64, nobj)
+			r.kindBoosted = r.pt.kindBoosted
 		}
 		if r.cfg.Feedback.Enabled {
-			r.fb = feedback.New(nk, nobj)
+			r.fb = m.fb.Reset(nk, nobj)
 		}
+		r.flowPool, r.planFlows = m.flows, m.planFlows
 	}
 
 	if r.cfg.NewQueue != nil {
@@ -654,6 +674,7 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 		tf = r.flowPool[n-1]
 		r.flowPool[n-1] = nil
 		r.flowPool = r.flowPool[:n-1]
+		tf.r = r // a pooled working set's carrier served an earlier run
 		tf.flow.Reuse()
 	} else {
 		tf = &taskFlow{r: r}
@@ -1199,12 +1220,33 @@ func (r *runner) finishPlan(now float64, cost float64) {
 	// The decision runs on the main thread: model it as a short
 	// serialization that delays dispatch.
 	if cost > 0 {
-		r.e.StartFlow(&sim.Flow{
-			Label:  "runtime:plan",
-			Stages: []sim.Stage{{Fixed: cost}},
-			OnDone: func(float64) { r.scheduleDispatch() },
-		})
+		var pf *planFlow
+		if n := len(r.planFlows); n > 0 {
+			pf = r.planFlows[n-1]
+			r.planFlows = r.planFlows[:n-1]
+			pf.r = r
+			pf.flow.Reuse()
+		} else {
+			pf = &planFlow{r: r}
+			pf.flow = sim.Flow{Label: "runtime:plan", Stages: pf.stage[:], OnDone: pf.onDone}
+		}
+		pf.stage[0] = sim.Stage{Fixed: cost}
+		r.e.StartFlow(&pf.flow)
 	}
+}
+
+// planFlow is a plan's serialization flow with its stage, pooled like
+// taskFlow: onDone returns it to runner.planFlows.
+type planFlow struct {
+	r     *runner
+	flow  sim.Flow
+	stage [1]sim.Stage
+}
+
+func (pf *planFlow) onDone(float64) {
+	r := pf.r
+	r.planFlows = append(r.planFlows, pf)
+	r.scheduleDispatch()
 }
 
 // enforceGlobal enqueues the one-time migrations of the global plan.
@@ -1227,14 +1269,15 @@ func (r *runner) enforceGlobal() {
 // enforceLevel enqueues the PhaseBased plan for a level (once per level),
 // plus the next level's, giving the comparator its one-phase lookahead.
 func (r *runner) enforceLevel(lv int) {
-	for _, l := range []int{lv, lv + 1} {
-		if l >= len(r.levelDone()) || r.levelEnforced[l] {
+	done := r.levelDone()
+	for _, l := range [2]int{lv, lv + 1} {
+		if l >= len(done) || done[l] {
 			continue
 		}
 		if l >= len(r.plan.perLevel) || r.plan.perLevel[l] == nil {
 			continue
 		}
-		r.levelEnforced[l] = true
+		done[l] = true
 		target := r.plan.perLevel[l]
 		// Promote the level's targets, demoting only as space requires.
 		target.forEach(func(ix int) {
@@ -1246,18 +1289,19 @@ func (r *runner) enforceLevel(lv int) {
 	}
 }
 
-// levelDone sizes the levelEnforced slice lazily.
+// levelDone sizes the planner's levelEnforced slice lazily.
 func (r *runner) levelDone() []bool {
-	if r.levelEnforced == nil {
+	p := r.pt
+	if len(p.levelEnforced) == 0 {
 		maxLevel := 0
 		for _, lv := range r.levels {
 			if lv > maxLevel {
 				maxLevel = lv
 			}
 		}
-		r.levelEnforced = make([]bool, maxLevel+2)
+		p.levelEnforced = reuse(p.levelEnforced, maxLevel+2)
 	}
-	return r.levelEnforced
+	return p.levelEnforced
 }
 
 // proactiveScan looks ahead over the next Lookahead undispatched tasks in
@@ -1346,15 +1390,12 @@ func (r *runner) makeRoomOn(t mem.Tier, size int64, keep planSet) {
 	if free >= size {
 		return
 	}
-	type victim struct {
-		ref     heap.ChunkRef
-		nextUse int
-	}
-	var victims []victim
+	lo := len(r.victims)
 	for _, o := range r.g.Objects {
 		if r.inUse[o.ID] > 0 || r.mig.BusyObject(o.ID) {
 			continue
 		}
+		next := -1 // the object's next use, once a chunk qualifies
 		base := r.st.ChunkBase(o.ID)
 		for i, ref := range r.st.Refs(o.ID) {
 			if r.st.Tier(ref) != t || keep.has(base+i) {
@@ -1368,28 +1409,29 @@ func (r *runner) makeRoomOn(t mem.Tier, size int64, keep planSet) {
 			// promotions skipped every use between the frontier and the
 			// beneficiary. Same origin as the planners (plan.go and
 			// plan_ref_test.go).
-			next := len(r.g.Tasks) + 1
-			if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
-				next = int(nu)
+			if next < 0 {
+				next = len(r.g.Tasks) + 1
+				if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
+					next = int(nu)
+				}
 			}
-			victims = append(victims, victim{ref, next})
+			r.victims = append(r.victims, victim{ref, next})
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool {
-		if victims[i].nextUse != victims[j].nextUse {
-			return victims[i].nextUse > victims[j].nextUse
-		}
-		return victims[i].ref.Obj < victims[j].ref.Obj ||
-			(victims[i].ref.Obj == victims[j].ref.Obj && victims[i].ref.Index < victims[j].ref.Index)
+	// Farthest next use first, ties in (object, chunk) order: a total
+	// order, so the unstable sort is deterministic.
+	slices.SortFunc(r.victims[lo:], func(a, b victim) int {
+		return cmp.Or(cmp.Compare(b.nextUse, a.nextUse),
+			cmp.Compare(a.ref.Obj, b.ref.Obj), cmp.Compare(a.ref.Index, b.ref.Index))
 	})
 	below := t - 1
 	for below > 0 && r.quarantinedTier(below) {
 		below-- // evictions skip quarantined tiers on the way down
 	}
-	for _, v := range victims {
-		if free >= size {
-			return
-		}
+	// Cascading calls push above this call's victims and pop back to
+	// end, but may move the stack: index it afresh.
+	for i, end := lo, len(r.victims); i < end && free < size; i++ {
+		v := r.victims[i]
 		vsize := r.st.ChunkSize(v.ref)
 		if below > 0 {
 			// The tier below is bounded too: cascade the eviction down.
@@ -1403,6 +1445,13 @@ func (r *runner) makeRoomOn(t mem.Tier, size int64, keep planSet) {
 		free += vsize
 		r.enqueueMove(v.ref, below, -1)
 	}
+	r.victims = r.victims[:lo]
+}
+
+// victim is a makeRoomOn eviction candidate.
+type victim struct {
+	ref     heap.ChunkRef
+	nextUse int
 }
 
 // requestFor (reactive mode) enqueues the migrations task t's plan wants,
@@ -1450,19 +1499,26 @@ func (r *runner) enqueueMove(ref heap.ChunkRef, to mem.Tier, forTask task.TaskID
 	r.pendingTier[from] -= size
 	r.overheadSec += syncPerRequestSec
 	r.overheadSync += syncPerRequestSec
-	r.mig.Enqueue(migrate.Request{
-		Ref: ref, To: to, ForTask: forTask,
-		Done: func(now float64, ok bool) {
-			r.pendingTier[to] -= size
-			r.pendingTier[from] += size
-			if !ok && to != mem.Tier(0) {
-				ix := r.st.ChunkIndex(ref)
-				if !r.promoBlock[ix] {
-					r.promoBlock[ix] = true
-					r.promoBlocked++
-				}
-			}
-			r.scheduleDispatch()
-		},
-	})
+	if r.moveDoneFn == nil {
+		r.moveDoneFn = r.moveDone
+	}
+	r.mig.Enqueue(migrate.Request{Ref: ref, To: to, ForTask: forTask, Done: r.moveDoneFn})
+}
+
+// moveDone settles a movement enqueueMove requested: the projected
+// headroom returns to the tier it left (req.From, the chunk's tier at
+// enqueue time), and a promotion that failed blocks its chunk until the
+// next completion.
+func (r *runner) moveDone(now float64, req migrate.Request, ok bool) {
+	size := r.st.ChunkSize(req.Ref)
+	r.pendingTier[req.To] -= size
+	r.pendingTier[req.From] += size
+	if !ok && req.To != mem.Tier(0) {
+		ix := r.st.ChunkIndex(req.Ref)
+		if !r.promoBlock[ix] {
+			r.promoBlock[ix] = true
+			r.promoBlocked++
+		}
+	}
+	r.scheduleDispatch()
 }

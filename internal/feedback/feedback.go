@@ -50,7 +50,11 @@
 // ReplanBudget so a noisy workload cannot thrash.
 package feedback
 
-import "repro/internal/task"
+import (
+	"slices"
+
+	"repro/internal/task"
+)
 
 // MaxFactor clamps effective correction factors to [1/MaxFactor,
 // MaxFactor]: a correction beyond 8x says "the model is useless here",
@@ -116,16 +120,30 @@ type Estimator struct {
 
 // New returns an Estimator for a graph with the given dense kind and
 // object counts.
-func New(kinds, objects int) *Estimator {
+func New(kinds, objects int) *Estimator { return new(Estimator).Reset(kinds, objects) }
+
+// Reset re-initializes e for a new graph exactly as New would, reusing
+// its buffers, and returns e.
+func (e *Estimator) Reset(kinds, objects int) *Estimator {
 	n := kinds * objects
-	e := &Estimator{nobj: objects,
-		obsEwma: make([]float64, n), predEwma: make([]float64, n),
-		count: make([]int32, n), eff: make([]float64, n), snap: make([]float64, n)}
+	e.nobj, e.observations = objects, 0
+	for _, f := range []*[]float64{&e.obsEwma, &e.predEwma, &e.eff, &e.snap} {
+		*f = slices.Grow((*f)[:0], n)[:n]
+	}
+	e.count = slices.Grow(e.count[:0], n)[:n]
+	clear(e.obsEwma)
+	clear(e.predEwma)
+	clear(e.count)
 	for i := range e.eff {
 		e.eff[i] = 1
 		e.snap[i] = 1
 	}
 	return e
+}
+
+// Footprint returns the bytes e's reusable buffers hold.
+func (e *Estimator) Footprint() int {
+	return 8*(cap(e.obsEwma)+cap(e.predEwma)+cap(e.eff)+cap(e.snap)) + 4*cap(e.count)
 }
 
 func (e *Estimator) ix(ki int, obj task.ObjectID) int { return ki*e.nobj + int(obj) }

@@ -31,14 +31,19 @@ import (
 type Request struct {
 	Ref heap.ChunkRef
 	To  mem.Tier
+	// From is the chunk's tier when the request was enqueued; Enqueue
+	// sets it.
+	From mem.Tier
 	// ForTask is the task this movement serves (diagnostic; promotions
 	// from the global plan use -1).
 	ForTask task.TaskID
-	// Done, if non-nil, runs at the virtual time the movement finishes;
-	// ok reports whether the chunk actually moved (false when the target
-	// tier had no room, in which case the data stays put and the program
-	// remains correct, just slower).
-	Done func(now float64, ok bool)
+	// Done, if non-nil, runs at the virtual time the movement finishes,
+	// with the request itself; ok reports whether the chunk actually
+	// moved (false when the target tier had no room, in which case the
+	// data stays put and the program remains correct, just slower).
+	// Because Done receives the request, one callback bound once can
+	// serve every movement.
+	Done func(now float64, r Request, ok bool)
 
 	// attempt counts completed copy attempts that failed transiently;
 	// the engine re-enqueues the request until MaxRetries is exhausted.
@@ -126,9 +131,16 @@ type Engine struct {
 	// bit-identical to an engine built before fault injection existed.
 	Faults *fault.Injector
 
+	// queue holds the waiting requests from queue[head] on; a drained
+	// queue rewinds, so its array is reused.
 	queue   []Request
+	head    int
 	busy    bool
 	current heap.ChunkRef // chunk being copied when busy
+
+	// hs is made at the first copy or settlement, so an engine that
+	// never moves anything costs nothing more.
+	hs *helperState
 	// pending counts queued or in-flight requests per chunk, indexed by
 	// the dense global chunk index; pendingChunks counts chunks with a
 	// nonzero entry (what PendingCount reports).
@@ -156,6 +168,32 @@ const (
 	TimeoutFactor = 4
 )
 
+// helperState is an engine's reusable copy and settlement machinery.
+// Every copy runs on flow, restarted through sim.Flow.Reuse from its own
+// OnDone (sim marks a flow done and removes it from its resource before
+// calling OnDone); cur holds the running copy's request and from, size
+// and bytes its source tier, size and service bytes. settled queues the
+// settlements whose Done is still to run, from head on: each schedules
+// one zero-delay timer running fire, and same-instant timers fire in
+// (time, scheduling) order, so the k-th firing pops the k-th settlement.
+type helperState struct {
+	flow    sim.Flow
+	stage   [1]sim.Stage
+	cur     Request
+	from    mem.Tier
+	size    int64
+	bytes   float64
+	settled []settlement
+	head    int
+	fire    func(now float64)
+}
+
+// settlement is a settled request whose Done has yet to run.
+type settlement struct {
+	r  Request
+	ok bool
+}
+
 // New returns a migration engine copying at h.CopyBW over the given
 // placement state.
 func New(e *sim.Engine, state *heap.State, h mem.HMS) *Engine {
@@ -168,22 +206,28 @@ func New(e *sim.Engine, state *heap.State, h mem.HMS) *Engine {
 	}
 }
 
+// helper returns the engine's helperState, making it on first use.
+func (m *Engine) helper() *helperState {
+	if m.hs == nil {
+		m.hs = &helperState{fire: m.fire}
+	}
+	return m.hs
+}
+
 // Enqueue appends a movement request to the helper thread's queue.
 // Requests for chunks already at the target tier complete immediately.
 func (m *Engine) Enqueue(r Request) {
 	ix := m.state.ChunkIndex(r.Ref)
-	if m.state.TierAt(ix) == r.To && m.pending[ix] == 0 {
-		if r.Done != nil {
-			done := r.Done
-			m.sim.After(0, func(now float64) { done(now, true) })
-		}
+	r.From = m.state.TierAt(ix)
+	if r.From == r.To && m.pending[ix] == 0 {
+		m.notify(r, true)
 		return
 	}
 	if m.pending[ix] == 0 {
 		m.pendingChunks++
 	}
 	m.pending[ix]++
-	m.queue = append(m.queue, r)
+	m.push(r)
 	m.kick()
 }
 
@@ -201,28 +245,19 @@ func (m *Engine) InFlight(ref heap.ChunkRef) bool { return m.busy && m.current =
 // runtime uses it to let a ready task run instead of waiting on a
 // speculative movement that has not even started.
 func (m *Engine) CancelQueued(ref heap.ChunkRef, except task.TaskID) int {
-	kept := m.queue[:0]
-	var cancelled []Request
-	for _, r := range m.queue {
+	kept := m.head
+	for _, r := range m.queue[m.head:] {
 		if r.Ref == ref && r.ForTask != except {
-			cancelled = append(cancelled, r)
+			m.settle(r, false)
 			continue
 		}
-		kept = append(kept, r)
+		m.queue[kept] = r
+		kept++
 	}
-	m.queue = kept
-	for _, r := range cancelled {
-		ix := m.state.ChunkIndex(r.Ref)
-		m.pending[ix]--
-		if m.pending[ix] == 0 {
-			m.pendingChunks--
-		}
-		if r.Done != nil {
-			done := r.Done
-			m.sim.After(0, func(now float64) { done(now, false) })
-		}
-	}
-	return len(cancelled)
+	cancelled := len(m.queue) - kept
+	clear(m.queue[kept:])
+	m.queue = m.queue[:kept]
+	return cancelled
 }
 
 // BusyObject reports whether any chunk of the object is busy: one
@@ -238,7 +273,7 @@ func (m *Engine) BusyObject(obj task.ObjectID) bool {
 }
 
 // QueueLen returns the number of waiting requests (excluding in-flight).
-func (m *Engine) QueueLen() int { return len(m.queue) }
+func (m *Engine) QueueLen() int { return len(m.queue) - m.head }
 
 // PendingCount returns how many chunks currently report Busy (queued or
 // in-flight requests not yet settled). Zero at quiescence.
@@ -253,20 +288,58 @@ func (m *Engine) Stats() Stats { return m.stats }
 // CopyBusySec returns the helper thread's accumulated busy time.
 func (m *Engine) CopyBusySec() float64 { return m.copyRes.BusySec() }
 
-// settle completes a request that will never occupy the copy channel:
-// its pending count drops immediately — so Busy/InFlight stop naming it
-// the moment it is dequeued, exactly as CancelQueued does — while the
-// Done callback fires at a zero-delay event like every other completion.
+// settle completes a request: its pending count drops immediately — so
+// Busy/InFlight stop naming it the moment it is settled — while its Done
+// callback fires at a zero-delay event like every other completion.
 func (m *Engine) settle(r Request, ok bool) {
 	ix := m.state.ChunkIndex(r.Ref)
 	m.pending[ix]--
 	if m.pending[ix] == 0 {
 		m.pendingChunks--
 	}
+	m.notify(r, ok)
+}
+
+// notify queues r's Done, if any, for a zero-delay event.
+func (m *Engine) notify(r Request, ok bool) {
 	if r.Done != nil {
-		done := r.Done
-		m.sim.After(0, func(now float64) { done(now, ok) })
+		hs := m.helper()
+		hs.settled = append(hs.settled, settlement{r, ok})
+		m.sim.After(0, hs.fire)
 	}
+}
+
+// fire runs the oldest queued settlement's Done.
+func (m *Engine) fire(now float64) {
+	hs := m.hs
+	s := hs.settled[hs.head]
+	hs.settled[hs.head] = settlement{}
+	if hs.head++; hs.head == len(hs.settled) {
+		hs.settled, hs.head = hs.settled[:0], 0
+	}
+	s.r.Done(now, s.r, s.ok)
+}
+
+// push appends a waiting request. A full array whose front has drained
+// slides its backlog to the front first, so a queue that never empties
+// stays as large as its backlog.
+func (m *Engine) push(r Request) {
+	if m.head > 0 && len(m.queue) == cap(m.queue) {
+		n := copy(m.queue, m.queue[m.head:])
+		clear(m.queue[n:])
+		m.queue, m.head = m.queue[:n], 0
+	}
+	m.queue = append(m.queue, r)
+}
+
+// pop removes and returns the oldest waiting request.
+func (m *Engine) pop() Request {
+	r := m.queue[m.head]
+	m.queue[m.head] = Request{}
+	if m.head++; m.head == len(m.queue) {
+		m.queue, m.head = m.queue[:0], 0
+	}
+	return r
 }
 
 // kick starts the next real copy if the helper thread is idle. Requests
@@ -277,9 +350,8 @@ func (m *Engine) settle(r Request, ok bool) {
 // and the runtime would block a ready task on that phantom. Skipping
 // them inline also keeps FIFO order for the real copies behind them.
 func (m *Engine) kick() {
-	for !m.busy && len(m.queue) > 0 {
-		r := m.queue[0]
-		m.queue = m.queue[1:]
+	for !m.busy && m.QueueLen() > 0 {
+		r := m.pop()
 
 		if m.state.Tier(r.Ref) == r.To {
 			// Became moot while queued (e.g. duplicate requests).
@@ -335,18 +407,24 @@ func (m *Engine) kick() {
 		if m.sim.Trace != nil {
 			label = "migrate:" + r.Ref.String()
 		}
-		m.sim.StartFlow(&sim.Flow{
-			Label:  label,
-			Stages: []sim.Stage{{Res: m.copyRes, Bytes: bytes}},
-			OnDone: func(now float64) {
-				m.finishCopy(now, r, from, size, bytes)
-			},
-		})
+		hs := m.helper()
+		if hs.flow.OnDone == nil { // the engine's first copy
+			hs.flow.Stages, hs.flow.OnDone = hs.stage[:], m.finishCopy
+		} else {
+			hs.flow.Reuse()
+		}
+		hs.cur, hs.from, hs.size, hs.bytes = r, from, size, bytes
+		hs.flow.Label = label
+		hs.stage[0] = sim.Stage{Res: m.copyRes, Bytes: bytes}
+		m.sim.StartFlow(&hs.flow)
 	}
 }
 
 // finishCopy runs when the current copy's flow drains its channel time.
-func (m *Engine) finishCopy(now float64, r Request, from mem.Tier, size int64, bytes float64) {
+func (m *Engine) finishCopy(now float64) {
+	hs := m.hs
+	r, from, size, bytes := hs.cur, hs.from, hs.size, hs.bytes
+	hs.cur = Request{}
 	m.busy = false
 	if m.curAbandoned {
 		// The per-copy timeout already settled this request: the channel
@@ -378,7 +456,7 @@ func (m *Engine) finishCopy(now float64, r Request, from mem.Tier, size int64, b
 				d = BackoffMaxSec
 			}
 			m.sim.After(d, func(float64) {
-				m.queue = append(m.queue, r)
+				m.push(r)
 				m.kick()
 			})
 		} else {

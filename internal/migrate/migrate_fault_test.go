@@ -46,8 +46,8 @@ func TestObserverLifecycleSequence(t *testing.T) {
 	refB := heap.ChunkRef{Obj: 1, Index: 0}
 
 	var calls []string
-	done := func(name string) func(float64, bool) {
-		return func(_ float64, ok bool) { calls = append(calls, fmt.Sprintf("%s:%v", name, ok)) }
+	done := func(name string) func(float64, Request, bool) {
+		return func(_ float64, _ Request, ok bool) { calls = append(calls, fmt.Sprintf("%s:%v", name, ok)) }
 	}
 	m.Enqueue(Request{Ref: refA, To: mem.InDRAM, ForTask: -1, Done: done("A")})  // starts copying
 	m.Enqueue(Request{Ref: refB, To: mem.InDRAM, ForTask: -1, Done: done("B1")}) // queued, then cancelled
@@ -82,7 +82,7 @@ func TestDuplicateEnqueuesNeverUnderflowPending(t *testing.T) {
 	doneCalls := 0
 	for i := 0; i < 4; i++ {
 		m.Enqueue(Request{Ref: ref, To: mem.InDRAM, ForTask: -1,
-			Done: func(float64, bool) { doneCalls++ }})
+			Done: func(float64, Request, bool) { doneCalls++ }})
 	}
 	e.Run()
 	if doneCalls != 4 {
@@ -101,7 +101,7 @@ func TestDuplicateEnqueuesNeverUnderflowPending(t *testing.T) {
 	// immediately — the pending map took no damage from the duplicates.
 	ok := false
 	m.Enqueue(Request{Ref: ref, To: mem.InDRAM, ForTask: -1,
-		Done: func(_ float64, o bool) { ok = o }})
+		Done: func(_ float64, _ Request, o bool) { ok = o }})
 	e.Run()
 	if !ok || m.PendingCount() != 0 {
 		t.Fatal("post-quiescence no-op request misbehaved")
@@ -130,7 +130,7 @@ func TestTransientFailureRetriesAndSucceeds(t *testing.T) {
 	var doneAt float64
 	var doneOK bool
 	m.Enqueue(Request{Ref: ref, To: mem.InDRAM, ForTask: -1,
-		Done: func(now float64, ok bool) { doneAt, doneOK = now, ok }})
+		Done: func(now float64, _ Request, ok bool) { doneAt, doneOK = now, ok }})
 	e.Run()
 	if !doneOK || st.Tier(ref) != mem.InDRAM {
 		t.Fatalf("retried copy did not land: ok=%v tier=%v", doneOK, st.Tier(ref))
@@ -162,7 +162,7 @@ func TestRetryBudgetExhaustionAbandons(t *testing.T) {
 	ref := heap.ChunkRef{Obj: 0}
 	doneOK := true
 	m.Enqueue(Request{Ref: ref, To: mem.InDRAM, ForTask: -1,
-		Done: func(_ float64, ok bool) { doneOK = ok }})
+		Done: func(_ float64, _ Request, ok bool) { doneOK = ok }})
 	e.Run()
 	if doneOK || st.Tier(ref) != mem.InNVM {
 		t.Fatal("abandoned request reported success or moved the chunk")
@@ -201,7 +201,7 @@ func TestStalledCopyTimesOut(t *testing.T) {
 	const start = 0.5
 	e.At(start, func(float64) {
 		m.Enqueue(Request{Ref: ref, To: mem.InDRAM, ForTask: -1,
-			Done: func(now float64, ok bool) { doneAt, doneOK = now, ok }})
+			Done: func(now float64, _ Request, ok bool) { doneAt, doneOK = now, ok }})
 	})
 	// The moment the timeout settles the request, the chunk must stop
 	// reporting Busy even though the stalled flow still drains.
@@ -242,7 +242,7 @@ func TestFaultFreeScheduleKeepsLegacyTiming(t *testing.T) {
 	}})
 	var doneAt float64
 	m.Enqueue(Request{Ref: heap.ChunkRef{Obj: 0}, To: mem.InDRAM, ForTask: -1,
-		Done: func(now float64, _ bool) { doneAt = now }})
+		Done: func(now float64, _ Request, _ bool) { doneAt = now }})
 	e.Run()
 	want := float64(100*mem.MB) / 1e9
 	if math.Abs(doneAt-want) > 1e-9 {

@@ -31,7 +31,7 @@ func TestPromotionMovesChunkAndTakesCopyTime(t *testing.T) {
 	var doneAt float64
 	ref := heap.ChunkRef{Obj: 0}
 	m.Enqueue(Request{Ref: ref, To: mem.InDRAM, ForTask: -1,
-		Done: func(now float64, ok bool) {
+		Done: func(now float64, _ Request, ok bool) {
 			if !ok {
 				t.Error("promotion failed")
 			}
@@ -65,9 +65,9 @@ func TestSerialFIFOProcessing(t *testing.T) {
 	var order []int
 	var times []float64
 	m.Enqueue(Request{Ref: heap.ChunkRef{Obj: 0}, To: mem.InDRAM,
-		Done: func(now float64, ok bool) { order = append(order, 0); times = append(times, now) }})
+		Done: func(now float64, _ Request, ok bool) { order = append(order, 0); times = append(times, now) }})
 	m.Enqueue(Request{Ref: heap.ChunkRef{Obj: 1, Index: 0}, To: mem.InDRAM,
-		Done: func(now float64, ok bool) { order = append(order, 1); times = append(times, now) }})
+		Done: func(now float64, _ Request, ok bool) { order = append(order, 1); times = append(times, now) }})
 	e.Run()
 	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
 		t.Fatalf("order = %v", order)
@@ -82,7 +82,7 @@ func TestNoopRequestCompletesImmediately(t *testing.T) {
 	e, _, m := setup(t, 512*mem.MB)
 	called := false
 	m.Enqueue(Request{Ref: heap.ChunkRef{Obj: 0}, To: mem.InNVM, // already there
-		Done: func(now float64, ok bool) {
+		Done: func(now float64, _ Request, ok bool) {
 			called = true
 			if now != 0 || !ok {
 				t.Errorf("noop done at %g ok=%v", now, ok)
@@ -101,7 +101,7 @@ func TestFailedPromotionWhenDRAMFull(t *testing.T) {
 	e, st, m := setup(t, 64*mem.MB) // too small for the 100 MB chunk
 	var ok = true
 	m.Enqueue(Request{Ref: heap.ChunkRef{Obj: 0}, To: mem.InDRAM,
-		Done: func(now float64, o bool) { ok = o }})
+		Done: func(now float64, _ Request, o bool) { ok = o }})
 	e.Run()
 	if ok {
 		t.Fatal("promotion should have failed")
@@ -182,7 +182,7 @@ func TestNoRoomDropDoesNotClaimChannel(t *testing.T) {
 	ref := heap.ChunkRef{Obj: 0}
 	doneOK := true
 	m.Enqueue(Request{Ref: ref, To: mem.InDRAM,
-		Done: func(now float64, ok bool) { doneOK = ok }})
+		Done: func(now float64, _ Request, ok bool) { doneOK = ok }})
 	// The drop is decided synchronously at dequeue: the chunk must not
 	// be reported busy or in flight while the Done callback is pending.
 	if m.InFlight(ref) {
@@ -217,7 +217,7 @@ func TestMootRequestDoesNotClaimChannel(t *testing.T) {
 	refB := heap.ChunkRef{Obj: 1, Index: 0}
 	probed := false
 	m.Enqueue(Request{Ref: refA, To: mem.InDRAM,
-		Done: func(now float64, ok bool) {
+		Done: func(now float64, _ Request, ok bool) {
 			// A just landed in DRAM, making the duplicate behind us moot.
 			// Probe after the dequeue cascade at this same instant.
 			e.After(0, func(float64) {

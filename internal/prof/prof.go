@@ -30,6 +30,8 @@ package prof
 
 import (
 	"math"
+	"slices"
+	"unsafe"
 
 	"repro/internal/task"
 )
@@ -254,8 +256,9 @@ type Profiler struct {
 	nobj  int
 	kinds []kindState
 	// pairs holds the (kind, object) accumulators kind-major, at
-	// kind*nobj+obj; nil marks a pair with no observation.
-	pairs []*accum
+	// kind*nobj+obj; a pair is observed exactly when its execs > 0, and
+	// every other field of an unobserved pair is zero.
+	pairs []accum
 	// samples accumulates the expected sample count of every recorded
 	// observation — the profiling cost the sampling rate buys accuracy
 	// with.
@@ -267,6 +270,12 @@ type Profiler struct {
 // New returns a Profiler for a graph with the given kinds (in kind-index
 // order, task.Graph.Kinds) and nobj objects.
 func New(cfg Config, kinds []string, nobj int) *Profiler {
+	return new(Profiler).Reset(cfg, kinds, nobj)
+}
+
+// Reset re-initializes p for a new graph exactly as New would, reusing
+// its buffers, and returns p.
+func (p *Profiler) Reset(cfg Config, kinds []string, nobj int) *Profiler {
 	if cfg.SamplingInterval <= 0 {
 		cfg.SamplingInterval = 1000
 	}
@@ -276,12 +285,11 @@ func New(cfg Config, kinds []string, nobj int) *Profiler {
 	if cfg.Bias <= 0 {
 		cfg.Bias = 1
 	}
-	p := &Profiler{
-		cfg:   cfg,
-		nobj:  nobj,
-		kinds: make([]kindState, len(kinds)),
-		pairs: make([]*accum, len(kinds)*nobj),
-	}
+	p.cfg, p.nobj, p.samples = cfg, nobj, 0
+	p.kinds = slices.Grow(p.kinds[:0], len(kinds))[:len(kinds)]
+	p.pairs = slices.Grow(p.pairs[:0], len(kinds)*nobj)[:len(kinds)*nobj]
+	clear(p.kinds)
+	clear(p.pairs)
 	for k, name := range kinds {
 		p.kinds[k].noise = splitmix64(cfg.Seed ^ hashKind(name))
 	}
@@ -294,15 +302,20 @@ func (p *Profiler) Profiled(k int) bool {
 	return ks.execs >= p.cfg.Window && !ks.stale
 }
 
-// row returns kind k's pair accumulators, indexed by object.
-func (p *Profiler) row(k int) []*accum { return p.pairs[k*p.nobj : (k+1)*p.nobj] }
+// Footprint returns the bytes p's reusable buffers hold.
+func (p *Profiler) Footprint() int {
+	return cap(p.kinds)*int(unsafe.Sizeof(kindState{})) + cap(p.pairs)*int(unsafe.Sizeof(accum{})) + 4*cap(p.ord)
+}
 
-// pair returns the (kind, object) accumulator; nil when unobserved.
-func (p *Profiler) pair(k int, obj task.ObjectID) *accum { return p.pairs[k*p.nobj+int(obj)] }
+// row returns kind k's pair accumulators, indexed by object.
+func (p *Profiler) row(k int) []accum { return p.pairs[k*p.nobj : (k+1)*p.nobj] }
+
+// pair returns the (kind, object) accumulator.
+func (p *Profiler) pair(k int, obj task.ObjectID) *accum { return &p.pairs[k*p.nobj+int(obj)] }
 
 // Observed reports whether the (kind, object) pair has a profiled
 // observation since the kind's profile last opened.
-func (p *Profiler) Observed(k int, obj task.ObjectID) bool { return p.pair(k, obj) != nil }
+func (p *Profiler) Observed(k int, obj task.ObjectID) bool { return p.pair(k, obj).execs > 0 }
 
 // BaseInterval returns the configuration's (normalized) sampling interval.
 func (p *Profiler) BaseInterval() int64 { return p.cfg.SamplingInterval }
@@ -334,7 +347,7 @@ func (p *Profiler) SamplesTaken() float64 { return p.samples }
 // estimate EstimateFor would serve for them — and are infinite only when
 // the kind itself has never been seen.
 func (p *Profiler) RelErrorFor(k int, obj task.ObjectID) float64 {
-	if a := p.pair(k, obj); a != nil {
+	if a := p.pair(k, obj); a.execs > 0 {
 		count := int64((a.loads + a.stores) / p.cfg.Bias)
 		return p.cfg.RelError(count, a.ivl) / math.Sqrt(float64(a.execs))
 	}
@@ -377,10 +390,9 @@ func (p *Profiler) Record(e Exec) (maxRelDev float64) {
 	p.ord = ord
 	for _, oi := range ord {
 		o := &e.Obs[oi]
-		a := row[o.Obj]
-		if a == nil {
-			a = &accum{noiseBase: splitmix64(ks.noise ^ uint64(o.Obj))}
-			row[o.Obj] = a
+		a := &row[o.Obj]
+		if a.execs == 0 {
+			a.noiseBase = splitmix64(ks.noise ^ uint64(o.Obj))
 		}
 		a.ivl = ivl
 		h := splitmix64(a.noiseBase ^ uint64(a.execs))
@@ -438,7 +450,7 @@ func (p *Profiler) Record(e Exec) (maxRelDev float64) {
 // fallback sound: same-kind tasks run the same code over same-shaped
 // regions, so traffic scales with region size to first order.
 func (p *Profiler) EstimateFor(k int, obj task.ObjectID, size int64) (Estimate, bool) {
-	if a := p.pair(k, obj); a != nil {
+	if a := p.pair(k, obj); a.execs > 0 {
 		return Estimate{Loads: a.loads, Stores: a.stores, BWCons: a.bwCons}, true
 	}
 	ka := &p.kinds[k].agg
