@@ -282,11 +282,11 @@ func BenchmarkHeapMove(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	chunks := make(map[task.ObjectID]int, len(w.Graph.Objects))
+	chunks := make([]int, len(w.Graph.Objects))
 	for _, o := range w.Graph.Objects {
 		chunks[o.ID] = 16
 	}
-	st, err := heap.NewState(NewHMS(DRAM(), NVMBandwidth(0.5), 1<<44), w.Graph.Objects, chunks)
+	st, err := new(heap.State).Reset(NewHMS(DRAM(), NVMBandwidth(0.5), 1<<44), w.Graph.Objects, chunks)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -319,12 +319,12 @@ func BenchmarkMigrateEnqueueSettle(b *testing.B) {
 	for i := range objs {
 		objs[i] = &task.Object{ID: task.ObjectID(i), Size: 4 * MB}
 	}
-	st, err := heap.NewState(h, objs, nil)
+	st, err := new(heap.State).Reset(h, objs, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	e := sim.NewEngine()
-	m := migrate.New(e, st, h)
+	m := new(migrate.Engine).Reset(e, st, h)
 	settled := 0
 	done := func(float64, migrate.Request, bool) { settled++ }
 	op := func() {

@@ -8,11 +8,59 @@ import (
 	"repro/internal/workloads"
 )
 
+// TestRunAllocFree pins the pooled steady state: once a warm-up run has
+// grown a pooled runner's buffers for a graph, every further fault-free
+// run of it allocates nothing, under NVM-only, FirstTouch, HW-Cache,
+// DRAM-only, Tahoe and PhaseBased on both golden-grid machines. The GC
+// stays off so that it cannot empty the pool between runs, and the
+// measurement runs on one processor, so each run takes the runner the
+// last one returned. Under the race detector sync.Pool drops items at
+// random, so the counts mean nothing there.
+func TestRunAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 5
+	for _, m := range goldenMachines {
+		for _, app := range []string{"heat", "cholesky"} {
+			s, err := workloads.ByName(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := s.Build(workloads.Params{Scale: 6}).Graph
+			for _, p := range []Policy{NVMOnly, FirstTouch, HWCache, DRAMOnly, Tahoe, PhaseBased} {
+				cfg := DefaultConfig(m.hms)
+				cfg.Policy = p
+				// AllocsPerRun(1, f) warms up with one f and then counts one
+				// f exactly; f runs the graph several times.
+				n := testing.AllocsPerRun(1, func() {
+					for i := 0; i < runs; i++ {
+						if _, err := Run(g, cfg); err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
+				if n != 0 {
+					t.Errorf("%s/6 %v %s: %.0f allocs in %d warm runs, want 0", app, p, m.name, n, runs)
+				}
+			}
+		}
+	}
+}
+
 // TestTaskPathAllocFree checks that a run's dispatch → start → complete
-// path allocates nothing per task under the policies that never plan:
-// growing a graph several times over may add only the few allocations
-// its larger per-run tables and deques take, not one per task.
+// path allocates nothing per task and that the planning policies
+// allocate nothing per migration, replan or profiled pair: growing a
+// graph several times over may add only the few allocations a pool miss
+// or a larger table costs, not one per task or per event. Runs are
+// pooled, so like TestRunAllocFree it keeps the GC off and skips under
+// the race detector, where sync.Pool drops items at random.
 func TestTaskPathAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	h := mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), 128*mem.MB)
 	cases := []struct {
 		app          string
@@ -49,19 +97,10 @@ func TestTaskPathAllocFree(t *testing.T) {
 		}
 	}
 
-	// The planning policies add profiling, planning and migration, and
-	// none of it may allocate per migration, replan or profiled pair:
-	// from scale 6 to 24 (heat: 96 to 384 tasks; cholesky: 56 to 2,600
-	// tasks and 0 to over 400 migrations) their allocations may grow by at
-	// most managedSlack more than FirstTouch's on the same graphs. The GC
-	// stays off so that it cannot empty the working-set pool between
-	// runs; under the race detector sync.Pool drops items at random, so
-	// the counts mean nothing there.
-	if raceEnabled {
-		t.Log("managed policies skipped: sync.Pool drops items at random under -race")
-		return
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// The planning policies add profiling, planning and migration: from
+	// scale 6 to 24 (heat: 96 to 384 tasks; cholesky: 56 to 2,600 tasks
+	// and 0 to over 400 migrations) their allocations may grow by at most
+	// managedSlack more than FirstTouch's on the same graphs.
 	const managedSlack = 32
 	for _, app := range []string{"heat", "cholesky"} {
 		ftSmall, _ := allocs(app, FirstTouch, 6)

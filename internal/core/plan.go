@@ -247,7 +247,7 @@ type wantPromo struct {
 // buffers and returns p. All objects start dirty; the first plan folds
 // every total once.
 func (p *plannerState) reset(r *runner) *plannerState {
-	g, st := r.g, r.st
+	g, st := r.g, &r.st
 	nobj := len(g.Objects)
 	nk := len(g.Kinds())
 	total := st.TotalChunks()

@@ -29,8 +29,8 @@ func NewPlannerBench(g *task.Graph, cfg Config) (*PlannerBench, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	r := &runner{cfg: cfg, g: g}
-	if err := r.setup(); err != nil {
+	r := new(runner)
+	if err := r.setup(g, cfg); err != nil {
 		return nil, err
 	}
 	if r.pt == nil {

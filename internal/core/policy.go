@@ -10,11 +10,12 @@ import (
 	"repro/internal/task"
 )
 
-// chunkPlan decides how many chunks each object splits into. Only the
-// Tahoe policy with the chunking technique partitions; only chunkable
+// chunkPlan decides how many chunks each object splits into, indexed by
+// object ID (0 = whole), in the runner's pooled table. Only the Tahoe
+// policy with the chunking technique partitions; only chunkable
 // (regular, one-dimensional-access) objects qualify, and only when they
 // are large relative to DRAM — the paper's conservative criterion.
-func (r *runner) chunkPlan() map[task.ObjectID]int {
+func (r *runner) chunkPlan() []int {
 	if r.cfg.Policy != Tahoe || !r.cfg.Tech.Chunking {
 		return nil
 	}
@@ -29,7 +30,8 @@ func (r *runner) chunkPlan() map[task.ObjectID]int {
 	if maxChunks < 2 {
 		maxChunks = 16
 	}
-	plan := make(map[task.ObjectID]int)
+	plan := reuse(r.chunks, len(r.g.Objects))
+	r.chunks = plan
 	for _, o := range r.g.Objects {
 		if !o.Chunkable || o.Size <= r.cfg.HMS.Capacity(r.fastTier)/2 {
 			continue
@@ -66,13 +68,13 @@ func (r *runner) applyInitialPlacement() error {
 	case FirstTouch:
 		// Fill DRAM in first-use order: the order objects first appear in
 		// the submission stream.
-		seen := make([]bool, len(r.g.Objects))
+		r.touched = reuse(r.touched, len(r.g.Objects))
 		for _, t := range r.g.Tasks {
 			for _, a := range t.Accesses {
-				if seen[a.Obj] {
+				if r.touched[a.Obj] {
 					continue
 				}
-				seen[a.Obj] = true
+				r.touched[a.Obj] = true
 				r.placeIfFits(a.Obj)
 			}
 		}

@@ -3,69 +3,72 @@ package core
 import (
 	"sync"
 	"unsafe"
-
-	"repro/internal/feedback"
-	"repro/internal/prof"
-	"repro/internal/sim"
 )
 
-// managed is the working set of a run under a profiling policy (Tahoe,
-// PhaseBased): the planner's tables and scratch with its knapsack
-// solver, the profiler, the feedback estimator, and the task- and
-// plan-flow carriers. Runs take one from managedPool and set-up re-slices
-// every buffer for the new graph, so a steady stream of managed runs
-// allocates no planning state. Policies that never profile never take
-// one.
-type managed struct {
-	pt        plannerState
-	prof      prof.Profiler
-	fb        feedback.Estimator
-	flows     []*taskFlow
-	planFlows []*planFlow
-}
+// runPool recycles whole runners, each with its runSet: the engine, the
+// heap ledger, the migration engine, the deques, the planner, profiler
+// and feedback estimator, the flow carriers and every table. Run takes
+// one and setup re-slices it for the new graph, so a steady stream of
+// runs under any policy allocates nothing.
+var runPool sync.Pool
 
-var managedPool sync.Pool
+// runBudget caps the bytes a pooled runner may hold. A run on a huge
+// graph grows its set past it, and recycle then drops the runner instead
+// of pinning its buffers for the life of a long-running process.
+const runBudget = 8 << 20
 
-// managedBudget caps the bytes a pooled working set may hold. A run on a
-// huge graph grows its set past it, and recycle then drops the set
-// instead of pinning its buffers for the life of a long-running process.
-const managedBudget = 8 << 20
-
-// takeManaged returns a pooled working set, or a new one.
-func takeManaged() *managed {
-	if m, ok := managedPool.Get().(*managed); ok {
-		return m
+// takeRunner returns a pooled runner, or a new one.
+func takeRunner() *runner {
+	if r, ok := runPool.Get().(*runner); ok {
+		return r
 	}
-	return new(managed)
+	return new(runner)
 }
 
-// recycle clears m's references into its last run (graph, tasks,
-// runner, engine) and returns m to the pool unless its buffers exceed
-// managedBudget; it reports whether m was pooled.
-func (m *managed) recycle() bool {
-	p := &m.pt
+// recycle clears r's references into its finished run (the graph and its
+// tasks, the Config with its trace and callbacks, blocked tasks, the
+// engine's leftover timers, the planner's task lists) and returns r to
+// the pool unless its buffers exceed runBudget; it reports whether r was
+// pooled. Run calls it only after a run that returned without error, so
+// every flow has completed and every carrier is back in flowPool.
+func (r *runner) recycle() bool {
+	*r = runner{runSet: r.runSet}
+	r.e.Reset()
+	r.mig.Observer, r.mig.Faults = nil, nil
+	clear(r.blocked[:cap(r.blocked)])
+	p := &r.ptVal
 	clear(p.users)
 	clear(p.future[:cap(p.future)])
 	for _, lv := range p.byLevel[:cap(p.byLevel)] {
 		clear(lv[:cap(lv)])
 	}
-	for _, tf := range m.flows {
-		tf.r, tf.stages = nil, [2]sim.Stage{}
-	}
-	for _, pf := range m.planFlows {
-		pf.r = nil
-	}
-	if m.footprint() > managedBudget {
+	if r.footprint() > runBudget {
 		return false
 	}
-	managedPool.Put(m)
+	runPool.Put(r)
 	return true
 }
 
-// footprint returns the bytes m's buffers hold.
-func (m *managed) footprint() int {
-	p := &m.pt
-	n := m.prof.Footprint() + m.fb.Footprint() + p.solver.Footprint() +
+// footprint returns the bytes r's runSet holds.
+func (r *runner) footprint() int {
+	n := r.e.Footprint() + r.st.Footprint() + r.mig.Footprint() + r.ws.Footprint() +
+		r.profVal.Footprint() + r.fbVal.Footprint() + r.ptVal.footprint() +
+		bytesOf(r.freeWorkers) + bytesOf(r.remaining) + bytesOf(r.started) + bytesOf(r.finished) +
+		bytesOf(r.userCursor) + bytesOf(r.inUse) + bytesOf(r.kindTotal) + bytesOf(r.kindRemaining) +
+		bytesOf(r.kindSinceAudit) + bytesOf(r.auditDrift) + bytesOf(r.promoBlock) +
+		bytesOf(r.pendingTier) + bytesOf(r.blocked) + bytesOf(r.obsScratch) + bytesOf(r.victims) +
+		bytesOf(r.tiers) + bytesOf(r.chunks) + bytesOf(r.touched) +
+		bytesOf(r.flowPool) + bytesOf(r.planFlows) +
+		len(r.flowPool)*int(unsafe.Sizeof(taskFlow{})) + len(r.planFlows)*int(unsafe.Sizeof(planFlow{}))
+	for _, tf := range r.flowPool {
+		n += bytesOf(tf.d.ObjSecs)
+	}
+	return n
+}
+
+// footprint returns the bytes p's buffers hold.
+func (p *plannerState) footprint() int {
+	n := p.solver.Footprint() +
 		bytesOf(p.chunkSize) + bytesOf(p.uses) + bytesOf(p.useBuf) + bytesOf(p.kindObjs) +
 		bytesOf(p.kindBuf) + bytesOf(p.kindOff) + bytesOf(p.users) + bytesOf(p.futureUses) +
 		bytesOf(p.pairB) + bytesOf(p.pairOK) + bytesOf(p.totals) + bytesOf(p.objDirty) +
@@ -78,14 +81,9 @@ func (m *managed) footprint() int {
 		bytesOf(p.adaptItems) + bytesOf(p.adaptMargins) + bytesOf(p.adaptObjRel) +
 		bytesOf(p.kindBoosted) + bytesOf(p.tierPair) + bytesOf(p.tierPairOK) +
 		bytesOf(p.tierTotals) + bytesOf(p.tierLive) + bytesOf(p.tierItems) + bytesOf(p.tierW) +
-		bytesOf(p.tierTo) + bytesOf(p.refCounts) +
-		bytesOf(m.flows) + bytesOf(m.planFlows) +
-		len(m.flows)*int(unsafe.Sizeof(taskFlow{})) + len(m.planFlows)*int(unsafe.Sizeof(planFlow{}))
+		bytesOf(p.tierTo) + bytesOf(p.refCounts)
 	for _, lv := range p.byLevel[:cap(p.byLevel)] {
 		n += bytesOf(lv)
-	}
-	for _, tf := range m.flows {
-		n += bytesOf(tf.d.ObjSecs)
 	}
 	return n
 }

@@ -5,8 +5,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/fault"
+	"repro/internal/mem"
+	"repro/internal/sched"
 	"repro/internal/task"
+	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // TestGoldenRunsPooled runs the golden grid in reverse order, so each run
@@ -49,41 +55,211 @@ func TestGoldenRunsPooled(t *testing.T) {
 	wg.Wait()
 }
 
-// TestManagedRecycle checks the working-set pool's gate: a set holding
-// more than managedBudget bytes is dropped, a smaller one is pooled, and
+// TestRunRecycle checks the pool's gate on runners that just served a
+// traced Tahoe run with queue and quarantine callbacks: a runner holding
+// more than runBudget bytes is dropped, a smaller one is pooled, and
 // either way recycling clears every reference into the run it served.
-// (The pooled set has no flow carriers: a later run in this binary may
-// take it, and fake carriers would break that run.)
-func TestManagedRecycle(t *testing.T) {
-	tk := &task.Task{}
-	fill := func(m *managed) {
-		m.pt.users = [][]task.TaskID{{1, 2}}
-		m.pt.future = []*task.Task{tk}
-		m.pt.byLevel = [][]*task.Task{{tk}}
+// (Both runners are genuine, so a later run in this binary may take the
+// pooled one.)
+func TestRunRecycle(t *testing.T) {
+	s, err := workloads.ByName("heat")
+	if err != nil {
+		t.Fatal(err)
 	}
-	cleared := func(m *managed) bool {
-		return m.pt.users[0] == nil && m.pt.future[0] == nil && m.pt.byLevel[0][0] == nil
+	g := s.Build(workloads.Params{Scale: 6}).Graph
+	served := func() *runner {
+		cfg := DefaultConfig(goldenMachines[1].hms)
+		cfg.Policy = Tahoe
+		cfg.Trace = &trace.Trace{}
+		cfg.NewQueue = func(int, func(task.TaskID) bool) sched.Queue { return sched.NewFIFO() }
+		cfg.OnQuarantine = func(float64, mem.Tier, bool) {}
+		r := new(runner)
+		if _, err := r.run(g, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if r.mig.Stats().Migrations == 0 || len(r.ptVal.future) == 0 {
+			t.Fatal("the run neither migrated nor planned")
+		}
+		// Leave stale entries past the ends of the reused slices, as a run
+		// that blocked tasks and planned by level would.
+		r.blocked = append(r.blocked[:0], blockedTask{t: g.Tasks[0]})[:0]
+		r.ptVal.byLevel = append(r.ptVal.byLevel[:0], []*task.Task{g.Tasks[1]})
+		return r
+	}
+	clean := func(r *runner) bool {
+		if r.g != nil || r.cfg.Trace != nil || r.cfg.NewQueue != nil || r.cfg.OnQuarantine != nil ||
+			r.queue != nil || r.levels != nil || r.mig.Observer != nil || r.e.Now() != 0 {
+			return false
+		}
+		for _, b := range r.blocked[:cap(r.blocked)] {
+			if b.t != nil {
+				return false
+			}
+		}
+		p := &r.ptVal
+		for _, u := range p.users {
+			if u != nil {
+				return false
+			}
+		}
+		for _, tk := range p.future[:cap(p.future)] {
+			if tk != nil {
+				return false
+			}
+		}
+		for _, lv := range p.byLevel[:cap(p.byLevel)] {
+			for _, tk := range lv[:cap(lv)] {
+				if tk != nil {
+					return false
+				}
+			}
+		}
+		for _, tf := range r.flowPool {
+			if tf.t != nil {
+				return false
+			}
+		}
+		return true
 	}
 
-	huge := new(managed)
-	fill(huge)
-	r := &runner{}
-	huge.flows = []*taskFlow{{r: r}}
-	huge.planFlows = []*planFlow{{r: r}}
-	huge.pt.taskBuf = make([]uint64, managedBudget/8+1)
+	huge := served()
+	huge.ptVal.taskBuf = make([]uint64, runBudget/8+1)
 	if huge.recycle() {
-		t.Errorf("a working set of %d bytes was pooled; the budget is %d", huge.footprint(), managedBudget)
+		t.Errorf("a runner of %d bytes was pooled; the budget is %d", huge.footprint(), runBudget)
 	}
-	if !cleared(huge) || huge.flows[0].r != nil || huge.planFlows[0].r != nil {
-		t.Error("a dropped working set kept references into its run")
+	if !clean(huge) {
+		t.Error("a dropped runner kept references into its run")
 	}
 
-	small := new(managed)
-	fill(small)
+	small := served()
 	if !small.recycle() {
-		t.Errorf("a working set of %d bytes was dropped; the budget is %d", small.footprint(), managedBudget)
+		t.Errorf("a runner of %d bytes was dropped; the budget is %d", small.footprint(), runBudget)
 	}
-	if !cleared(small) {
-		t.Error("a pooled working set kept references into its run")
+	if !clean(small) {
+		t.Error("a pooled runner kept references into its run")
+	}
+}
+
+// TestPooledRunnerReleasesRun is the leak check: once Run has returned
+// and its runner sits in the pool, nothing the runner holds may keep the
+// run's graph or trace alive. The test keeps every runner reachable
+// itself (through testHook), so the check does not depend on when the
+// pool drops its items: after each run, one GC must finalize that run's
+// graph and trace.
+func TestPooledRunnerReleasesRun(t *testing.T) {
+	var held []*runner
+	testHook = func(r *runner) { held = append(held, r) }
+	defer func() { testHook = nil }()
+	faults, err := fault.ParseSpec("rate=200,seed=7,horizon=0.05,tiers=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(app string, h mem.HMS, p Policy, faulty bool) (graphGone, traceGone chan struct{}) {
+		s, err := workloads.ByName(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := s.Build(workloads.Params{Scale: 6}).Graph
+		cfg := DefaultConfig(h)
+		cfg.Policy = p
+		cfg.Trace = &trace.Trace{}
+		if faulty {
+			cfg.Faults, cfg.Feedback.Enabled = faults, true
+		}
+		graphGone, traceGone = make(chan struct{}), make(chan struct{})
+		runtime.SetFinalizer(g, func(*task.Graph) { close(graphGone) })
+		runtime.SetFinalizer(cfg.Trace, func(*trace.Trace) { close(traceGone) })
+		if _, err := Run(g, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return graphGone, traceGone
+	}
+	for _, c := range []struct {
+		app    string
+		h      mem.HMS
+		p      Policy
+		faulty bool
+	}{
+		{"heat", goldenMachines[1].hms, Tahoe, false},
+		{"heat", goldenMachines[0].hms, PhaseBased, false},
+		{"cholesky", mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), 32*mem.MB), Tahoe, true},
+		{"cholesky", goldenMachines[0].hms, FirstTouch, false},
+	} {
+		graphGone, traceGone := run(c.app, c.h, c.p, c.faulty)
+		runtime.GC()
+		for _, gone := range []struct {
+			what string
+			ch   chan struct{}
+		}{{"graph", graphGone}, {"trace", traceGone}} {
+			select {
+			case <-gone.ch:
+			case <-time.After(10 * time.Second):
+				t.Errorf("%s %v: the run's %s was not finalized: its runner still references it", c.app, c.p, gone.what)
+			}
+		}
+	}
+	if len(held) != 4 {
+		t.Fatalf("testHook saw %d runs, want 4", len(held))
+	}
+	runtime.KeepAlive(held)
+}
+
+// panicQueue is a ready queue whose Push panics when dispatch hands back
+// a task it popped before: a task that blocked on an in-flight copy and
+// is now being released, so the panic leaves the runner holding blocked
+// tasks.
+type panicQueue struct {
+	sched.Queue
+	popped map[task.TaskID]bool
+}
+
+func (q *panicQueue) Push(t *task.Task, worker int) {
+	if q.popped[t.ID] {
+		panic("panicQueue: a blocked task is being released")
+	}
+	q.Queue.Push(t, worker)
+}
+
+func (q *panicQueue) Pop(worker int) (*task.Task, bool) {
+	t, ok := q.Queue.Pop(worker)
+	if ok {
+		q.popped[t.ID] = true
+	}
+	return t, ok
+}
+
+// TestPanickedRunIsNotPooled panics a Tahoe run from its ready queue
+// while it releases a task that blocked on a copy, recovers, and then
+// runs the golden grid on the same goroutine: a run that panics must not
+// hand its runner to the runs after it, which must still equal the
+// golden file. (Were the runner pooled, the next run would dispatch the
+// blocked entries recycle cleared, and crash.)
+func TestPanickedRunIsNotPooled(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden bits are recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	cases, want := goldenCases(t), goldenWant(t)
+	s, err := workloads.ByName("heat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := s.Build(workloads.Params{Scale: 6}).Graph
+	cfg := DefaultConfig(goldenMachines[0].hms)
+	cfg.Policy = Tahoe
+	cfg.NewQueue = func(int, func(task.TaskID) bool) sched.Queue {
+		return &panicQueue{Queue: sched.NewFIFO(), popped: map[task.TaskID]bool{}}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the run did not panic")
+			}
+		}()
+		_, _ = Run(g, cfg)
+	}()
+	for i, c := range cases {
+		if got := goldenRun(t, c.name, c.app, c.scale, c.cfg); got != want[i] {
+			t.Errorf("after a panicked run: run %d differs:\n got  %s\n want %s", i, got, want[i])
+		}
 	}
 }

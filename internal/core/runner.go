@@ -97,45 +97,21 @@ type blockedTask struct {
 	worker int // worker that readied it (for deque affinity)
 }
 
-// runner holds the state of one simulated run.
+// runner holds the state of one simulated run: the per-run fields below,
+// which setup zeroes, and the embedded runSet, which a pooled runner
+// carries from run to run (pool.go).
 type runner struct {
 	cfg Config
 	g   *task.Graph
 
-	e      *sim.Engine
 	memRes *sim.Resource
-	st     *heap.State
-	mig    *migrate.Engine
 
 	profiler *prof.Profiler
 	params   model.Params
 
-	queue       sched.Queue
-	freeWorkers []int
-	remaining   []int // unmet dependence count per task
-	started     []bool
-	finished    []bool
-	levels      []int
+	queue  sched.Queue
+	levels []int
 
-	// userCursor is, per object, a cursor into Users(obj): every user
-	// before it has finished. safeFor, its only reader, advances it
-	// lazily. Objects have dense IDs, so per-object state is flat slices,
-	// not maps.
-	userCursor []int
-	// inUse counts running tasks touching each object.
-	inUse []int
-
-	// Per-kind counters, indexed by the graph's dense kind index
-	// (g.Kinds order); the hot paths reach them via g.KindIndex.
-	kindTotal      []int
-	kindRemaining  []int
-	kindSinceAudit []int
-	auditDrift     []int
-
-	// ms is the pooled working set of a profiling policy's run (pool.go),
-	// nil under the other policies; pt, profiler, fb, flowPool and
-	// planFlows live in it while the run holds it.
-	ms *managed
 	// pt is the incremental planning state (profiling policies only);
 	// see plannerState in plan.go.
 	pt *plannerState
@@ -145,19 +121,9 @@ type runner struct {
 	needReplan bool
 	replans    int
 	dynamicJ   float64
-	// promoBlock blacklists chunks whose promotion just failed (no room);
-	// retries wait until some task completes, preventing a same-instant
-	// retry livelock. Cleared on every completion. Indexed by the dense
-	// global chunk index; promoBlocked counts set entries so the common
+	// promoBlocked counts the set entries of promoBlock, so the common
 	// nothing-blocked case clears nothing.
-	promoBlock   []bool
 	promoBlocked int
-	// pendingTier[t] is the projected byte delta of tier t from queued and
-	// in-flight movements: promotions targeting t add their size, moves
-	// leaving t subtract it. TierAvail(t)-pendingTier[t] is the headroom a
-	// new movement may count on. (The two-tier machine only ever consults
-	// the fastest tier's entry — the old pendingDRAM.)
-	pendingTier []int64
 	// fastTier caches the fastest tier's id (InDRAM on two-tier machines).
 	fastTier     mem.Tier
 	hwFrac       float64
@@ -167,33 +133,10 @@ type runner struct {
 	overheadSync float64
 	highWater    int64
 
-	blocked     []blockedTask
 	completed   int
 	lastPlanAt  int
 	frontierIdx int
 	dispatchQ   bool // dispatch scheduled for this instant
-	// dispatchFn is the dispatch timer's callback, bound once per run so
-	// scheduling a dispatch allocates no closure.
-	dispatchFn func(now float64)
-
-	// obsScratch is the reusable observation buffer complete() hands the
-	// profiler (Record does not retain it).
-	obsScratch []prof.AccessObs
-
-	// flowPool recycles task-execution flows: once a flow's OnDone has
-	// fired the engine holds no reference to it, so start() can reuse the
-	// Flow, its two-stage array, its Demand's ObjSecs array and the
-	// pre-bound completion context. The pool's high-water mark is the
-	// worker count, not the task count. planFlows recycles the plans'
-	// serialization flows the same way.
-	flowPool  []*taskFlow
-	planFlows []*planFlow
-
-	// victims is makeRoomOn's candidate stack: each call pushes its
-	// victims above those of the calls it cascades from and pops them on
-	// return. moveDoneFn is moveDone, bound once per run.
-	victims    []victim
-	moveDoneFn func(now float64, req migrate.Request, ok bool)
 
 	// exposureSince, when >= 0, marks the start of an interval in which a
 	// worker sits idle with no runnable task while tasks wait on
@@ -227,6 +170,91 @@ type runner struct {
 	quarantines int
 	readmits    int
 	faultEvents int
+
+	runSet
+}
+
+// runSet is what a pooled runner keeps from one run to the next: the
+// layer values that its pointers and queue point into, its tables and
+// scratch, its flow carriers and its callbacks, bound once. setup resets
+// every layer and re-slices every buffer for the new graph (reuse), so a
+// steady stream of runs allocates nothing.
+type runSet struct {
+	e   sim.Engine
+	st  heap.State
+	mig migrate.Engine
+	ws  sched.WorkSteal // the default queue
+
+	// The profiling policies' layers: profiler, pt and fb point at them
+	// while such a run holds the set; the other policies never touch them.
+	profVal prof.Profiler
+	ptVal   plannerState
+	fbVal   feedback.Estimator
+
+	freeWorkers []int
+	remaining   []int // unmet dependence count per task
+	started     []bool
+	finished    []bool
+
+	// userCursor is, per object, a cursor into Users(obj): every user
+	// before it has finished. safeFor, its only reader, advances it
+	// lazily. Objects have dense IDs, so per-object state is flat slices,
+	// not maps.
+	userCursor []int
+	// inUse counts running tasks touching each object.
+	inUse []int
+
+	// Per-kind counters, indexed by the graph's dense kind index
+	// (g.Kinds order); the hot paths reach them via g.KindIndex.
+	kindTotal      []int
+	kindRemaining  []int
+	kindSinceAudit []int
+	auditDrift     []int
+
+	// promoBlock blacklists chunks whose promotion just failed (no room);
+	// retries wait until some task completes, preventing a same-instant
+	// retry livelock. Cleared on every completion. Indexed by the dense
+	// global chunk index.
+	promoBlock []bool
+	// pendingTier[t] is the projected byte delta of tier t from queued and
+	// in-flight movements: promotions targeting t add their size, moves
+	// leaving t subtract it. TierAvail(t)-pendingTier[t] is the headroom a
+	// new movement may count on. (The two-tier machine only ever consults
+	// the fastest tier's entry — the old pendingDRAM.)
+	pendingTier []int64
+
+	blocked []blockedTask
+
+	// obsScratch is the reusable observation buffer complete() hands the
+	// profiler (Record does not retain it).
+	obsScratch []prof.AccessObs
+
+	// flowPool recycles task-execution flows: once a flow's OnDone has
+	// fired the engine holds no reference to it, so start() can reuse the
+	// Flow, its two-stage array, its Demand's ObjSecs array and the
+	// pre-bound completion context. The pool's high-water mark is the
+	// worker count, not the task count. planFlows recycles the plans'
+	// serialization flows the same way.
+	flowPool  []*taskFlow
+	planFlows []*planFlow
+
+	// victims is makeRoomOn's candidate stack: each call pushes its
+	// victims above those of the calls it cascades from and pops them on
+	// return.
+	victims []victim
+
+	// Initial placement's tables (policy.go): DRAM-only's copy of the
+	// machine's tiers, Tahoe's chunk count per object, and FirstTouch's
+	// first-use marks.
+	tiers   []mem.TierSpec
+	chunks  []int
+	touched []bool
+
+	// dispatchFn is the dispatch timer's callback and moveDoneFn is
+	// moveDone, each bound once per runner, so scheduling a dispatch or a
+	// movement allocates no closure.
+	dispatchFn func(now float64)
+	moveDoneFn func(now float64, req migrate.Request, ok bool)
 }
 
 // quarantineThreshold is how many injected copy failures (since the last
@@ -247,9 +275,21 @@ func Run(g *task.Graph, cfg Config) (Result, error) {
 	if err := g.Validate(); err != nil {
 		return Result{}, err
 	}
-	r := &runner{cfg: cfg, g: g}
-	defer r.release()
-	if err := r.setup(); err != nil {
+	r := takeRunner()
+	res, err := r.run(g, cfg)
+	if err == nil {
+		// Only a run that returns without error pools its runner. A panic
+		// unwinds past this line, so a runner with a flow still in flight
+		// never reaches the pool; a failed run's runner is dropped too.
+		r.recycle()
+	}
+	return res, err
+}
+
+// run sets r up for g under cfg, simulates the run to quiescence, checks
+// the run's invariants and returns its result.
+func (r *runner) run(g *task.Graph, cfg Config) (Result, error) {
+	if err := r.setup(g, cfg); err != nil {
 		return Result{}, err
 	}
 	r.seed()
@@ -302,15 +342,6 @@ func Run(g *task.Graph, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// release hands the run's managed working set, if it holds one, back to
-// the pool with the flow carriers the run has returned.
-func (r *runner) release() {
-	if m := r.ms; m != nil {
-		m.flows, m.planFlows = r.flowPool, r.planFlows
-		m.recycle()
-	}
-}
-
 // energy totals the run's memory-system energy: accumulated dynamic
 // access energy (tasks plus migration copies, which read the source and
 // write the destination) and static power of the installed devices over
@@ -355,16 +386,17 @@ func (r *runner) energy(makespan float64) (dynamicJ, staticJ float64) {
 	return dynamicJ, staticJ
 }
 
-// setup builds the simulated machine, the placement state with the
-// chunking plan, the profiler and models, and applies the policy's
-// initial placement.
-func (r *runner) setup() error {
-	r.e = sim.NewEngine()
+// setup resets r for a run of g under cfg: it zeroes the per-run fields,
+// resets the simulated machine, the placement state with the chunking
+// plan, the migration engine, the profiler and models in the runSet, and
+// applies the policy's initial placement.
+func (r *runner) setup(g *task.Graph, cfg Config) error {
+	*r = runner{cfg: cfg, g: g, runSet: r.runSet}
 	// The memory system is one unit-rate service pool shared by both
 	// tiers (they hang off the same controllers): a task's stage demands
 	// its zero-contention service seconds — NVM bytes costing more per
 	// byte — and concurrent flows processor-share the pool.
-	r.memRes = r.e.AddResource("mem", 1)
+	r.memRes = r.e.Reset().AddResource("mem", 1)
 
 	hms := r.cfg.HMS
 	if r.cfg.Policy == DRAMOnly {
@@ -373,19 +405,19 @@ func (r *runner) setup() error {
 		for _, o := range r.g.Objects {
 			total += o.Size
 		}
-		// The caller's machine shares its tier slice: edit a copy.
-		hms.Tiers = append([]mem.TierSpec(nil), hms.Tiers...)
+		// The caller's machine shares its tier slice: edit the runner's
+		// copy.
+		r.tiers = append(r.tiers[:0], hms.Tiers...)
+		hms.Tiers = r.tiers
 		hms.Tiers[hms.Fastest()].Capacity = total + 1
 	}
 	r.fastTier = hms.Fastest()
-	r.pendingTier = make([]int64, hms.NumTiers())
+	r.pendingTier = reuse(r.pendingTier, hms.NumTiers())
 
-	st, err := heap.NewState(hms, r.g.Objects, r.chunkPlan())
-	if err != nil {
+	if _, err := r.st.Reset(hms, r.g.Objects, r.chunkPlan()); err != nil {
 		return err
 	}
-	r.st = st
-	r.mig = migrate.New(r.e, st, hms)
+	r.mig.Reset(&r.e, &r.st, hms)
 	if r.cfg.Trace != nil {
 		r.mig.Observer = traceObserver{r.cfg.Trace}
 		// Every task contributes a start/end pair and at least one
@@ -398,7 +430,7 @@ func (r *runner) setup() error {
 	// the fluid integration's steps differently at the last ulp, so the
 	// empty-equals-nil contract is kept by construction.
 	if !r.cfg.Faults.Empty() {
-		r.flt = fault.NewInjector(r.e, r.cfg.Faults)
+		r.flt = fault.NewInjector(&r.e, r.cfg.Faults)
 		r.flt.OnEvent = r.onFaultEvent
 		r.flt.OnCopyFault = r.onCopyFault
 		r.flt.Install()
@@ -415,41 +447,38 @@ func (r *runner) setup() error {
 	r.levels = r.g.Levels()
 
 	n := len(r.g.Tasks)
-	r.remaining = make([]int, n)
-	r.started = make([]bool, n)
-	r.finished = make([]bool, n)
+	r.remaining = reuse(r.remaining, n)
+	r.started = reuse(r.started, n)
+	r.finished = reuse(r.finished, n)
 	for _, t := range r.g.Tasks {
 		r.remaining[t.ID] = len(t.Deps())
 	}
 	nobj := len(r.g.Objects)
-	r.userCursor = make([]int, nobj)
-	r.inUse = make([]int, nobj)
+	r.userCursor = reuse(r.userCursor, nobj)
+	r.inUse = reuse(r.inUse, nobj)
 	r.exposureSince = -1
 
 	kinds := r.g.Kinds()
 	nk := len(kinds)
-	r.kindTotal = make([]int, nk)
-	r.kindRemaining = make([]int, nk)
+	r.kindTotal = reuse(r.kindTotal, nk)
+	r.kindRemaining = reuse(r.kindRemaining, nk)
 	for _, t := range r.g.Tasks {
 		ki := r.g.KindIndex(t.ID)
 		r.kindTotal[ki]++
 		r.kindRemaining[ki]++
 	}
-	r.kindSinceAudit = make([]int, nk)
-	r.auditDrift = make([]int, nk)
-	r.promoBlock = make([]bool, r.st.TotalChunks())
+	r.kindSinceAudit = reuse(r.kindSinceAudit, nk)
+	r.auditDrift = reuse(r.auditDrift, nk)
+	r.promoBlock = reuse(r.promoBlock, r.st.TotalChunks())
 	if r.profilesKinds() {
-		m := takeManaged()
-		r.ms = m
-		r.profiler = m.prof.Reset(r.cfg.Prof, kinds, nobj)
-		r.pt = m.pt.reset(r)
+		r.profiler = r.profVal.Reset(r.cfg.Prof, kinds, nobj)
+		r.pt = r.ptVal.reset(r)
 		if r.cfg.Prof.Adaptive {
 			r.kindBoosted = r.pt.kindBoosted
 		}
 		if r.cfg.Feedback.Enabled {
-			r.fb = m.fb.Reset(nk, nobj)
+			r.fb = r.fbVal.Reset(nk, nobj)
 		}
-		r.flowPool, r.planFlows = m.flows, m.planFlows
 	}
 
 	if r.cfg.NewQueue != nil {
@@ -472,16 +501,18 @@ func (r *runner) setup() error {
 			})
 			r.queue = sched.NewPriority(func(t *task.Task) float64 { return rank[t.ID] })
 		default:
-			r.queue = sched.NewWorkSteal(r.cfg.Workers)
+			r.queue = r.ws.Reset(r.cfg.Workers)
 		}
 	}
-	r.freeWorkers = make([]int, 0, r.cfg.Workers)
+	r.freeWorkers = r.freeWorkers[:0]
 	for w := r.cfg.Workers - 1; w >= 0; w-- {
 		r.freeWorkers = append(r.freeWorkers, w)
 	}
-	r.dispatchFn = func(now float64) {
-		r.dispatchQ = false
-		r.dispatch(now)
+	if r.dispatchFn == nil {
+		r.dispatchFn = func(now float64) {
+			r.dispatchQ = false
+			r.dispatch(now)
+		}
 	}
 
 	return r.applyInitialPlacement()
@@ -674,7 +705,6 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 		tf = r.flowPool[n-1]
 		r.flowPool[n-1] = nil
 		r.flowPool = r.flowPool[:n-1]
-		tf.r = r // a pooled working set's carrier served an earlier run
 		tf.flow.Reuse()
 	} else {
 		tf = &taskFlow{r: r}
@@ -1224,7 +1254,6 @@ func (r *runner) finishPlan(now float64, cost float64) {
 		if n := len(r.planFlows); n > 0 {
 			pf = r.planFlows[n-1]
 			r.planFlows = r.planFlows[:n-1]
-			pf.r = r
 			pf.flow.Reuse()
 		} else {
 			pf = &planFlow{r: r}

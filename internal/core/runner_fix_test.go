@@ -37,8 +37,8 @@ func fixRunner(t *testing.T, g *task.Graph, cfg Config) *runner {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r := &runner{cfg: cfg, g: g}
-	if err := r.setup(); err != nil {
+	r := new(runner)
+	if err := r.setup(g, cfg); err != nil {
 		t.Fatal(err)
 	}
 	return r

@@ -129,10 +129,10 @@ func testObjects() []*task.Object {
 	}
 }
 
-func newTestState(t *testing.T, chunks map[task.ObjectID]int) *State {
+func newTestState(t *testing.T, chunks []int) *State {
 	t.Helper()
 	h := mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), 128*mem.MB)
-	s, err := NewState(h, testObjects(), chunks)
+	s, err := new(State).Reset(h, testObjects(), chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestStateMoveIsIdempotent(t *testing.T) {
 }
 
 func TestStateChunking(t *testing.T) {
-	s := newTestState(t, map[task.ObjectID]int{0: 4, 1: 4})
+	s := newTestState(t, []int{0: 4, 1: 4})
 	if s.Chunks(0) != 4 {
 		t.Fatalf("A chunks = %d, want 4", s.Chunks(0))
 	}
@@ -231,7 +231,7 @@ func TestStateChunking(t *testing.T) {
 
 func TestStateChunkSizesCoverObject(t *testing.T) {
 	// 10 MB into 3 chunks: sizes must sum to exactly the object size.
-	s := newTestState(t, map[task.ObjectID]int{2: 3})
+	s := newTestState(t, []int{2: 3})
 	var sum int64
 	for i := 0; i < s.Chunks(2); i++ {
 		sum += s.ChunkSize(ChunkRef{Obj: 2, Index: i})
@@ -307,7 +307,7 @@ func TestFragmentationImmunity(t *testing.T) {
 		objs = append(objs, &task.Object{ID: task.ObjectID(i), Name: "s", Size: 4 * mem.MB, Chunkable: true})
 	}
 	objs = append(objs, &task.Object{ID: 16, Name: "big", Size: 64 * mem.MB, Chunkable: true})
-	s, err := NewState(h, objs, nil)
+	s, err := new(State).Reset(h, objs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestFragmentedMoveRandomized(t *testing.T) {
 				Size: int64(rng.Intn(16)+1) * mem.MB, Chunkable: true,
 			}
 		}
-		s, err := NewState(h, objs, nil)
+		s, err := new(State).Reset(h, objs, nil)
 		if err != nil {
 			return false
 		}

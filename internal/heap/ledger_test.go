@@ -36,18 +36,18 @@ var ledgerChunkCounts = []int{1, 2, 3, 4, 8}
 // usually the total of a few objects, so tiers fill exactly and moves
 // land on the room check's boundary. A fast tier may also have no
 // capacity at all, and NVM is sometimes too small to hold everything.
-func decodeLedgerCase(d *ledgerDraws) (mem.HMS, []*task.Object, map[task.ObjectID]int) {
+func decodeLedgerCase(d *ledgerDraws) (mem.HMS, []*task.Object, []int) {
 	nt := 2 + d.next(mem.MaxTiers-1)
 	n := 1 + d.next(8)
 	objs := make([]*task.Object, n)
-	chunks := make(map[task.ObjectID]int, n)
+	chunks := make([]int, n)
 	for i := range objs {
 		size := int64(d.next(16)+1) * mem.MB
 		if d.next(16) == 0 {
 			size = int64(d.next(4) + 1) // tiny: more chunks than bytes
 		}
 		objs[i] = &task.Object{ID: task.ObjectID(i), Name: "o", Size: size, Chunkable: d.next(4) != 0}
-		chunks[task.ObjectID(i)] = ledgerChunkCounts[d.next(len(ledgerChunkCounts))]
+		chunks[i] = ledgerChunkCounts[d.next(len(ledgerChunkCounts))]
 	}
 	tiers := make([]mem.TierSpec, nt)
 	tiers[0] = mem.TierSpec{Device: mem.NVMBandwidth(0.5), Capacity: 1 << 44}
@@ -98,13 +98,20 @@ func checkLedgerStep(t *testing.T, step string, s *State, r *refState) {
 }
 
 // runLedgerCase decodes a machine, objects and a move sequence from the
-// bytes, builds both layouts, applies every move to both and compares
-// them after each step.
-func runLedgerCase(t *testing.T, data []byte) {
+// bytes, lays them out in s through Reset and in a new reference layout,
+// applies every move to both and compares them after each step. Callers
+// pass one s for many cases, so each case also checks that a State
+// Reset from any earlier layout, complete or failed, behaves as a new
+// one.
+func runLedgerCase(t *testing.T, s *State, data []byte) {
 	d := &ledgerDraws{b: data}
 	h, objs, chunks := decodeLedgerCase(d)
-	s, errL := NewState(h, objs, chunks)
-	r, errR := newRefState(h, objs, chunks)
+	_, errL := s.Reset(h, objs, chunks)
+	refChunks := make(map[task.ObjectID]int, len(chunks))
+	for obj, n := range chunks {
+		refChunks[task.ObjectID(obj)] = n
+	}
+	r, errR := newRefState(h, objs, refChunks)
 	if !sameErr(errL, errR) {
 		t.Fatalf("build: ledger error %v, reference error %v", errL, errR)
 	}
@@ -132,11 +139,12 @@ func runLedgerCase(t *testing.T, data []byte) {
 // sequences on 2-, 3- and 4-tier machines through the byte ledger and
 // through the address-allocating reference layout, and requires the two
 // to agree after every step: the same errors, CanMoveTo predicting each
-// outcome, and every observable equal.
+// outcome, and every observable equal. One State serves every case.
 func TestLedgerMatchesReference(t *testing.T) {
+	var s State
 	for nt := 2; nt <= mem.MaxTiers; nt++ {
 		for seed := int64(0); seed < 40; seed++ {
-			runLedgerCase(t, ledgerSeed(nt, seed))
+			runLedgerCase(t, &s, ledgerSeed(nt, seed))
 		}
 	}
 }
@@ -153,18 +161,20 @@ func ledgerSeed(nt int, seed int64) []byte {
 
 // FuzzLedger decodes arbitrary bytes into the same builds and move
 // sequences as TestLedgerMatchesReference, starting from its first
-// seeds.
+// seeds. One State is Reset to each input's layout in turn, so every
+// input also runs on a State that held the previous input's layout.
 func FuzzLedger(f *testing.F) {
 	for nt := 2; nt <= mem.MaxTiers; nt++ {
 		for seed := int64(0); seed < 4; seed++ {
 			f.Add(ledgerSeed(nt, seed))
 		}
 	}
+	var s State
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			return
 		}
-		runLedgerCase(t, data)
+		runLedgerCase(t, &s, data)
 	})
 }
 
@@ -181,7 +191,7 @@ func TestStateCostIndependentOfBytes(t *testing.T) {
 	h := mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), size)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s, err := NewState(h, objs, nil)
+	s, err := new(State).Reset(h, objs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // fast tier, mirroring the paper's per-node service that coordinates
 // DRAM allowance across processes without OS changes.
 //
-// Invariants: an object's partitioning is fixed at NewState, so every
+// Invariants: an object's partitioning is fixed at Reset, so every
 // chunk has a stable dense global index in [0, TotalChunks) (objects in
 // ID order, chunks in order within an object) that planners key bitsets
 // and size tables off; each tier is a byte ledger whose resident count
@@ -17,6 +17,8 @@ package heap
 
 import (
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/task"
@@ -60,7 +62,7 @@ type State struct {
 	objSum  []int64
 	objOn   []int64
 
-	// Chunk index: the partitioning is fixed at NewState, so every chunk
+	// Chunk index: the partitioning is fixed at Reset, so every chunk
 	// gets a dense global index. Planners key bitsets and size tables
 	// off it and enumerate an object's chunks from the precomputed refs
 	// table without allocating.
@@ -70,31 +72,32 @@ type State struct {
 	total    int
 }
 
-// NewState lays out the graph's objects on the HMS, all on tier 0.
-// chunksFor, if non-nil, gives the number of chunks to split an object
-// into (values < 2, or entries for non-chunkable objects, mean "whole").
-func NewState(hms mem.HMS, objects []*task.Object, chunksFor map[task.ObjectID]int) (*State, error) {
+// Reset lays the graph's objects out on the HMS, all on tier 0, in s's
+// buffers, and returns s: a reset State is indistinguishable from a new
+// one, and one State reused across graphs stops allocating once its
+// buffers have grown. chunksFor, if non-nil, gives the number of chunks
+// to split an object into, indexed by object ID; a missing entry, a
+// value < 2, or a non-chunkable object means "whole".
+func (s *State) Reset(hms mem.HMS, objects []*task.Object, chunksFor []int) (*State, error) {
 	if err := hms.Validate(); err != nil {
 		return nil, err
 	}
-	nt := hms.NumTiers()
-	s := &State{
-		capacity: make([]int64, nt),
-		resident: make([]int64, nt),
-		nt:       nt,
-		objSize:  make([]int64, len(objects)),
-		objSum:   make([]int64, len(objects)),
-		objOn:    make([]int64, len(objects)*nt),
-	}
+	nt, nobj := hms.NumTiers(), len(objects)
+	s.nt = nt
+	s.capacity = reuse(s.capacity, nt)
+	s.resident = reuse(s.resident, nt)
+	s.objSize = reuse(s.objSize, nobj)
+	s.objSum = reuse(s.objSum, nobj)
+	s.objOn = reuse(s.objOn, nobj*nt)
 	for t := range s.capacity {
 		s.capacity[t] = hms.Capacity(mem.Tier(t))
 	}
 
 	// First pass: fix the partitioning and build the dense index.
-	s.base = make([]int, len(objects)+1)
+	s.base = reuse(s.base, nobj+1)
 	for _, o := range objects {
 		n := 1
-		if chunksFor != nil && o.Chunkable {
+		if int(o.ID) < len(chunksFor) && o.Chunkable {
 			if c := chunksFor[o.ID]; c > 1 {
 				n = c
 			}
@@ -104,11 +107,11 @@ func NewState(hms mem.HMS, objects []*task.Object, chunksFor map[task.ObjectID]i
 	for i := 1; i < len(s.base); i++ {
 		s.base[i] += s.base[i-1]
 	}
-	s.total = s.base[len(objects)]
-	s.chunkSize = make([]int64, s.total)
-	s.chunkTier = make([]mem.Tier, s.total)
-	s.refsFlat = make([]ChunkRef, s.total)
-	s.refs = make([][]ChunkRef, len(objects))
+	s.total = s.base[nobj]
+	s.chunkSize = reuse(s.chunkSize, s.total)
+	s.chunkTier = reuse(s.chunkTier, s.total)
+	s.refsFlat = reuse(s.refsFlat, s.total)
+	s.refs = reuse(s.refs, nobj)
 
 	// Second pass: size each chunk and charge it to NVM.
 	for _, o := range objects {
@@ -137,6 +140,23 @@ func NewState(hms mem.HMS, objects []*task.Object, chunksFor map[task.ObjectID]i
 		s.refs[o.ID] = s.refsFlat[lo:hi:hi]
 	}
 	return s, nil
+}
+
+// reuse returns b resized to n zeroed elements, in b's own array when
+// that is large enough.
+func reuse[T any](b []T, n int) []T {
+	b = slices.Grow(b[:0], n)[:n]
+	clear(b)
+	return b
+}
+
+// Footprint returns the bytes s's buffers hold.
+func (s *State) Footprint() int {
+	return 8*(cap(s.capacity)+cap(s.resident)+cap(s.chunkSize)+cap(s.objSize)+
+		cap(s.objSum)+cap(s.objOn)+cap(s.base)) +
+		cap(s.chunkTier)*int(unsafe.Sizeof(mem.Tier(0))) +
+		cap(s.refsFlat)*int(unsafe.Sizeof(ChunkRef{})) +
+		cap(s.refs)*int(unsafe.Sizeof([]ChunkRef(nil)))
 }
 
 // Refs returns the object's chunk references in index order. The slice is

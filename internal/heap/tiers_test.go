@@ -18,7 +18,7 @@ func TestStateThreeTier(t *testing.T) {
 	b.Submit("k", 0, []task.Access{{Obj: a, Mode: task.In, Loads: 1}}, nil)
 	g := b.Build()
 
-	st, err := NewState(h, g.Objects, nil)
+	st, err := new(State).Reset(h, g.Objects, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,9 @@
 package migrate
 
 import (
+	"slices"
+	"unsafe"
+
 	"repro/internal/fault"
 	"repro/internal/heap"
 	"repro/internal/mem"
@@ -185,7 +188,8 @@ type helperState struct {
 	bytes   float64
 	settled []settlement
 	head    int
-	fire    func(now float64)
+	// fire and finish are the engine's fire and finishCopy, bound once.
+	fire, finish func(now float64)
 }
 
 // settlement is a settled request whose Done has yet to run.
@@ -194,22 +198,46 @@ type settlement struct {
 	ok bool
 }
 
-// New returns a migration engine copying at h.CopyBW over the given
-// placement state.
-func New(e *sim.Engine, state *heap.State, h mem.HMS) *Engine {
-	return &Engine{
+// Reset makes m a migration engine copying at h.CopyBW over the given
+// placement state, with no requests, no observer, no faults and zero
+// stats, and returns m: a reset Engine behaves exactly as a new one. It
+// keeps m's request queue, pending table and copy machinery, so an engine
+// reused across runs stops allocating once they have grown.
+func (m *Engine) Reset(e *sim.Engine, state *heap.State, h mem.HMS) *Engine {
+	clear(m.queue)
+	hs := m.hs
+	if hs != nil {
+		clear(hs.settled)
+		hs.settled, hs.head, hs.cur, hs.flow = hs.settled[:0], 0, Request{}, sim.Flow{}
+	}
+	pending := slices.Grow(m.pending[:0], state.TotalChunks())[:state.TotalChunks()]
+	clear(pending)
+	*m = Engine{
 		sim:     e,
 		copyRes: e.AddResource("copy", h.CopyBW),
 		state:   state,
 		hms:     h,
-		pending: make([]int32, state.TotalChunks()),
+		queue:   m.queue[:0],
+		hs:      hs,
+		pending: pending,
 	}
+	return m
+}
+
+// Footprint returns the bytes m's queue, pending table and copy
+// machinery hold.
+func (m *Engine) Footprint() int {
+	n := cap(m.queue)*int(unsafe.Sizeof(Request{})) + 4*cap(m.pending)
+	if m.hs != nil {
+		n += int(unsafe.Sizeof(*m.hs)) + cap(m.hs.settled)*int(unsafe.Sizeof(settlement{}))
+	}
+	return n
 }
 
 // helper returns the engine's helperState, making it on first use.
 func (m *Engine) helper() *helperState {
 	if m.hs == nil {
-		m.hs = &helperState{fire: m.fire}
+		m.hs = &helperState{fire: m.fire, finish: m.finishCopy}
 	}
 	return m.hs
 }
@@ -408,8 +436,8 @@ func (m *Engine) kick() {
 			label = "migrate:" + r.Ref.String()
 		}
 		hs := m.helper()
-		if hs.flow.OnDone == nil { // the engine's first copy
-			hs.flow.Stages, hs.flow.OnDone = hs.stage[:], m.finishCopy
+		if hs.flow.OnDone == nil { // the first copy since Reset
+			hs.flow.Stages, hs.flow.OnDone = hs.stage[:], hs.finish
 		} else {
 			hs.flow.Reuse()
 		}

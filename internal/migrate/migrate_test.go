@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -12,18 +13,92 @@ import (
 
 func setup(t *testing.T, dramCap int64) (*sim.Engine, *heap.State, *Engine) {
 	t.Helper()
+	return setupIn(t, sim.NewEngine(), new(heap.State), new(Engine), dramCap)
+}
+
+// setupIn is setup on the given values, which may have served earlier
+// runs: it Resets each of them.
+func setupIn(t *testing.T, e *sim.Engine, st *heap.State, m *Engine, dramCap int64) (*sim.Engine, *heap.State, *Engine) {
+	t.Helper()
 	h := mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), dramCap)
 	h.CopyBW = 1e9 // 1 GB/s: easy arithmetic
 	objs := []*task.Object{
 		{ID: 0, Name: "A", Size: 100 * mem.MB, Chunkable: true},
 		{ID: 1, Name: "B", Size: 200 * mem.MB, Chunkable: true},
 	}
-	st, err := heap.NewState(h, objs, map[task.ObjectID]int{1: 2})
-	if err != nil {
+	if _, err := st.Reset(h, objs, []int{1: 2}); err != nil {
 		t.Fatal(err)
 	}
-	e := sim.NewEngine()
-	return e, st, New(e, st, h)
+	return e.Reset(), st, m.Reset(e, st, h)
+}
+
+// TestResetEqualsNew runs one script on new values and on values Reset
+// after an unrelated run on another machine and layout, which stopped
+// with a copy in flight, requests queued and an observer set. The script
+// covers a moot request, two promotions, a cancel, a drop for lack of
+// room and a demotion; both runs must settle every request at the same
+// time bits with the same outcome, notify the observer alike and end
+// with the same stats.
+func TestResetEqualsNew(t *testing.T) {
+	script := func(e *sim.Engine, m *Engine) []string {
+		obs := &seqObserver{}
+		m.Observer = obs
+		var log []string
+		done := func(now float64, r Request, ok bool) {
+			log = append(log, fmt.Sprintf("%x %v->%v %v", math.Float64bits(now), r.Ref, r.To, ok))
+		}
+		a, b0, b1 := heap.ChunkRef{Obj: 0}, heap.ChunkRef{Obj: 1}, heap.ChunkRef{Obj: 1, Index: 1}
+		m.Enqueue(Request{Ref: a, To: mem.InNVM, ForTask: -1, Done: done}) // moot
+		m.Enqueue(Request{Ref: a, To: mem.InDRAM, ForTask: 0, Done: done})
+		m.Enqueue(Request{Ref: b0, To: mem.InDRAM, ForTask: 1, Done: done})
+		m.Enqueue(Request{Ref: b1, To: mem.InDRAM, ForTask: 2, Done: done}) // no room
+		m.CancelQueued(b0, -1)
+		e.Run()
+		m.Enqueue(Request{Ref: a, To: mem.InNVM, ForTask: -1, Done: done})
+		e.Run()
+		return append(append(log, obs.log...), fmt.Sprintf("%+v pending=%d", m.Stats(), m.PendingCount()))
+	}
+	e, _, m := setup(t, 150*mem.MB)
+	want := script(e, m)
+
+	// The unrelated run: three tiers, other objects and chunks, its first
+	// copy still in flight when the values are reset.
+	h := mem.NewTieredHMS(
+		mem.TierSpec{Device: mem.OptanePM(), Capacity: 1 << 40},
+		mem.TierSpec{Device: mem.CXL(), Capacity: 64 * mem.MB},
+		mem.TierSpec{Device: mem.DRAM(), Capacity: 32 * mem.MB},
+	)
+	objs := make([]*task.Object, 5)
+	for i := range objs {
+		objs[i] = &task.Object{ID: task.ObjectID(i), Name: "o", Size: int64(i+1) * 8 * mem.MB, Chunkable: true}
+	}
+	e, st, m := sim.NewEngine(), new(heap.State), new(Engine)
+	if _, err := st.Reset(h, objs, []int{3, 1, 4, 1, 5}); err != nil {
+		t.Fatal(err)
+	}
+	m.Reset(e, st, h)
+	m.Observer = &seqObserver{}
+	for i := range objs {
+		m.Enqueue(Request{Ref: heap.ChunkRef{Obj: task.ObjectID(i)}, To: mem.Tier(1 + i%2), ForTask: -1,
+			Done: func(float64, Request, bool) {}})
+	}
+	if m.QueueLen() == 0 || !m.InFlight(heap.ChunkRef{Obj: 0}) {
+		t.Fatal("the unrelated run has no copy in flight and nothing queued")
+	}
+
+	e, _, m = setupIn(t, e, st, m, 150*mem.MB)
+	if m.Observer != nil || m.Faults != nil || m.QueueLen() != 0 || m.PendingCount() != 0 {
+		t.Fatal("Reset kept the last run's observer, faults or requests")
+	}
+	got := script(e, m)
+	if len(got) != len(want) {
+		t.Fatalf("reset run logged %d lines, new run %d:\n%v\n%v", len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("line %d: reset run %q, new run %q", i, got[i], want[i])
+		}
+	}
 }
 
 func TestPromotionMovesChunkAndTakesCopyTime(t *testing.T) {

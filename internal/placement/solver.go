@@ -39,6 +39,7 @@ type Solver struct {
 	results []int  // the entries' chosen indices, back to back
 	key     []byte // the signature being looked up
 	scratch knapScratch
+	tiers   tierScratch
 
 	// Hits and Misses count Solve and SolveTagged outcomes.
 	Hits, Misses int
@@ -58,8 +59,9 @@ var memoSeed = maphash.MakeSeed()
 // NewSolver returns an empty Solver.
 func NewSolver() *Solver { return new(Solver).Reset() }
 
-// Reset empties the memo and zeroes Hits and Misses, keeping the DP
-// scratch, the arenas and the index's storage for reuse, and returns s.
+// Reset empties the memo and zeroes Hits and Misses, keeping the DP and
+// tier scratch, the arenas and the index's storage for reuse, and
+// returns s.
 func (s *Solver) Reset() *Solver {
 	clear(s.index)
 	s.entries, s.keys, s.results = s.entries[:0], s.keys[:0], s.results[:0]
@@ -70,10 +72,11 @@ func (s *Solver) Reset() *Solver {
 // Footprint returns the bytes s's reusable buffers hold, counting each
 // index slot at the size of its key and value.
 func (s *Solver) Footprint() int {
-	sc := &s.scratch
+	sc, ts := &s.scratch, &s.tiers
 	return cap(s.entries)*int(unsafe.Sizeof(memoEntry{})+16) + cap(s.keys) + cap(s.key) +
-		8*(cap(s.results)+cap(sc.best)) + cap(sc.taken) +
-		cap(sc.cands)*int(unsafe.Sizeof(knapCand{})) + cap(sc.rows)*int(unsafe.Sizeof(knapRow{}))
+		8*(cap(s.results)+cap(sc.best)+cap(ts.assign)+cap(ts.remaining)) + cap(sc.taken) +
+		cap(sc.cands)*int(unsafe.Sizeof(knapCand{})) + cap(sc.rows)*int(unsafe.Sizeof(knapRow{})) +
+		cap(ts.stage)*int(unsafe.Sizeof(Item{}))
 }
 
 // Solve returns Knapsack(items, capacity, gran), memoized. The returned

@@ -1,6 +1,10 @@
 package placement
 
-import "repro/internal/heap"
+import (
+	"slices"
+
+	"repro/internal/heap"
+)
 
 // TierItem is one chunk's candidacy across an N-tier hierarchy.
 // Weight[t] is the net benefit (seconds saved minus migration and
@@ -32,20 +36,29 @@ type TierItem struct {
 // no item is ever assigned there (identical to a cap-0 knapsack, minus
 // the solver call).
 //
-// Returns the chosen tier per item, aligned with items.
+// Returns the chosen tier per item, aligned with items. With a non-nil
+// s the result and the cascade's working slices live in s's scratch, so
+// a warm Solver allocates nothing, and the result is valid until s's
+// next AssignTiers call.
 func AssignTiers(s *Solver, items []TierItem, caps []int64, gran int64) []int {
+	sc := &tierScratch{}
+	if s != nil {
+		sc = &s.tiers
+	}
 	nt := len(caps)
-	assign := make([]int, len(items))
+	assign := slices.Grow(sc.assign[:0], len(items))[:len(items)]
+	clear(assign)
+	sc.assign = assign
 	if len(items) == 0 || nt < 2 {
 		return assign
 	}
 	// remaining holds indices into items still unassigned, in input order
 	// (stable: stage candidates and results stay deterministic).
-	remaining := make([]int, len(items))
-	for i := range remaining {
-		remaining[i] = i
+	remaining := sc.remaining[:0]
+	for i := range items {
+		remaining = append(remaining, i)
 	}
-	stage := make([]Item, 0, len(items))
+	stage := sc.stage[:0]
 	for t := nt - 1; t >= 1 && len(remaining) > 0; t-- {
 		if caps[t] <= 0 {
 			continue // closed tier: nothing places here
@@ -78,7 +91,16 @@ func AssignTiers(s *Solver, items []TierItem, caps []int64, gran int64) []int {
 		}
 		remaining = kept
 	}
+	sc.remaining, sc.stage = remaining, stage
 	return assign
+}
+
+// tierScratch is AssignTiers' working storage: the assignment it
+// returns, the indices of the items still unassigned, and one tier
+// stage's knapsack items.
+type tierScratch struct {
+	assign, remaining []int
+	stage             []Item
 }
 
 // TierUsedBytes sums the bytes assigned to each tier.

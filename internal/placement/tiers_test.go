@@ -3,6 +3,7 @@ package placement
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/heap"
@@ -61,7 +62,8 @@ func TestAssignTiersSolverAgreesAndMemoizes(t *testing.T) {
 	caps := []int64{1 << 44, 64 << 20, 32 << 20}
 
 	cold := AssignTiers(nil, items, caps, DefaultGranularity)
-	warm1 := AssignTiers(s, items, caps, DefaultGranularity)
+	// The solver path returns its scratch, which the next call reuses.
+	warm1 := slices.Clone(AssignTiers(s, items, caps, DefaultGranularity))
 	if !reflect.DeepEqual(cold, warm1) {
 		t.Fatalf("solver path %v != cold path %v", warm1, cold)
 	}
@@ -75,6 +77,19 @@ func TestAssignTiersSolverAgreesAndMemoizes(t *testing.T) {
 	}
 	if s.Hits == 0 {
 		t.Errorf("repeat solve recorded no cache hits")
+	}
+}
+
+// A warm Solver runs the tier cascade in its own scratch: repeating a
+// three-tier assignment allocates nothing.
+func TestAssignTiersWarmSolverAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := NewSolver()
+	items := randTierItems(rng, 20, 3)
+	caps := []int64{1 << 44, 64 << 20, 32 << 20}
+	AssignTiers(s, items, caps, DefaultGranularity)
+	if n := testing.AllocsPerRun(10, func() { AssignTiers(s, items, caps, DefaultGranularity) }); n != 0 {
+		t.Fatalf("%v allocs per warm AssignTiers, want 0", n)
 	}
 }
 

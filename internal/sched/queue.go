@@ -7,6 +7,8 @@ package sched
 
 import (
 	"container/heap"
+	"slices"
+	"unsafe"
 
 	"repro/internal/task"
 )
@@ -140,7 +142,8 @@ type WorkSteal struct {
 // deque holds a worker's ready tasks in tasks[head:]. A steal advances
 // head rather than re-slicing the front away, and an emptied deque
 // rewinds to the start of its array, so deques keep their capacity and
-// a run's steady state pushes without allocating.
+// a run's steady state pushes without allocating. A pop clears the slot
+// it takes, so an empty deque holds no task.
 type deque struct {
 	tasks []*task.Task
 	head  int
@@ -153,12 +156,34 @@ func (d *deque) rewindIfEmpty() {
 	}
 }
 
-// NewWorkSteal returns deques for the given number of workers.
-func NewWorkSteal(workers int) *WorkSteal {
+// Reset empties w into one deque per worker (at least one) and returns
+// it: a reset WorkSteal behaves exactly as a new one, and keeps each
+// deque's array, so one reused across runs stops allocating once its
+// deques have grown.
+func (w *WorkSteal) Reset(workers int) *WorkSteal {
 	if workers < 1 {
 		workers = 1
 	}
-	return &WorkSteal{deques: make([]deque, workers)}
+	all := w.deques[:cap(w.deques)]
+	for i := range all {
+		clear(all[i].tasks)
+		all[i].tasks, all[i].head = all[i].tasks[:0], 0
+	}
+	if workers > len(all) {
+		all = slices.Grow(all, workers-len(all))
+	}
+	w.deques = all[:workers]
+	w.rr, w.n = 0, 0
+	return w
+}
+
+// Footprint returns the bytes w's deques hold.
+func (w *WorkSteal) Footprint() int {
+	n := cap(w.deques) * int(unsafe.Sizeof(deque{}))
+	for _, d := range w.deques[:cap(w.deques)] {
+		n += 8 * cap(d.tasks)
+	}
+	return n
 }
 
 // Push appends to the readying worker's deque.
@@ -178,8 +203,10 @@ func (w *WorkSteal) Pop(worker int) (*task.Task, bool) {
 		worker = 0
 	}
 	if d := &w.deques[worker]; len(d.tasks) > d.head {
-		t := d.tasks[len(d.tasks)-1]
-		d.tasks = d.tasks[:len(d.tasks)-1]
+		last := len(d.tasks) - 1
+		t := d.tasks[last]
+		d.tasks[last] = nil
+		d.tasks = d.tasks[:last]
 		d.rewindIfEmpty()
 		w.n--
 		return t, true
@@ -187,6 +214,7 @@ func (w *WorkSteal) Pop(worker int) (*task.Task, bool) {
 	for i := 1; i <= len(w.deques); i++ {
 		if d := &w.deques[(worker+i)%len(w.deques)]; len(d.tasks) > d.head {
 			t := d.tasks[d.head]
+			d.tasks[d.head] = nil
 			d.head++
 			d.rewindIfEmpty()
 			w.n--

@@ -75,7 +75,7 @@ func TestPriorityOrder(t *testing.T) {
 }
 
 func TestWorkStealOwnDequeLIFO(t *testing.T) {
-	q := NewWorkSteal(2)
+	q := new(WorkSteal).Reset(2)
 	ts := mk(3)
 	for _, tk := range ts {
 		q.Push(tk, 0)
@@ -94,7 +94,7 @@ func TestWorkStealOwnDequeLIFO(t *testing.T) {
 }
 
 func TestWorkStealRoundRobinRoots(t *testing.T) {
-	q := NewWorkSteal(2)
+	q := new(WorkSteal).Reset(2)
 	ts := mk(4)
 	for _, tk := range ts {
 		q.Push(tk, -1) // roots
@@ -109,7 +109,7 @@ func TestWorkStealRoundRobinRoots(t *testing.T) {
 }
 
 func TestWorkStealEmpty(t *testing.T) {
-	q := NewWorkSteal(3)
+	q := new(WorkSteal).Reset(3)
 	if _, ok := q.Pop(0); ok {
 		t.Fatal("pop from empty deques succeeded")
 	}
@@ -155,13 +155,18 @@ func (w *sliceSteal) Pop(worker int) (*task.Task, bool) {
 
 // TestWorkStealMatchesSliceDeques drives WorkSteal and the re-slicing
 // queue through the same random push and pop sequences: the head index
-// must pop exactly the same tasks in the same order.
+// must pop exactly the same tasks in the same order. One WorkSteal serves
+// every seed, Reset to the seed's worker count while the last seed's
+// tasks are still queued, so each sequence also checks that a reset
+// WorkSteal behaves as a new one.
 func TestWorkStealMatchesSliceDeques(t *testing.T) {
 	ts := mk(4096)
+	q := new(WorkSteal)
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		workers := 1 + rng.Intn(6)
-		q, ref := NewWorkSteal(workers), &sliceSteal{deques: make([][]*task.Task, workers)}
+		q.Reset(workers)
+		ref := &sliceSteal{deques: make([][]*task.Task, workers)}
 		next, queued := 0, 0
 		for step := 0; step < 2000; step++ {
 			w := rng.Intn(workers+1) - 1 // -1 is a root push
@@ -191,7 +196,7 @@ func TestWorkStealMatchesSliceDeques(t *testing.T) {
 // across steals: once warm, pushing and draining by steals and own pops
 // allocates nothing.
 func TestWorkStealSteadyStateAllocs(t *testing.T) {
-	q := NewWorkSteal(2)
+	q := new(WorkSteal).Reset(2)
 	ts := mk(64)
 	cycle := func() {
 		for _, tk := range ts {

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 )
 
 // Resource is a bandwidth pool shared processor-style by the flows whose
@@ -318,7 +319,7 @@ type Event struct {
 }
 
 // Engine owns the virtual clock, the resources, and the active flows.
-// The zero value is not usable; call NewEngine.
+// NewEngine returns one; Reset returns a used one to the same state.
 type Engine struct {
 	now       float64
 	nflows    int // live flows, fixed- and shared-stage alike
@@ -350,6 +351,41 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
+// Reset returns e to the state NewEngine returns it in (virtual time
+// zero, no resources, flows or timers, Trace and Debug off) and returns
+// e. It keeps e's heaps and buffers, and the Resource structs AddResource
+// made, which the next AddResource calls hand out again, so a reset
+// engine runs a simulation like the last one without allocating.
+// Pending timers, such as daemons left at quiescence, are dropped
+// unfired; the old simulation's resources must not be used again.
+func (e *Engine) Reset() *Engine {
+	if e.running {
+		panic("sim: Reset of a running Engine")
+	}
+	clear(e.fixed)
+	clear(e.timers)
+	*e = Engine{
+		resources: e.resources[:0],
+		dirty:     e.dirty[:0],
+		fixed:     e.fixed[:0],
+		timers:    e.timers[:0],
+		finished:  e.finished[:0],
+	}
+	return e
+}
+
+// Footprint returns the bytes e's buffers and Resource structs hold.
+func (e *Engine) Footprint() int {
+	n := 8*(cap(e.resources)+cap(e.dirty)+cap(e.finished)) +
+		cap(e.fixed)*int(unsafe.Sizeof(fixedEntry{})) + cap(e.timers)*int(unsafe.Sizeof(timer{}))
+	for _, r := range e.resources[:cap(e.resources)] {
+		if r != nil {
+			n += int(unsafe.Sizeof(*r)) + 8*cap(r.active)
+		}
+	}
+	return n
+}
+
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
@@ -360,6 +396,13 @@ func (e *Engine) Steps() int64 { return e.steps }
 func (e *Engine) AddResource(name string, bw float64) *Resource {
 	if bw <= 0 {
 		panic(fmt.Sprintf("sim: resource %q with non-positive bandwidth %g", name, bw))
+	}
+	if n := len(e.resources); n < cap(e.resources) {
+		if r := e.resources[:n+1][n]; r != nil { // kept by Reset
+			*r = Resource{name: name, bw: bw, active: r.active[:0]}
+			e.resources = e.resources[:n+1]
+			return r
+		}
 	}
 	r := &Resource{name: name, bw: bw}
 	e.resources = append(e.resources, r)

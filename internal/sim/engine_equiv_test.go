@@ -102,8 +102,9 @@ type runObs struct {
 	label string
 }
 
-func runOptimized(s scenario) (end float64, trace []runObs, busy []uint64) {
-	e := NewEngine()
+// runOptimized runs the scenario on e, which it Resets first.
+func runOptimized(e *Engine, s scenario) (end float64, trace []runObs, busy []uint64) {
+	e.Reset()
 	e.Debug = true
 	var res []*Resource
 	for i, bw := range s.bws {
@@ -201,12 +202,24 @@ func runReference(s scenario) (end float64, trace []runObs, busy []uint64) {
 	return end, trace, busy
 }
 
+// TestEngineEquivalentToReference also runs every scenario a second
+// time, on an engine Reset after an unrelated scenario, and requires
+// that run to match the new engine's bit for bit: a reset engine behaves
+// as a new one.
 func TestEngineEquivalentToReference(t *testing.T) {
 	const scenarios = 150
+	reused := NewEngine()
 	for seed := int64(0); seed < scenarios; seed++ {
 		s := genScenario(seed)
-		gotEnd, gotTrace, gotBusy := runOptimized(s)
+		gotEnd, gotTrace, gotBusy := runOptimized(NewEngine(), s)
 		refEnd, refTrace, refBusy := runReference(s)
+		runOptimized(reused, genScenario(seed+scenarios))
+		againEnd, againTrace, againBusy := runOptimized(reused, s)
+		if math.Float64bits(againEnd) != math.Float64bits(gotEnd) ||
+			fmt.Sprint(againTrace, againBusy) != fmt.Sprint(gotTrace, gotBusy) {
+			t.Fatalf("seed %d: a reset engine differs from a new one:\nreset %v %v %v\nnew   %v %v %v",
+				seed, againEnd, againTrace, againBusy, gotEnd, gotTrace, gotBusy)
+		}
 		if math.Float64bits(gotEnd) != math.Float64bits(refEnd) {
 			t.Fatalf("seed %d: final clock differs: optimized %v (%x) vs reference %v (%x)",
 				seed, gotEnd, math.Float64bits(gotEnd), refEnd, math.Float64bits(refEnd))
@@ -237,7 +250,7 @@ func TestEngineEquivalenceExercisesTolerance(t *testing.T) {
 	sawSimultaneous := false
 	for seed := int64(0); seed < 150 && !sawSimultaneous; seed++ {
 		s := genScenario(seed)
-		_, trace, _ := runOptimized(s)
+		_, trace, _ := runOptimized(NewEngine(), s)
 		var lastBits uint64
 		var lastKind EventKind = EvStart
 		for i, ev := range trace {
