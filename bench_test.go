@@ -2,12 +2,17 @@ package tahoe
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fault"
@@ -618,6 +623,129 @@ func BenchmarkServeScaling(b *testing.B) {
 			defer s.Close()
 			serveBenchLoop(b, s)
 		})
+	}
+}
+
+// serveRequests is a /v1/run mix shaped like perfbench serve-http's
+// ops: a named app under Tahoe with feedback on a three-tier machine, a
+// seeded inline graph drawn the way perfbench draws one (1-48 MB
+// objects, tasks of four kinds touching one to three neighbouring
+// objects), and a traced PhaseBased run.
+func serveRequests() []serve.RunRequest {
+	rng := rand.New(rand.NewSource(1))
+	g := &serve.GraphSpec{Name: fmt.Sprintf("inline%d", rng.Intn(1<<20))}
+	const nobj, ntask = 11, 44
+	for i := 0; i < nobj; i++ {
+		g.Objects = append(g.Objects, serve.ObjectSpec{Size: (1 + rng.Int63n(48)) * MB, NoChunk: rng.Intn(4) == 0})
+	}
+	modes := []string{"in", "out", "inout"}
+	for t := 0; t < ntask; t++ {
+		ts := serve.TaskSpec{Kind: fmt.Sprintf("k%d", rng.Intn(4)), CPUSec: 1e-4 + 2e-3*rng.Float64()}
+		first := rng.Intn(nobj)
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			obj := (first + k) % nobj
+			lines := g.Objects[obj].Size / 64
+			a := serve.AccessSpec{Obj: obj, Mode: modes[rng.Intn(3)], MLP: float64(1 + rng.Intn(8))}
+			if a.Mode != "out" {
+				a.Loads = 1 + int64(float64(lines)*(0.1+rng.Float64()))
+			}
+			if a.Mode != "in" {
+				a.Stores = 1 + int64(float64(lines)*0.5*rng.Float64())
+			}
+			ts.Accesses = append(ts.Accesses, a)
+		}
+		g.Tasks = append(g.Tasks, ts)
+	}
+	return []serve.RunRequest{
+		{Tenant: "bench", Workload: "cholesky", Scale: 6, Policy: "tahoe", Feedback: "on",
+			Machine: cliutil.MachineSpec{NVM: "bw:0.25", DRAMMB: 64, CXLMB: 128}},
+		{Tenant: "bench", Graph: g, Policy: "tahoe", Machine: cliutil.MachineSpec{NVM: "optane", DRAMMB: 91}},
+		{Tenant: "bench", Workload: "heat", Scale: 6, Policy: "phase", Trace: true,
+			Machine: cliutil.MachineSpec{NVM: "lat:4", DRAMMB: 181}},
+	}
+}
+
+// serveBodies encodes serveRequests as a client does, once.
+func serveBodies(b *testing.B) [][]byte {
+	var bodies [][]byte
+	for _, req := range serveRequests() {
+		body, err := json.Marshal(&req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	return bodies
+}
+
+// BenchmarkServeHTTP is the service end to end, as perfbench serve-http
+// drives it: one client posts the pre-encoded serveBodies in turn over
+// loopback HTTP and reads each answer. An op is one run through the
+// daemon's HTTP layer, request codec, admission and worker pool; its
+// allocs/op include the client's.
+func BenchmarkServeHTTP(b *testing.B) {
+	s := serve.New(serve.Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	client := ts.Client()
+	bodies := serveBodies(b)
+	post := func(body []byte) []byte {
+		hr, err := client.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		raw, err := io.ReadAll(hr.Body)
+		hr.Body.Close()
+		if err != nil || hr.StatusCode != http.StatusOK {
+			b.Fatalf("status %d, %v: %s", hr.StatusCode, err, raw)
+		}
+		return raw
+	}
+	// Warm the calibrations and pools, and check each request runs.
+	for _, body := range bodies {
+		var resp serve.RunResponse
+		if err := json.Unmarshal(post(body), &resp); err != nil || resp.Error != "" {
+			b.Fatalf("warm run: %v %q", err, resp.Error)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(bodies[i%len(bodies)])
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "runs/sec")
+}
+
+// BenchmarkServeCodec is the /v1/run codec alone: an op decodes the
+// three serveBodies and encodes the answer each got from the daemon.
+func BenchmarkServeCodec(b *testing.B) {
+	bodies := serveBodies(b)
+	s := serve.New(serve.Config{Workers: 1})
+	var resps []serve.RunResponse
+	for _, req := range serveRequests() {
+		resp, err := s.Do(&req)
+		if err != nil || resp.Error != "" {
+			b.Fatalf("run: %v %q", err, resp.Error)
+		}
+		resps = append(resps, resp)
+	}
+	s.Close()
+	var out []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, body := range bodies {
+			var req serve.RunRequest
+			if err := serve.DecodeRequest(body, &req); err != nil {
+				b.Fatal(err)
+			}
+			var err error
+			if out, err = serve.AppendResponse(out[:0], &resps[k]); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

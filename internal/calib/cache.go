@@ -1,7 +1,7 @@
 package calib
 
 import (
-	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/mem"
@@ -32,13 +32,21 @@ type cacheEntry struct {
 	f    Factors
 }
 
+// cacheKey names an envelope and sampling interval: the fast and slow
+// devices, with the slow device's read bandwidth and latency by bits.
+type cacheKey struct {
+	fast, slow string
+	bw, lat    uint64
+	interval   int64
+}
+
 // Cache memoizes the per-machine calibration factors. The zero value is
 // ready to use. The experiment harness and the serve daemon share one
 // instance (Shared), so a thousand concurrent tenants asking for the
 // same machine spec pay for calibration exactly once.
 type Cache struct {
 	mu sync.Mutex
-	m  map[string]*cacheEntry
+	m  map[cacheKey]*cacheEntry
 }
 
 // Shared is the process-wide calibration cache.
@@ -50,12 +58,13 @@ var Shared = &Cache{}
 // harness's historical behavior: experiment definitions are code, and a
 // machine that cannot calibrate still simulates.
 func (c *Cache) Factors(h mem.HMS, pc prof.Config) Factors {
-	h = Envelope(h)
+	// The envelope keeps h's fastest and slowest devices, so the key
+	// reads them from h and only a calibration builds the envelope.
 	fast, slow := h.Device(h.Fastest()), h.Device(0)
-	key := fmt.Sprintf("%s|%s|%g|%g|%d", fast.Name, slow.Name, slow.ReadBW, slow.ReadLatNS, pc.SamplingInterval)
+	key := cacheKey{fast.Name, slow.Name, math.Float64bits(slow.ReadBW), math.Float64bits(slow.ReadLatNS), pc.SamplingInterval}
 	c.mu.Lock()
 	if c.m == nil {
-		c.m = make(map[string]*cacheEntry)
+		c.m = make(map[cacheKey]*cacheEntry)
 	}
 	e, ok := c.m[key]
 	if !ok {
@@ -64,7 +73,7 @@ func (c *Cache) Factors(h mem.HMS, pc prof.Config) Factors {
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		f, err := Calibrate(h, pc)
+		f, err := Calibrate(Envelope(h), pc)
 		if err != nil {
 			f = Factors{CFBw: 1, CFLat: 1}
 		}

@@ -63,3 +63,27 @@ func TestCacheEnvelope(t *testing.T) {
 		t.Fatalf("expected one cache entry, got %d", len(c.m))
 	}
 }
+
+// TestCacheHitAllocFree: a cached lookup, on a two- or three-tier
+// machine, allocates nothing (the serve daemon makes one per run).
+func TestCacheHitAllocFree(t *testing.T) {
+	c := &Cache{}
+	pc := prof.DefaultConfig()
+	for _, h := range []mem.HMS{
+		mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), 128*mem.MB),
+		mem.NewTieredHMS(
+			mem.TierSpec{Device: mem.OptanePM(), Capacity: 1 << 44},
+			mem.TierSpec{Device: mem.CXL(), Capacity: 128 * mem.MB},
+			mem.TierSpec{Device: mem.DRAM(), Capacity: 64 * mem.MB},
+		),
+	} {
+		want := c.Factors(h, pc)
+		if n := testing.AllocsPerRun(100, func() {
+			if c.Factors(h, pc) != want {
+				t.Fatal("cached factors changed")
+			}
+		}); n != 0 {
+			t.Errorf("%d-tier cached lookup: %.0f allocs, want 0", h.NumTiers(), n)
+		}
+	}
+}

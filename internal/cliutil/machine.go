@@ -46,9 +46,9 @@ func (m MachineSpec) withDefaults() MachineSpec {
 func (m MachineSpec) String() string {
 	m = m.withDefaults()
 	if m.CXLMB > 0 {
-		return fmt.Sprintf("nvm=%s,dram=%d,cxl=%d", m.NVM, m.DRAMMB, m.CXLMB)
+		return "nvm=" + m.NVM + ",dram=" + strconv.FormatInt(m.DRAMMB, 10) + ",cxl=" + strconv.FormatInt(m.CXLMB, 10)
 	}
-	return fmt.Sprintf("nvm=%s,dram=%d", m.NVM, m.DRAMMB)
+	return "nvm=" + m.NVM + ",dram=" + strconv.FormatInt(m.DRAMMB, 10)
 }
 
 // Build constructs the machine the spec describes.

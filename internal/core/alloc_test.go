@@ -11,7 +11,8 @@ import (
 // TestRunAllocFree pins the pooled steady state: once a warm-up run has
 // grown a pooled runner's buffers for a graph, every further fault-free
 // run of it allocates nothing, under NVM-only, FirstTouch, HW-Cache,
-// DRAM-only, Tahoe and PhaseBased on both golden-grid machines. The GC
+// DRAM-only, Tahoe and PhaseBased on both golden-grid machines, with
+// each of the four schedulers (work stealing, FIFO, LIFO, Rank). The GC
 // stays off so that it cannot empty the pool between runs, and the
 // measurement runs on one processor, so each run takes the runner the
 // last one returned. Under the race detector sync.Pool drops items at
@@ -30,19 +31,21 @@ func TestRunAllocFree(t *testing.T) {
 			}
 			g := s.Build(workloads.Params{Scale: 6}).Graph
 			for _, p := range []Policy{NVMOnly, FirstTouch, HWCache, DRAMOnly, Tahoe, PhaseBased} {
-				cfg := DefaultConfig(m.hms)
-				cfg.Policy = p
-				// AllocsPerRun(1, f) warms up with one f and then counts one
-				// f exactly; f runs the graph several times.
-				n := testing.AllocsPerRun(1, func() {
-					for i := 0; i < runs; i++ {
-						if _, err := Run(g, cfg); err != nil {
-							t.Fatal(err)
+				for _, sc := range []Scheduler{WorkSteal, FIFOQueue, LIFOQueue, RankSched} {
+					cfg := DefaultConfig(m.hms)
+					cfg.Policy, cfg.Scheduler = p, sc
+					// AllocsPerRun(1, f) warms up with one f and then counts
+					// one f exactly; f runs the graph several times.
+					n := testing.AllocsPerRun(1, func() {
+						for i := 0; i < runs; i++ {
+							if _, err := Run(g, cfg); err != nil {
+								t.Fatal(err)
+							}
 						}
+					})
+					if n != 0 {
+						t.Errorf("%s/6 %v %v %s: %.0f allocs in %d warm runs, want 0", app, p, sc, m.name, n, runs)
 					}
-				})
-				if n != 0 {
-					t.Errorf("%s/6 %v %s: %.0f allocs in %d warm runs, want 0", app, p, m.name, n, runs)
 				}
 			}
 		}

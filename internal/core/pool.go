@@ -52,6 +52,8 @@ func (r *runner) recycle() bool {
 // footprint returns the bytes r's runSet holds.
 func (r *runner) footprint() int {
 	n := r.e.Footprint() + r.st.Footprint() + r.mig.Footprint() + r.ws.Footprint() +
+		r.fifo.Footprint() + r.lifo.Footprint() + r.prio.Footprint() + bytesOf(r.rank) +
+		bytesOf(r.rankDemand.ObjSecs) +
 		r.profVal.Footprint() + r.fbVal.Footprint() + r.ptVal.footprint() +
 		bytesOf(r.freeWorkers) + bytesOf(r.remaining) + bytesOf(r.started) + bytesOf(r.finished) +
 		bytesOf(r.userCursor) + bytesOf(r.inUse) + bytesOf(r.kindTotal) + bytesOf(r.kindRemaining) +

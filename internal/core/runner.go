@@ -184,6 +184,16 @@ type runSet struct {
 	st  heap.State
 	mig migrate.Engine
 	ws  sched.WorkSteal // the default queue
+	// The other schedulers' queues. Rank orders prio by the upward ranks
+	// in rank, which rankEst computes from rankDemand; rankEstFn and
+	// rankScoreFn are rankEst and the rank lookup, bound once per runner.
+	fifo        sched.FIFO
+	lifo        sched.LIFO
+	prio        sched.Priority
+	rank        []float64
+	rankDemand  model.Demand
+	rankEstFn   func(*task.Task) float64
+	rankScoreFn func(*task.Task) float64
 
 	// The profiling policies' layers: profiler, pt and fb point at them
 	// while such a run holds the set; the other policies never touch them.
@@ -255,6 +265,21 @@ type runSet struct {
 	// movement allocates no closure.
 	dispatchFn func(now float64)
 	moveDoneFn func(now float64, req migrate.Request, ok bool)
+}
+
+// rankEst is the Rank scheduler's estimate of a task's time: its demand
+// with every object on the slowest tier.
+func (r *runner) rankEst(t *task.Task) float64 {
+	r.rankDemand.FillTiered(t, r.cfg.HMS, onSlowest)
+	return r.rankDemand.TotalSec()
+}
+
+// onSlowest places every object wholly on tier 0, the slowest.
+func onSlowest(_ task.ObjectID, tier mem.Tier) float64 {
+	if tier == mem.InNVM {
+		return 1
+	}
+	return 0
 }
 
 // quarantineThreshold is how many injected copy failures (since the last
@@ -491,15 +516,16 @@ func (r *runner) setup(g *task.Graph, cfg Config) error {
 	} else {
 		switch r.cfg.Scheduler {
 		case FIFOQueue:
-			r.queue = sched.NewFIFO()
+			r.queue = r.fifo.Reset()
 		case LIFOQueue:
-			r.queue = sched.NewLIFO()
+			r.queue = r.lifo.Reset()
 		case RankSched:
-			rank := sched.UpwardRank(r.g, func(t *task.Task) float64 {
-				d := model.TaskDemand(t, r.cfg.HMS, func(task.ObjectID) float64 { return 0 })
-				return d.TotalSec()
-			})
-			r.queue = sched.NewPriority(func(t *task.Task) float64 { return rank[t.ID] })
+			if r.rankEstFn == nil {
+				r.rankEstFn = r.rankEst
+				r.rankScoreFn = func(t *task.Task) float64 { return r.rank[t.ID] }
+			}
+			r.rank = sched.UpwardRank(r.rank, r.g, r.rankEstFn)
+			r.queue = r.prio.Reset(r.rankScoreFn)
 		default:
 			r.queue = r.ws.Reset(r.cfg.Workers)
 		}
@@ -784,14 +810,7 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 			Time: now, Kind: trace.TaskStart, Task: t.ID, TaskKind: t.Kind, Worker: w, OK: true,
 		})
 	}
-	// The label is only ever read by the engine's optional trace hook;
-	// formatting it unconditionally was a per-task allocation for nothing.
-	label := ""
-	if r.e.Trace != nil {
-		label = fmt.Sprintf("task:%s#%d", t.Kind, t.ID)
-	}
 	tf.t, tf.began, tf.w, tf.profiled = t, now, w, profiling
-	tf.flow.Label = label
 	tf.stages[0] = sim.Stage{Fixed: fixed}
 	tf.stages[1] = sim.Stage{Res: r.memRes, Bytes: memSec, MaxRate: maxRate}
 	r.e.StartFlow(&tf.flow)
@@ -1257,7 +1276,7 @@ func (r *runner) finishPlan(now float64, cost float64) {
 			pf.flow.Reuse()
 		} else {
 			pf = &planFlow{r: r}
-			pf.flow = sim.Flow{Label: "runtime:plan", Stages: pf.stage[:], OnDone: pf.onDone}
+			pf.flow = sim.Flow{Stages: pf.stage[:], OnDone: pf.onDone}
 		}
 		pf.stage[0] = sim.Stage{Fixed: cost}
 		r.e.StartFlow(&pf.flow)

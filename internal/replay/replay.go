@@ -139,7 +139,7 @@ func Replay(g *task.Graph, cfg core.Config, rec *Recording) (core.Result, error)
 	}
 	order := rec.Order()
 	cfg.NewQueue = func(workers int, started func(task.TaskID) bool) sched.Queue {
-		return sched.NewRecorded(order, started)
+		return sched.NewRecorded(order, len(g.Tasks), started)
 	}
 	return core.Run(g, cfg)
 }

@@ -6,7 +6,6 @@
 package sched
 
 import (
-	"container/heap"
 	"slices"
 	"unsafe"
 
@@ -27,29 +26,54 @@ type Queue interface {
 }
 
 // FIFO dispatches tasks in ready order — the baseline breadth-first
-// behaviour of a centralized queue.
+// behaviour of a centralized queue. It holds its tasks in q[head:]: a
+// pop advances head and clears the slot it takes, an emptied queue
+// rewinds to the start of its array, and a push into a full array whose
+// front half is popped moves the tasks down instead of growing it. So a
+// FIFO keeps its capacity and one reused across runs stops allocating.
 type FIFO struct {
-	q []*task.Task
+	q    []*task.Task
+	head int
 }
 
 // NewFIFO returns an empty FIFO queue.
 func NewFIFO() *FIFO { return &FIFO{} }
 
+// Reset empties f, keeping its array, and returns it.
+func (f *FIFO) Reset() *FIFO {
+	clear(f.q)
+	f.q, f.head = f.q[:0], 0
+	return f
+}
+
 // Push appends the task.
-func (f *FIFO) Push(t *task.Task, worker int) { f.q = append(f.q, t) }
+func (f *FIFO) Push(t *task.Task, worker int) {
+	if len(f.q) == cap(f.q) && f.head > 0 && f.head >= len(f.q)/2 {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, t)
+}
 
 // Pop removes the oldest ready task.
 func (f *FIFO) Pop(worker int) (*task.Task, bool) {
-	if len(f.q) == 0 {
+	if f.head == len(f.q) {
 		return nil, false
 	}
-	t := f.q[0]
-	f.q = f.q[1:]
+	t := f.q[f.head]
+	f.q[f.head] = nil
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
 	return t, true
 }
 
 // Len returns the queue length.
-func (f *FIFO) Len() int { return len(f.q) }
+func (f *FIFO) Len() int { return len(f.q) - f.head }
+
+// Footprint returns the bytes f's array holds.
+func (f *FIFO) Footprint() int { return 8 * cap(f.q) }
 
 // LIFO dispatches the most recently readied task first — depth-first
 // behaviour that keeps working sets hot.
@@ -60,27 +84,40 @@ type LIFO struct {
 // NewLIFO returns an empty LIFO queue.
 func NewLIFO() *LIFO { return &LIFO{} }
 
+// Reset empties l, keeping its array, and returns it.
+func (l *LIFO) Reset() *LIFO {
+	clear(l.q)
+	l.q = l.q[:0]
+	return l
+}
+
 // Push appends the task.
 func (l *LIFO) Push(t *task.Task, worker int) { l.q = append(l.q, t) }
 
 // Pop removes the newest ready task.
 func (l *LIFO) Pop(worker int) (*task.Task, bool) {
-	if len(l.q) == 0 {
+	n := len(l.q) - 1
+	if n < 0 {
 		return nil, false
 	}
-	t := l.q[len(l.q)-1]
-	l.q = l.q[:len(l.q)-1]
+	t := l.q[n]
+	l.q[n] = nil
+	l.q = l.q[:n]
 	return t, true
 }
 
 // Len returns the queue length.
 func (l *LIFO) Len() int { return len(l.q) }
 
+// Footprint returns the bytes l's array holds.
+func (l *LIFO) Footprint() int { return 8 * cap(l.q) }
+
 // Priority dispatches by a score, largest first; ties break by task ID
-// (submission order) for determinism.
+// (submission order) for determinism. That order is total over distinct
+// tasks, so the pop sequence does not depend on the heap's shape.
 type Priority struct {
 	score func(*task.Task) float64
-	h     prioHeap
+	h     []prioItem // a binary heap, best first
 }
 
 // NewPriority returns a priority queue ordered by score, descending.
@@ -88,45 +125,74 @@ func NewPriority(score func(*task.Task) float64) *Priority {
 	return &Priority{score: score}
 }
 
+// Reset empties p, keeping its heap array, orders it by score and
+// returns it.
+func (p *Priority) Reset(score func(*task.Task) float64) *Priority {
+	clear(p.h)
+	p.h, p.score = p.h[:0], score
+	return p
+}
+
 type prioItem struct {
 	t     *task.Task
 	score float64
 }
 
-type prioHeap []prioItem
-
-func (h prioHeap) Len() int { return len(h) }
-func (h prioHeap) Less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score > h[j].score
+// before reports whether a pops ahead of b.
+func (a prioItem) before(b prioItem) bool {
+	if a.score != b.score {
+		return a.score > b.score
 	}
-	return h[i].t.ID < h[j].t.ID
-}
-func (h prioHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *prioHeap) Push(x any)   { *h = append(*h, x.(prioItem)) }
-func (h *prioHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return a.t.ID < b.t.ID
 }
 
 // Push inserts the task with its score.
 func (p *Priority) Push(t *task.Task, worker int) {
-	heap.Push(&p.h, prioItem{t: t, score: p.score(t)})
+	p.h = append(p.h, prioItem{t: t, score: p.score(t)})
+	h := p.h
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[i].before(h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
 }
 
 // Pop removes the highest-scored task.
 func (p *Priority) Pop(worker int) (*task.Task, bool) {
-	if p.h.Len() == 0 {
+	n := len(p.h) - 1
+	if n < 0 {
 		return nil, false
 	}
-	return heap.Pop(&p.h).(prioItem).t, true
+	h := p.h
+	t := h[0].t
+	h[0], h[n] = h[n], prioItem{}
+	h = h[:n]
+	for i := 0; ; {
+		best := i
+		if c := 2*i + 1; c < n && h[c].before(h[best]) {
+			best = c
+		}
+		if c := 2*i + 2; c < n && h[c].before(h[best]) {
+			best = c
+		}
+		if best == i {
+			break
+		}
+		h[i], h[best] = h[best], h[i]
+		i = best
+	}
+	p.h = h
+	return t, true
 }
 
 // Len returns the queue length.
-func (p *Priority) Len() int { return p.h.Len() }
+func (p *Priority) Len() int { return len(p.h) }
+
+// Footprint returns the bytes p's heap array holds.
+func (p *Priority) Footprint() int { return cap(p.h) * int(unsafe.Sizeof(prioItem{})) }
 
 // WorkSteal gives each worker a deque: Push lands on the readying
 // worker's deque (roots round-robin), Pop takes the own deque's newest
@@ -229,9 +295,11 @@ func (w *WorkSteal) Len() int { return w.n }
 
 // UpwardRank computes each task's HEFT-style upward rank: its estimated
 // time plus the maximum rank among its successors. Dispatching by
-// descending rank keeps the critical path moving.
-func UpwardRank(g *task.Graph, est func(*task.Task) float64) []float64 {
-	rank := make([]float64, len(g.Tasks))
+// descending rank keeps the critical path moving. The ranks fill rank's
+// array when it is large enough.
+func UpwardRank(rank []float64, g *task.Graph, est func(*task.Task) float64) []float64 {
+	rank = slices.Grow(rank[:0], len(g.Tasks))[:len(g.Tasks)]
+	clear(rank)
 	for i := len(g.Tasks) - 1; i >= 0; i-- {
 		t := g.Tasks[i]
 		var best float64

@@ -45,6 +45,35 @@ func TestFIFOOrder(t *testing.T) {
 	}
 }
 
+// TestFIFOInterleaved: random runs of pushes and pops, crossing the
+// rewind of an emptied queue and the move-down of a half-popped full
+// array, keep ready order, and a Reset queue starts empty.
+func TestFIFOInterleaved(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ts := mk(64)
+	q := NewFIFO()
+	for round := 0; round < 50; round++ {
+		var want []task.TaskID
+		for op := 0; op < 400; op++ {
+			if rng.Intn(5) < 3 {
+				tk := ts[rng.Intn(len(ts))]
+				q.Push(tk, 0)
+				want = append(want, tk.ID)
+			} else if tk, ok := q.Pop(0); ok != (len(want) > 0) || ok && tk.ID != want[0] {
+				t.Fatalf("round %d op %d: pop = %v, %v; want the head of %v", round, op, tk, ok, want)
+			} else if ok {
+				want = want[1:]
+			}
+			if q.Len() != len(want) {
+				t.Fatalf("round %d op %d: len = %d, want %d", round, op, q.Len(), len(want))
+			}
+		}
+		if q.Reset(); q.Len() != 0 {
+			t.Fatalf("len = %d after Reset", q.Len())
+		}
+	}
+}
+
 func TestLIFOOrder(t *testing.T) {
 	q := NewLIFO()
 	for _, tk := range mk(4) {
@@ -70,6 +99,50 @@ func TestPriorityOrder(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("priority order = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestPriorityInterleaved checks the heap against a linear scan: under
+// random pushes and pops, with scores drawn from a few values so that
+// ties break by ID, every pop returns the best queued task.
+func TestPriorityInterleaved(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ts := mk(200)
+	scores := make([]float64, len(ts))
+	before := func(a, b *task.Task) bool {
+		return scores[a.ID] > scores[b.ID] || scores[a.ID] == scores[b.ID] && a.ID < b.ID
+	}
+	q := NewPriority(nil)
+	for round := 0; round < 20; round++ {
+		for i := range scores {
+			scores[i] = float64(rng.Intn(6))
+		}
+		q.Reset(func(tk *task.Task) float64 { return scores[tk.ID] })
+		var queued []*task.Task
+		for op := 0; op < 600; op++ {
+			if rng.Intn(2) == 0 {
+				tk := ts[rng.Intn(len(ts))]
+				q.Push(tk, 0)
+				queued = append(queued, tk)
+				continue
+			}
+			best := -1
+			for i, tk := range queued {
+				if best < 0 || before(tk, queued[best]) {
+					best = i
+				}
+			}
+			tk, ok := q.Pop(0)
+			if ok != (best >= 0) || ok && tk != queued[best] {
+				t.Fatalf("round %d op %d: pop = %v, %v", round, op, tk, ok)
+			}
+			if ok {
+				queued = append(queued[:best], queued[best+1:]...)
+			}
+			if q.Len() != len(queued) {
+				t.Fatalf("round %d op %d: len = %d, want %d", round, op, q.Len(), len(queued))
+			}
 		}
 	}
 }
@@ -223,7 +296,7 @@ func TestUpwardRank(t *testing.T) {
 	b.Submit("t1", 2, []task.Access{{Obj: a, Mode: task.In, Loads: 1, MLP: 1}, {Obj: c, Mode: task.Out, Stores: 1, MLP: 1}}, nil)
 	b.Submit("t2", 1, []task.Access{{Obj: c, Mode: task.In, Loads: 1, MLP: 1}}, nil)
 	g := b.Build()
-	rank := UpwardRank(g, func(tk *task.Task) float64 { return tk.CPUSec })
+	rank := UpwardRank(nil, g, func(tk *task.Task) float64 { return tk.CPUSec })
 	// Upward ranks along the chain: 6, 3, 1.
 	if rank[0] != 6 || rank[1] != 3 || rank[2] != 1 {
 		t.Fatalf("ranks = %v", rank)

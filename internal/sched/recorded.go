@@ -26,17 +26,20 @@ import "repro/internal/task"
 type Recorded struct {
 	order   []task.TaskID
 	cursor  int
-	occLeft map[task.TaskID]int
-	ready   map[task.TaskID]*task.Task
+	occLeft []int32      // per task ID, its recorded occurrences not yet consumed
+	ready   []*task.Task // per task ID, the task when queued for its next occurrence
+	nReady  int          // the non-nil entries of ready
 	started func(task.TaskID) bool
 	over    []*task.Task
 }
 
-// NewRecorded returns a queue releasing tasks in the given pop order.
-// started reports whether a task has begun execution in the current run;
-// it distinguishes stale recorded occurrences from not-yet-ready tasks.
-func NewRecorded(order []task.TaskID, started func(task.TaskID) bool) *Recorded {
-	occ := make(map[task.TaskID]int, len(order))
+// NewRecorded returns a queue releasing a graph's tasks in the given pop
+// order. tasks is the graph's task count, and every ID in order must lie
+// in [0, tasks). started reports whether a task has begun execution in
+// the current run; it distinguishes stale recorded occurrences from
+// not-yet-ready tasks.
+func NewRecorded(order []task.TaskID, tasks int, started func(task.TaskID) bool) *Recorded {
+	occ := make([]int32, tasks)
 	for _, id := range order {
 		occ[id]++
 	}
@@ -46,7 +49,7 @@ func NewRecorded(order []task.TaskID, started func(task.TaskID) bool) *Recorded 
 	return &Recorded{
 		order:   order,
 		occLeft: occ,
-		ready:   make(map[task.TaskID]*task.Task),
+		ready:   make([]*task.Task, tasks),
 		started: started,
 	}
 }
@@ -54,8 +57,11 @@ func NewRecorded(order []task.TaskID, started func(task.TaskID) bool) *Recorded 
 // Push makes a task available for its next recorded occurrence, or
 // queues it in the overflow FIFO when the recording has none left.
 func (q *Recorded) Push(t *task.Task, worker int) {
-	if q.occLeft[t.ID] > 0 {
-		q.ready[t.ID] = t
+	if id := int(t.ID); uint(id) < uint(len(q.occLeft)) && q.occLeft[id] > 0 {
+		if q.ready[id] == nil {
+			q.nReady++
+		}
+		q.ready[id] = t
 		return
 	}
 	q.over = append(q.over, t)
@@ -67,8 +73,9 @@ func (q *Recorded) Push(t *task.Task, worker int) {
 func (q *Recorded) Pop(worker int) (*task.Task, bool) {
 	for q.cursor < len(q.order) {
 		id := q.order[q.cursor]
-		if t, ok := q.ready[id]; ok {
-			delete(q.ready, id)
+		if t := q.ready[id]; t != nil {
+			q.ready[id] = nil
+			q.nReady--
 			q.cursor++
 			q.occLeft[id]--
 			return t, true
@@ -91,4 +98,4 @@ func (q *Recorded) Pop(worker int) (*task.Task, bool) {
 }
 
 // Len returns the number of queued tasks.
-func (q *Recorded) Len() int { return len(q.ready) + len(q.over) }
+func (q *Recorded) Len() int { return q.nReady + len(q.over) }

@@ -8,7 +8,7 @@ import (
 
 func TestRecordedReleasesInOrder(t *testing.T) {
 	ts := mk(3)
-	q := NewRecorded([]task.TaskID{2, 0, 1}, nil)
+	q := NewRecorded([]task.TaskID{2, 0, 1}, len(ts), nil)
 	for _, tk := range ts {
 		q.Push(tk, 0)
 	}
@@ -29,7 +29,7 @@ func TestRecordedReleasesInOrder(t *testing.T) {
 
 func TestRecordedHoldsForUnreadyHead(t *testing.T) {
 	ts := mk(2)
-	q := NewRecorded([]task.TaskID{0, 1}, nil)
+	q := NewRecorded([]task.TaskID{0, 1}, len(ts), nil)
 	q.Push(ts[1], 0) // task 1 ready, but the recording pops 0 first
 	if _, ok := q.Pop(0); ok {
 		t.Fatal("released task 1 ahead of its recorded turn")
@@ -49,7 +49,7 @@ func TestRecordedHoldsForUnreadyHead(t *testing.T) {
 // task dispatched in between.
 func TestRecordedDuplicateOccurrences(t *testing.T) {
 	ts := mk(2)
-	q := NewRecorded([]task.TaskID{0, 1, 0}, nil)
+	q := NewRecorded([]task.TaskID{0, 1, 0}, len(ts), nil)
 	q.Push(ts[0], 0)
 	q.Push(ts[1], 0)
 	tk, ok := q.Pop(0)
@@ -70,7 +70,7 @@ func TestRecordedDuplicateOccurrences(t *testing.T) {
 func TestRecordedSkipsStaleOccurrences(t *testing.T) {
 	ts := mk(2)
 	startedSet := map[task.TaskID]bool{}
-	q := NewRecorded([]task.TaskID{0, 1, 0}, func(id task.TaskID) bool { return startedSet[id] })
+	q := NewRecorded([]task.TaskID{0, 1, 0}, len(ts), func(id task.TaskID) bool { return startedSet[id] })
 	q.Push(ts[0], 0)
 	tk, _ := q.Pop(0)
 	startedSet[tk.ID] = true // task 0 starts immediately this time
@@ -89,7 +89,7 @@ func TestRecordedSkipsStaleOccurrences(t *testing.T) {
 // divergent replay keeps making progress.
 func TestRecordedOverflow(t *testing.T) {
 	ts := mk(4)
-	q := NewRecorded([]task.TaskID{0}, nil)
+	q := NewRecorded([]task.TaskID{0}, len(ts), nil)
 	q.Push(ts[2], 0) // no recorded occurrence
 	q.Push(ts[3], 0) // no recorded occurrence
 	if q.Len() != 2 {
@@ -113,7 +113,7 @@ func TestRecordedOverflow(t *testing.T) {
 // overflow and is still released.
 func TestRecordedBlockedRepushBeyondRecording(t *testing.T) {
 	ts := mk(1)
-	q := NewRecorded([]task.TaskID{0}, nil)
+	q := NewRecorded([]task.TaskID{0}, len(ts), nil)
 	q.Push(ts[0], 0)
 	if tk, ok := q.Pop(0); !ok || tk.ID != 0 {
 		t.Fatalf("pop = %v, %v", tk, ok)

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -49,64 +47,47 @@ func bodyStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// apiError is the JSON error body of non-200 responses.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-// writeJSON encodes one JSON value with its status.
+// writeJSON encodes one JSON value with its status: the introspection
+// endpoints' answers. /v1/run answers through its codec (codec.go).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// peekNonSpace returns the first non-whitespace byte without consuming
-// it, deciding between the single-run and batch request forms.
-func peekNonSpace(br *bufio.Reader) (byte, error) {
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		}
-		return b, br.UnreadByte()
-	}
-}
-
 // handleRun admits and answers POST /v1/run.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
-	first, err := peekNonSpace(br)
+	c := getCodec(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	defer putCodec(c)
+	first, err := c.peek()
 	if err == io.EOF {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "empty request body"})
+		c.writeError(w, http.StatusBadRequest, "empty request body")
 		return
 	}
 	if err != nil {
-		writeJSON(w, bodyStatus(err), apiError{Error: fmt.Sprintf("bad request: %v", err)})
+		c.writeError(w, bodyStatus(err), "bad request: "+err.Error())
 		return
 	}
-	// One json.Decoder and one json.Encoder per connection, reused for
-	// every run in a batch.
-	dec := json.NewDecoder(br)
 	if first == '[' {
-		s.handleBatch(w, dec)
+		c.off++
+		s.handleBatch(w, c)
 		return
 	}
 
+	body, err := c.rest()
 	var req RunRequest
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, bodyStatus(err), apiError{Error: fmt.Sprintf("bad request: %v", err)})
+	if err == nil {
+		err = c.dec.request(body, &req)
+	}
+	if err != nil {
+		c.writeError(w, bodyStatus(err), "bad request: "+err.Error())
 		return
 	}
 	j := s.getJob(req.Tenant)
 	j.req = req
 	if err := s.resolve(j); err != nil {
 		s.putJob(j)
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		c.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Single runs shed on overflow: 429 + Retry-After beats an
@@ -116,19 +97,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	case ErrOverloaded:
 		s.putJob(j)
 		w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfterSec()))
-		writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error()})
+		c.writeError(w, http.StatusTooManyRequests, err.Error())
 		return
 	case ErrDraining:
 		s.putJob(j)
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
+		c.writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	default:
 		s.putJob(j)
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+		c.writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	<-j.done
-	writeJSON(w, http.StatusOK, &j.resp)
+	c.writeResp(w, http.StatusOK, &j.resp)
 	s.putJob(j)
 }
 
@@ -136,20 +117,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // answering NDJSON in request order. Admission blocks (connection-level
 // backpressure) and in-flight memory is bounded by the queue depth: at
 // most QueueDepth runs of one batch are outstanding before the oldest
-// must complete and its response is flushed.
-func (s *Server) handleBatch(w http.ResponseWriter, dec *json.Decoder) {
-	if _, err := dec.Token(); err != nil { // consume '['
-		writeJSON(w, bodyStatus(err), apiError{Error: fmt.Sprintf("bad batch: %v", err)})
-		return
-	}
+// must complete and its response is flushed. The codec has consumed the
+// array's '['.
+func (s *Server) handleBatch(w http.ResponseWriter, c *codec) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 
 	window := make([]*job, 0, s.cfg.QueueDepth)
 	emit := func(j *job) {
 		<-j.done
-		_ = enc.Encode(&j.resp)
+		c.writeLine(w, &j.resp)
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -162,20 +139,30 @@ func (s *Server) handleBatch(w http.ResponseWriter, dec *json.Decoder) {
 			emit(j)
 		}
 		window = window[:0]
-		_ = enc.Encode(&RunResponse{Error: msg})
+		c.writeLine(w, &RunResponse{Error: msg})
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	for n := 0; dec.More(); n++ {
+	for n := 0; ; n++ {
+		more, err := c.element(n)
+		if err == nil && !more {
+			break
+		}
 		var req RunRequest
-		if err := dec.Decode(&req); err != nil {
+		if err == nil {
+			var body []byte
+			if body, err = c.frame(); err == nil {
+				err = c.dec.request(body, &req)
+			}
+		}
+		if err != nil {
 			// Nothing answered yet: refuse the batch whole, like one run.
 			if status := bodyStatus(err); n == 0 && status != http.StatusBadRequest {
-				writeJSON(w, status, apiError{Error: fmt.Sprintf("bad request: %v", err)})
+				c.writeError(w, status, "bad request: "+err.Error())
 				return
 			}
-			reject(fmt.Sprintf("bad request: %v", err))
+			reject("bad request: " + err.Error())
 			break
 		}
 		j := s.getJob(req.Tenant)

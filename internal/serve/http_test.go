@@ -91,6 +91,23 @@ func TestHTTPErrors(t *testing.T) {
 		// past the cap is refused, a graph at the cap runs.
 		{pairGraphBody(t, 1025, 1024), http.StatusBadRequest},
 		{pairGraphBody(t, 1024, 1024), http.StatusOK},
+		// The strict request codec refuses what encoding/json let
+		// through: unknown, case-folded and duplicate keys, null, and
+		// data after the request. Numbers out of their field's range
+		// were refused before and still are.
+		{`{"workload":"heat","scale":4,"bogus":1}`, http.StatusBadRequest},
+		{`{"workload":"heat","scale":4,"machine":{"gpu_mb":1}}`, http.StatusBadRequest},
+		{`{"Workload":"heat","scale":4}`, http.StatusBadRequest},
+		{`{"workload":"heat","scale":4,"scale":4}`, http.StatusBadRequest},
+		{`null`, http.StatusBadRequest},
+		{`{"workload":"heat","scale":4,"policy":null}`, http.StatusBadRequest},
+		{`{"workload":"heat","scale":4,"graph":null}`, http.StatusBadRequest},
+		{`{"workload":"heat","scale":4} {"workload":"heat","scale":4}`, http.StatusBadRequest},
+		{`{"workload":"heat","scale":4}x`, http.StatusBadRequest},
+		{`{"workload":"heat","scale":9223372036854775808}`, http.StatusBadRequest},
+		{`{"workload":"heat","scale":4.5}`, http.StatusBadRequest},
+		{`{"graph":{"objects":[{"size":64}],"tasks":[{"kind":"k","cpu_sec":1e400,"accesses":[{"obj":0,"mode":"in","loads":1}]}]}}`, http.StatusBadRequest},
+		{`{"workload":"heat","scale":4}` + "\n\t ", http.StatusOK},
 	} {
 		resp, body := postRun(t, ts.URL, tc.body)
 		if resp.StatusCode != tc.want {
@@ -285,6 +302,124 @@ func TestHTTPBatchStreaming(t *testing.T) {
 	}
 	if lines[2].Workload != "nqueens" || lines[2].Error != "" || lines[2].TimeSec <= 0 {
 		t.Fatalf("line 2: %+v", lines[2])
+	}
+}
+
+// ndjsonLines splits an answer body into its lines, each with its '\n'.
+func ndjsonLines(t *testing.T, body []byte) [][]byte {
+	t.Helper()
+	if len(body) == 0 {
+		return nil
+	}
+	if body[len(body)-1] != '\n' {
+		t.Fatalf("answer does not end in a newline: %q", body)
+	}
+	lines := bytes.SplitAfter(body, []byte("\n"))
+	return lines[:len(lines)-1]
+}
+
+// TestHTTPAnswersMatchEncoder: every /v1/run answer, whether a single
+// run, an NDJSON batch line, an inline batch error or a refusal, is the
+// bytes json.Encoder.Encode writes for the value it decodes to.
+func TestHTTPAnswersMatchEncoder(t *testing.T) {
+	s := New(Config{Workers: 2, QueueDepth: 4})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		body   string
+		status int
+		lines  int
+	}{
+		{`{"tenant":"<a&b>\u2028","workload":"heat","scale":5,"policy":"phase","trace":true}`, http.StatusOK, 1},
+		{`{"tenant":"x","graph":{"name":"g\u00e9<>","objects":[{"size":1048576}],"tasks":[{"kind":"k","cpu_sec":1e-7,"accesses":[{"obj":0,"mode":"inout","loads":100,"stores":7}]}]},"machine":{"nvm":"optane","cxl_mb":64}}`, http.StatusOK, 1},
+		{`[{"workload":"heat","scale":4,"faults":"rate=120,seed=9,horizon=1"},{"workload":"heat","policy":"bogus"},7]`, http.StatusOK, 3},
+		{`{"workload":"no-such-workload"}`, http.StatusBadRequest, 1},
+		{`{"workload":"heat","tenant":"\ud800"} trailing`, http.StatusBadRequest, 1},
+	} {
+		resp, body := postRun(t, ts.URL, tc.body)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("body %s: status %d want %d (%s)", tc.body, resp.StatusCode, tc.status, body)
+		}
+		lines := ndjsonLines(t, body)
+		if len(lines) != tc.lines {
+			t.Fatalf("body %s: %d lines, want %d: %s", tc.body, len(lines), tc.lines, body)
+		}
+		for _, line := range lines {
+			var v any = &RunResponse{}
+			if tc.status != http.StatusOK {
+				v = &apiError{}
+			}
+			if err := json.Unmarshal(line, v); err != nil {
+				t.Fatalf("line %q: %v", line, err)
+			}
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(v); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(line, want.Bytes()) {
+				t.Errorf("answer line differs from encoding/json:\n%s%s", line, want.Bytes())
+			}
+		}
+	}
+}
+
+// TestHTTPBatchFraming pins how a batch body is split into requests: a
+// batch may end at the body's end without its ']' (as it could under
+// encoding/json), a framing or decoding error is answered inline after
+// the runs before it and ends the batch, and a batch past the body limit
+// is refused whole while nothing has been answered.
+func TestHTTPBatchFraming(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	const run = `{"workload":"heat","scale":4}`
+	for _, tc := range []struct {
+		body   string
+		status int
+		errs   []bool // per answer line: an inline error
+	}{
+		{`[]`, http.StatusOK, nil},
+		{` [ ` + run + ` , ` + run + ` ] `, http.StatusOK, []bool{false, false}},
+		{`[` + run, http.StatusOK, []bool{false}},
+		{`[` + run + `,`, http.StatusOK, []bool{false, true}},
+		{`[` + run + ` ` + run + `]`, http.StatusOK, []bool{false, true}},
+		{`[` + run + `,]`, http.StatusOK, []bool{false, true}},
+		{`[null,` + run + `]`, http.StatusOK, []bool{true}},
+		{`[{"workload":"heat","scale":4,"bogus":1},` + run + `]`, http.StatusOK, []bool{true}},
+		{`[{"workload":"heat","tenant":"]}\"{["},` + run + `]`, http.StatusOK, []bool{false, false}},
+		{`[{"workload":"heat"`, http.StatusOK, []bool{true}},
+		{`[` + strings.Repeat(" ", MaxRequestBytes) + run + `]`, http.StatusRequestEntityTooLarge, nil},
+	} {
+		resp, body := postRun(t, ts.URL, tc.body)
+		if resp.StatusCode != tc.status {
+			t.Errorf("body %.80q: status %d want %d (%s)", tc.body, resp.StatusCode, tc.status, body)
+			continue
+		}
+		if tc.status != http.StatusOK {
+			var ae apiError
+			if err := json.Unmarshal(body, &ae); err != nil || ae.Error == "" {
+				t.Errorf("body %.80q: error response not JSON: %s", tc.body, body)
+			}
+			continue
+		}
+		lines := ndjsonLines(t, body)
+		if len(lines) != len(tc.errs) {
+			t.Errorf("body %.80q: %d lines, want %d: %s", tc.body, len(lines), len(tc.errs), body)
+			continue
+		}
+		for i, line := range lines {
+			var rr RunResponse
+			if err := json.Unmarshal(line, &rr); err != nil {
+				t.Fatalf("line %q: %v", line, err)
+			}
+			if (rr.Error != "") != tc.errs[i] {
+				t.Errorf("body %.80q line %d: %s, want error=%v", tc.body, i, line, tc.errs[i])
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cliutil"
 	"repro/internal/task"
@@ -201,7 +202,7 @@ func (g *GraphSpec) build() *task.Graph {
 	for i, o := range g.Objects {
 		oname := o.Name
 		if oname == "" {
-			oname = fmt.Sprintf("o%d", i)
+			oname = "o" + strconv.Itoa(i)
 		}
 		ids[i] = b.ObjectOpt(oname, o.Size, !o.NoChunk)
 	}

@@ -2,8 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -11,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/mem"
+	"repro/internal/wire"
 )
 
 // The JSONL wire form is specified in DESIGN.md "Recording format". The
@@ -83,11 +82,11 @@ func appendRec(b []byte, k string, e *Event) ([]byte, error) {
 	if math.IsNaN(e.Time) || math.IsInf(e.Time, 0) {
 		return b, fmt.Errorf("trace: unsupported time %v in a %s record", e.Time, k)
 	}
-	b = appendFloat(append(b, `{"t":`...), e.Time)
-	b = appendString(append(b, `,"k":`...), k)
+	b = wire.AppendFloat(append(b, `{"t":`...), e.Time)
+	b = wire.AppendString(append(b, `,"k":`...), k)
 	b = appendInt(b, `,"task":`, int64(e.Task))
 	if e.TaskKind != "" {
-		b = appendString(append(b, `,"tkind":`...), e.TaskKind)
+		b = wire.AppendString(append(b, `,"tkind":`...), e.TaskKind)
 	}
 	b = appendInt(b, `,"w":`, int64(e.Worker))
 	b = appendInt(b, `,"obj":`, int64(e.Obj))
@@ -97,32 +96,16 @@ func appendRec(b []byte, k string, e *Event) ([]byte, error) {
 		if e.To >= 0 && int(e.To) < len(tierNames) {
 			name = tierNames[e.To]
 		}
-		b = appendString(append(b, `,"to":`...), name)
+		b = wire.AppendString(append(b, `,"to":`...), name)
 	}
 	b = appendInt(b, `,"bytes":`, e.Bytes)
 	if !e.OK {
 		b = append(b, `,"fail":true`...)
 	}
 	if e.Label != "" {
-		b = appendString(append(b, `,"label":`...), e.Label)
+		b = wire.AppendString(append(b, `,"label":`...), e.Label)
 	}
 	return append(b, "}\n"...), nil
-}
-
-// appendFloat renders x as encoding/json does: shortest round-trip
-// digits, in 'f' form unless |x| < 1e-6 or |x| >= 1e21, and a negative
-// exponent without its leading zero (1e-7, not 1e-07).
-func appendFloat(b []byte, x float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, x, format, -1, 64)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
 }
 
 // appendInt appends key and n, or nothing when n is zero.
@@ -131,22 +114,6 @@ func appendInt(b []byte, key string, n int64) []byte {
 		return b
 	}
 	return strconv.AppendInt(append(b, key...), n, 10)
-}
-
-// appendString appends s as a JSON string. Printable ASCII other than
-// the characters encoding/json escapes (" and \, and <, > and & for HTML
-// safety) is copied; any other string goes through json.Marshal, so
-// escapes, U+2028/U+2029 and invalid UTF-8 render exactly as there.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
 }
 
 // ReadJSONL parses a recording written by WriteJSONL. Lines holding only
@@ -175,20 +142,19 @@ func ReadJSONL(rd io.Reader) (*Trace, error) {
 // decoder parses one line at a time, in place. It interns the task kinds
 // and labels it decodes, which repeat across lines.
 type decoder struct {
-	b     []byte
-	i     int
+	wire.Lexer
 	names map[string]string
 }
 
 // line decodes one line into t: an event, a dispatch record, or nothing
 // for a blank line.
 func (d *decoder) line(t *Trace, line []byte) error {
-	d.b, d.i = line, 0
-	if d.space(); d.i == len(d.b) {
+	d.Reset(line)
+	if d.Space(); d.I == len(d.B) {
 		return nil
 	}
-	if !d.eat('{') {
-		return d.syntax("'{'")
+	if !d.Eat('{') {
+		return d.Syntax("'{'")
 	}
 	var (
 		e        Event
@@ -196,42 +162,41 @@ func (d *decoder) line(t *Trace, line []byte) error {
 		fail     bool
 		seen     uint
 	)
-	for d.space(); !d.eat('}'); d.space() {
-		if seen != 0 && !d.eat(',') {
-			return d.syntax("',' or '}'")
+	for d.Space(); !d.Eat('}'); d.Space() {
+		if seen != 0 && !d.Eat(',') {
+			return d.Syntax("',' or '}'")
 		}
-		d.space()
-		var key []byte
-		if err := d.str(&key); err != nil {
+		d.Space()
+		key, err := d.Str()
+		if err != nil {
 			return err
 		}
-		if d.space(); !d.eat(':') {
-			return d.syntax("':'")
+		if d.Space(); !d.Eat(':') {
+			return d.Syntax("':'")
 		}
-		d.space()
+		d.Space()
 		var bit uint
-		var err error
 		switch string(key) {
 		case "t":
-			bit, err = 1<<0, d.float(&e.Time)
+			bit, err = 1<<0, d.Float(&e.Time)
 		case "k":
 			bit, err = 1<<1, d.str(&kind)
 		case "task":
-			bit, err = 1<<2, integer(d, &e.Task)
+			bit, err = 1<<2, wire.Int(&d.Lexer, &e.Task)
 		case "tkind":
 			bit, err = 1<<3, d.name(&e.TaskKind)
 		case "w":
-			bit, err = 1<<4, integer(d, &e.Worker)
+			bit, err = 1<<4, wire.Int(&d.Lexer, &e.Worker)
 		case "obj":
-			bit, err = 1<<5, integer(d, &e.Obj)
+			bit, err = 1<<5, wire.Int(&d.Lexer, &e.Obj)
 		case "chunk":
-			bit, err = 1<<6, integer(d, &e.Chunk)
+			bit, err = 1<<6, wire.Int(&d.Lexer, &e.Chunk)
 		case "to":
 			bit, err = 1<<7, d.str(&to)
 		case "bytes":
-			bit, err = 1<<8, integer(d, &e.Bytes)
+			bit, err = 1<<8, wire.Int(&d.Lexer, &e.Bytes)
 		case "fail":
-			bit, err = 1<<9, d.boolean(&fail)
+			bit, err = 1<<9, d.Bool(&fail)
 		case "label":
 			bit, err = 1<<10, d.name(&e.Label)
 		default:
@@ -245,8 +210,8 @@ func (d *decoder) line(t *Trace, line []byte) error {
 		}
 		seen |= bit
 	}
-	if d.space(); d.i != len(d.b) {
-		return d.syntax("the end of the line")
+	if d.Space(); d.I != len(d.B) {
+		return d.Syntax("the end of the line")
 	}
 
 	if string(kind) == dispatchKind {
@@ -279,61 +244,17 @@ func index(names []string, b []byte) int {
 	return -1
 }
 
-func (d *decoder) syntax(want string) error {
-	return fmt.Errorf("column %d: want %s", d.i+1, want)
-}
-
-// space skips JSON whitespace.
-func (d *decoder) space() {
-	for d.i < len(d.b) && (d.b[d.i] == ' ' || d.b[d.i] == '\t' || d.b[d.i] == '\r' || d.b[d.i] == '\n') {
-		d.i++
-	}
-}
-
-func (d *decoder) eat(c byte) bool {
-	if d.i < len(d.b) && d.b[d.i] == c {
-		d.i++
-		return true
-	}
-	return false
-}
-
-// str decodes a JSON string into *p. Plain ASCII comes back in place, as
-// a slice of the line; a string with escapes or other bytes goes through
-// json.Unmarshal, so it decodes exactly as there.
+// str decodes a string into *p, in place when it is plain ASCII.
 func (d *decoder) str(p *[]byte) error {
-	if !d.eat('"') {
-		return d.syntax("a string")
-	}
-	start, plain := d.i, true
-	for ; d.i < len(d.b); d.i++ {
-		switch c := d.b[d.i]; {
-		case c == '"':
-			d.i++
-			if plain {
-				*p = d.b[start : d.i-1]
-				return nil
-			}
-			var s string
-			if err := json.Unmarshal(d.b[start-1:d.i], &s); err != nil {
-				return err
-			}
-			*p = []byte(s)
-			return nil
-		case c == '\\':
-			plain = false
-			d.i++ // skip the escaped byte, which may be '"'
-		case c < 0x20 || c >= 0x80:
-			plain = false
-		}
-	}
-	return d.syntax(`a closing '"'`)
+	b, err := d.Str()
+	*p = b
+	return err
 }
 
 // name decodes a string and interns it.
 func (d *decoder) name(p *string) error {
-	var b []byte
-	if err := d.str(&b); err != nil {
+	b, err := d.Str()
+	if err != nil {
 		return err
 	}
 	s, ok := d.names[string(b)]
@@ -342,70 +263,5 @@ func (d *decoder) name(p *string) error {
 		d.names[s] = s
 	}
 	*p = s
-	return nil
-}
-
-// number consumes a token of JSON number grammar and returns it.
-func (d *decoder) number() ([]byte, error) {
-	start := d.i
-	d.eat('-')
-	if !d.eat('0') && d.digits() == 0 {
-		return nil, d.syntax("a number")
-	}
-	if d.eat('.') && d.digits() == 0 {
-		return nil, d.syntax("a digit")
-	}
-	if d.eat('e') || d.eat('E') {
-		if !d.eat('+') {
-			d.eat('-')
-		}
-		if d.digits() == 0 {
-			return nil, d.syntax("a digit")
-		}
-	}
-	return d.b[start:d.i], nil
-}
-
-func (d *decoder) digits() int {
-	start := d.i
-	for d.i < len(d.b) && '0' <= d.b[d.i] && d.b[d.i] <= '9' {
-		d.i++
-	}
-	return d.i - start
-}
-
-func (d *decoder) float(p *float64) error {
-	tok, err := d.number()
-	if err != nil {
-		return err
-	}
-	*p, err = strconv.ParseFloat(string(tok), 64)
-	return err
-}
-
-// integer decodes a JSON integer into *p. A fraction, an exponent or a
-// value outside *p's range is an error, as it is for encoding/json.
-func integer[T ~int | ~int64](d *decoder, p *T) error {
-	tok, err := d.number()
-	if err != nil {
-		return err
-	}
-	n, err := strconv.ParseInt(string(tok), 10, 64)
-	if err != nil || int64(T(n)) != n {
-		return fmt.Errorf("want an integer, got %s", tok)
-	}
-	*p = T(n)
-	return nil
-}
-
-func (d *decoder) boolean(p *bool) error {
-	switch rest := d.b[d.i:]; {
-	case bytes.HasPrefix(rest, []byte("true")):
-		*p, d.i = true, d.i+4
-	case bytes.HasPrefix(rest, []byte("false")):
-		*p, d.i = false, d.i+5
-	default:
-		return d.syntax("true or false")
-	}
 	return nil
 }
