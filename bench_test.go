@@ -2,6 +2,7 @@ package tahoe
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -207,6 +208,57 @@ func BenchmarkTraceJSONL(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := LoadRecording(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRecordReplayOp measures one op of perfbench's record-replay
+// workload on BenchmarkTraceJSONL's recording (cholesky at scale 6 on 16
+// MB of DRAM under an injected fault schedule): Record, Save, Load, a
+// second Save into SHA-256, a same-config Replay, which must reproduce
+// the recorded makespan, and a counterfactual Replay on NVM of half the
+// bandwidth. The saved bytes go to one reused buffer, so perfbench's
+// per-op buffer growth is not counted.
+func BenchmarkRecordReplayOp(b *testing.B) {
+	w, err := BuildWorkload("cholesky", WorkloadParams{Scale: 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(NewHMS(DRAM(), NVMBandwidth(0.5), 16*MB))
+	cfg.Faults = fault.Random(1003, 100, 0.15, 2)
+	cf := DefaultConfig(NewHMS(DRAM(), NVMBandwidth(0.25), 16*MB))
+	var saved bytes.Buffer
+	h := sha256.New()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, rec, err := Record(w.Graph, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.FaultEvents == 0 {
+			b.Fatal("no fault fired; the recording lacks fault events")
+		}
+		saved.Reset()
+		if err := rec.Save(&saved); err != nil {
+			b.Fatal(err)
+		}
+		loaded, err := LoadRecording(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Reset()
+		if err := loaded.Save(h); err != nil {
+			b.Fatal(err)
+		}
+		same, err := Replay(w.Graph, cfg, loaded)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if same.Time != res.Time {
+			b.Fatalf("same-config replay makespan %v, recorded %v", same.Time, res.Time)
+		}
+		if _, err := Replay(w.Graph, cf, loaded); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -429,12 +429,6 @@ func (m *Engine) kick() {
 		if m.Observer != nil {
 			m.Observer.CopyStarted(m.sim.Now(), r.Ref, r.To, size)
 		}
-		// The label only feeds the engine's optional trace hook; skip the
-		// formatting allocation when nothing listens.
-		label := ""
-		if m.sim.Trace != nil {
-			label = "migrate:" + r.Ref.String()
-		}
 		hs := m.helper()
 		if hs.flow.OnDone == nil { // the first copy since Reset
 			hs.flow.Stages, hs.flow.OnDone = hs.stage[:], hs.finish
@@ -442,7 +436,6 @@ func (m *Engine) kick() {
 			hs.flow.Reuse()
 		}
 		hs.cur, hs.from, hs.size, hs.bytes = r, from, size, bytes
-		hs.flow.Label = label
 		hs.stage[0] = sim.Stage{Res: m.copyRes, Bytes: bytes}
 		m.sim.StartFlow(&hs.flow)
 	}

@@ -17,17 +17,17 @@
 package replay
 
 import (
-	"bufio"
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/sched"
 	"repro/internal/task"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // Meta identifies what a recording captured.
@@ -144,58 +144,107 @@ func Replay(g *task.Graph, cfg core.Config, rec *Recording) (core.Result, error)
 	return core.Run(g, cfg)
 }
 
-// metaRec is the fixed-field JSONL header line of a saved recording.
-type metaRec struct {
-	K        string `json:"k"` // always "meta"
-	Workload string `json:"workload"`
-	Policy   string `json:"policy"`
-	Workers  int    `json:"workers"`
-	Tasks    int    `json:"tasks"`
-	Faults   string `json:"faults,omitempty"`
-}
-
 const metaKind = "meta"
 
 // Save writes the recording as JSONL: one meta header line, then the
 // trace's events and dispatch records. Save(Load(x)) is byte-identical
 // to x.
 func (rec *Recording) Save(w io.Writer) error {
-	b, err := json.Marshal(metaRec{
-		K: metaKind, Workload: rec.Meta.Workload, Policy: rec.Meta.Policy,
-		Workers: rec.Meta.Workers, Tasks: rec.Meta.Tasks,
-		Faults: rec.Meta.Faults,
-	})
+	bp := wire.GetBuf()
+	*bp = rec.Meta.appendLine(*bp)
+	_, err := w.Write(*bp)
+	wire.PutBuf(bp)
 	if err != nil {
-		return err
-	}
-	if _, err := w.Write(append(b, '\n')); err != nil {
 		return err
 	}
 	return rec.Trace.WriteJSONL(w)
 }
 
-// Load parses a recording written by Save.
+// appendLine appends m's header line: the bytes json.Marshal writes for
+// the header record and a newline. Its fields are k (always "meta"),
+// workload, policy, workers, tasks, and faults when it is not empty.
+func (m *Meta) appendLine(b []byte) []byte {
+	b = wire.AppendString(append(b, `{"k":"`+metaKind+`","workload":`...), m.Workload)
+	b = wire.AppendString(append(b, `,"policy":`...), m.Policy)
+	b = strconv.AppendInt(append(b, `,"workers":`...), int64(m.Workers), 10)
+	b = strconv.AppendInt(append(b, `,"tasks":`...), int64(m.Tasks), 10)
+	if m.Faults != "" {
+		b = wire.AppendString(append(b, `,"faults":`...), m.Faults)
+	}
+	return append(b, "}\n"...)
+}
+
+// parseMeta decodes a header line. It accepts what encoding/json
+// decodes into the header record, less unknown, duplicate and
+// case-folded keys, null and anything after the object.
+func parseMeta(line []byte) (Meta, error) {
+	var (
+		m    Meta
+		kind []byte
+		l    wire.Lexer
+	)
+	str := func(p *string) error {
+		b, err := l.Str()
+		*p = string(b)
+		return err
+	}
+	l.Reset(line)
+	l.Space()
+	err := l.Object(func(key []byte) (uint32, error) {
+		switch string(key) {
+		case "k":
+			var err error
+			kind, err = l.Str()
+			return 1 << 0, err
+		case "workload":
+			return 1 << 1, str(&m.Workload)
+		case "policy":
+			return 1 << 2, str(&m.Policy)
+		case "workers":
+			return 1 << 3, wire.Int(&l, &m.Workers)
+		case "tasks":
+			return 1 << 4, wire.Int(&l, &m.Tasks)
+		case "faults":
+			return 1 << 5, str(&m.Faults)
+		}
+		return 0, nil
+	})
+	if l.Space(); err == nil && l.I != len(l.B) {
+		err = l.Syntax("the end of the line")
+	}
+	if err != nil {
+		return Meta{}, fmt.Errorf("replay: parsing header: %w", err)
+	}
+	if string(kind) != metaKind {
+		return Meta{}, fmt.Errorf("replay: first line is %q, want a %q record", kind, metaKind)
+	}
+	return m, nil
+}
+
+// Load parses a recording written by Save. It reads r to its end into
+// one buffer and decodes the lines in place; error line numbers count
+// the header.
 func Load(r io.Reader) (*Recording, error) {
-	br := bufio.NewReader(r)
-	head, err := br.ReadString('\n')
-	if err != nil && (err != io.EOF || strings.TrimSpace(head) == "") {
-		return nil, fmt.Errorf("replay: reading header: %w", err)
+	in, rerr := wire.ReadAll(r)
+	head, rest, found := bytes.Cut(in, []byte{'\n'})
+	if !found {
+		if rerr == nil && len(bytes.TrimSpace(head)) == 0 {
+			rerr = io.EOF
+		}
+		if rerr != nil {
+			return nil, fmt.Errorf("replay: reading header: %w", rerr)
+		}
 	}
-	var m metaRec
-	if err := json.Unmarshal([]byte(head), &m); err != nil {
-		return nil, fmt.Errorf("replay: parsing header: %w", err)
-	}
-	if m.K != metaKind {
-		return nil, fmt.Errorf("replay: first line is %q, want a %q record", m.K, metaKind)
-	}
-	// A blank line stands in for the header, which ReadJSONL skips, so
-	// its errors count the file's lines.
-	tr, err := trace.ReadJSONL(io.MultiReader(strings.NewReader("\n"), br))
+	m, err := parseMeta(head)
 	if err != nil {
 		return nil, err
 	}
-	return &Recording{
-		Meta:  Meta{Workload: m.Workload, Policy: m.Policy, Workers: m.Workers, Tasks: m.Tasks, Faults: m.Faults},
-		Trace: tr,
-	}, nil
+	tr, err := trace.DecodeJSONL(rest, 1, m.Tasks)
+	if err == nil {
+		err = rerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Recording{Meta: m, Trace: tr}, nil
 }

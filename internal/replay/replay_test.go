@@ -2,12 +2,16 @@ package replay
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -174,6 +178,23 @@ func TestReplayRejectsBadInput(t *testing.T) {
 	if _, err := Load(strings.NewReader("")); err == nil {
 		t.Fatal("Load accepted empty input")
 	}
+	// Header forms encoding/json accepted silently and the wire codec
+	// refuses.
+	for _, c := range []struct{ head, want string }{
+		{`{"k":"meta","workload":"cg","policy":"Tahoe","workers":4,"tasks":1,"bogus":1}`, `unknown key "bogus"`},
+		{`{"k":"meta","workload":"cg","workload":"heat","policy":"Tahoe","workers":4,"tasks":1}`, `duplicate key "workload"`},
+		{`{"k":"meta","Workload":"cg","policy":"Tahoe","workers":4,"tasks":1}`, `unknown key "Workload"`},
+		{`{"K":"meta","workload":"cg","policy":"Tahoe","workers":4,"tasks":1}`, `unknown key "K"`},
+		{`{"k":"meta","workload":null,"policy":"Tahoe","workers":4,"tasks":1}`, `key "workload": column 24: want a string`},
+		{`null`, `column 1: want an object`},
+		{`{"k":"meta","workload":"cg","policy":"Tahoe","workers":4,"tasks":1} {}`, `column 69: want the end of the line`},
+		{`{"k":"meta","workload":"cg","policy":"Tahoe","workers":4,"tasks":1}x`, `column 68: want the end of the line`},
+	} {
+		want := "replay: parsing header: " + c.want
+		if _, err := Load(strings.NewReader(c.head + "\n")); err == nil || err.Error() != want {
+			t.Errorf("header %s: error %v, want %q", c.head, err, want)
+		}
+	}
 	// Dispatches of tasks outside the graph: a negative one used to
 	// panic inside the replay scheduler.
 	var saved strings.Builder
@@ -292,7 +313,8 @@ func TestLoadEncodingJSONRecordings(t *testing.T) {
 	}
 }
 
-// FuzzLoad: no recording makes Load or Replay panic. The graph (the
+// FuzzLoad: no recording makes Load or Replay panic, and a header Load
+// accepts decodes the same through encoding/json. The graph (the
 // testdata recordings' cholesky at scale 2), the three-tier machine
 // (every seed replays on it) and the worker count are fixed, and the
 // recording varies. A recorded fault spec is replayed only when it is a
@@ -321,6 +343,14 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
+		head, _, _ := bytes.Cut(in, []byte{'\n'})
+		var ref metaRec
+		if err := json.Unmarshal(head, &ref); err != nil {
+			t.Fatalf("accepted a header encoding/json rejects: %v", err)
+		}
+		if m := (Meta{ref.Workload, ref.Policy, ref.Workers, ref.Tasks, ref.Faults}); ref.K != metaKind || m != rec.Meta {
+			t.Fatalf("decoded header %+v, encoding/json decoded %+v", rec.Meta, ref)
+		}
 		cfg := core.DefaultConfig(mem.DRAMCXLNVM(4*mem.MB, 8*mem.MB))
 		cfg.Workers = 2
 		if !seedSpecs[rec.Meta.Faults] {
@@ -330,4 +360,115 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("replay ran %d of %d tasks", res.Tasks, len(g.Tasks))
 		}
 	})
+}
+
+// TestLoadBoundsTaskHint: the header's task count sizes the dispatch
+// table only up to the lines the file holds, so a header claiming 2^40
+// tasks over three lines loads in a few kilobytes, and Validate then
+// refuses it.
+func TestLoadBoundsTaskHint(t *testing.T) {
+	in := []byte(`{"k":"meta","workload":"cg","policy":"Tahoe","workers":1,"tasks":1099511627776}
+{"t":0,"k":"task-start"}
+{"t":0,"k":"dispatch"}
+`)
+	var rec *Recording
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec, err := Load(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("Load allocated %d bytes for a %d-byte recording", n, len(in))
+	}
+	if cap(rec.Trace.Events)+cap(rec.Trace.Dispatches) > 3 {
+		t.Errorf("tables sized %d events and %d dispatches for 2 records", cap(rec.Trace.Events), cap(rec.Trace.Dispatches))
+	}
+	if err := rec.Validate(); err == nil {
+		t.Fatal("Validate accepted 1 dispatch for 2^40 tasks")
+	}
+}
+
+// roundTrip records g under cfg, saves, loads and replays the recording,
+// and returns the makespans' bits and the saved bytes' SHA-256.
+func roundTrip(g *task.Graph, cfg core.Config) (recorded, replayed uint64, digest [32]byte, err error) {
+	res, rec, err := Record(g, cfg)
+	if err != nil {
+		return 0, 0, digest, err
+	}
+	var saved bytes.Buffer
+	if err := rec.Save(&saved); err != nil {
+		return 0, 0, digest, err
+	}
+	loaded, err := Load(bytes.NewReader(saved.Bytes()))
+	if err != nil {
+		return 0, 0, digest, err
+	}
+	again, err := Replay(g, cfg, loaded)
+	if err != nil {
+		return 0, 0, digest, err
+	}
+	return math.Float64bits(res.Time), math.Float64bits(again.Time), sha256.Sum256(saved.Bytes()), nil
+}
+
+// TestConcurrentRoundTrips: Record → Save → Load → Replay from several
+// goroutines at once, sharing the pooled codec buffers and runners,
+// gives each run exactly its solo result: the makespans' bits and the
+// saved bytes' SHA-256. CI runs it under -race.
+func TestConcurrentRoundTrips(t *testing.T) {
+	type job struct {
+		g   *task.Graph
+		cfg core.Config
+	}
+	faulty := testConfig(core.Tahoe)
+	faulty.Faults = fault.Random(7, 100, 0.15, 2)
+	var jobs []job
+	for _, app := range []string{"cg", "heat", "cholesky"} {
+		for _, cfg := range []core.Config{testConfig(core.Tahoe), testConfig(core.FirstTouch), faulty} {
+			jobs = append(jobs, job{buildGraph(t, app), cfg})
+		}
+	}
+	type result struct {
+		recorded, replayed uint64
+		digest             [32]byte
+	}
+	solo := make([]result, len(jobs))
+	for i, j := range jobs {
+		r := &solo[i]
+		var err error
+		if r.recorded, r.replayed, r.digest, err = roundTrip(j.g, j.cfg); err != nil {
+			t.Fatal(err)
+		}
+		if r.recorded != r.replayed {
+			t.Fatalf("job %d: replayed makespan differs from the recorded one", i)
+		}
+	}
+	const goroutines = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 2*len(jobs); k++ {
+				i := (w + k) % len(jobs)
+				var r result
+				var err error
+				if r.recorded, r.replayed, r.digest, err = roundTrip(jobs[i].g, jobs[i].cfg); err != nil {
+					errs <- err
+					return
+				}
+				if r != solo[i] {
+					errs <- fmt.Errorf("goroutine %d, job %d: result %x, solo %x", w, i, r, solo[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }

@@ -231,45 +231,6 @@ func (d *reqDecoder) request(b []byte, req *RunRequest) error {
 	return nil
 }
 
-// object parses a JSON object. field parses the value of each member
-// and returns the member's key bit, one bit per key the object may
-// hold, or 0, without parsing anything, for an unknown key.
-func (d *reqDecoder) object(field func(key []byte) (uint32, error)) error {
-	if !d.Eat('{') {
-		return d.Syntax("an object")
-	}
-	var seen uint32
-	for n := 0; ; n++ {
-		if d.Space(); d.Eat('}') {
-			return nil
-		}
-		if n > 0 {
-			if !d.Eat(',') {
-				return d.Syntax("',' or '}'")
-			}
-			d.Space()
-		}
-		key, err := d.Str()
-		if err != nil {
-			return err
-		}
-		if d.Space(); !d.Eat(':') {
-			return d.Syntax("':'")
-		}
-		d.Space()
-		bit, err := field(key)
-		switch {
-		case bit == 0:
-			return fmt.Errorf("unknown key %q", key)
-		case err != nil:
-			return fmt.Errorf("key %q: %w", key, err)
-		case seen&bit != 0:
-			return fmt.Errorf("duplicate key %q", key)
-		}
-		seen |= bit
-	}
-}
-
 // array parses a JSON array into *p, each element with elem; null
 // leaves *p nil, and [] makes it empty but not nil, as in encoding/json.
 func array[T any](d *reqDecoder, p *[]T, name string, elem func(*reqDecoder, *T) error) error {
@@ -299,7 +260,7 @@ func array[T any](d *reqDecoder, p *[]T, name string, elem func(*reqDecoder, *T)
 }
 
 func (d *reqDecoder) runRequest(req *RunRequest) error {
-	return d.object(func(key []byte) (uint32, error) {
+	return d.Object(func(key []byte) (uint32, error) {
 		switch string(key) {
 		case "tenant":
 			return 1 << 0, d.str(&req.Tenant)
@@ -334,7 +295,7 @@ func (d *reqDecoder) runRequest(req *RunRequest) error {
 }
 
 func (d *reqDecoder) machine(m *cliutil.MachineSpec) error {
-	return d.object(func(key []byte) (uint32, error) {
+	return d.Object(func(key []byte) (uint32, error) {
 		switch string(key) {
 		case "nvm":
 			return 1 << 0, d.str(&m.NVM)
@@ -348,7 +309,7 @@ func (d *reqDecoder) machine(m *cliutil.MachineSpec) error {
 }
 
 func (d *reqDecoder) graph(g *GraphSpec) error {
-	return d.object(func(key []byte) (uint32, error) {
+	return d.Object(func(key []byte) (uint32, error) {
 		switch string(key) {
 		case "name":
 			return 1 << 0, d.str(&g.Name)
@@ -362,7 +323,7 @@ func (d *reqDecoder) graph(g *GraphSpec) error {
 }
 
 func (d *reqDecoder) objectSpec(o *ObjectSpec) error {
-	return d.object(func(key []byte) (uint32, error) {
+	return d.Object(func(key []byte) (uint32, error) {
 		switch string(key) {
 		case "name":
 			return 1 << 0, d.str(&o.Name)
@@ -376,7 +337,7 @@ func (d *reqDecoder) objectSpec(o *ObjectSpec) error {
 }
 
 func (d *reqDecoder) taskSpec(t *TaskSpec) error {
-	return d.object(func(key []byte) (uint32, error) {
+	return d.Object(func(key []byte) (uint32, error) {
 		switch string(key) {
 		case "kind":
 			return 1 << 0, d.str(&t.Kind)
@@ -390,7 +351,7 @@ func (d *reqDecoder) taskSpec(t *TaskSpec) error {
 }
 
 func (d *reqDecoder) accessSpec(a *AccessSpec) error {
-	return d.object(func(key []byte) (uint32, error) {
+	return d.Object(func(key []byte) (uint32, error) {
 		switch string(key) {
 		case "obj":
 			return 1 << 0, wire.Int(&d.Lexer, &a.Obj)

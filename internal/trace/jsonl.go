@@ -2,11 +2,11 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/wire"
@@ -42,27 +42,26 @@ var tierNames = func() (names [mem.MaxTiers]string) {
 // keeping it small keeps the live heap small.
 const flushAt = 4 << 10
 
-var lineBufs = sync.Pool{New: func() any { b := make([]byte, 0, 2*flushAt); return &b }}
-
 // WriteJSONL writes the full recording — events in log order, then
 // dispatch records in decision order — one JSON object per line. A
 // non-finite event time is an error.
 func (t *Trace) WriteJSONL(w io.Writer) error {
-	bp := lineBufs.Get().(*[]byte)
-	b := (*bp)[:0]
+	bp := wire.GetBuf()
+	b := *bp
 	defer func() {
-		*bp = b[:0]
-		lineBufs.Put(bp)
+		*bp = b
+		wire.PutBuf(bp)
 	}()
+	var memo timeMemo
 	n := len(t.Events) + len(t.Dispatches)
 	for i := 0; i < n; i++ {
 		var err error
 		if i < len(t.Events) {
 			e := &t.Events[i]
-			b, err = appendRec(b, e.Kind.String(), e)
+			b, err = appendRec(b, &memo, e.Kind.String(), e)
 		} else {
 			d := &t.Dispatches[i-len(t.Events)]
-			b, err = appendRec(b, dispatchKind, &Event{Time: d.Time, Task: d.Task, Worker: d.Worker, OK: true})
+			b, err = appendRec(b, &memo, dispatchKind, &Event{Time: d.Time, Task: d.Task, Worker: d.Worker, OK: true})
 		}
 		if err != nil {
 			return err
@@ -77,12 +76,35 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
+// timeMemo holds the last time appendRec rendered, as its bits and its
+// wire bytes. Consecutive records often share a time, and copying its
+// bytes is cheaper than formatting it again.
+type timeMemo struct {
+	bits uint64
+	n    int // the length of the rendered time in b; 0 before the first
+	b    [32]byte
+}
+
+// appendTime appends x's wire bytes.
+func (m *timeMemo) appendTime(b []byte, x float64) []byte {
+	bits := math.Float64bits(x)
+	if m.n > 0 && bits == m.bits {
+		return append(b, m.b[:m.n]...)
+	}
+	start := len(b)
+	b = wire.AppendFloat(b, x)
+	if len(b)-start <= len(m.b) { // a float64 renders in at most 24 bytes
+		m.bits, m.n = bits, copy(m.b[:], b[start:])
+	}
+	return b
+}
+
 // appendRec appends e's wire line under kind name k.
-func appendRec(b []byte, k string, e *Event) ([]byte, error) {
+func appendRec(b []byte, memo *timeMemo, k string, e *Event) ([]byte, error) {
 	if math.IsNaN(e.Time) || math.IsInf(e.Time, 0) {
 		return b, fmt.Errorf("trace: unsupported time %v in a %s record", e.Time, k)
 	}
-	b = wire.AppendFloat(append(b, `{"t":`...), e.Time)
+	b = memo.appendTime(append(b, `{"t":`...), e.Time)
 	b = wire.AppendString(append(b, `,"k":`...), k)
 	b = appendInt(b, `,"task":`, int64(e.Task))
 	if e.TaskKind != "" {
@@ -122,28 +144,77 @@ func appendInt(b []byte, key string, n int64) []byte {
 // field's type (no null, no nested value, integers without fraction or
 // exponent and in range) and nothing after it; otherwise ReadJSONL fails
 // naming the line, counted from 1 at rd's current position. A line it
-// accepts decodes exactly as encoding/json would decode it.
+// accepts decodes exactly as encoding/json would decode it. ReadJSONL
+// reads rd to its end before decoding.
 func ReadJSONL(rd io.Reader) (*Trace, error) {
-	t := &Trace{}
-	d := decoder{names: map[string]string{}}
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(nil, 1<<20) // starts at 4 KiB and grows to fit a line
-	for line := 1; sc.Scan(); line++ {
-		if err := d.line(t, sc.Bytes()); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
+	in, rerr := wire.ReadAll(rd)
+	t, err := DecodeJSONL(in, 0, 0)
+	if err == nil {
+		err = rerr
 	}
-	if err := sc.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
+// maxLine is the longest line, in bytes before its '\n', that the reader
+// accepts; a longer one fails the read with bufio.ErrTooLong.
+const maxLine = 1<<20 - 1
+
+// minRecord is the length of the shortest line the reader accepts as a
+// record, {"k":"plan"}.
+const minRecord = 12
+
+// DecodeJSONL decodes b, the lines of a recording as ReadJSONL reads
+// them, in place; the Trace it returns holds nothing of b. Errors count
+// lines from first+1, so a caller that has consumed first lines of a
+// file before b names the file's lines. dispatches is the expected
+// number of dispatch records: clamped to the records b can hold, it
+// sizes the dispatch table, and the rest size the event table, so no
+// hint makes DecodeJSONL allocate beyond what b holds, and a wrong one
+// costs a regrowth. A table that receives no record stays nil.
+func DecodeJSONL(b []byte, first, dispatches int) (*Trace, error) {
+	lines := bytes.Count(b, []byte{'\n'})
+	if len(b) > 0 && b[len(b)-1] != '\n' {
+		lines++
+	}
+	lines = min(lines, (len(b)+1)/(minRecord+1))
+	dispatches = min(max(dispatches, 0), lines)
+	d := decoder{names: map[string]string{}, events: lines - dispatches, dispatches: dispatches}
+	t := &Trace{}
+	for line := first + 1; len(b) > 0; line++ {
+		raw := b
+		if i := bytes.IndexByte(b, '\n'); i >= 0 {
+			raw, b = b[:i], b[i+1:]
+		} else {
+			b = nil
+		}
+		if len(raw) > maxLine {
+			return nil, bufio.ErrTooLong
+		}
+		if n := len(raw); n > 0 && raw[n-1] == '\r' {
+			raw = raw[:n-1]
+		}
+		if err := d.line(t, raw); err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+		}
+	}
+	return t, nil
+}
+
 // decoder parses one line at a time, in place. It interns the task kinds
-// and labels it decodes, which repeat across lines.
+// and labels it decodes, which repeat across lines, and remembers the
+// last time token it parsed, which often repeats on the next line.
 type decoder struct {
 	wire.Lexer
 	names map[string]string
+	// events and dispatches size the tables at their first record.
+	events, dispatches int
+	// tTok is the last time token parsed (a slice of the input) and tVal
+	// its value; tTok is nil before the first.
+	tTok []byte
+	tVal float64
 }
 
 // line decodes one line into t: an event, a dispatch record, or nothing
@@ -178,7 +249,7 @@ func (d *decoder) line(t *Trace, line []byte) error {
 		var bit uint
 		switch string(key) {
 		case "t":
-			bit, err = 1<<0, d.Float(&e.Time)
+			bit, err = 1<<0, d.time(&e.Time)
 		case "k":
 			bit, err = 1<<1, d.str(&kind)
 		case "task":
@@ -215,6 +286,9 @@ func (d *decoder) line(t *Trace, line []byte) error {
 	}
 
 	if string(kind) == dispatchKind {
+		if t.Dispatches == nil {
+			t.Dispatches = make([]Dispatch, 0, d.dispatches)
+		}
 		t.AddDispatch(Dispatch{Time: e.Time, Task: e.Task, Worker: e.Worker})
 		return nil
 	}
@@ -230,7 +304,30 @@ func (d *decoder) line(t *Trace, line []byte) error {
 		}
 		e.To = mem.Tier(n)
 	}
+	if t.Events == nil {
+		t.Events = make([]Event, 0, d.events)
+	}
 	t.Add(e)
+	return nil
+}
+
+// time decodes a JSON number as Float does, reusing the last token's
+// value when the token repeats it byte for byte. Only a token that
+// parsed is remembered, so a repeated out-of-range time fails each time.
+func (d *decoder) time(p *float64) error {
+	tok, err := d.Number()
+	if err != nil {
+		return err
+	}
+	if d.tTok != nil && bytes.Equal(tok, d.tTok) {
+		*p = d.tVal
+		return nil
+	}
+	v, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		return err
+	}
+	d.tTok, d.tVal, *p = tok, v, v
 	return nil
 }
 

@@ -116,3 +116,24 @@ func RefReadJSONL(rd io.Reader) (*Trace, error) {
 	}
 	return t, nil
 }
+
+// scanReadJSONL is ReadJSONL as it framed lines before it read whole
+// inputs into one buffer: a bufio.Scanner with a 1 MiB limit, each line
+// decoded with the time memo off. FuzzReadJSONL and the line-limit test
+// hold the framing and the memo to it.
+func scanReadJSONL(rd io.Reader) (*Trace, error) {
+	t := &Trace{}
+	d := decoder{names: map[string]string{}}
+	sc := bufio.NewScanner(rd)
+	sc.Buffer(nil, 1<<20)
+	for line := 1; sc.Scan(); line++ {
+		d.tTok = nil
+		if err := d.line(t, sc.Bytes()); err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}

@@ -1,19 +1,23 @@
 // Package wire holds the hand-written JSON primitives of the
-// repository's two strict codecs, the trace JSONL codec
-// (internal/trace) and the /v1/run request codec (internal/serve). A
-// Lexer reads tokens in place from a byte slice and accepts exactly
-// JSON's grammar for each token it reads; AppendFloat and AppendString
-// render values byte-identical to encoding/json. Each codec keeps
-// encoding/json in a _test.go file as the oracle its tests and fuzz
-// target compare against.
+// repository's strict codecs: the trace JSONL codec (internal/trace),
+// the recording header (internal/replay) and the /v1/run request codec
+// (internal/serve). A Lexer reads tokens in place from a byte slice and
+// accepts exactly JSON's grammar for each token it reads; AppendFloat
+// and AppendString render values byte-identical to encoding/json. Each
+// codec keeps encoding/json in a _test.go file as the oracle its tests
+// and fuzz target compare against. GetBuf and PutBuf pool the buffers
+// the codecs write lines into, and ReadAll reads a whole input into one
+// buffer for a Lexer to decode in place.
 package wire
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
+	"sync"
 )
 
 // Lexer reads JSON tokens from B, starting at byte I.
@@ -62,27 +66,71 @@ func (l *Lexer) Str() ([]byte, error) {
 	if !l.Eat('"') {
 		return nil, l.Syntax("a string")
 	}
-	start, plain := l.I, true
-	for ; l.I < len(l.B); l.I++ {
-		switch c := l.B[l.I]; {
-		case c == '"':
-			l.I++
-			if plain {
-				return l.B[start : l.I-1], nil
-			}
+	b, start := l.B, l.I
+	i := start
+	for ; i < len(b); i++ {
+		if c := b[i]; c == '"' {
+			l.I = i + 1
+			return b[start:i], nil
+		} else if c == '\\' || c < 0x20 || c >= 0x80 {
+			break
+		}
+	}
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			l.I = i + 1
 			var s string
-			if err := json.Unmarshal(l.B[start-1:l.I], &s); err != nil {
+			if err := json.Unmarshal(b[start-1:l.I], &s); err != nil {
 				return nil, err
 			}
 			return []byte(s), nil
-		case c == '\\':
-			plain = false
-			l.I++ // skip the escaped byte, which may be '"'
-		case c < 0x20 || c >= 0x80:
-			plain = false
+		case '\\':
+			i++ // skip the escaped byte, which may be '"'
 		}
 	}
+	l.I = i
 	return nil, l.Syntax(`a closing '"'`)
+}
+
+// Object parses a JSON object. field parses the value of each member
+// and returns the member's key bit, one bit per key the object may
+// hold, or 0, without parsing anything, for an unknown key. A key
+// matches exactly or not at all, and a key seen twice is an error.
+func (l *Lexer) Object(field func(key []byte) (uint32, error)) error {
+	if !l.Eat('{') {
+		return l.Syntax("an object")
+	}
+	var seen uint32
+	for n := 0; ; n++ {
+		if l.Space(); l.Eat('}') {
+			return nil
+		}
+		if n > 0 {
+			if !l.Eat(',') {
+				return l.Syntax("',' or '}'")
+			}
+			l.Space()
+		}
+		key, err := l.Str()
+		if err != nil {
+			return err
+		}
+		if l.Space(); !l.Eat(':') {
+			return l.Syntax("':'")
+		}
+		l.Space()
+		bit, err := field(key)
+		switch {
+		case bit == 0:
+			return fmt.Errorf("unknown key %q", key)
+		case err != nil:
+			return fmt.Errorf("key %q: %w", key, err)
+		case seen&bit != 0:
+			return fmt.Errorf("duplicate key %q", key)
+		}
+		seen |= bit
+	}
 }
 
 // Number consumes a token of JSON number grammar and returns it.
@@ -183,4 +231,56 @@ func AppendString(b []byte, s string) []byte {
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
+}
+
+// bufKeep caps the bytes a pooled buffer may hold. A pooled buffer
+// survives a garbage collection and counts in the live heap, so one that
+// a long line grew past the cap is dropped rather than left to pin its
+// bytes.
+const bufKeep = 16 << 10
+
+var bufs sync.Pool
+
+// GetBuf returns an empty buffer from the pool, or a new one of 8 KiB:
+// room for the line writers' 4 KiB flushes.
+func GetBuf() *[]byte {
+	if b, ok := bufs.Get().(*[]byte); ok {
+		*b = (*b)[:0]
+		return b
+	}
+	b := make([]byte, 0, 8<<10)
+	return &b
+}
+
+// PutBuf returns b to the pool unless it holds more than 16 KiB. Nothing
+// may refer into *b afterwards.
+func PutBuf(b *[]byte) {
+	if cap(*b) <= bufKeep {
+		bufs.Put(b)
+	}
+}
+
+// ReadAll reads r to its end and returns its bytes with the error that
+// ended it, or nil at io.EOF. A reader that knows its length (a
+// bytes.Reader, strings.Reader or bytes.Buffer) is read into room made
+// once.
+func ReadAll(r io.Reader) ([]byte, error) {
+	n := 512
+	if lr, ok := r.(interface{ Len() int }); ok {
+		n = lr.Len() + 1 // +1: room to read the EOF into
+	}
+	buf := make([]byte, 0, n)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return buf, err
+		}
+	}
 }

@@ -44,7 +44,7 @@ func buildBFS(p Params) Built {
 	mk := func(name string, bytes int64) []task.ObjectID {
 		ids := make([]task.ObjectID, bands)
 		for i := range ids {
-			ids[i] = bld.Object(fmt.Sprintf("%s[%d]", name, i), bytes)
+			ids[i] = bld.Object(indexed(name, i), bytes)
 		}
 		return ids
 	}

@@ -50,7 +50,7 @@ func buildCG(p Params) Built {
 	vec := func(name string) []task.ObjectID {
 		ids := make([]task.ObjectID, bands)
 		for r := range ids {
-			ids[r] = bld.Object(fmt.Sprintf("%s[%d]", name, r), vecBandBytes)
+			ids[r] = bld.Object(indexed(name, r), vecBandBytes)
 		}
 		return ids
 	}

@@ -72,7 +72,7 @@ func buildCholesky(p Params) Built {
 	for i := range ids {
 		ids[i] = make([]task.ObjectID, i+1)
 		for j := 0; j <= i; j++ {
-			ids[i][j] = bld.Object(fmt.Sprintf("A[%d][%d]", i, j), T)
+			ids[i][j] = bld.Object(indexed("A", i, j), T)
 		}
 	}
 

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/task"
 )
@@ -71,12 +72,13 @@ func buildHeatRank(rank, ranks int, p Params) Built {
 	bandBytes := int64(8 * rowsPer * n)
 	haloBytes := int64(8 * n)
 
-	bld := task.NewBuilder(fmt.Sprintf("heat@%d/%d", rank, ranks))
+	bld := task.NewBuilder("heat@" + strconv.Itoa(rank) + "/" + strconv.Itoa(ranks))
 	obj := [2][]task.ObjectID{}
 	for v := 0; v < 2; v++ {
 		obj[v] = make([]task.ObjectID, bands)
+		u := "U" + strconv.Itoa(v)
 		for r := 0; r < bands; r++ {
-			obj[v][r] = bld.Object(fmt.Sprintf("U%d[%d]", v, r), bandBytes)
+			obj[v][r] = bld.Object(indexed(u, r), bandBytes)
 		}
 	}
 	for it := 0; it < iters; it++ {
@@ -125,12 +127,12 @@ func buildCGRank(rank, ranks int, p Params) Built {
 	matBandBytes := matBytes / int64(bands)
 	vecBandBytes := int64(8 * rowsPer)
 
-	bld := task.NewBuilder(fmt.Sprintf("cg@%d/%d", rank, ranks))
+	bld := task.NewBuilder("cg@" + strconv.Itoa(rank) + "/" + strconv.Itoa(ranks))
 	matID := bld.Object("A", matBytes)
 	vec := func(name string) []task.ObjectID {
 		ids := make([]task.ObjectID, bands)
 		for r := range ids {
-			ids[r] = bld.Object(fmt.Sprintf("%s[%d]", name, r), vecBandBytes)
+			ids[r] = bld.Object(indexed(name, r), vecBandBytes)
 		}
 		return ids
 	}

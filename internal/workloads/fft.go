@@ -44,7 +44,7 @@ func buildFFT(p Params) Built {
 	bld := task.NewBuilder("fft")
 	blkID := make([]task.ObjectID, blocks)
 	for i := range blkID {
-		blkID[i] = bld.Object(fmt.Sprintf("data[%d]", i), blockBytes)
+		blkID[i] = bld.Object(indexed("data", i), blockBytes)
 	}
 	twID := bld.ObjectOpt("twiddle", int64(16*n/2), false)
 

@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/task"
 )
@@ -43,8 +44,9 @@ func buildHeat(p Params) Built {
 	obj := [2][]task.ObjectID{}
 	for v := 0; v < 2; v++ {
 		obj[v] = make([]task.ObjectID, bands)
+		u := "U" + strconv.Itoa(v)
 		for r := 0; r < bands; r++ {
-			obj[v][r] = bld.Object(fmt.Sprintf("U%d[%d]", v, r), bandBytes)
+			obj[v][r] = bld.Object(indexed(u, r), bandBytes)
 		}
 	}
 

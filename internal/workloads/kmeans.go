@@ -44,8 +44,8 @@ func buildKMeans(p Params) Built {
 	points := make([]task.ObjectID, bands)
 	parts := make([]task.ObjectID, bands)
 	for b := 0; b < bands; b++ {
-		points[b] = bld.Object(fmt.Sprintf("pts[%d]", b), pointBandBytes)
-		parts[b] = bld.ObjectOpt(fmt.Sprintf("part[%d]", b), partBytes, false)
+		points[b] = bld.Object(indexed("pts", b), pointBandBytes)
+		parts[b] = bld.ObjectOpt(indexed("part", b), partBytes, false)
 	}
 	cent := bld.ObjectOpt("centroids", centBytes, false)
 

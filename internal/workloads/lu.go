@@ -66,7 +66,7 @@ func buildLUCommon(name string, p Params, present func(i, j, s int) bool, defaul
 		ids[i] = make([]task.ObjectID, s)
 		for j := range ids[i] {
 			if non[i][j] {
-				ids[i][j] = bld.Object(fmt.Sprintf("B[%d][%d]", i, j), T)
+				ids[i][j] = bld.Object(indexed("B", i, j), T)
 			} else {
 				ids[i][j] = -1
 			}

@@ -41,7 +41,7 @@ func buildStream(p Params) Built {
 	mk := func(name string) []task.ObjectID {
 		ids := make([]task.ObjectID, blocks)
 		for i := range ids {
-			ids[i] = bld.Object(fmt.Sprintf("%s[%d]", name, i), blockBytes)
+			ids[i] = bld.Object(indexed(name, i), blockBytes)
 		}
 		return ids
 	}

@@ -51,7 +51,7 @@ func buildNQueens(p Params) Built {
 
 	for col := 0; col < n; col++ {
 		col := col
-		results[col] = bld.ObjectOpt(fmt.Sprintf("res[%d]", col), 64, false)
+		results[col] = bld.ObjectOpt(indexed("res", col), 64, false)
 		var run func()
 		if p.Kernels {
 			run = func() {

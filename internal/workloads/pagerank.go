@@ -45,7 +45,7 @@ func buildPageRank(p Params) Built {
 	mk := func(name string) []task.ObjectID {
 		ids := make([]task.ObjectID, bands)
 		for i := range ids {
-			ids[i] = bld.Object(fmt.Sprintf("%s[%d]", name, i), rankBandBytes)
+			ids[i] = bld.Object(indexed(name, i), rankBandBytes)
 		}
 		return ids
 	}

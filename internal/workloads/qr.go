@@ -39,12 +39,12 @@ func buildQR(p Params) Built {
 	bld := task.NewBuilder("qr")
 	colID := make([]task.ObjectID, s) // A_j, overwritten by Q_j in place
 	for j := range colID {
-		colID[j] = bld.Object(fmt.Sprintf("col[%d]", j), panelBytes)
+		colID[j] = bld.Object(indexed("col", j), panelBytes)
 	}
 	rID := make(map[[2]int]task.ObjectID, s*(s+1)/2)
 	for i := 0; i < s; i++ {
 		for j := i; j < s; j++ {
-			rID[[2]int{i, j}] = bld.Object(fmt.Sprintf("R[%d][%d]", i, j), rBlockBytes)
+			rID[[2]int{i, j}] = bld.Object(indexed("R", i, j), rBlockBytes)
 		}
 	}
 

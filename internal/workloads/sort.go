@@ -35,8 +35,8 @@ func buildSort(p Params) Built {
 	aID := make([]task.ObjectID, blocks)
 	bID := make([]task.ObjectID, blocks)
 	for i := 0; i < blocks; i++ {
-		aID[i] = bld.Object(fmt.Sprintf("a[%d]", i), blockBytes)
-		bID[i] = bld.Object(fmt.Sprintf("buf[%d]", i), blockBytes)
+		aID[i] = bld.Object(indexed("a", i), blockBytes)
+		bID[i] = bld.Object(indexed("buf", i), blockBytes)
 	}
 	bufs := [2][]task.ObjectID{aID, bID}
 

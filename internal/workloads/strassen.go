@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/task"
 )
@@ -67,7 +68,7 @@ func (sb *strassenBuilder) newGrid(n int) *blockGrid {
 	}
 	for i := range g.ids {
 		sb.nTemp++
-		g.ids[i] = sb.bld.Object(fmt.Sprintf("T%d", sb.nTemp), sb.bytes)
+		g.ids[i] = sb.bld.Object("T"+strconv.Itoa(sb.nTemp), sb.bytes)
 		if sb.kernels {
 			g.data[i] = make([]float64, sb.b*sb.b)
 		}
@@ -257,7 +258,7 @@ func buildStrassen(p Params) Built {
 			g.data = make([][]float64, grid*grid)
 		}
 		for i := range g.ids {
-			g.ids[i] = bld.Object(fmt.Sprintf("%s[%d]", name, i), sb.bytes)
+			g.ids[i] = bld.Object(indexed(name, i), sb.bytes)
 			if p.Kernels {
 				buf := make([]float64, b*b)
 				if fill {

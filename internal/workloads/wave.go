@@ -38,7 +38,7 @@ func buildWave(p Params) Built {
 	bld := task.NewBuilder("wave")
 	bandID := make([]task.ObjectID, bands)
 	for i := range bandID {
-		bandID[i] = bld.Object(fmt.Sprintf("X[%d]", i), bandBytes)
+		bandID[i] = bld.Object(indexed("X", i), bandBytes)
 	}
 	// Per-iteration convergence scalar: a reduction writes it, the next
 	// iteration's tasks read it. This is the iteration-carried dependence

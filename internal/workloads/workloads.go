@@ -22,6 +22,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/task"
 )
@@ -135,6 +136,18 @@ func lines(bytes int64) int64 {
 
 // cpuSec converts a flop count into modeled CPU seconds.
 func cpuSec(flops float64) float64 { return flops / FlopRate }
+
+// indexed returns prefix followed by each index in brackets, as
+// fmt.Sprintf("%s[%d]…") renders it: indexed("A", 1, 2) is "A[1][2]".
+// Builders name their objects with it.
+func indexed(prefix string, idx ...int) string {
+	var a [48]byte
+	b := append(a[:0], prefix...)
+	for _, i := range idx {
+		b = append(strconv.AppendInt(append(b, '['), int64(i), 10), ']')
+	}
+	return string(b)
+}
 
 // defScale returns scale, or def when scale is unset.
 func defScale(scale, def int) int {
