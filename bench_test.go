@@ -450,6 +450,35 @@ func BenchmarkGraphBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphRebuild is BenchmarkGraphBuild with every graph built
+// in one warm Builder, as each of the daemon's run contexts builds them:
+// what remains per op is object names and the apps' per-build tables.
+func BenchmarkGraphRebuild(b *testing.B) {
+	specs := make([]workloads.Spec, len(graphBuildMix))
+	for i, a := range graphBuildMix {
+		s, err := workloads.ByName(a.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		specs[i] = s
+	}
+	var bld task.Builder
+	build := func() {
+		for j, s := range specs {
+			g := s.Build(workloads.Params{Scale: graphBuildMix[j].scale, Into: &bld}).Graph
+			if err := g.Validate(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build()
+	}
+}
+
 func BenchmarkExecPoolForkJoin(b *testing.B) {
 	bld := task.NewBuilder("bench")
 	objs := make([]task.ObjectID, 64)
@@ -628,9 +657,14 @@ func BenchmarkProfilerRecord(b *testing.B) {
 // client goroutine is its own tenant (so the tenant-shard fan-out is
 // exercised) issuing runs through the full admission + pool path.
 func serveBenchLoop(b *testing.B, s *serve.Server) {
-	warm := serve.RunRequest{Tenant: "bench", Workload: "heat", Scale: 5}
-	if resp, err := s.Do(&warm); err != nil || resp.Error != "" {
-		b.Fatalf("warm run: %v %q", err, resp.Error)
+	// Warm the run context of every tenant the loop runs as: a context
+	// builds each graph in the storage of the one before, so its first
+	// run also allocates the graph's storage.
+	for p := 1; p <= runtime.GOMAXPROCS(0); p++ {
+		warm := serve.RunRequest{Tenant: fmt.Sprintf("bench-%d", p), Workload: "heat", Scale: 5}
+		if resp, err := s.Do(&warm); err != nil || resp.Error != "" {
+			b.Fatalf("warm run: %v %q", err, resp.Error)
+		}
 	}
 	var tenants atomic.Int64
 	b.ReportAllocs()

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -47,6 +48,31 @@ type Meta struct {
 type Recording struct {
 	Meta  Meta
 	Trace *trace.Trace
+
+	// faults memoizes the schedule a fault spec parsed to, so replaying
+	// a recording again does not parse Meta.Faults again.
+	faults atomic.Pointer[parsedFaults]
+}
+
+// parsedFaults is a fault spec and the schedule it parsed to.
+type parsedFaults struct {
+	spec  string
+	sched *fault.Schedule
+}
+
+// faultSchedule returns the schedule Meta.Faults parses to. It parses
+// only when the memo holds none, or one of a spec Meta.Faults no longer
+// is.
+func (rec *Recording) faultSchedule() (*fault.Schedule, error) {
+	if p := rec.faults.Load(); p != nil && p.spec == rec.Meta.Faults {
+		return p.sched, nil
+	}
+	fs, err := fault.ParseSpec(rec.Meta.Faults)
+	if err != nil {
+		return nil, err
+	}
+	rec.faults.Store(&parsedFaults{spec: rec.Meta.Faults, sched: fs})
+	return fs, nil
 }
 
 // Record runs the graph under the configuration with recording enabled
@@ -131,7 +157,7 @@ func Replay(g *task.Graph, cfg core.Config, rec *Recording) (core.Result, error)
 		cfg.Workers = rec.Meta.Workers
 	}
 	if cfg.Faults == nil && rec.Meta.Faults != "" {
-		fs, err := fault.ParseSpec(rec.Meta.Faults)
+		fs, err := rec.faultSchedule()
 		if err != nil {
 			return core.Result{}, fmt.Errorf("replay: recorded fault spec: %w", err)
 		}

@@ -265,6 +265,50 @@ func TestReplayRejectsHugeFaultSpec(t *testing.T) {
 	}
 }
 
+// TestReplayParsesFaultSpecOnce: replays of one recording share the
+// schedule its fault spec parsed to, replay the faulty run exactly, and
+// parse again only once the spec has been edited.
+func TestReplayParsesFaultSpecOnce(t *testing.T) {
+	g := buildGraph(t, "cg")
+	cfg := testConfig(core.Tahoe)
+	fs, err := fault.ParseSpec("rate=8,seed=7,horizon=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = fs
+	res, rec, err := Record(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *fault.Schedule
+	for i := 0; i < 2; i++ {
+		got, err := Replay(g, testConfig(core.Tahoe), rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Time) != math.Float64bits(res.Time) {
+			t.Fatalf("replay %d: makespan %v, recorded %v", i, got.Time, res.Time)
+		}
+		p := rec.faults.Load()
+		if p == nil || p.spec != rec.Meta.Faults || (first != nil && p.sched != first) {
+			t.Fatalf("replay %d did not reuse the parsed schedule", i)
+		}
+		first = p.sched
+	}
+	rec.Meta.Faults = "rate=8,seed=8,horizon=0.3"
+	if _, err := Replay(g, testConfig(core.Tahoe), rec); err != nil {
+		t.Fatal(err)
+	}
+	if p := rec.faults.Load(); p.spec != rec.Meta.Faults || p.sched == first {
+		t.Fatal("an edited fault spec replayed under the old schedule")
+	}
+	rec.Meta.Faults = "rate=8"
+	if _, err := Replay(g, testConfig(core.Tahoe), rec); err == nil ||
+		err.Error() != `replay: recorded fault spec: fault: spec "rate=8" needs at least rate= and horizon=` {
+		t.Fatalf("bad spec: error %v", err)
+	}
+}
+
 // TestLoadErrorNamesFileLine: a bad record is reported at its line in
 // the file, header included, with one "trace:" prefix.
 func TestLoadErrorNamesFileLine(t *testing.T) {

@@ -191,36 +191,37 @@ func (g *GraphSpec) validate() error {
 	return nil
 }
 
-// build constructs the task graph (call validate first).
-func (g *GraphSpec) build() *task.Graph {
+// build constructs the task graph in b, which it resets (call validate
+// first). Objects are declared in order, so object i gets ID i.
+func (g *GraphSpec) build(b *task.Builder) *task.Graph {
 	name := g.Name
 	if name == "" {
 		name = "inline"
 	}
-	b := task.NewBuilder(name)
-	ids := make([]task.ObjectID, len(g.Objects))
+	b.Reset(name)
 	for i, o := range g.Objects {
 		oname := o.Name
 		if oname == "" {
 			oname = "o" + strconv.Itoa(i)
 		}
-		ids[i] = b.ObjectOpt(oname, o.Size, !o.NoChunk)
+		b.ObjectOpt(oname, o.Size, !o.NoChunk)
 	}
+	accs := make([]task.Access, 0, 8) // grows only for a task of more accesses
 	for _, t := range g.Tasks {
-		accs := make([]task.Access, len(t.Accesses))
-		for ai, a := range t.Accesses {
+		accs = accs[:0]
+		for _, a := range t.Accesses {
 			mode, _ := parseMode(a.Mode)
 			mlp := a.MLP
 			if mlp == 0 {
 				mlp = 1
 			}
-			accs[ai] = task.Access{
-				Obj:    ids[a.Obj],
+			accs = append(accs, task.Access{
+				Obj:    task.ObjectID(a.Obj),
 				Mode:   mode,
 				Loads:  a.Loads,
 				Stores: a.Stores,
 				MLP:    mlp,
-			}
+			})
 		}
 		b.Submit(t.Kind, t.CPUSec, accs, nil)
 	}

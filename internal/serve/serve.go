@@ -145,10 +145,17 @@ type shard struct {
 	_    [40]byte // keep neighboring shards off one cache line
 }
 
+// jobKeep caps the bytes of scratch a pooled run context keeps between
+// requests: its trace arena and its graph builder together. A request
+// that grows them past it leaves its context without the larger, and
+// then the other if still over, rather than pinning them in the free
+// list. Every graph of perfbench's serve mix fits with its trace.
+const jobKeep = 1 << 20
+
 // job is a pooled run context: one admitted request, its response, and
-// the reusable scratch (trace arena, hasher, completion channel) that
-// makes steady-state request handling allocation-free beyond the run
-// itself.
+// the reusable scratch (trace arena, graph builder, hasher, completion
+// channel) that makes steady-state request handling allocation-free
+// beyond the run itself.
 type job struct {
 	req  RunRequest
 	resp RunResponse
@@ -166,8 +173,12 @@ type job struct {
 	admitted time.Time
 	done     chan struct{} // cap 1; signaled once per execution
 	tr       trace.Trace
-	hasher   hash.Hash
-	home     *shard
+	// bld builds the request's graph. The graph is dead once core.Run
+	// has returned and the response is filled, so the next request on
+	// this context builds over it.
+	bld    task.Builder
+	hasher hash.Hash
+	home   *shard
 }
 
 // Server is the placement service. Build with New; it is ready (and its
@@ -253,8 +264,16 @@ func (s *Server) getJob(tenant string) *job {
 	return j
 }
 
-// putJob returns a run context to its shard's pool.
+// putJob returns a run context to its shard's pool, holding no more
+// than jobKeep bytes of scratch.
 func (s *Server) putJob(j *job) {
+	for j.tr.Footprint()+j.bld.Footprint() > jobKeep {
+		if j.tr.Footprint() >= j.bld.Footprint() {
+			j.tr = trace.Trace{}
+		} else {
+			j.bld = task.Builder{}
+		}
+	}
 	sh := j.home
 	sh.mu.Lock()
 	sh.free = append(sh.free, j)
@@ -456,10 +475,10 @@ func (s *Server) execute(j *job) {
 
 	var g *task.Graph
 	if j.inline != nil {
-		g = j.inline.build()
+		g = j.inline.build(&j.bld)
 		resp.Workload = g.Name
 	} else {
-		g = j.wl.Build(workloads.Params{Scale: scale}).Graph
+		g = j.wl.Build(workloads.Params{Scale: scale, Into: &j.bld}).Graph
 		resp.Workload = j.wl.Name
 	}
 	if wantTrace {

@@ -4,9 +4,15 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
+
+	"repro/internal/task"
+	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // soloBaseline runs req sequentially on a fresh single-worker server,
@@ -78,6 +84,137 @@ func TestTenantIsolation(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatalf("tenant isolation violated: %s", e)
+	}
+}
+
+// seededGraph is an inline graph of nobj objects and ntask tasks of
+// three kinds, each task naming one to four neighbouring objects.
+func seededGraph(seed int64, nobj, ntask int) *GraphSpec {
+	r := rand.New(rand.NewSource(seed))
+	g := &GraphSpec{Name: fmt.Sprintf("seeded%d", seed)}
+	for i := 0; i < nobj; i++ {
+		g.Objects = append(g.Objects, ObjectSpec{Size: 1 + r.Int63n(8<<20), NoChunk: r.Intn(4) == 0})
+	}
+	modes := []string{"in", "out", "inout"}
+	for i := 0; i < ntask; i++ {
+		ts := TaskSpec{Kind: fmt.Sprintf("k%d", r.Intn(3)), CPUSec: 1e-4 * r.Float64()}
+		first := r.Intn(nobj)
+		for k := 0; k <= r.Intn(4); k++ {
+			ts.Accesses = append(ts.Accesses, AccessSpec{
+				Obj: (first + k) % nobj, Mode: modes[r.Intn(3)], Loads: r.Int63n(1 << 12), Stores: r.Int63n(1 << 12),
+			})
+		}
+		g.Tasks = append(g.Tasks, ts)
+	}
+	return g
+}
+
+// TestJobReuseIsolation: one tenant's pooled run contexts serve large
+// and small named graphs, inline graphs and traced runs from several
+// goroutines at once, each context building every graph in the storage
+// of the one before. Every answer must match its solo run: the
+// makespan's bits, the trace SHA-256, the task count and the graph's
+// name. CI runs it under -race.
+func TestJobReuseIsolation(t *testing.T) {
+	reqs := []RunRequest{
+		{Workload: "cholesky", Scale: 10, Policy: "tahoe", Trace: true},
+		{Workload: "heat", Scale: 2, Policy: "tahoe"},
+		{Graph: seededGraph(1, 40, 300), Policy: "tahoe", Trace: true},
+		{Workload: "sparselu", Scale: 12, Policy: "phase"},
+		{Graph: seededGraph(2, 3, 5), Policy: "firsttouch", Trace: true},
+		{Workload: "fft", Scale: 4, Policy: "nvm", Trace: true},
+		{Workload: "cg", Scale: 6, Policy: "tahoe"},
+		{Graph: seededGraph(3, 12, 60), Policy: "tahoe"},
+	}
+	solo := make([]RunResponse, len(reqs))
+	for i := range reqs {
+		reqs[i].Tenant = "one"
+		solo[i] = soloBaseline(t, reqs[i])
+	}
+
+	s := New(Config{Workers: 4, QueueDepth: 64, ShedHigh: 0.95, ShedLow: 0.5})
+	defer s.Close()
+	const goroutines, passes = 4, 2
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines*passes*len(reqs))
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < passes*len(reqs); k++ {
+				i := (w*3 + k) % len(reqs)
+				r := reqs[i]
+				got, err := s.Do(&r)
+				want := &solo[i]
+				switch {
+				case err != nil:
+					errs <- err.Error()
+				case got.Error != "":
+					errs <- got.Error
+				case math.Float64bits(got.TimeSec) != math.Float64bits(want.TimeSec):
+					errs <- fmt.Sprintf("request %d: makespan bits differ from solo run", i)
+				case got.TraceSHA256 != want.TraceSHA256:
+					errs <- fmt.Sprintf("request %d: trace bytes differ from solo run", i)
+				case got.Tasks != want.Tasks || got.Workload != want.Workload:
+					errs <- fmt.Sprintf("request %d: %d tasks of %q, solo run %d of %q", i, got.Tasks, got.Workload, want.Tasks, want.Workload)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatalf("pooled run contexts leaked between runs: %s", e)
+	}
+	if st := s.Snapshot(); st.Degraded != 0 {
+		t.Fatalf("%d runs served degraded", st.Degraded)
+	}
+}
+
+// TestJobKeep: a pooled run context keeps its trace arena and graph
+// builder while they fit in jobKeep together, and drops whichever has
+// grown past it.
+func TestJobKeep(t *testing.T) {
+	big := RunRequest{Tenant: "t", Workload: "cholesky", Scale: 32, Policy: "nvm"}
+	var b task.Builder
+	wl, _ := workloads.ByName(big.Workload)
+	wl.Build(workloads.Params{Scale: big.Scale, Into: &b})
+	if b.Footprint() <= jobKeep {
+		t.Fatalf("cholesky at scale %d builds in %d bytes, within jobKeep", big.Scale, b.Footprint())
+	}
+
+	s := New(Config{Workers: 1, QueueDepth: 4, ShedHigh: 0.99, ShedLow: 0.5})
+	defer s.Close()
+	// run serves req and returns the run context it went back to the
+	// free list in.
+	run := func(req RunRequest) (RunResponse, *job) {
+		t.Helper()
+		resp, err := s.Do(&req)
+		if err != nil || resp.Error != "" {
+			t.Fatalf("%+v: %v %s", req, err, resp.Error)
+		}
+		free := s.shardFor(req.Tenant).free
+		if len(free) != 1 {
+			t.Fatalf("%d pooled run contexts, want 1", len(free))
+		}
+		return resp, free[0]
+	}
+	small := RunRequest{Tenant: "t", Workload: "heat", Scale: 2, Policy: "nvm", Trace: true}
+	if _, j := run(small); j.tr.Footprint() == 0 || j.bld.Footprint() == 0 {
+		t.Fatal("a run within the budget dropped its trace arena or its builder")
+	}
+	traced := big
+	traced.Trace = true
+	resp, j := run(traced)
+	if resp.TraceEvents*int(unsafe.Sizeof(trace.Event{}))+resp.Tasks*int(unsafe.Sizeof(trace.Dispatch{})) <= jobKeep {
+		t.Fatalf("%d trace events and %d dispatches fit in jobKeep", resp.TraceEvents, resp.Tasks)
+	}
+	if j.tr.Footprint() != 0 || j.bld.Footprint() != 0 {
+		t.Fatalf("after a traced run past the budget the context keeps %d trace and %d builder bytes", j.tr.Footprint(), j.bld.Footprint())
+	}
+	run(small)
+	if _, j := run(big); j.bld.Footprint() != 0 || j.tr.Footprint() == 0 {
+		t.Fatalf("after a build past the budget the context keeps %d builder and %d trace bytes", j.bld.Footprint(), j.tr.Footprint())
 	}
 }
 

@@ -258,10 +258,10 @@ func inlineSpec(seed int64) *serve.GraphSpec {
 	return gs
 }
 
-// buildSpec builds an inline graph the way the serve daemon does: object
-// names o<i>, chunkable unless no_chunk, MLP 0 meaning 1.
-func buildSpec(gs *serve.GraphSpec) *task.Graph {
-	b := task.NewBuilder(gs.Name)
+// buildSpec builds an inline graph in b the way the serve daemon does:
+// object names o<i>, chunkable unless no_chunk, MLP 0 meaning 1.
+func buildSpec(b *task.Builder, gs *serve.GraphSpec) *task.Graph {
+	b.Reset(gs.Name)
 	for i, o := range gs.Objects {
 		b.ObjectOpt(fmt.Sprintf("o%d", i), o.Size, !o.NoChunk)
 	}
@@ -276,11 +276,83 @@ func buildSpec(gs *serve.GraphSpec) *task.Graph {
 	return b.Build()
 }
 
+// unrelated builds a seeded graph of nObj objects and nTasks tasks of
+// nKinds kinds in b, each task naming up to maxAcc objects in any mode
+// and carrying a kernel, so a graph rebuilt over it must clear them all.
+func unrelated(b *task.Builder, seed int64, nObj, nTasks, nKinds, maxAcc int) {
+	r := rand.New(rand.NewSource(seed))
+	b.Reset(fmt.Sprintf("unrelated%d", seed))
+	for i := 0; i < nObj; i++ {
+		b.ObjectOpt(fmt.Sprintf("u%d", i), 1+r.Int63n(1<<20), r.Intn(2) == 0)
+	}
+	var accs []task.Access
+	for i := 0; i < nTasks; i++ {
+		accs = accs[:0]
+		for k := 0; k <= r.Intn(maxAcc); k++ {
+			accs = append(accs, task.Access{
+				Obj: task.ObjectID(r.Intn(nObj)), Mode: task.AccessMode(r.Intn(3)),
+				Loads: r.Int63n(100), Stores: r.Int63n(100), MLP: float64(1 + r.Intn(8)),
+			})
+		}
+		b.Submit(fmt.Sprintf("u%d", r.Intn(nKinds)), r.Float64(), accs, func() {})
+	}
+	b.Build()
+}
+
+// sameRebuild builds a case in b right after an unrelated larger graph
+// and an unrelated smaller one, and fails t unless the result equals
+// fresh, the case's build in a new Builder, and the reference.
+func sameRebuild(t testing.TB, b *task.Builder, fresh *task.Graph, build func(*task.Builder) *task.Graph) {
+	t.Helper()
+	nObj, nTasks := len(fresh.Objects), len(fresh.Tasks)
+	unrelated(b, 1, 2*nObj+2, 2*nTasks+2, 2*len(fresh.Kinds())+2, 8)
+	unrelated(b, 2, nObj/2+1, nTasks/2+1, 1, 2)
+	g := build(b)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	sameBuild(t, g, fresh)
+	sameGraph(t, g, rebuild(g))
+}
+
+// sameBuild fails t where g differs from want in anything a graph
+// exposes.
+func sameBuild(t testing.TB, g, want *task.Graph) {
+	t.Helper()
+	if g.Name != want.Name || len(g.Objects) != len(want.Objects) || len(g.Tasks) != len(want.Tasks) {
+		t.Fatalf("graph %q of %d objects and %d tasks; fresh %q of %d and %d",
+			g.Name, len(g.Objects), len(g.Tasks), want.Name, len(want.Objects), len(want.Tasks))
+	}
+	for i, o := range want.Objects {
+		if *g.Objects[i] != *o {
+			t.Fatalf("object %d = %+v, fresh %+v", i, *g.Objects[i], *o)
+		}
+		if !slices.Equal(g.Users(o.ID), want.Users(o.ID)) {
+			t.Fatalf("object %d: Users = %v, fresh %v", i, g.Users(o.ID), want.Users(o.ID))
+		}
+	}
+	for i, w := range want.Tasks {
+		tk := g.Tasks[i]
+		if tk.ID != w.ID || tk.Kind != w.Kind || tk.CPUSec != w.CPUSec || (tk.Run == nil) != (w.Run == nil) ||
+			!slices.Equal(tk.Accesses, w.Accesses) || !slices.Equal(tk.Deps(), w.Deps()) || !slices.Equal(tk.Succs(), w.Succs()) ||
+			g.KindIndex(tk.ID) != want.KindIndex(w.ID) {
+			t.Fatalf("task %d = %+v, fresh %+v", i, *tk, *w)
+		}
+	}
+	if !slices.Equal(g.Kinds(), want.Kinds()) || !slices.Equal(g.Levels(), want.Levels()) {
+		t.Fatalf("Kinds %v and Levels %v; fresh %v and %v", g.Kinds(), g.Levels(), want.Kinds(), want.Levels())
+	}
+}
+
 // TestBuilderMatchesReference holds the dense Builder to the map-based
 // one on every registered workload at its default scale, on the serve
-// mix at perfbench's scales, and on seeded inline graphs.
+// mix at perfbench's scales, and on seeded inline graphs. Each case is
+// built fresh and again in one shared Builder, and both builds must
+// agree.
 func TestBuilderMatchesReference(t *testing.T) {
-	check := func(t *testing.T, g *task.Graph) {
+	var shared task.Builder
+	check := func(t *testing.T, build func(*task.Builder) *task.Graph) {
+		g := build(new(task.Builder))
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -288,9 +360,12 @@ func TestBuilderMatchesReference(t *testing.T) {
 			t.Fatalf("reference Validate: %v", err)
 		}
 		sameGraph(t, g, rebuild(g))
+		sameRebuild(t, &shared, g, build)
 	}
 	for _, s := range workloads.All() {
-		t.Run(s.Name, func(t *testing.T) { check(t, s.Build(workloads.Params{}).Graph) })
+		t.Run(s.Name, func(t *testing.T) {
+			check(t, func(b *task.Builder) *task.Graph { return s.Build(workloads.Params{Into: b}).Graph })
+		})
 	}
 	for _, a := range serveMix {
 		t.Run(fmt.Sprintf("%s@%d", a.name, a.scale), func(t *testing.T) {
@@ -298,19 +373,51 @@ func TestBuilderMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, s.Build(workloads.Params{Scale: a.scale}).Graph)
+			check(t, func(b *task.Builder) *task.Graph { return s.Build(workloads.Params{Scale: a.scale, Into: b}).Graph })
 		})
 	}
 	for seed := int64(1); seed <= 40; seed++ {
-		t.Run(fmt.Sprintf("inline%d", seed), func(t *testing.T) { check(t, buildSpec(inlineSpec(seed))) })
+		t.Run(fmt.Sprintf("inline%d", seed), func(t *testing.T) {
+			gs := inlineSpec(seed)
+			check(t, func(b *task.Builder) *task.Graph { return buildSpec(b, gs) })
+		})
 	}
 }
 
+// fuzzGraph decodes data into a graph built in b. The first byte sets
+// the object count; then each task is a header byte (access count and
+// kind) followed by one byte per access (object and mode), so a task
+// may name one object more than once.
+func fuzzGraph(b *task.Builder, data []byte) *task.Graph {
+	nObj := 1 + int(data[0]%8)
+	b.Reset("fuzz")
+	for i := 0; i < nObj; i++ {
+		b.Object(fmt.Sprintf("o%d", i), 64)
+	}
+	var accs []task.Access
+	for p := 1; p < len(data); {
+		h := data[p]
+		p++
+		accs = accs[:0]
+		for k := 0; k <= int(h%4) && p < len(data); k++ {
+			c := int(data[p])
+			p++
+			accs = append(accs, task.Access{
+				Obj: task.ObjectID(c % nObj), Mode: task.AccessMode(c / nObj % 3),
+				Loads: 1, Stores: 1, MLP: 1,
+			})
+		}
+		if len(accs) == 0 {
+			break
+		}
+		b.Submit(fmt.Sprintf("k%d", h/4%3), 1, accs, nil)
+	}
+	return b.Build()
+}
+
 // FuzzBuilder decodes bytes into object declarations and (object, mode)
-// submissions and holds the dense Builder to the reference on them. The
-// first byte sets the object count; then each task is a header byte
-// (access count and kind) followed by one byte per access (object and
-// mode), so a task may name one object more than once.
+// submissions and holds the dense Builder to the reference on them, built
+// fresh and again in a Builder that built other graphs first.
 func FuzzBuilder(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 4, 3, 5, 9, 1, 2})
 	f.Add([]byte{1, 3, 0, 1, 2, 0, 3, 0, 1, 2, 0})
@@ -319,32 +426,11 @@ func FuzzBuilder(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		nObj := 1 + int(data[0]%8)
-		b := task.NewBuilder("fuzz")
-		for i := 0; i < nObj; i++ {
-			b.Object(fmt.Sprintf("o%d", i), 64)
-		}
-		for p := 1; p < len(data); {
-			h := data[p]
-			p++
-			var accs []task.Access
-			for k := 0; k <= int(h%4) && p < len(data); k++ {
-				c := int(data[p])
-				p++
-				accs = append(accs, task.Access{
-					Obj: task.ObjectID(c % nObj), Mode: task.AccessMode(c / nObj % 3),
-					Loads: 1, Stores: 1, MLP: 1,
-				})
-			}
-			if accs == nil {
-				break
-			}
-			b.Submit(fmt.Sprintf("k%d", h/4%3), 1, accs, nil)
-		}
-		g := b.Build()
+		g := fuzzGraph(new(task.Builder), data)
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		sameGraph(t, g, rebuild(g))
+		sameRebuild(t, new(task.Builder), g, func(b *task.Builder) *task.Graph { return fuzzGraph(b, data) })
 	})
 }

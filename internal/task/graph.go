@@ -7,7 +7,8 @@ import (
 )
 
 // Graph is an immutable task DAG plus its data objects. Build one with a
-// Builder; the zero value is empty but valid.
+// Builder; the zero value is empty but valid. A graph lives in its
+// Builder's storage, so it is valid until that Builder's next Reset.
 type Graph struct {
 	Name    string
 	Objects []*Object
@@ -36,11 +37,13 @@ type Graph struct {
 	validated atomic.Bool
 }
 
-// buildKindTable derives the kind table from a task list.
-func buildKindTable(tasks []*Task) ([]string, []int32) {
-	names := make([]string, 0, 8)
-	index := make(map[string]int32, 8)
-	of := make([]int32, len(tasks))
+// buildKindTable derives the kind table from a task list into the
+// arrays of names and of, which it reuses, and into index, which it
+// clears first.
+func buildKindTable(tasks []*Task, names []string, of []int32, index map[string]int32) ([]string, []int32) {
+	clear(index)
+	names = names[:0]
+	of = resize(of, len(tasks))
 	for i, t := range tasks {
 		k, ok := index[t.Kind]
 		if !ok {
@@ -56,7 +59,7 @@ func buildKindTable(tasks []*Task) ([]string, []int32) {
 // Kinds returns the distinct task kinds in first-appearance order.
 func (g *Graph) Kinds() []string {
 	if g.kindNames == nil && len(g.Tasks) > 0 {
-		names, _ := buildKindTable(g.Tasks) // graph built without Builder
+		names, _ := buildKindTable(g.Tasks, nil, nil, map[string]int32{}) // graph built without Builder
 		return names
 	}
 	return g.kindNames
@@ -65,7 +68,7 @@ func (g *Graph) Kinds() []string {
 // KindIndex returns task id's index into Kinds().
 func (g *Graph) KindIndex(id TaskID) int {
 	if g.kindOf == nil && len(g.Tasks) > 0 {
-		_, of := buildKindTable(g.Tasks)
+		_, of := buildKindTable(g.Tasks, nil, nil, map[string]int32{})
 		return int(of[id])
 	}
 	return int(g.kindOf[id])
@@ -132,7 +135,7 @@ func (g *Graph) Roots() []TaskID {
 // across goroutines too: it is read-only.
 func (g *Graph) Levels() []int {
 	if g.levels == nil && len(g.Tasks) > 0 {
-		return computeLevels(g.Tasks) // graph built without Builder
+		return fillLevels(g.Tasks, make([]int, len(g.Tasks))) // graph built without Builder
 	}
 	return g.levels
 }

@@ -72,8 +72,7 @@ func TestInOutSerializes(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		id := b.Submit("acc", 1, []Access{{Obj: a, Mode: InOut, Loads: 1, Stores: 1, MLP: 1}}, nil)
 		if i > 0 {
-			g := b.g
-			deps := g.Tasks[id].deps
+			deps := b.tasks[id].deps
 			if len(deps) != 1 || deps[0] != prev {
 				t.Fatalf("inout task %d deps = %v, want [%d]", id, deps, prev)
 			}

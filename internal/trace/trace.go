@@ -11,6 +11,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/task"
@@ -141,6 +142,11 @@ func (t *Trace) Grow(events, dispatches int) {
 func (t *Trace) Reset() {
 	t.Events = t.Events[:0]
 	t.Dispatches = t.Dispatches[:0]
+}
+
+// Footprint returns the bytes t's buffers hold.
+func (t *Trace) Footprint() int {
+	return cap(t.Events)*int(unsafe.Sizeof(Event{})) + cap(t.Dispatches)*int(unsafe.Sizeof(Dispatch{}))
 }
 
 // Len returns the number of recorded events.

@@ -39,7 +39,7 @@ func buildBFS(p Params) Built {
 	distBandBytes := int64(4 * perBand)
 	frontBandBytes := int64(perBand / 8) // bitmap
 
-	bld := task.NewBuilder("bfs")
+	bld := p.builder("bfs")
 	edges := bld.Object("edges", edgeBytes)
 	mk := func(name string, bytes int64) []task.ObjectID {
 		ids := make([]task.ObjectID, bands)
@@ -128,14 +128,13 @@ func buildBFS(p Params) Built {
 			b := b
 			// Owner-computes: every task reads the full frontier and the
 			// frontier's edges, and claims only its own destination band.
-			acc := []task.Access{
-				{Obj: edges, Mode: task.In, Loads: edgeLines, MLP: 3},
-				{Obj: dist[b], Mode: task.InOut,
+			acc := append(make([]task.Access, 0, 3+bands),
+				task.Access{Obj: edges, Mode: task.In, Loads: edgeLines, MLP: 3},
+				task.Access{Obj: dist[b], Mode: task.InOut,
 					Loads:  int64(frac*float64(nv*avgDeg))/int64(bands) + 1,
 					Stores: int64(frac*float64(perBand)) + 1, MLP: 2},
-				{Obj: front[dst][b], Mode: task.InOut,
-					Loads: 1, Stores: int64(frac*float64(perBand))/8 + 1, MLP: 2},
-			}
+				task.Access{Obj: front[dst][b], Mode: task.InOut,
+					Loads: 1, Stores: int64(frac*float64(perBand))/8 + 1, MLP: 2})
 			for sb := 0; sb < bands; sb++ {
 				acc = append(acc, task.Access{
 					Obj: front[src][sb], Mode: task.In,

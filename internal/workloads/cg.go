@@ -45,7 +45,7 @@ func buildCG(p Params) Built {
 	matBandBytes := matBytes / int64(bands)
 	vecBandBytes := int64(8 * rowsPer)
 
-	bld := task.NewBuilder("cg")
+	bld := p.builder("cg")
 	matID := bld.Object("A", matBytes)
 	vec := func(name string) []task.ObjectID {
 		ids := make([]task.ObjectID, bands)
@@ -123,12 +123,11 @@ func buildCG(p Params) Built {
 
 	// Vector band access helper: the SpMV gathers p across neighbouring
 	// bands (the Laplacian couples adjacent rows only).
-	pAccess := func(band int) []task.Access {
-		acc := []task.Access{
-			{Obj: matID, Mode: task.In, Loads: lines(matBandBytes), MLP: 3},
-			{Obj: pID[band], Mode: task.In, Loads: lines(vecBandBytes), MLP: 2},
-			{Obj: qID[band], Mode: task.Out, Stores: lines(vecBandBytes), MLP: 6},
-		}
+	pAccess := func(acc []task.Access, band int) []task.Access {
+		acc = append(acc[:0],
+			task.Access{Obj: matID, Mode: task.In, Loads: lines(matBandBytes), MLP: 3},
+			task.Access{Obj: pID[band], Mode: task.In, Loads: lines(vecBandBytes), MLP: 2},
+			task.Access{Obj: qID[band], Mode: task.Out, Stores: lines(vecBandBytes), MLP: 6})
 		if band > 0 {
 			acc = append(acc, task.Access{Obj: pID[band-1], Mode: task.In, Loads: lines(int64(8 * g)), MLP: 2})
 		}
@@ -146,7 +145,7 @@ func buildCG(p Params) Built {
 			if p.Kernels {
 				run = func() { spmvBand(band) }
 			}
-			bld.Submit("spmv", cpuSec(2*5*float64(rowsPer)), pAccess(band), run)
+			bld.Submit("spmv", cpuSec(2*5*float64(rowsPer)), pAccess(make([]task.Access, 0, 5), band), run)
 		}
 		// pq = p·q (serialized scalar reduction)
 		for band := 0; band < bands; band++ {

@@ -18,41 +18,39 @@ func init() {
 // Traffic models for the dense tile kernels, in cache-line accesses per
 // task on b×b float64 tiles (T = 8b² bytes). The gemm-class kernels
 // re-stream one operand b/CacheBlock times (cache-blocked inner loops);
-// the panel kernels are read-modify-write over their tiles.
+// the panel kernels are read-modify-write over their tiles. Each helper
+// writes one task's access list over acc, a 3-slot scratch its caller
+// reuses for every task, and returns it.
 func tileBytes(b int) int64 { return int64(8 * b * b) }
 
-func gemmAccess(b int, in1, in2, inout task.ObjectID) []task.Access {
+func gemmAccess(acc []task.Access, b int, in1, in2, inout task.ObjectID) []task.Access {
 	T := tileBytes(b)
 	stream := lines(T) * int64(b) / CacheBlock
-	return []task.Access{
-		{Obj: in1, Mode: task.In, Loads: lines(T) + stream/2, MLP: 8},
-		{Obj: in2, Mode: task.In, Loads: lines(T) + stream/2, MLP: 8},
-		{Obj: inout, Mode: task.InOut, Loads: lines(T), Stores: lines(T), MLP: 8},
-	}
+	return append(acc[:0],
+		task.Access{Obj: in1, Mode: task.In, Loads: lines(T) + stream/2, MLP: 8},
+		task.Access{Obj: in2, Mode: task.In, Loads: lines(T) + stream/2, MLP: 8},
+		task.Access{Obj: inout, Mode: task.InOut, Loads: lines(T), Stores: lines(T), MLP: 8})
 }
 
-func syrkAccess(b int, in, inout task.ObjectID) []task.Access {
+func syrkAccess(acc []task.Access, b int, in, inout task.ObjectID) []task.Access {
 	T := tileBytes(b)
 	stream := lines(T) * int64(b) / CacheBlock
-	return []task.Access{
-		{Obj: in, Mode: task.In, Loads: lines(T) + stream, MLP: 6},
-		{Obj: inout, Mode: task.InOut, Loads: lines(T), Stores: lines(T), MLP: 6},
-	}
+	return append(acc[:0],
+		task.Access{Obj: in, Mode: task.In, Loads: lines(T) + stream, MLP: 6},
+		task.Access{Obj: inout, Mode: task.InOut, Loads: lines(T), Stores: lines(T), MLP: 6})
 }
 
-func trsmAccess(b int, diag, panel task.ObjectID) []task.Access {
+func trsmAccess(acc []task.Access, b int, diag, panel task.ObjectID) []task.Access {
 	T := tileBytes(b)
-	return []task.Access{
-		{Obj: diag, Mode: task.In, Loads: lines(T) * int64(b) / (2 * CacheBlock), MLP: 4},
-		{Obj: panel, Mode: task.InOut, Loads: lines(T), Stores: lines(T), MLP: 4},
-	}
+	return append(acc[:0],
+		task.Access{Obj: diag, Mode: task.In, Loads: lines(T) * int64(b) / (2 * CacheBlock), MLP: 4},
+		task.Access{Obj: panel, Mode: task.InOut, Loads: lines(T), Stores: lines(T), MLP: 4})
 }
 
-func factAccess(b int, diag task.ObjectID) []task.Access {
+func factAccess(acc []task.Access, b int, diag task.ObjectID) []task.Access {
 	T := tileBytes(b)
-	return []task.Access{
-		{Obj: diag, Mode: task.InOut, Loads: lines(T), Stores: lines(T), MLP: 2},
-	}
+	return append(acc[:0],
+		task.Access{Obj: diag, Mode: task.InOut, Loads: lines(T), Stores: lines(T), MLP: 2})
 }
 
 // buildCholesky constructs the right-looking tiled Cholesky graph.
@@ -67,7 +65,7 @@ func buildCholesky(p Params) Built {
 	T := tileBytes(b)
 	fb := float64(b)
 
-	bld := task.NewBuilder("cholesky")
+	bld := p.builder("cholesky")
 	ids := make([][]task.ObjectID, s)
 	for i := range ids {
 		ids[i] = make([]task.ObjectID, i+1)
@@ -117,6 +115,7 @@ func buildCholesky(p Params) Built {
 	tile := func(i, j int) []float64 { return tiles[tileIdx(i, j)] }
 
 	var firstErr error
+	acc := make([]task.Access, 0, 3)
 	for k := 0; k < s; k++ {
 		k := k
 		var run func()
@@ -127,13 +126,13 @@ func buildCholesky(p Params) Built {
 				}
 			}
 		}
-		bld.Submit("potrf", cpuSec(fb*fb*fb/3), factAccess(b, ids[k][k]), run)
+		bld.Submit("potrf", cpuSec(fb*fb*fb/3), factAccess(acc, b, ids[k][k]), run)
 		for i := k + 1; i < s; i++ {
 			i := i
 			if p.Kernels {
 				run = func() { trsmRLT(tile(k, k), tile(i, k), b) }
 			}
-			bld.Submit("trsm", cpuSec(fb*fb*fb), trsmAccess(b, ids[k][k], ids[i][k]), run)
+			bld.Submit("trsm", cpuSec(fb*fb*fb), trsmAccess(acc, b, ids[k][k], ids[i][k]), run)
 		}
 		for i := k + 1; i < s; i++ {
 			i := i
@@ -142,12 +141,12 @@ func buildCholesky(p Params) Built {
 				if p.Kernels {
 					run = func() { gemmNT(tile(i, k), tile(j, k), tile(i, j), b) }
 				}
-				bld.Submit("gemm", cpuSec(2*fb*fb*fb), gemmAccess(b, ids[i][k], ids[j][k], ids[i][j]), run)
+				bld.Submit("gemm", cpuSec(2*fb*fb*fb), gemmAccess(acc, b, ids[i][k], ids[j][k], ids[i][j]), run)
 			}
 			if p.Kernels {
 				run = func() { syrkNT(tile(i, k), tile(i, i), b) }
 			}
-			bld.Submit("syrk", cpuSec(fb*fb*fb), syrkAccess(b, ids[i][k], ids[i][i]), run)
+			bld.Submit("syrk", cpuSec(fb*fb*fb), syrkAccess(acc, b, ids[i][k], ids[i][i]), run)
 		}
 	}
 

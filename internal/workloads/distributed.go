@@ -72,7 +72,7 @@ func buildHeatRank(rank, ranks int, p Params) Built {
 	bandBytes := int64(8 * rowsPer * n)
 	haloBytes := int64(8 * n)
 
-	bld := task.NewBuilder("heat@" + strconv.Itoa(rank) + "/" + strconv.Itoa(ranks))
+	bld := p.builder("heat@" + strconv.Itoa(rank) + "/" + strconv.Itoa(ranks))
 	obj := [2][]task.ObjectID{}
 	for v := 0; v < 2; v++ {
 		obj[v] = make([]task.ObjectID, bands)
@@ -84,10 +84,9 @@ func buildHeatRank(rank, ranks int, p Params) Built {
 	for it := 0; it < iters; it++ {
 		src, dst := it%2, 1-it%2
 		for r := 0; r < bands; r++ {
-			acc := []task.Access{
-				{Obj: obj[src][r], Mode: task.In, Loads: lines(bandBytes), MLP: 6},
-				{Obj: obj[dst][r], Mode: task.Out, Stores: lines(bandBytes), MLP: 6},
-			}
+			acc := append(make([]task.Access, 0, 4),
+				task.Access{Obj: obj[src][r], Mode: task.In, Loads: lines(bandBytes), MLP: 6},
+				task.Access{Obj: obj[dst][r], Mode: task.Out, Stores: lines(bandBytes), MLP: 6})
 			if r > 0 {
 				acc = append(acc, task.Access{Obj: obj[src][r-1], Mode: task.In, Loads: lines(haloBytes), MLP: 6})
 			}
@@ -127,7 +126,7 @@ func buildCGRank(rank, ranks int, p Params) Built {
 	matBandBytes := matBytes / int64(bands)
 	vecBandBytes := int64(8 * rowsPer)
 
-	bld := task.NewBuilder("cg@" + strconv.Itoa(rank) + "/" + strconv.Itoa(ranks))
+	bld := p.builder("cg@" + strconv.Itoa(rank) + "/" + strconv.Itoa(ranks))
 	matID := bld.Object("A", matBytes)
 	vec := func(name string) []task.ObjectID {
 		ids := make([]task.ObjectID, bands)

@@ -34,14 +34,15 @@ func buildFFT(p Params) Built {
 		logN = 12
 	}
 	n := 1 << logN
-	blocks := 16
+	const maxBlocks = 16
+	blocks := maxBlocks
 	if n/blocks < 2 {
 		blocks = n / 2
 	}
 	blockLen := n / blocks
 	blockBytes := int64(16 * blockLen)
 
-	bld := task.NewBuilder("fft")
+	bld := p.builder("fft")
 	blkID := make([]task.ObjectID, blocks)
 	for i := range blkID {
 		blkID[i] = bld.Object(indexed("data", i), blockBytes)
@@ -60,7 +61,7 @@ func buildFFT(p Params) Built {
 	}
 
 	// Bit reversal: touches everything; one task (it is cheap).
-	allAcc := make([]task.Access, 0, blocks)
+	allAcc := make([]task.Access, 0, maxBlocks)
 	for _, id := range blkID {
 		allAcc = append(allAcc, task.Access{
 			Obj: id, Mode: task.InOut,

@@ -39,7 +39,7 @@ func buildHeat(p Params) Built {
 	bandBytes := int64(8 * rows * n)
 	haloBytes := int64(8 * n)
 
-	bld := task.NewBuilder("heat")
+	bld := p.builder("heat")
 	// Two buffers, one object per band each.
 	obj := [2][]task.ObjectID{}
 	for v := 0; v < 2; v++ {
@@ -87,10 +87,9 @@ func buildHeat(p Params) Built {
 		src, dst := it%2, 1-it%2
 		for r := 0; r < bands; r++ {
 			r := r
-			acc := []task.Access{
-				{Obj: obj[src][r], Mode: task.In, Loads: lines(bandBytes), MLP: 6},
-				{Obj: obj[dst][r], Mode: task.Out, Stores: lines(bandBytes), MLP: 6},
-			}
+			acc := append(make([]task.Access, 0, 4),
+				task.Access{Obj: obj[src][r], Mode: task.In, Loads: lines(bandBytes), MLP: 6},
+				task.Access{Obj: obj[dst][r], Mode: task.Out, Stores: lines(bandBytes), MLP: 6})
 			if r > 0 {
 				acc = append(acc, task.Access{Obj: obj[src][r-1], Mode: task.In, Loads: lines(haloBytes), MLP: 6})
 			}

@@ -40,7 +40,7 @@ func buildKMeans(p Params) Built {
 	centBytes := int64(8 * dim * k)
 	partBytes := int64(8*dim*k) + int64(8*k)
 
-	bld := task.NewBuilder("kmeans")
+	bld := p.builder("kmeans")
 	points := make([]task.ObjectID, bands)
 	parts := make([]task.ObjectID, bands)
 	for b := 0; b < bands; b++ {

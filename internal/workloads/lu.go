@@ -60,7 +60,7 @@ func buildLUCommon(name string, p Params, present func(i, j, s int) bool, defaul
 		}
 	}
 
-	bld := task.NewBuilder(name)
+	bld := p.builder(name)
 	ids := make([][]task.ObjectID, s)
 	for i := range ids {
 		ids[i] = make([]task.ObjectID, s)
@@ -112,6 +112,7 @@ func buildLUCommon(name string, p Params, present func(i, j, s int) bool, defaul
 	blk := func(i, j int) []float64 { return blocks[i*s+j] }
 
 	var firstErr error
+	acc := make([]task.Access, 0, 3)
 	for k := 0; k < s; k++ {
 		k := k
 		var run func()
@@ -122,7 +123,7 @@ func buildLUCommon(name string, p Params, present func(i, j, s int) bool, defaul
 				}
 			}
 		}
-		bld.Submit("getrf", cpuSec(2*fb*fb*fb/3), factAccess(b, ids[k][k]), run)
+		bld.Submit("getrf", cpuSec(2*fb*fb*fb/3), factAccess(acc, b, ids[k][k]), run)
 		for j := k + 1; j < s; j++ {
 			if !non[k][j] {
 				continue
@@ -131,7 +132,7 @@ func buildLUCommon(name string, p Params, present func(i, j, s int) bool, defaul
 			if p.Kernels {
 				run = func() { trsmLLN(blk(k, k), blk(k, j), b) }
 			}
-			bld.Submit("trsm_row", cpuSec(fb*fb*fb), trsmAccess(b, ids[k][k], ids[k][j]), run)
+			bld.Submit("trsm_row", cpuSec(fb*fb*fb), trsmAccess(acc, b, ids[k][k], ids[k][j]), run)
 		}
 		for i := k + 1; i < s; i++ {
 			if !non[i][k] {
@@ -141,7 +142,7 @@ func buildLUCommon(name string, p Params, present func(i, j, s int) bool, defaul
 			if p.Kernels {
 				run = func() { trsmRUN(blk(k, k), blk(i, k), b) }
 			}
-			bld.Submit("trsm_col", cpuSec(fb*fb*fb), trsmAccess(b, ids[k][k], ids[i][k]), run)
+			bld.Submit("trsm_col", cpuSec(fb*fb*fb), trsmAccess(acc, b, ids[k][k], ids[i][k]), run)
 		}
 		for i := k + 1; i < s; i++ {
 			if !non[i][k] {
@@ -156,7 +157,7 @@ func buildLUCommon(name string, p Params, present func(i, j, s int) bool, defaul
 				if p.Kernels {
 					run = func() { gemmNN(blk(i, k), blk(k, j), blk(i, j), b) }
 				}
-				bld.Submit("gemm", cpuSec(2*fb*fb*fb), gemmAccess(b, ids[i][k], ids[k][j], ids[i][j]), run)
+				bld.Submit("gemm", cpuSec(2*fb*fb*fb), gemmAccess(acc, b, ids[i][k], ids[k][j], ids[i][j]), run)
 			}
 		}
 	}

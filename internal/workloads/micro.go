@@ -37,7 +37,7 @@ func buildStream(p Params) Built {
 	blockLen := n / blocks
 	blockBytes := int64(8 * blockLen)
 
-	bld := task.NewBuilder("stream")
+	bld := p.builder("stream")
 	mk := func(name string) []task.ObjectID {
 		ids := make([]task.ObjectID, blocks)
 		for i := range ids {
@@ -107,7 +107,7 @@ func buildPChase(p Params) Built {
 	}
 	chasesPerTask := int64(1 << 16)
 
-	bld := task.NewBuilder("pchase")
+	bld := p.builder("pchase")
 	pool := bld.ObjectOpt("nodes", int64(nodes*64), false)
 	cursor := bld.ObjectOpt("cursor", 64, false)
 

@@ -32,7 +32,7 @@ func buildNQueens(p Params) Built {
 		n = 9
 	}
 
-	bld := task.NewBuilder("nqueens")
+	bld := p.builder("nqueens")
 	cfg := bld.ObjectOpt("config", 64, false)
 	results := make([]task.ObjectID, n)
 	var total int64

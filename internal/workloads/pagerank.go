@@ -40,7 +40,7 @@ func buildPageRank(p Params) Built {
 	edgeBytes := int64(4*nv*avgDeg) + int64(4*(nv+1))
 	rankBandBytes := int64(8 * perBand)
 
-	bld := task.NewBuilder("pagerank")
+	bld := p.builder("pagerank")
 	edges := bld.Object("edges", edgeBytes)
 	mk := func(name string) []task.ObjectID {
 		ids := make([]task.ObjectID, bands)
@@ -111,10 +111,9 @@ func buildPageRank(p Params) Built {
 		src, dst := it%2, 1-it%2
 		for b := 0; b < bands; b++ {
 			b := b
-			acc := []task.Access{
-				{Obj: edges, Mode: task.In, Loads: edgeBandLines, MLP: 4},
-				{Obj: rank[dst][b], Mode: task.Out, Stores: lines(rankBandBytes), MLP: 6},
-			}
+			acc := append(make([]task.Access, 0, 2+2*bands),
+				task.Access{Obj: edges, Mode: task.In, Loads: edgeBandLines, MLP: 4},
+				task.Access{Obj: rank[dst][b], Mode: task.Out, Stores: lines(rankBandBytes), MLP: 6})
 			// The gather touches every source band (power-law graphs have
 			// no locality); dependent, irregular accesses.
 			for sb := 0; sb < bands; sb++ {

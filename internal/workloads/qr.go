@@ -36,7 +36,7 @@ func buildQR(p Params) Built {
 	rBlockBytes := int64(8 * b * b)
 	fb, fr := float64(b), float64(rows)
 
-	bld := task.NewBuilder("qr")
+	bld := p.builder("qr")
 	colID := make([]task.ObjectID, s) // A_j, overwritten by Q_j in place
 	for j := range colID {
 		colID[j] = bld.Object(indexed("col", j), panelBytes)

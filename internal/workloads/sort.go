@@ -31,7 +31,7 @@ func buildSort(p Params) Built {
 	blockLen := n / blocks
 	blockBytes := int64(8 * blockLen)
 
-	bld := task.NewBuilder("sort")
+	bld := p.builder("sort")
 	aID := make([]task.ObjectID, blocks)
 	bID := make([]task.ObjectID, blocks)
 	for i := 0; i < blocks; i++ {
@@ -85,7 +85,7 @@ func buildSort(p Params) Built {
 		runBlocks := 1 << l
 		for start := 0; start < blocks; start += 2 * runBlocks {
 			start := start
-			acc := make([]task.Access, 0, 4*runBlocks)
+			acc := make([]task.Access, 0, 2*blocks) // 4·runBlocks at most
 			for b := start; b < start+2*runBlocks; b++ {
 				acc = append(acc,
 					task.Access{Obj: bufs[src][b], Mode: task.In, Loads: lines(blockBytes), MLP: 6},

@@ -191,6 +191,7 @@ func (sb *strassenBuilder) multiply(c, a, b *blockGrid, depth int) {
 // C(i,j) = sum_k A(i,k)·B(k,j), one accumulating gemm task per term.
 func (sb *strassenBuilder) blockedMultiply(c, a, b *blockGrid) {
 	fb := float64(sb.b)
+	acc := make([]task.Access, 0, 3)
 	for i := 0; i < c.n; i++ {
 		for j := 0; j < c.n; j++ {
 			i, j := i, j
@@ -215,7 +216,7 @@ func (sb *strassenBuilder) blockedMultiply(c, a, b *blockGrid) {
 					run = func() { gemmAccum(ab, bb, cb, sb.b) }
 				}
 				sb.bld.Submit("gemm", cpuSec(2*fb*fb*fb),
-					gemmAccess(sb.b, a.id(i, k), b.id(k, j), c.id(i, j)), run)
+					gemmAccess(acc, sb.b, a.id(i, k), b.id(k, j), c.id(i, j)), run)
 			}
 		}
 	}
@@ -249,7 +250,7 @@ func buildStrassen(p Params) Built {
 	b := p.tileDim(512, 32)
 	grid := 1 << depth // blocks per side
 
-	bld := task.NewBuilder("strassen")
+	bld := p.builder("strassen")
 	sb := &strassenBuilder{bld: bld, b: b, bytes: tileBytes(b), kernels: p.Kernels}
 
 	mk := func(name string, fill bool, rng *rng) *blockGrid {

@@ -27,15 +27,15 @@ func init() {
 // machinery, and this workload is where it pays.
 func buildWave(p Params) Built {
 	iters := defScale(p.Scale, 24)
-	bands := 24
+	const bands = 24
 	bandElems := 1 << 21 // 16 MB per band, 384 MB total
 	if p.Kernels {
 		bandElems = 1 << 12
 	}
 	bandBytes := int64(8 * bandElems)
-	window := bands / 3
+	const window = bands / 3
 
-	bld := task.NewBuilder("wave")
+	bld := p.builder("wave")
 	bandID := make([]task.ObjectID, bands)
 	for i := range bandID {
 		bandID[i] = bld.Object(indexed("X", i), bandBytes)
@@ -77,7 +77,7 @@ func buildWave(p Params) Built {
 		}
 		base := phase * window
 		// Heavy streaming update over the hot window.
-		hotAcc := make([]task.Access, 0, window)
+		hotAcc := make([]task.Access, 0, window+1) // the residual appends the epoch
 		for w := 0; w < window; w++ {
 			b := base + w
 			var run func()

@@ -42,6 +42,19 @@ type Params struct {
 	Scale int
 	// Kernels attaches real Go kernels and allocates real buffers.
 	Kernels bool
+	// Into, when set, is the Builder the graph is built in. Building
+	// resets it, so the graph it built before becomes invalid. Nil
+	// builds in a fresh Builder.
+	Into *task.Builder
+}
+
+// builder returns p.Into reset for a graph of the given name, or a
+// fresh Builder.
+func (p Params) builder(name string) *task.Builder {
+	if p.Into == nil {
+		return task.NewBuilder(name)
+	}
+	return p.Into.Reset(name)
 }
 
 // tileDim resolves the effective tile dimension: large tiles for

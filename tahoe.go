@@ -136,7 +136,9 @@ type (
 	// Graph is an immutable task DAG plus its data objects.
 	Graph = task.Graph
 	// GraphBuilder constructs a Graph from object declarations and task
-	// submissions, inferring dependences from access modes.
+	// submissions, inferring dependences from access modes. Submit copies
+	// each access list, so callers may reuse theirs; Reset builds the
+	// next graph in the last one's storage, which ends that graph.
 	GraphBuilder = task.Builder
 	// Access declares one task's use of one object.
 	Access = task.Access
