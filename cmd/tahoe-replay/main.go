@@ -30,7 +30,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/replay"
 	"repro/internal/report"
-	"repro/internal/task"
 	"strings"
 )
 
@@ -47,7 +46,7 @@ func main() {
 		workload = flag.String("workload", "cg", "workload name (-record and -check)")
 		policy   = flag.String("policy", "tahoe", "placement policy (recorded or replayed)")
 		machine  = cliutil.MachineFlags(flag.CommandLine)
-		workers  = flag.Int("workers", 8, "simulated workers")
+		workers  = flag.Int("workers", 8, "simulated workers (0 = 8)")
 		csvPath  = flag.String("csv", "", "with -record: also export the event log as CSV here")
 		faults   = flag.String("faults", "", `fault schedule for -record/-check, e.g. "rate=1,seed=7,horizon=2"`)
 		sampling = flag.String("sampling", "", `profiler sampling, e.g. "interval=100000,jitter=0.4,adaptive" ("" = defaults)`)
@@ -64,55 +63,43 @@ func main() {
 	if modes != 1 {
 		fail("choose exactly one of -record, -replay, -check")
 	}
-	p, err := cliutil.ParsePolicy(*policy)
-	if err != nil {
-		fail("%v", err)
+	req := cliutil.RunRequest{
+		Workload: *workload, Policy: *policy, Machine: *machine,
+		Workers: *workers, Faults: *faults, Feedback: *feedback,
 	}
-	// Faults apply when recording; a replay reconstructs the schedule
-	// from the recording's metadata instead.
-	fsched, err := cliutil.ParseFaults(*faults)
-	if err != nil {
-		fail("%v", err)
-	}
-	h, err := machine.Build()
-	if err != nil {
-		fail("%v", err)
-	}
-
-	buildCfg := func(pol tahoe.Policy) core.Config {
-		f, err := tahoe.Calibrate(h, tahoe.DefaultProfiler())
-		if err != nil {
-			fail("calibrate: %v", err)
+	var rec *replay.Recording
+	if *replayF != "" {
+		if *faults != "" {
+			fail("-faults applies to -record and -check; a replay injects the recording's own faults")
 		}
-		cfg := tahoe.DefaultConfig(h)
-		cfg.Policy = pol
-		cfg.Workers = *workers
-		cfg.CFBw, cfg.CFLat = f.CFBw, f.CFLat
-		if pc, err := cliutil.ParseSampling(*sampling, cfg.Prof); err != nil {
-			fail("%v", err)
-		} else {
-			cfg.Prof = pc
-		}
-		if fc, err := cliutil.ParseFeedback(*feedback, cfg.Feedback); err != nil {
-			fail("%v", err)
-		} else {
-			cfg.Feedback = fc
-		}
-		return cfg
-	}
-	buildGraph := func(name string) *task.Graph {
-		w, err := tahoe.BuildWorkload(name, tahoe.WorkloadParams{})
+		f, err := os.Open(*replayF)
 		if err != nil {
 			fail("%v", err)
 		}
-		return w.Graph
+		rec, err = replay.Load(f)
+		f.Close()
+		if err != nil {
+			fail("load: %v", err)
+		}
+		req.Workload = rec.Meta.Workload
 	}
+	run, err := req.Resolve()
+	if err != nil {
+		fail("%v", err)
+	}
+	cfg := run.Config
+	if cfg.Prof, err = cliutil.ParseSampling(*sampling, cfg.Prof); err != nil {
+		fail("%v", err)
+	}
+	factors, err := tahoe.Calibrate(cfg.HMS, tahoe.DefaultProfiler())
+	if err != nil {
+		fail("calibrate: %v", err)
+	}
+	cfg.CFBw, cfg.CFLat = factors.CFBw, factors.CFLat
+	g := run.Build(nil).Graph
 
 	switch {
 	case *record != "":
-		g := buildGraph(*workload)
-		cfg := buildCfg(p)
-		cfg.Faults = fsched
 		res, rec, err := tahoe.Record(g, cfg)
 		if err != nil {
 			fail("record: %v", err)
@@ -142,22 +129,12 @@ func main() {
 		fmt.Printf("recorded %s under %s: %.4f s, %d dispatches, %d events -> %s\n",
 			*workload, res.Policy, res.Time, len(rec.Trace.Dispatches), rec.Trace.Len(), *record)
 
-	case *replayF != "":
-		f, err := os.Open(*replayF)
-		if err != nil {
-			fail("%v", err)
-		}
-		rec, err := replay.Load(f)
-		f.Close()
-		if err != nil {
-			fail("load: %v", err)
-		}
-		g := buildGraph(rec.Meta.Workload)
-		recordedPolicy := tahoe.Tahoe
+	case rec != nil:
+		baseCfg := cfg
 		found := false
 		for _, name := range core.PolicyNames() {
 			if pol, err := core.PolicyByName(name); err == nil && pol.String() == rec.Meta.Policy {
-				recordedPolicy, found = pol, true
+				baseCfg.Policy, found = pol, true
 				break
 			}
 		}
@@ -167,11 +144,11 @@ func main() {
 		// Baseline: the recorded schedule under its own policy on the
 		// machine given by the flags — bit-identical to the original run
 		// when the flags match the recording machine.
-		base, err := tahoe.Replay(g, buildCfg(recordedPolicy), rec)
+		base, err := tahoe.Replay(g, baseCfg, rec)
 		if err != nil {
 			fail("baseline replay: %v", err)
 		}
-		variant, err := tahoe.Replay(g, buildCfg(p), rec)
+		variant, err := tahoe.Replay(g, cfg, rec)
 		if err != nil {
 			fail("replay: %v", err)
 		}
@@ -190,9 +167,6 @@ func main() {
 		}
 
 	case *check:
-		g := buildGraph(*workload)
-		cfg := buildCfg(p)
-		cfg.Faults = fsched
 		orig, rec, err := tahoe.Record(g, cfg)
 		if err != nil {
 			fail("record: %v", err)

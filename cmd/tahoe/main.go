@@ -1,10 +1,13 @@
 // Command tahoe runs one benchmark workload under one placement policy on
 // a configurable simulated heterogeneous memory system and reports the
-// result.
+// result: a summary, or with -timeline the run's event timeline,
+// per-kind statistics and migration log, or with -csv its raw event log.
 //
 // Usage:
 //
 //	tahoe -workload cholesky -policy tahoe -nvm bw:0.5 -dram 128 -workers 8
+//	tahoe -timeline -workload heat -nvm optane -cxl 64 -dram 32
+//	tahoe -workload cg -csv > events.csv
 //	tahoe -workload cg -cluster 4 -cluster-faults "nodes=4,node-rate=10,seed=7,horizon=0.05"
 //	tahoe -list
 package main
@@ -16,28 +19,35 @@ import (
 
 	tahoe "repro"
 	"repro/internal/cliutil"
+	"repro/internal/fault"
+	"repro/internal/trace"
 )
 
 func main() {
+	var req cliutil.RunRequest
+	flag.StringVar(&req.Workload, "workload", "cholesky", "workload name (see -list)")
+	flag.StringVar(&req.Policy, "policy", "tahoe", "dram|nvm|firsttouch|xmem|hwcache|phase|tahoe")
+	machine := cliutil.MachineFlags(flag.CommandLine)
+	flag.IntVar(&req.Workers, "workers", 8, "simulated workers (0 = 8)")
+	flag.IntVar(&req.Scale, "scale", 0, "workload scale (0 = default)")
+	flag.StringVar(&req.Scheduler, "sched", "worksteal", "worksteal|fifo|lifo|rank")
+	flag.IntVar(&req.Lookahead, "lookahead", 16, "proactive migration lookahead in tasks (0 = 16)")
+	flag.StringVar(&req.Faults, "faults", "", `fault schedule, e.g. "rate=1,seed=7,horizon=2" ("" = none)`)
+	flag.StringVar(&req.Feedback, "feedback", "", `observed-vs-predicted correction loop: "on" ("" = off)`)
 	var (
-		workload  = flag.String("workload", "cholesky", "workload name (see -list)")
-		policy    = flag.String("policy", "tahoe", "dram|nvm|firsttouch|xmem|hwcache|phase|tahoe")
-		machine   = cliutil.MachineFlags(flag.CommandLine)
-		workers   = flag.Int("workers", 8, "simulated workers")
-		scale     = flag.Int("scale", 0, "workload scale (0 = default)")
-		scheduler = flag.String("sched", "worksteal", "worksteal|fifo|lifo|rank")
-		lookahead = flag.Int("lookahead", 16, "proactive migration lookahead (tasks)")
 		kernels   = flag.Bool("kernels", false, "execute and verify the real numerical kernels")
 		calibrate = flag.Bool("calibrate", true, "calibrate model constant factors first")
-		faults    = flag.String("faults", "", `fault schedule, e.g. "rate=1,seed=7,horizon=2" ("" = none)`)
 		clusterN  = flag.Int("cluster", 0, "run the workload's strong-scaling decomposition across N nodes (0 = single-node)")
 		rpn       = flag.Int("ranks-per-node", 1, "ranks per node in -cluster mode")
 		clFaults  = flag.String("cluster-faults", "", `cluster fault schedule, e.g. "nodes=4,node-rate=10,dev-rate=5,seed=7,horizon=0.05" ("" = none)`)
 		sampling  = flag.String("sampling", "", `profiler sampling, e.g. "interval=100000,jitter=0.4,adaptive" ("" = defaults)`)
-		feedback  = flag.String("feedback", "", `observed-vs-predicted correction loop: "on" ("" = off)`)
+		timeline  = flag.Bool("timeline", false, "render the run's timeline, concurrency, per-kind durations and migrations")
+		cols      = flag.Int("cols", 100, "timeline width")
+		csv       = flag.Bool("csv", false, "dump the run's raw event log as CSV")
 		list      = flag.Bool("list", false, "list workloads and exit")
 	)
 	flag.Parse()
+	req.Machine = *machine
 
 	if *list {
 		for _, s := range tahoe.Workloads() {
@@ -50,41 +60,17 @@ func main() {
 		return
 	}
 
-	p, err := cliutil.ParsePolicy(*policy)
+	run, err := req.Resolve()
 	if err != nil {
 		fail("%v", err)
 	}
-	sc, err := cliutil.ParseScheduler(*scheduler)
-	if err != nil {
-		fail("%v", err)
-	}
-	h, err := machine.Build()
-	if err != nil {
-		fail("%v", err)
-	}
-	cfg := tahoe.DefaultConfig(h)
-	cfg.Policy = p
-	cfg.Workers = *workers
-	cfg.Scheduler = sc
-	cfg.Lookahead = *lookahead
+	cfg := &run.Config
 	cfg.RunKernels = *kernels
-	if fs, err := cliutil.ParseFaults(*faults); err != nil {
+	if cfg.Prof, err = cliutil.ParseSampling(*sampling, cfg.Prof); err != nil {
 		fail("%v", err)
-	} else {
-		cfg.Faults = fs
-	}
-	if pc, err := cliutil.ParseSampling(*sampling, cfg.Prof); err != nil {
-		fail("%v", err)
-	} else {
-		cfg.Prof = pc
-	}
-	if fc, err := cliutil.ParseFeedback(*feedback, cfg.Feedback); err != nil {
-		fail("%v", err)
-	} else {
-		cfg.Feedback = fc
 	}
 	if *calibrate {
-		f, err := tahoe.Calibrate(h, tahoe.DefaultProfiler())
+		f, err := tahoe.Calibrate(cfg.HMS, tahoe.DefaultProfiler())
 		if err != nil {
 			fail("calibration: %v", err)
 		}
@@ -95,25 +81,29 @@ func main() {
 		if *kernels {
 			fail("-kernels is not supported in -cluster mode")
 		}
-		if *faults != "" {
+		if req.Faults != "" {
 			fail("-faults is single-node; use -cluster-faults in -cluster mode")
 		}
 		if machine.CXLMB > 0 {
 			fail("-cxl is not supported in -cluster mode")
 		}
-		runCluster(*workload, *scale, *clusterN, *rpn, *clFaults, machine, cfg)
+		if *timeline || *csv {
+			fail("-timeline and -csv are single-node")
+		}
+		runCluster(&run, *clusterN, *rpn, *clFaults, machine.DRAMMB)
 		return
 	}
 	if *clFaults != "" {
 		fail("-cluster-faults needs -cluster")
 	}
 
-	built, err := tahoe.BuildWorkload(*workload, tahoe.WorkloadParams{Scale: *scale, Kernels: *kernels})
-	if err != nil {
-		fail("%v", err)
+	built := run.Build(nil)
+	var tr *trace.Trace
+	if *timeline || *csv {
+		tr = &trace.Trace{}
+		cfg.Trace = tr
 	}
-
-	res, err := tahoe.Run(built.Graph, cfg)
+	res, err := tahoe.Run(built.Graph, *cfg)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -121,17 +111,35 @@ func main() {
 		if err := built.Check(); err != nil {
 			fail("kernel verification: %v", err)
 		}
-		fmt.Println("kernel verification: OK")
+		if !*csv {
+			fmt.Println("kernel verification: OK")
+		}
 	}
 
-	fmt.Printf("workload    %s (%d tasks, %d objects)\n", res.Workload, res.Tasks, len(built.Graph.Objects))
-	if machine.CXLMB > 0 {
-		fmt.Printf("machine     DRAM %d MB + CXL %d MB + %s, %d workers\n",
-			machine.DRAMMB, machine.CXLMB, h.Device(0).Name, *workers)
-	} else {
-		fmt.Printf("machine     DRAM %d MB + %s, %d workers\n", machine.DRAMMB, h.Device(0).Name, *workers)
+	switch {
+	case *csv:
+		err = tr.WriteCSV(os.Stdout)
+	case *timeline:
+		err = printTimeline(req.Workload, res, tr, cfg.Workers, *cols)
+	default:
+		printSummary(&req, cfg, res, len(built.Graph.Objects), *sampling != "")
 	}
-	fmt.Printf("policy      %s (scheduler %s)\n", res.Policy, sc)
+	if err != nil {
+		fail("%v", err)
+	}
+}
+
+// printSummary reports one single-node run.
+func printSummary(req *cliutil.RunRequest, cfg *tahoe.Config, res tahoe.Result, objects int, sampled bool) {
+	fmt.Printf("workload    %s (%d tasks, %d objects)\n", res.Workload, res.Tasks, objects)
+	nvm := cfg.HMS.Device(0).Name
+	if req.Machine.CXLMB > 0 {
+		fmt.Printf("machine     DRAM %d MB + CXL %d MB + %s, %d workers\n",
+			req.Machine.DRAMMB, req.Machine.CXLMB, nvm, cfg.Workers)
+	} else {
+		fmt.Printf("machine     DRAM %d MB + %s, %d workers\n", req.Machine.DRAMMB, nvm, cfg.Workers)
+	}
+	fmt.Printf("policy      %s (scheduler %s)\n", res.Policy, cfg.Scheduler)
 	fmt.Printf("time        %.6f s (simulated)\n", res.Time)
 	fmt.Printf("plan        %s, %d replans\n", orNone(res.PlanKind), res.Replans)
 	fmt.Printf("migrations  %d (%d MB moved, %.1f%% overlapped)\n",
@@ -143,48 +151,83 @@ func main() {
 	}
 	fmt.Printf("overhead    %.2f%% of makespan (profiling %.4fs, solver %.4fs, sync %.4fs)\n",
 		res.OverheadFraction()*100, res.OverheadProfilingSec, res.OverheadSolverSec, res.OverheadSyncSec)
-	if *sampling != "" {
+	if sampled {
 		fmt.Printf("sampling    interval %d, jitter %g, adaptive %v (%.0f samples taken)\n",
 			cfg.Prof.SamplingInterval, cfg.Prof.Jitter, cfg.Prof.Adaptive, res.ProfileSamples)
 	}
-	if *feedback != "" {
+	if req.Feedback != "" {
 		fmt.Printf("feedback    %d active corrections, %d feedback replans\n",
 			res.FeedbackCorrections, res.FeedbackReplans)
 	}
-	fmt.Printf("DRAM peak   %d MB of %d MB\n", res.DRAMHighWaterBytes>>20, machine.DRAMMB)
+	fmt.Printf("DRAM peak   %d MB of %d MB\n", res.DRAMHighWaterBytes>>20, req.Machine.DRAMMB)
+}
+
+// printTimeline renders a traced run: the per-worker timeline, the
+// concurrency, per-kind durations and the first migrations — the raw
+// material behind the evaluation's analysis figures.
+func printTimeline(workload string, res tahoe.Result, tr *trace.Trace, workers, cols int) error {
+	fmt.Printf("%s under %s: %.4f s simulated, %d events\n\n", workload, res.Policy, res.Time, tr.Len())
+	if err := tr.Timeline(os.Stdout, workers, cols); err != nil {
+		return err
+	}
+
+	mean, peak := tr.Concurrency()
+	fmt.Printf("\nconcurrency: mean %.2f, peak %d of %d workers\n", mean, peak, workers)
+
+	fmt.Println("\nper-kind durations (s):")
+	fmt.Printf("%-12s %6s %10s %10s %10s\n", "kind", "count", "mean", "min", "max")
+	for _, k := range tr.ByKind() {
+		fmt.Printf("%-12s %6d %10.6f %10.6f %10.6f\n", k.Kind, k.Count, k.Mean(), k.Min, k.Max)
+	}
+
+	migs := tr.Migrations()
+	if len(migs) > 0 {
+		fmt.Printf("\nmigrations (%d):\n", len(migs))
+		show := migs
+		if len(show) > 12 {
+			show = show[:12]
+		}
+		for _, m := range show {
+			fmt.Printf("  %8.4fs -> %8.4fs  obj#%d[%d] -> %-4s %4d MB\n",
+				m.Start, m.End, m.Obj, m.Chunk, m.To, m.Bytes>>20)
+		}
+		if len(migs) > len(show) {
+			fmt.Printf("  ... and %d more\n", len(migs)-len(show))
+		}
+	}
+	return nil
 }
 
 // runCluster runs the workload's strong-scaling decomposition across
 // nodes, optionally on a degraded machine scripted by a cluster fault
 // schedule, and reports the job plus its fault-tolerance accounting.
-func runCluster(workload string, scale, nodes, rpn int, faultSpec string, machine *cliutil.MachineSpec, rank tahoe.Config) {
-	d, err := tahoe.DistributedWorkload(workload)
+// Each rank runs under the resolved configuration on a node of dramMB
+// DRAM in front of its NVM.
+func runCluster(run *cliutil.Run, nodes, rpn int, faultSpec string, dramMB int64) {
+	d, err := tahoe.DistributedWorkload(run.Workload.Name)
 	if err != nil {
 		fail("%v", err)
 	}
-	cs, err := cliutil.ParseClusterFaults(faultSpec)
+	cs, err := fault.ParseClusterSpec(faultSpec)
 	if err != nil {
 		fail("%v", err)
 	}
-	nvm, err := cliutil.ParseNVM(machine.NVM)
-	if err != nil {
-		fail("%v", err)
-	}
-	res, err := tahoe.StrongScale(d, tahoe.WorkloadParams{Scale: scale}, tahoe.ClusterConfig{
+	nvm := run.Config.HMS.Device(0)
+	res, err := tahoe.StrongScale(d, tahoe.WorkloadParams{Scale: run.Scale}, tahoe.ClusterConfig{
 		Nodes:        nodes,
 		RanksPerNode: rpn,
-		NodeDRAM:     machine.DRAMMB * tahoe.MB,
+		NodeDRAM:     dramMB * tahoe.MB,
 		NVM:          nvm,
 		Net:          tahoe.EdisonNetwork(),
-		Rank:         rank,
+		Rank:         run.Config,
 		Faults:       cs,
 	})
 	if err != nil {
 		fail("%v", err)
 	}
 	fmt.Printf("cluster     %d nodes x %d ranks, %d MB DRAM/node + %s\n",
-		nodes, rpn, machine.DRAMMB, nvm.Name)
-	fmt.Printf("policy      %s\n", rank.Policy)
+		nodes, rpn, dramMB, nvm.Name)
+	fmt.Printf("policy      %s\n", run.Config.Policy)
 	fmt.Printf("job         %.6f s (compute %.6f s, comm %.6f s)\n",
 		res.JobSec, res.ComputeSec, res.CommSec)
 	if cs != nil {

@@ -1,5 +1,7 @@
-// Package cliutil holds flag-parsing helpers shared by the command-line
-// tools.
+// Package cliutil holds the run description shared by the command-line
+// tools and the serve daemon: the request schema with its one Resolve,
+// and the machine, sampling and feedback spec strings their flags and
+// requests accept.
 package cliutil
 
 import (

@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/feedback"
 	"repro/internal/mem"
 	"repro/internal/prof"
@@ -88,21 +86,6 @@ func MachineFlags(fs *flag.FlagSet) *MachineSpec {
 	fs.Int64Var(&m.CXLMB, "cxl", 0, "CXL middle-tier capacity in MB (0 = classic two-tier machine)")
 	return m
 }
-
-// ParsePolicy resolves a placement policy from its stable CLI/API name.
-func ParsePolicy(s string) (core.Policy, error) { return core.PolicyByName(s) }
-
-// ParseScheduler resolves a ready-queue discipline from its stable name.
-func ParseScheduler(s string) (core.Scheduler, error) { return core.SchedulerByName(s) }
-
-// ParseFaults parses the shared -faults/"faults" spec string ("" or
-// "none" = no schedule).
-func ParseFaults(s string) (*fault.Schedule, error) { return fault.ParseSpec(s) }
-
-// ParseClusterFaults parses the shared -cluster-faults spec string, e.g.
-// "nodes=4,rpn=1,node-rate=10,dev-rate=0,seed=7,horizon=0.05" ("" or
-// "none" = no schedule).
-func ParseClusterFaults(s string) (*fault.ClusterSchedule, error) { return fault.ParseClusterSpec(s) }
 
 // ParseFeedback overlays the shared -feedback spec onto a feedback
 // configuration: "on" enables the observed-vs-predicted correction loop,

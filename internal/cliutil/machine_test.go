@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/feedback"
 	"repro/internal/mem"
 	"repro/internal/prof"
@@ -105,37 +106,45 @@ func TestMachineFlags(t *testing.T) {
 	}
 }
 
+// TestParsePolicyAndScheduler: every policy and scheduler name resolves
+// through a request, and an unknown one is refused.
 func TestParsePolicyAndScheduler(t *testing.T) {
+	resolve := func(req RunRequest) (Run, error) {
+		req.Workload = "heat"
+		return req.Resolve()
+	}
 	for _, name := range core.PolicyNames() {
-		if _, err := ParsePolicy(name); err != nil {
+		if _, err := resolve(RunRequest{Policy: name}); err != nil {
 			t.Fatalf("policy %q: %v", name, err)
 		}
 	}
-	if p, err := ParsePolicy("tahoe"); err != nil || p != core.Tahoe {
-		t.Fatalf("tahoe -> %v, %v", p, err)
+	if run, err := resolve(RunRequest{Policy: "tahoe"}); err != nil || run.Config.Policy != core.Tahoe {
+		t.Fatalf("tahoe -> %v, %v", run.Config.Policy, err)
 	}
-	if _, err := ParsePolicy("bogus"); err == nil {
+	if _, err := resolve(RunRequest{Policy: "bogus"}); err == nil {
 		t.Fatal("bogus policy accepted")
 	}
 	for _, name := range core.SchedulerNames() {
-		if _, err := ParseScheduler(name); err != nil {
+		if _, err := resolve(RunRequest{Scheduler: name}); err != nil {
 			t.Fatalf("scheduler %q: %v", name, err)
 		}
 	}
-	if _, err := ParseScheduler("bogus"); err == nil {
+	if _, err := resolve(RunRequest{Scheduler: "bogus"}); err == nil {
 		t.Fatal("bogus scheduler accepted")
 	}
 }
 
+// TestParseFaults: a request's fault spec resolves to its schedule; an
+// empty spec is no schedule.
 func TestParseFaults(t *testing.T) {
-	s, err := ParseFaults("rate=2,seed=7,horizon=1")
-	if err != nil || s.Empty() {
-		t.Fatalf("spec rejected: %v (schedule %+v)", err, s)
+	run, err := (&RunRequest{Workload: "heat", Faults: "rate=2,seed=7,horizon=1"}).Resolve()
+	if err != nil || run.Config.Faults.Empty() {
+		t.Fatalf("spec rejected: %v (schedule %+v)", err, run.Config.Faults)
 	}
-	if s2, err := ParseFaults(""); err != nil || s2 != nil {
-		t.Fatalf("empty spec -> %v, %v", s2, err)
+	if run, err := (&RunRequest{Workload: "heat"}).Resolve(); err != nil || run.Config.Faults != nil {
+		t.Fatalf("empty spec -> %v, %v", run.Config.Faults, err)
 	}
-	if _, err := ParseFaults("rate=x"); err == nil {
+	if _, err := (&RunRequest{Workload: "heat", Faults: "rate=x"}).Resolve(); err == nil {
 		t.Fatal("bad spec accepted")
 	}
 }
@@ -143,10 +152,10 @@ func TestParseFaults(t *testing.T) {
 // TestParseFaultsRejectsHugeEventCount: the -faults flag cannot ask for
 // an unbounded number of events.
 func TestParseFaultsRejectsHugeEventCount(t *testing.T) {
-	if _, err := ParseFaults("rate=1e9,horizon=1"); err == nil {
+	if _, err := (&RunRequest{Workload: "heat", Faults: "rate=1e9,horizon=1"}).Resolve(); err == nil {
 		t.Fatal("-faults rate=1e9,horizon=1 accepted")
 	}
-	if _, err := ParseClusterFaults("nodes=4,horizon=1,node-rate=1e9"); err == nil {
+	if _, err := fault.ParseClusterSpec("nodes=4,horizon=1,node-rate=1e9"); err == nil {
 		t.Fatal("-cluster-faults node-rate=1e9 accepted")
 	}
 }

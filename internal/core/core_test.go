@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/mem"
@@ -395,6 +396,33 @@ func TestConfigValidation(t *testing.T) {
 	cfg.HMS.CopyBW = 0
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("broken HMS accepted")
+	}
+}
+
+// TestRunRejectsNonFiniteCosts: a graph with an infinite or NaN CPU
+// time or MLP is an error from Run, not a panic inside the simulation
+// engine.
+func TestRunRejectsNonFiniteCosts(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cpu, mlp float64
+	}{
+		{"infinite CPU", math.Inf(1), 1},
+		{"NaN CPU", math.NaN(), 1},
+		{"infinite MLP", 1e-3, math.Inf(1)},
+		{"NaN MLP", 1e-3, math.NaN()},
+	} {
+		b := task.NewBuilder(tc.name)
+		o := b.Object("o", mem.MB)
+		b.Submit("k", tc.cpu, []task.Access{{Obj: o, Mode: task.InOut, Loads: 100, Stores: 100, MLP: tc.mlp}}, nil)
+		g := b.Build()
+		for _, pol := range []Policy{NVMOnly, Tahoe} {
+			cfg := DefaultConfig(pressured())
+			cfg.Policy = pol
+			if _, err := Run(g, cfg); err == nil {
+				t.Errorf("%s under %v: Run accepted the graph", tc.name, pol)
+			}
+		}
 	}
 }
 

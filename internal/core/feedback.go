@@ -64,7 +64,7 @@ func (r *runner) observeFeedback(t *task.Task, ki int, d *model.Demand) {
 		}
 		var shares [mem.MaxTiers]float64
 		for ti := 0; ti < nt; ti++ {
-			shares[ti] = r.tierFrac(a.Obj, mem.Tier(ti))
+			shares[ti] = r.st.TierFraction(a.Obj, mem.Tier(ti))
 		}
 		pred := r.params.PredictAccessSec(est.Loads, est.Stores, a.MLP, r.cfg.Tech.DistinguishRW, shares)
 		for _, b := range t.Accesses[i+1:] {

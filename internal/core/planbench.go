@@ -54,7 +54,7 @@ func NewPlannerBench(g *task.Graph, cfg Config) (*PlannerBench, error) {
 // invalidation that every Record triggers.
 func (pb *PlannerBench) record(t *task.Task) {
 	r := pb.r
-	d := model.TaskDemandTiered(t, r.machineHMS(), r.tierFrac)
+	d := model.TaskDemandTiered(t, r.machineHMS(), r.st.TierFraction)
 	dur := d.TotalSec()
 	obs := make([]prof.AccessObs, 0, len(t.Accesses))
 	for _, a := range t.Accesses {

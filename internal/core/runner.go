@@ -564,29 +564,6 @@ func (r *runner) frontier() task.TaskID {
 	return task.TaskID(r.frontierIdx)
 }
 
-// tierFrac is the per-tier placement view the timing model sees.
-func (r *runner) tierFrac(obj task.ObjectID, t mem.Tier) float64 {
-	switch r.cfg.Policy {
-	case DRAMOnly:
-		if t == r.fastTier {
-			return 1
-		}
-		return 0
-	case HWCache:
-		// Memory Mode caches the bottom tier in the top one; middle tiers
-		// are unused.
-		if t == r.fastTier {
-			return r.hwFrac
-		}
-		if t == 0 {
-			return 1 - r.hwFrac
-		}
-		return 0
-	default:
-		return r.st.TierFraction(obj, t)
-	}
-}
-
 // scheduleDispatch coalesces dispatch work to one callback per instant.
 func (r *runner) scheduleDispatch() {
 	if r.dispatchQ {
@@ -741,7 +718,7 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 	if r.cfg.Policy == HWCache {
 		d.FillHWCache(t, r.machineHMS(), r.hwFrac)
 	} else {
-		d.FillTiered(t, r.machineHMS(), r.tierFrac)
+		d.FillTiered(t, r.machineHMS(), r.st.TierFraction)
 	}
 	for tier := 0; tier < r.st.NumTiers(); tier++ {
 		dev := r.cfg.HMS.Device(mem.Tier(tier))
@@ -1116,9 +1093,9 @@ func (o traceObserver) CopyDropped(now float64, ref heap.ChunkRef, to mem.Tier, 
 		Obj: ref.Obj, Chunk: ref.Index, To: to, Bytes: bytes})
 }
 
-// CopyRetried and CopyAbandoned record the resilience lifecycle
-// (migrate.FaultObserver): one MigrationRetry event per decision, OK
-// distinguishing a re-queue (true) from giving up (false).
+// CopyRetried and CopyAbandoned record the resilience lifecycle: one
+// MigrationRetry event per decision, OK distinguishing a re-queue
+// (true) from giving up (false).
 func (o traceObserver) CopyRetried(now float64, ref heap.ChunkRef, to mem.Tier, bytes int64, attempt int) {
 	o.t.Add(trace.Event{Time: now, Kind: trace.MigrationRetry,
 		Obj: ref.Obj, Chunk: ref.Index, To: to, Bytes: bytes, OK: true})

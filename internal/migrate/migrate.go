@@ -98,21 +98,14 @@ func (s Stats) OverlapFraction() float64 {
 // Observer receives copy lifecycle notifications (e.g. for tracing).
 // CopyDropped reports a promotion abandoned before the copy started
 // (no DRAM room at dequeue time): no CopyStarted precedes it and no
-// helper-thread time was consumed.
+// helper-thread time was consumed. CopyRetried fires when a transiently
+// failed copy is re-queued (after its CopyFinished(ok=false));
+// CopyAbandoned fires when a request is given up — retry budget
+// exhausted or a stalled copy hitting its timeout.
 type Observer interface {
 	CopyStarted(now float64, ref heap.ChunkRef, to mem.Tier, bytes int64)
 	CopyFinished(now float64, ref heap.ChunkRef, to mem.Tier, bytes int64, ok bool)
 	CopyDropped(now float64, ref heap.ChunkRef, to mem.Tier, bytes int64)
-}
-
-// FaultObserver optionally extends Observer with resilience lifecycle
-// events; the engine feeds it only when an Observer also implements this
-// interface, so existing observers keep working unchanged. CopyRetried
-// fires when a transiently failed copy is re-queued (after its
-// CopyFinished(ok=false)); CopyAbandoned fires when a request is given
-// up — retry budget exhausted or a stalled copy hitting its timeout.
-type FaultObserver interface {
-	Observer
 	CopyRetried(now float64, ref heap.ChunkRef, to mem.Tier, bytes int64, attempt int)
 	CopyAbandoned(now float64, ref heap.ChunkRef, to mem.Tier, bytes int64)
 }
@@ -467,8 +460,8 @@ func (m *Engine) finishCopy(now float64) {
 		if r.attempt < MaxRetries {
 			r.attempt++
 			m.stats.Retries++
-			if fo, ok := m.Observer.(FaultObserver); ok {
-				fo.CopyRetried(now, r.Ref, r.To, size, r.attempt)
+			if m.Observer != nil {
+				m.Observer.CopyRetried(now, r.Ref, r.To, size, r.attempt)
 			}
 			// Re-queue after capped exponential backoff. The pending count
 			// is still held, so the chunk stays Busy across the backoff.
@@ -482,8 +475,8 @@ func (m *Engine) finishCopy(now float64) {
 			})
 		} else {
 			m.stats.Abandoned++
-			if fo, ok := m.Observer.(FaultObserver); ok {
-				fo.CopyAbandoned(now, r.Ref, r.To, size)
+			if m.Observer != nil {
+				m.Observer.CopyAbandoned(now, r.Ref, r.To, size)
 			}
 			m.settle(r, false)
 		}
@@ -517,8 +510,8 @@ func (m *Engine) abandonStalled(now float64, seq uint64, r Request, size int64) 
 	}
 	m.curAbandoned = true
 	m.stats.Abandoned++
-	if fo, ok := m.Observer.(FaultObserver); ok {
-		fo.CopyAbandoned(now, r.Ref, r.To, size)
+	if m.Observer != nil {
+		m.Observer.CopyAbandoned(now, r.Ref, r.To, size)
 	}
 	if m.Faults != nil {
 		m.Faults.RecordFault(now, m.state.Tier(r.Ref), r.To)

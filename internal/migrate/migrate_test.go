@@ -244,6 +244,9 @@ func (o *countObserver) CopyFinished(now float64, ref heap.ChunkRef, to mem.Tier
 func (o *countObserver) CopyDropped(now float64, ref heap.ChunkRef, to mem.Tier, bytes int64) {
 	o.dropped++
 }
+func (o *countObserver) CopyRetried(now float64, ref heap.ChunkRef, to mem.Tier, bytes int64, attempt int) {
+}
+func (o *countObserver) CopyAbandoned(now float64, ref heap.ChunkRef, to mem.Tier, bytes int64) {}
 
 // TestNoRoomDropDoesNotClaimChannel pins the fix for the phantom
 // in-flight bug on the no-room path: a promotion dropped for lack of

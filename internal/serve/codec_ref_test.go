@@ -277,8 +277,9 @@ func TestAppendResponseMatchesEncoder(t *testing.T) {
 }
 
 // FuzzRunRequest: DecodeRequest never panics; whatever it accepts,
-// encoding/json accepts too and decodes to an equal RunRequest; and the
-// accepted request survives json.Marshal and a second decode unchanged.
+// encoding/json accepts too and decodes to an equal RunRequest; the
+// accepted request survives json.Marshal and a second decode unchanged;
+// and Resolve, which builds nothing, never panics on it.
 func FuzzRunRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"tenant":"bench","workload":"heat","scale":5,"policy":"tahoe","machine":{"nvm":"bw:0.5","dram_mb":128},"feedback":"on","trace":true}`,
@@ -287,6 +288,8 @@ func FuzzRunRequest(f *testing.F) {
 			`"policy":"tahoe","machine":{"nvm":"optane","dram_mb":64,"cxl_mb":96}}`,
 		`{"workload":"héat","scale":-0,"graph":{"objects":[],"tasks":null}}`,
 		`{"Workload":"heat","workload":null}`,
+		`{"workload":"heat","scale":2000000,"policy":"nvm"}`,
+		`{"workload":"nqueens","scale":171}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -313,5 +316,6 @@ func FuzzRunRequest(f *testing.F) {
 		if !reflect.DeepEqual(back, got) {
 			t.Fatalf("re-decoded %+v\nwant %+v", back, got)
 		}
+		_, _ = got.Resolve()
 	})
 }

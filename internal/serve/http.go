@@ -83,10 +83,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, bodyStatus(err), "bad request: "+err.Error())
 		return
 	}
-	j := s.getJob(req.Tenant)
-	j.req = req
-	if err := s.resolve(j); err != nil {
-		s.putJob(j)
+	j, err := s.prepare(&req)
+	if err != nil {
 		c.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -165,10 +163,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, c *codec) {
 			reject("bad request: " + err.Error())
 			break
 		}
-		j := s.getJob(req.Tenant)
-		j.req = req
-		if err := s.resolve(j); err != nil {
-			s.putJob(j)
+		j, err := s.prepare(&req)
+		if err != nil {
 			reject(err.Error())
 			continue
 		}

@@ -108,6 +108,12 @@ func TestHTTPErrors(t *testing.T) {
 		{`{"workload":"heat","scale":4.5}`, http.StatusBadRequest},
 		{`{"graph":{"objects":[{"size":64}],"tasks":[{"kind":"k","cpu_sec":1e400,"accesses":[{"obj":0,"mode":"in","loads":1}]}]}}`, http.StatusBadRequest},
 		{`{"workload":"heat","scale":4}` + "\n\t ", http.StatusOK},
+		// Each named workload's scale is capped where its graph reaches
+		// workloads.MaxTasks tasks. Heat at 2000000 asked for 32M tasks,
+		// about 12 GB of graph; nqueens at 171 has an infinite CPU
+		// estimate that panicked a worker.
+		{`{"workload":"heat","scale":2000000,"policy":"nvm"}`, http.StatusBadRequest},
+		{`{"workload":"nqueens","scale":171}`, http.StatusBadRequest},
 	} {
 		resp, body := postRun(t, ts.URL, tc.body)
 		if resp.StatusCode != tc.want {
@@ -121,6 +127,14 @@ func TestHTTPErrors(t *testing.T) {
 		}
 	}
 
+	if resp, err := http.Get(ts.URL + "/healthz"); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /healthz after the bodies above: %d", resp.StatusCode)
+		}
+	}
 	if resp, err := http.Get(ts.URL + "/v1/run"); err != nil {
 		t.Fatal(err)
 	} else {

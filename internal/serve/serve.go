@@ -35,7 +35,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"hash"
 	"math"
 	"runtime"
@@ -47,12 +46,9 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/feedback"
-	"repro/internal/mem"
 	"repro/internal/prof"
 	"repro/internal/task"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // Config tunes a Server.
@@ -159,15 +155,8 @@ const jobKeep = 1 << 20
 type job struct {
 	req  RunRequest
 	resp RunResponse
-
-	// Resolved at admission (cheap validation, fails fast with 400).
-	pol      core.Policy
-	sched    core.Scheduler
-	hms      mem.HMS
-	fsched   *fault.Schedule
-	fb       feedback.Config
-	wl       workloads.Spec
-	inline   *GraphSpec
+	// run is req resolved at admission, before it takes a worker.
+	run      cliutil.Run
 	degraded bool
 
 	admitted time.Time
@@ -242,10 +231,15 @@ func (s *Server) shardFor(tenant string) *shard {
 	return &s.shards[fnv1a(tenant)&(shardCount-1)]
 }
 
-// getJob pops a pooled run context from the tenant's shard (or builds
-// the shard's first few).
-func (s *Server) getJob(tenant string) *job {
-	sh := s.shardFor(tenant)
+// prepare resolves req and takes a pooled run context for it from the
+// tenant's shard (or builds the shard's first few). An invalid request
+// fails here, fast (HTTP 400), without consuming the worker pool.
+func (s *Server) prepare(req *RunRequest) (*job, error) {
+	run, err := req.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	sh := s.shardFor(req.Tenant)
 	sh.mu.Lock()
 	var j *job
 	if n := len(sh.free); n > 0 {
@@ -255,13 +249,10 @@ func (s *Server) getJob(tenant string) *job {
 	if j == nil {
 		j = &job{done: make(chan struct{}, 1), hasher: sha256.New(), home: sh}
 	}
-	j.req = RunRequest{}
+	j.req, j.run = *req, run
 	j.resp = RunResponse{}
-	j.inline = nil
-	j.fsched = nil
-	j.fb = feedback.Config{}
 	j.degraded = false
-	return j
+	return j, nil
 }
 
 // putJob returns a run context to its shard's pool, holding no more
@@ -278,68 +269,6 @@ func (s *Server) putJob(j *job) {
 	sh.mu.Lock()
 	sh.free = append(sh.free, j)
 	sh.mu.Unlock()
-}
-
-// resolve validates the request and pins its cheap-to-parse parts onto
-// the job, so invalid requests fail fast (HTTP 400) without consuming
-// the worker pool.
-func (s *Server) resolve(j *job) error {
-	req := &j.req
-	var err error
-	pol := req.Policy
-	if pol == "" {
-		pol = "tahoe"
-	}
-	if j.pol, err = core.PolicyByName(pol); err != nil {
-		return err
-	}
-	sched := req.Scheduler
-	if sched == "" {
-		sched = "worksteal"
-	}
-	if j.sched, err = core.SchedulerByName(sched); err != nil {
-		return err
-	}
-	if j.hms, err = req.Machine.Build(); err != nil {
-		return err
-	}
-	if j.fsched, err = fault.ParseSpec(req.Faults); err != nil {
-		return err
-	}
-	if err := j.fsched.Validate(j.hms.NumTiers()); err != nil {
-		return err
-	}
-	if j.fb, err = cliutil.ParseFeedback(req.Feedback, feedback.Config{}); err != nil {
-		return err
-	}
-	if req.Workers < 0 || req.Scale < 0 || req.Lookahead < 0 {
-		return fmt.Errorf("serve: negative workers/scale/lookahead")
-	}
-	if req.Workers > core.MaxWorkers {
-		return fmt.Errorf("serve: %d workers, above the cap of %d", req.Workers, core.MaxWorkers)
-	}
-	switch {
-	case req.Graph != nil:
-		if req.Workload != "" {
-			return fmt.Errorf("serve: request has both a workload name and an inline graph")
-		}
-		if err := req.Graph.validate(); err != nil {
-			return err
-		}
-		j.inline = req.Graph
-	default:
-		name := req.Workload
-		if name == "" {
-			return fmt.Errorf("serve: request needs a workload name or an inline graph")
-		}
-		if j.wl, err = workloads.ByName(name); err != nil {
-			return err
-		}
-		if err := j.wl.CheckScale(req.Scale); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // admit places a resolved job on the queue. Non-blocking admission
@@ -438,55 +367,37 @@ func (s *Server) RetryAfterSec() int {
 // execute runs one admitted job to completion, filling its response.
 func (s *Server) execute(j *job) {
 	start := time.Now()
-	req := &j.req
-	resp := &j.resp
+	req, run, resp := &j.req, &j.run, &j.resp
 	resp.Tenant = req.Tenant
 	resp.WaitMS = start.Sub(j.admitted).Seconds() * 1e3
 
-	cfg := core.DefaultConfig(j.hms)
-	cfg.Policy = j.pol
-	cfg.Scheduler = j.sched
-	cfg.Faults = j.fsched
-	cfg.Feedback = j.fb
-	if req.Workers > 0 {
-		cfg.Workers = req.Workers
-	}
-	if req.Lookahead > 0 {
-		cfg.Lookahead = req.Lookahead
-	}
+	cfg := &run.Config
 	if !req.NoCalibrate {
-		f := s.cfg.Calib.Factors(j.hms, prof.DefaultConfig())
+		f := s.cfg.Calib.Factors(cfg.HMS, prof.DefaultConfig())
 		cfg.CFBw, cfg.CFLat = f.CFBw, f.CFLat
 	}
 
 	// Degraded mode: cap the instance size and shed trace recording —
 	// cheaper, still-indicative answers instead of refusals, the
 	// service-level Degrade window.
-	scale := req.Scale
 	wantTrace := req.Trace
 	if j.degraded {
-		if scale == 0 || scale > s.cfg.DegradedScaleCap {
-			scale = s.cfg.DegradedScaleCap
+		if run.Scale == 0 || run.Scale > s.cfg.DegradedScaleCap {
+			run.Scale = s.cfg.DegradedScaleCap
 		}
 		wantTrace = false
 		resp.Degraded = true
 		s.degRuns.Add(1)
 	}
 
-	var g *task.Graph
-	if j.inline != nil {
-		g = j.inline.build(&j.bld)
-		resp.Workload = g.Name
-	} else {
-		g = j.wl.Build(workloads.Params{Scale: scale, Into: &j.bld}).Graph
-		resp.Workload = j.wl.Name
-	}
+	g := run.Build(&j.bld).Graph
+	resp.Workload = g.Name
 	if wantTrace {
 		j.tr.Reset()
 		cfg.Trace = &j.tr
 	}
 
-	res, err := core.Run(g, cfg)
+	res, err := core.Run(g, *cfg)
 	wall := time.Since(start)
 	s.observeRun(wall)
 	resp.RunMS = wall.Seconds() * 1e3
@@ -526,10 +437,8 @@ func (s *Server) execute(j *job) {
 // in-process (the benchmark's and client tests' entry): blocking
 // admission, pooled run context, response copied out.
 func (s *Server) Do(req *RunRequest) (RunResponse, error) {
-	j := s.getJob(req.Tenant)
-	j.req = *req
-	if err := s.resolve(j); err != nil {
-		s.putJob(j)
+	j, err := s.prepare(req)
+	if err != nil {
 		return RunResponse{}, err
 	}
 	if err := s.admit(j, true); err != nil {

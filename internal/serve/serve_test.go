@@ -10,6 +10,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/task"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -392,13 +393,9 @@ func TestInlineGraph(t *testing.T) {
 	}
 }
 
-// TestResolveRejects checks request validation fails fast, before any
-// worker is consumed.
-func TestResolveRejects(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 2})
-	defer s.Close()
-
-	bad := []RunRequest{
+// badRequests are requests Resolve refuses.
+func badRequests() []RunRequest {
+	return []RunRequest{
 		{},
 		{Workload: "no-such-workload"},
 		{Workload: "heat", Policy: "no-such-policy"},
@@ -413,8 +410,23 @@ func TestResolveRejects(t *testing.T) {
 		{Graph: pairGraph(1025, 1024)}, // one pair past MaxInlinePairs
 		{Workload: "fft", Scale: 64},   // sizes overflow int64
 		{Workload: "fft", Scale: 59},
+		{Workload: "fft", Scale: -1},
+		{Workload: "heat", Scale: 2000000, Policy: "nvm"}, // 32M tasks
+		{Workload: "nqueens", Scale: 171},                 // CPU estimate +Inf
+		{Workload: "heat", Workers: -1},
+		{Workload: "heat", Workers: core.MaxWorkers + 1},
+		{Workload: "heat", Lookahead: -1},
+		{Workload: "heat", Faults: "rate=100,seed=7,horizon=1,tiers=3"}, // tier 2 on a 2-tier machine
 	}
-	for i, req := range bad {
+}
+
+// TestResolveRejects checks request validation fails fast, before any
+// worker is consumed.
+func TestResolveRejects(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 2})
+	defer s.Close()
+
+	for i, req := range badRequests() {
 		r := req
 		if _, err := s.Do(&r); err == nil {
 			t.Errorf("request %d accepted, want validation error", i)
@@ -422,6 +434,16 @@ func TestResolveRejects(t *testing.T) {
 	}
 	if st := s.Snapshot(); st.Accepted != 0 {
 		t.Fatalf("invalid requests consumed %d admissions", st.Accepted)
+	}
+}
+
+// TestResolveRefusesDirectly: Resolve itself refuses every request the
+// daemon refuses, so the CLIs, which resolve through it, refuse them too.
+func TestResolveRefusesDirectly(t *testing.T) {
+	for i, req := range badRequests() {
+		if run, err := req.Resolve(); err == nil {
+			t.Errorf("request %d resolved to %+v, want an error", i, run)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package task
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 )
@@ -236,6 +237,9 @@ func (g *Graph) Validate() error {
 		if t.CPUSec < 0 {
 			return fmt.Errorf("task %d: negative CPU time", t.ID)
 		}
+		if !(t.CPUSec <= math.MaxFloat64) {
+			return fmt.Errorf("task %d: CPU time %g is not finite", t.ID, t.CPUSec)
+		}
 		for _, a := range t.Accesses {
 			if int(a.Obj) < 0 || int(a.Obj) >= len(g.Objects) {
 				return fmt.Errorf("task %d: access to unknown object %d", t.ID, a.Obj)
@@ -245,6 +249,9 @@ func (g *Graph) Validate() error {
 			}
 			if a.MLP < 1 {
 				return fmt.Errorf("task %d: MLP %g < 1", t.ID, a.MLP)
+			}
+			if !(a.MLP <= math.MaxFloat64) {
+				return fmt.Errorf("task %d: MLP %g is not finite", t.ID, a.MLP)
 			}
 		}
 		for j, d := range t.deps {

@@ -2,6 +2,7 @@ package task
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 )
@@ -26,6 +27,9 @@ func (g *Graph) refValidate() error {
 		if t.CPUSec < 0 {
 			return fmt.Errorf("task %d: negative CPU time", t.ID)
 		}
+		if !(t.CPUSec <= math.MaxFloat64) {
+			return fmt.Errorf("task %d: CPU time %g is not finite", t.ID, t.CPUSec)
+		}
 		for _, a := range t.Accesses {
 			if int(a.Obj) < 0 || int(a.Obj) >= len(g.Objects) {
 				return fmt.Errorf("task %d: access to unknown object %d", t.ID, a.Obj)
@@ -35,6 +39,9 @@ func (g *Graph) refValidate() error {
 			}
 			if a.MLP < 1 {
 				return fmt.Errorf("task %d: MLP %g < 1", t.ID, a.MLP)
+			}
+			if !(a.MLP <= math.MaxFloat64) {
+				return fmt.Errorf("task %d: MLP %g is not finite", t.ID, a.MLP)
 			}
 		}
 		for _, d := range t.deps {
@@ -110,6 +117,10 @@ func TestValidateMatchesReference(t *testing.T) {
 		{"negative loads", func(g *Graph) { g.Tasks[3].Accesses[2].Loads = -1 }, "task 3: negative access counts"},
 		{"negative stores", func(g *Graph) { g.Tasks[0].Accesses[0].Stores = -1 }, "task 0: negative access counts"},
 		{"MLP below 1", func(g *Graph) { g.Tasks[2].Accesses[1].MLP = 0.5 }, "task 2: MLP 0.5 < 1"},
+		{"infinite CPU", func(g *Graph) { g.Tasks[1].CPUSec = math.Inf(1) }, "task 1: CPU time +Inf is not finite"},
+		{"NaN CPU", func(g *Graph) { g.Tasks[2].CPUSec = math.NaN() }, "task 2: CPU time NaN is not finite"},
+		{"infinite MLP", func(g *Graph) { g.Tasks[3].Accesses[0].MLP = math.Inf(1) }, "task 3: MLP +Inf is not finite"},
+		{"NaN MLP", func(g *Graph) { g.Tasks[0].Accesses[0].MLP = math.NaN() }, "task 0: MLP NaN is not finite"},
 		{"unknown object", func(g *Graph) { g.Tasks[1].Accesses[1].Obj = 9 }, "task 1: access to unknown object 9"},
 		{"forward dependence", func(g *Graph) { g.Tasks[1].deps = []TaskID{0, 2} }, "task 1: dependence on 2 violates submission order"},
 		{"negative dependence", func(g *Graph) { g.Tasks[3].deps = []TaskID{-1, 1, 2} }, "task 3: dependence on -1 violates submission order"},

@@ -11,8 +11,9 @@ func init() {
 		Name: "bfs",
 		Description: "Level-synchronized breadth-first search over a synthetic small-world graph: " +
 			"per-level frontier work that swells then drains",
-		Build: buildBFS,
-		App:   true,
+		Build:    buildBFS,
+		App:      true,
+		MaxScale: 29127,
 	})
 }
 

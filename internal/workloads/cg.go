@@ -13,6 +13,7 @@ func init() {
 		Description: "Conjugate gradient on a 5-point Laplacian in CSR form, banded tasks per iteration",
 		Build:       buildCG,
 		App:         true,
+		MaxScale:    6553,
 	})
 }
 

@@ -12,6 +12,7 @@ func init() {
 		Description: "Tiled Cholesky factorization (potrf/trsm/syrk/gemm) on an s×s tile grid",
 		Build:       buildCholesky,
 		App:         true,
+		MaxScale:    115,
 	})
 }
 

@@ -14,6 +14,7 @@ func init() {
 		Description: "Iterative 2D Jacobi heat diffusion over row bands, ping-pong buffered",
 		Build:       buildHeat,
 		App:         true,
+		MaxScale:    16384,
 	})
 }
 

@@ -12,8 +12,9 @@ func init() {
 		Name: "kmeans",
 		Description: "Lloyd's k-means over banded points: a large cold streamed dataset " +
 			"against tiny hot centroid state",
-		Build: buildKMeans,
-		App:   true,
+		Build:    buildKMeans,
+		App:      true,
+		MaxScale: 15420,
 	})
 }
 

@@ -12,12 +12,14 @@ func init() {
 		Description: "Tiled dense LU factorization without pivoting on an s×s tile grid",
 		Build:       buildLU,
 		App:         true,
+		MaxScale:    91,
 	})
 	register(Spec{
 		Name:        "sparselu",
 		Description: "Block-sparse LU with fill-in (BOTS-style pattern): an irregular task graph",
 		Build:       buildSparseLU,
 		App:         true,
+		MaxScale:    112,
 	})
 }
 

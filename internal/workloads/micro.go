@@ -12,12 +12,14 @@ func init() {
 		Description: "STREAM triad a=b+s*c over blocks: the bandwidth calibration microbenchmark",
 		Build:       buildStream,
 		App:         false,
+		MaxScale:    16384,
 	})
 	register(Spec{
 		Name:        "pchase",
 		Description: "Pointer chase through a permutation cycle: the latency calibration microbenchmark",
 		Build:       buildPChase,
 		App:         false,
+		MaxScale:    262144,
 	})
 }
 

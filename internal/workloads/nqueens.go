@@ -13,6 +13,8 @@ func init() {
 		Description: "N-Queens solution count: compute-bound control workload with negligible data",
 		Build:       buildNQueens,
 		App:         true,
+		// Its CPU estimate grows as n!: at 171 it is +Inf.
+		MaxScale: 170,
 	})
 }
 

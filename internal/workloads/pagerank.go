@@ -12,8 +12,9 @@ func init() {
 		Name: "pagerank",
 		Description: "PageRank pull iterations over a synthetic power-law graph in CSR: " +
 			"streamed edges, latency-bound rank gathers",
-		Build: buildPageRank,
-		App:   true,
+		Build:    buildPageRank,
+		App:      true,
+		MaxScale: 32768,
 	})
 }
 

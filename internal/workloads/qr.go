@@ -12,8 +12,9 @@ func init() {
 		Name: "qr",
 		Description: "Block modified Gram-Schmidt QR factorization: panel orthogonalization " +
 			"with a left-looking projection sweep",
-		Build: buildQR,
-		App:   true,
+		Build:    buildQR,
+		App:      true,
+		MaxScale: 723,
 	})
 }
 

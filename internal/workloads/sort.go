@@ -13,6 +13,8 @@ func init() {
 		Description: "Parallel mergesort: block sorts then a merge tree, ping-pong buffered",
 		Build:       buildSort,
 		App:         true,
+		// At 59 its footprint, and at 63 its sizes, overflow an int64.
+		MaxScale: 58,
 	})
 }
 

@@ -11,8 +11,9 @@ func init() {
 		Name: "wave",
 		Description: "Sweeping hot window over a large array: the workload-variation stressor " +
 			"(the production-code analog) whose hot set no static placement can follow",
-		Build: buildWave,
-		App:   true,
+		Build:    buildWave,
+		App:      true,
+		MaxScale: 7943,
 	})
 }
 

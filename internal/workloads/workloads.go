@@ -84,15 +84,24 @@ type Spec struct {
 	// App marks application workloads (shown in the main experiment
 	// figures); calibration microbenchmarks are not apps.
 	App bool
-	// MaxScale is the largest Params.Scale the workload builds: above it
-	// the instance's sizes overflow. 0 means any scale builds. Callers
-	// that take a scale from users check it with CheckScale first.
+	// MaxScale is the largest Params.Scale the workload builds: the
+	// largest whose graph has at most MaxTasks tasks and validates. 0
+	// means any scale does (the graph stops growing). Callers that take
+	// a scale from users check it with CheckScale first.
 	MaxScale int
 }
 
-// CheckScale reports an error when scale is above the workload's
-// MaxScale.
+// MaxTasks bounds the task count of every workload's graph at its
+// MaxScale, so a scale that passes CheckScale cannot ask for a graph
+// larger than this before anything is built.
+const MaxTasks = 1 << 18
+
+// CheckScale reports an error when scale is negative or above the
+// workload's MaxScale.
 func (s Spec) CheckScale(scale int) error {
+	if scale < 0 {
+		return fmt.Errorf("workloads: %s scale %d is negative", s.Name, scale)
+	}
 	if s.MaxScale > 0 && scale > s.MaxScale {
 		return fmt.Errorf("workloads: %s scale %d is above its maximum, %d", s.Name, scale, s.MaxScale)
 	}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/exec"
@@ -95,34 +96,69 @@ func TestScaleChangesSize(t *testing.T) {
 	}
 }
 
-// TestMaxScale builds every capped workload at its cap: the graph must
-// validate with positive object sizes and a footprint that fits in an
-// int64, and one scale more must be refused. fft, whose sizes are
-// powers of two of its scale, must be capped.
+// TestMaxScale: every capped workload's CheckScale admits its cap and
+// refuses one scale more and a negative scale. fft, whose sizes are
+// powers of two of its scale, must be capped. TestMaxScaleWithinBudget
+// builds each at its cap.
 func TestMaxScale(t *testing.T) {
 	if s, _ := ByName("fft"); s.MaxScale == 0 {
 		t.Fatal("fft has no MaxScale")
 	}
 	for _, s := range All() {
+		if err := s.CheckScale(-1); err == nil {
+			t.Fatalf("%s: negative scale accepted", s.Name)
+		}
 		if s.MaxScale == 0 {
 			continue
-		}
-		g := s.Build(Params{Scale: s.MaxScale}).Graph
-		if err := g.Validate(); err != nil {
-			t.Fatalf("%s at scale %d: %v", s.Name, s.MaxScale, err)
-		}
-		var total int64
-		for _, o := range g.Objects {
-			if o.Size <= 0 || total+o.Size < total {
-				t.Fatalf("%s at scale %d: object %s size %d overflows (footprint so far %d)", s.Name, s.MaxScale, o.Name, o.Size, total)
-			}
-			total += o.Size
 		}
 		if err := s.CheckScale(s.MaxScale); err != nil {
 			t.Fatalf("%s: its own cap refused: %v", s.Name, err)
 		}
 		if err := s.CheckScale(s.MaxScale + 1); err == nil {
 			t.Fatalf("%s: scale %d accepted above the cap", s.Name, s.MaxScale+1)
+		}
+	}
+}
+
+// TestMaxScaleWithinBudget builds every workload at its MaxScale: the
+// graph must have at most MaxTasks tasks and validate, with positive
+// object sizes and a footprint that fits in an int64. One scale more
+// must be over the budget or invalid, so each cap is the largest scale
+// that passes. strassen stops growing at scale 2 and has no cap. One
+// builder serves every build.
+func TestMaxScaleWithinBudget(t *testing.T) {
+	var b task.Builder
+	check := func(s Spec, scale int) (tasks int, err error) {
+		g := s.Build(Params{Scale: scale, Into: &b}).Graph
+		if err := g.Validate(); err != nil {
+			return len(g.Tasks), err
+		}
+		var total int64
+		for _, o := range g.Objects {
+			if total+o.Size < total {
+				return len(g.Tasks), fmt.Errorf("object %s size %d overflows the footprint (so far %d)", o.Name, o.Size, total)
+			}
+			total += o.Size
+		}
+		return len(g.Tasks), nil
+	}
+	for _, s := range All() {
+		scale := s.MaxScale
+		if scale == 0 {
+			scale = 1 << 20
+		}
+		n, err := check(s, scale)
+		if err != nil {
+			t.Fatalf("%s at scale %d: %v", s.Name, scale, err)
+		}
+		if n > MaxTasks {
+			t.Fatalf("%s at scale %d has %d tasks, above MaxTasks (%d)", s.Name, scale, n, MaxTasks)
+		}
+		if s.MaxScale == 0 || testing.Short() {
+			continue
+		}
+		if n, err := check(s, s.MaxScale+1); err == nil && n <= MaxTasks {
+			t.Errorf("%s at scale %d has %d tasks and validates: its MaxScale %d is not the largest", s.Name, s.MaxScale+1, n, s.MaxScale)
 		}
 	}
 }
