@@ -155,8 +155,9 @@ func BenchmarkExperimentSuiteQuick(b *testing.B) {
 
 // BenchmarkTraceRecord measures the steady-state cost of recording one
 // run's worth of trace events and dispatch records into a reused Trace —
-// the Grow/Reset path the runtime and the replay recorder use. Once the
-// buffers are sized it must report 0 allocs/op.
+// the Grow/Reset path the runtime and the replay recorder use, with the
+// task kind interned once per Reset. Once the buffers are sized it must
+// report 0 allocs/op.
 func BenchmarkTraceRecord(b *testing.B) {
 	const tasks = 512
 	tr := &trace.Trace{}
@@ -165,15 +166,19 @@ func BenchmarkTraceRecord(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Reset()
+		k, err := tr.Intern("k")
+		if err != nil {
+			b.Fatal(err)
+		}
 		for t := 0; t < tasks; t++ {
 			tr.AddDispatch(trace.Dispatch{Time: float64(t), Task: task.TaskID(t), Worker: t % 8})
 			tr.Add(trace.Event{
 				Time: float64(t), Kind: trace.TaskStart,
-				Task: task.TaskID(t), TaskKind: "k", Worker: t % 8, OK: true,
+				Task: task.TaskID(t), TaskKind: k, Worker: t % 8, OK: true,
 			})
 			tr.Add(trace.Event{
 				Time: float64(t) + 0.5, Kind: trace.TaskEnd,
-				Task: task.TaskID(t), TaskKind: "k", Worker: t % 8, OK: true,
+				Task: task.TaskID(t), TaskKind: k, Worker: t % 8, OK: true,
 			})
 		}
 	}
@@ -182,23 +187,30 @@ func BenchmarkTraceRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceJSONL measures trace/replay I/O: one Save and one Load of
-// a fixed 20 kB recording, cholesky at scale 6 on 16 MB of DRAM under an
-// injected fault schedule, so every event kind is on the wire.
-func BenchmarkTraceJSONL(b *testing.B) {
+// traceJSONLRecording records BenchmarkTraceJSONL's fixed 20 kB
+// recording: cholesky at scale 6 on 16 MB of DRAM under an injected
+// fault schedule, so every event kind is on the wire.
+func traceJSONLRecording(tb testing.TB) *Recording {
 	w, err := BuildWorkload("cholesky", WorkloadParams{Scale: 6})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := DefaultConfig(NewHMS(DRAM(), NVMBandwidth(0.5), 16*MB))
 	cfg.Faults = fault.Random(1003, 100, 0.15, 2)
 	res, rec, err := Record(w.Graph, cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if res.FaultEvents == 0 {
-		b.Fatal("no fault fired; the recording lacks fault events")
+		tb.Fatal("no fault fired; the recording lacks fault events")
 	}
+	return rec
+}
+
+// BenchmarkTraceJSONL measures trace/replay I/O: one Save and one Load of
+// traceJSONLRecording's recording.
+func BenchmarkTraceJSONL(b *testing.B) {
+	rec := traceJSONLRecording(b)
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()

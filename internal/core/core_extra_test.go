@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -319,5 +321,28 @@ func TestBusyFractions(t *testing.T) {
 	managed := runPolicy(t, tg, h, Tahoe)
 	if managed.Migration.Migrations > 0 && managed.CopyBusyFrac <= 0 {
 		t.Fatal("migrations without copy-channel busy time")
+	}
+}
+
+// TestTracedRunNameCap: a traced run whose graph has more task kinds than
+// its trace's name table can take fails before it starts, with an error
+// and no panic; the same trace, reset, records a small run.
+func TestTracedRunNameCap(t *testing.T) {
+	b := task.NewBuilder("kinds")
+	o := b.Object("o", 1<<20)
+	for i := 0; i <= trace.MaxNames-maxLabels; i++ {
+		b.Submit("k"+strconv.Itoa(i), 1e-6, []task.Access{{Obj: o, Mode: task.In, Loads: 1, MLP: 1}}, nil)
+	}
+	g := b.Build()
+	tr := &trace.Trace{}
+	cfg := DefaultConfig(mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), 1<<30))
+	cfg.Trace = tr
+	_, err := Run(g, cfg)
+	if err == nil || !strings.Contains(err.Error(), "room for 65535 more names") {
+		t.Fatalf("%d kinds traced: error %v", len(g.Kinds()), err)
+	}
+	tr.Reset()
+	if _, err := Run(build(t, "cg").g.Graph, cfg); err != nil || tr.Len() == 0 {
+		t.Fatalf("a traced run after the refused one: %v, %d events", err, tr.Len())
 	}
 }

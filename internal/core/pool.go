@@ -57,7 +57,7 @@ func (r *runner) footprint() int {
 		r.profVal.Footprint() + r.fbVal.Footprint() + r.ptVal.footprint() +
 		bytesOf(r.freeWorkers) + bytesOf(r.remaining) + bytesOf(r.started) + bytesOf(r.finished) +
 		bytesOf(r.userCursor) + bytesOf(r.inUse) + bytesOf(r.kindTotal) + bytesOf(r.kindRemaining) +
-		bytesOf(r.kindSinceAudit) + bytesOf(r.auditDrift) + bytesOf(r.promoBlock) +
+		bytesOf(r.kindSinceAudit) + bytesOf(r.auditDrift) + bytesOf(r.kindNames) + bytesOf(r.promoBlock) +
 		bytesOf(r.pendingTier) + bytesOf(r.blocked) + bytesOf(r.obsScratch) + bytesOf(r.victims) +
 		bytesOf(r.tiers) + bytesOf(r.chunks) + bytesOf(r.touched) +
 		bytesOf(r.flowPool) + bytesOf(r.planFlows) +

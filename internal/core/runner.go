@@ -220,6 +220,9 @@ type runSet struct {
 	kindRemaining  []int
 	kindSinceAudit []int
 	auditDrift     []int
+	// kindNames holds each kind's Name in a traced run's trace, 0 until
+	// the kind's first event (kindName).
+	kindNames []trace.Name
 
 	// promoBlock blacklists chunks whose promotion just failed (no room);
 	// retries wait until some task completes, preventing a same-instant
@@ -443,13 +446,23 @@ func (r *runner) setup(g *task.Graph, cfg Config) error {
 		return err
 	}
 	r.mig.Reset(&r.e, &r.st, hms)
-	if r.cfg.Trace != nil {
-		r.mig.Observer = traceObserver{r.cfg.Trace}
-		// Every task contributes a start/end pair and at least one
-		// dispatch record; pre-sizing here keeps the hot Add calls
-		// append-without-grow. Migrations and faults still extend the
-		// buffer, but only past this floor.
-		r.cfg.Trace.Grow(2*len(r.g.Tasks)+16, len(r.g.Tasks))
+	if tr := r.cfg.Trace; tr != nil {
+		kinds := len(r.g.Kinds())
+		if room := tr.NameRoom(); kinds+maxLabels > room {
+			return fmt.Errorf("core: tracing %d task kinds and up to %d labels into a trace with room for %d more names",
+				kinds, maxLabels, room)
+		}
+		r.kindNames = reuse(r.kindNames, kinds)
+		r.mig.Observer = traceObserver{tr}
+		// Every task contributes a start/end pair and a dispatch record,
+		// every windowed fault two events; plans, migrations and the
+		// dispatches of blocked tasks come on top. Pre-sizing with room
+		// for them keeps most runs' Add calls append-without-grow.
+		n, faults := len(r.g.Tasks), 0
+		if !r.cfg.Faults.Empty() {
+			faults = len(r.cfg.Faults.Events)
+		}
+		tr.Grow(2*n+n/4+2*faults+32, n+n/8+8)
 	}
 	// An empty schedule arms nothing: even inert resilience timers split
 	// the fluid integration's steps differently at the last ulp, so the
@@ -784,7 +797,7 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 	}
 	if r.cfg.Trace != nil {
 		r.cfg.Trace.Add(trace.Event{
-			Time: now, Kind: trace.TaskStart, Task: t.ID, TaskKind: t.Kind, Worker: w, OK: true,
+			Time: now, Kind: trace.TaskStart, Task: t.ID, TaskKind: r.kindName(ki), Worker: w, OK: true,
 		})
 	}
 	tf.t, tf.began, tf.w, tf.profiled = t, now, w, profiling
@@ -843,7 +856,7 @@ func (r *runner) profilesKinds() bool {
 func (r *runner) complete(end, began float64, w int, t *task.Task, d *model.Demand, profiled bool) {
 	if r.cfg.Trace != nil {
 		r.cfg.Trace.Add(trace.Event{
-			Time: end, Kind: trace.TaskEnd, Task: t.ID, TaskKind: t.Kind, Worker: w, OK: true,
+			Time: end, Kind: trace.TaskEnd, Task: t.ID, TaskKind: r.kindName(r.g.KindIndex(t.ID)), Worker: w, OK: true,
 		})
 	}
 	r.finished[t.ID] = true
@@ -1072,6 +1085,27 @@ func (r *runner) decidePlacement(now float64) {
 	}
 }
 
+// maxLabels bounds the distinct labels a traced run's events carry: the
+// five plan kinds (planResult.kind) of Plan events and the four fault
+// kinds of FaultInject events.
+const maxLabels = 9
+
+// kindName returns task kind ki's Name in the run's trace and traceName
+// s's. Each name enters the trace's table at its first event, so the
+// table lists names in the order a reader of the recording meets them;
+// setup made room for every name the run can trace.
+func (r *runner) kindName(ki int) trace.Name {
+	if r.kindNames[ki] == 0 {
+		r.kindNames[ki] = r.traceName(r.g.Kinds()[ki])
+	}
+	return r.kindNames[ki]
+}
+
+func (r *runner) traceName(s string) trace.Name {
+	n, _ := r.cfg.Trace.Intern(s)
+	return n
+}
+
 // traceObserver adapts the trace log to the migration engine's hook.
 type traceObserver struct{ t *trace.Trace }
 
@@ -1115,7 +1149,7 @@ func (r *runner) onFaultEvent(now float64, ev fault.Event, active bool) {
 	}
 	if r.cfg.Trace != nil {
 		r.cfg.Trace.Add(trace.Event{Time: now, Kind: trace.FaultInject,
-			Label: ev.Kind.String(), To: ev.Tier, OK: active})
+			Label: r.traceName(ev.Kind.String()), To: ev.Tier, OK: active})
 	}
 	if ev.Kind == fault.TierOutage && int(ev.Tier) < len(r.quarantined) {
 		if active {
@@ -1239,7 +1273,7 @@ func (r *runner) finishPlan(now float64, cost float64) {
 		r.fb.Snapshot()
 	}
 	if r.cfg.Trace != nil {
-		r.cfg.Trace.Add(trace.Event{Time: now, Kind: trace.Plan, Label: r.plan.kind, OK: true})
+		r.cfg.Trace.Add(trace.Event{Time: now, Kind: trace.Plan, Label: r.traceName(r.plan.kind), OK: true})
 	}
 	r.overheadSec += cost
 	r.overheadPlan += cost

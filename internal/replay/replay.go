@@ -173,17 +173,11 @@ func Replay(g *task.Graph, cfg core.Config, rec *Recording) (core.Result, error)
 const metaKind = "meta"
 
 // Save writes the recording as JSONL: one meta header line, then the
-// trace's events and dispatch records. Save(Load(x)) is byte-identical
-// to x.
+// trace's events and dispatch records, the header in the first Write
+// with the first records. Save(Load(x)) is byte-identical to x.
 func (rec *Recording) Save(w io.Writer) error {
-	bp := wire.GetBuf()
-	*bp = rec.Meta.appendLine(*bp)
-	_, err := w.Write(*bp)
-	wire.PutBuf(bp)
-	if err != nil {
-		return err
-	}
-	return rec.Trace.WriteJSONL(w)
+	var head [256]byte
+	return rec.Trace.WriteJSONLAfter(w, rec.Meta.appendLine(head[:0]))
 }
 
 // appendLine appends m's header line: the bytes json.Marshal writes for
@@ -248,10 +242,12 @@ func parseMeta(line []byte) (Meta, error) {
 }
 
 // Load parses a recording written by Save. It reads r to its end into
-// one buffer and decodes the lines in place; error line numbers count
-// the header.
+// one pooled buffer and decodes the lines in place; the Recording keeps
+// nothing of the buffer. Error line numbers count the header.
 func Load(r io.Reader) (*Recording, error) {
-	in, rerr := wire.ReadAll(r)
+	bp := wire.GetBuf()
+	defer wire.PutBuf(bp)
+	in, rerr := wire.ReadAll(r, bp)
 	head, rest, found := bytes.Cut(in, []byte{'\n'})
 	if !found {
 		if rerr == nil && len(bytes.TrimSpace(head)) == 0 {

@@ -372,6 +372,10 @@ func FuzzLoad(f *testing.F) {
 	}
 	g := s.Build(workloads.Params{Scale: 2}).Graph
 	seedSpecs := map[string]bool{}
+	var (
+		named     []byte
+		namedPath string
+	)
 	for path, b := range jsonRecordings(f) {
 		rec, err := Load(bytes.NewReader(b))
 		if err != nil {
@@ -381,7 +385,17 @@ func FuzzLoad(f *testing.F) {
 			seedSpecs[rec.Meta.Faults] = true
 		}
 		f.Add(b)
+		if named == nil || path < namedPath {
+			named, namedPath = b, path
+		}
 	}
+	// A recording whose events name more distinct strings than the name
+	// table searches entry by entry, each twice.
+	named = bytes.Clone(named)
+	for i := 0; i < 100; i++ {
+		named = fmt.Appendf(named, "{\"t\":0,\"k\":\"task-end\",\"tkind\":\"kind %d\",\"label\":\"label %d\"}\n", i, i%40)
+	}
+	f.Add(named)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		rec, err := Load(bytes.NewReader(in))
 		if err != nil {

@@ -204,8 +204,10 @@ func TestJobKeep(t *testing.T) {
 	if _, j := run(small); j.tr.Footprint() == 0 || j.bld.Footprint() == 0 {
 		t.Fatal("a run within the budget dropped its trace arena or its builder")
 	}
+	// A traced run past the budget on its trace alone: 64-byte events
+	// let big's trace fit.
 	traced := big
-	traced.Trace = true
+	traced.Scale, traced.Trace = 36, true
 	resp, j := run(traced)
 	if resp.TraceEvents*int(unsafe.Sizeof(trace.Event{}))+resp.Tasks*int(unsafe.Sizeof(trace.Dispatch{})) <= jobKeep {
 		t.Fatalf("%d trace events and %d dispatches fit in jobKeep", resp.TraceEvents, resp.Tasks)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/wire"
@@ -29,7 +30,7 @@ func (k Kind) hasTier() bool {
 }
 
 // tierNames holds mem.Tier(n).String() for every valid tier: the only
-// tier names the reader accepts, precomputed so the writer formats none.
+// tier names the reader accepts.
 var tierNames = func() (names [mem.MaxTiers]string) {
 	for t := range names {
 		names[t] = mem.Tier(t).String()
@@ -37,46 +38,116 @@ var tierNames = func() (names [mem.MaxTiers]string) {
 	return names
 }()
 
+// kindTokens and tierTokens hold the wire bytes of each valid kind's
+// "k" member and each valid tier's "to" member, so the writer formats
+// neither.
+var (
+	kindTokens = tokens(`,"k":`, kindNames[:])
+	tierTokens = tokens(`,"to":`, tierNames[:])
+)
+
+func tokens(key string, names []string) [][]byte {
+	toks := make([][]byte, len(names))
+	for i, name := range names {
+		toks[i] = wire.AppendString([]byte(key), name)
+	}
+	return toks
+}
+
 // flushAt is the buffered size at which WriteJSONL hands its lines to the
-// writer. The line buffer is pooled and so stays alive between calls;
-// keeping it small keeps the live heap small.
-const flushAt = 4 << 10
+// writer: most recordings reach it in one Write, so a growing
+// destination such as a bytes.Buffer grows once.
+const flushAt = 64 << 10
 
 // WriteJSONL writes the full recording — events in log order, then
 // dispatch records in decision order — one JSON object per line. A
-// non-finite event time is an error.
-func (t *Trace) WriteJSONL(w io.Writer) error {
+// non-finite event time, or a name outside t's table, is an error.
+func (t *Trace) WriteJSONL(w io.Writer) error { return t.WriteJSONLAfter(w, nil) }
+
+// WriteJSONLAfter writes head and then the recording as WriteJSONL does,
+// head in the same first Write as the recording's first lines.
+func (t *Trace) WriteJSONLAfter(w io.Writer, head []byte) error {
 	bp := wire.GetBuf()
-	b := *bp
+	b := append(*bp, head...)
+	enc := getEncoder(t.names)
 	defer func() {
 		*bp = b
 		wire.PutBuf(bp)
+		putEncoder(enc)
 	}()
-	var memo timeMemo
 	n := len(t.Events) + len(t.Dispatches)
 	for i := 0; i < n; i++ {
 		var err error
 		if i < len(t.Events) {
-			e := &t.Events[i]
-			b, err = appendRec(b, &memo, e.Kind.String(), e)
+			b, err = enc.appendEvent(b, &t.Events[i])
 		} else {
 			d := &t.Dispatches[i-len(t.Events)]
-			b, err = appendRec(b, &memo, dispatchKind, &Event{Time: d.Time, Task: d.Task, Worker: d.Worker, OK: true})
+			b, err = enc.appendDispatch(b, d)
 		}
 		if err != nil {
 			return err
 		}
-		if len(b) >= flushAt || i == n-1 {
+		if len(b) >= flushAt {
 			if _, err := w.Write(b); err != nil {
 				return err
 			}
 			b = b[:0]
 		}
 	}
+	if len(b) > 0 {
+		_, err := w.Write(b)
+		return err
+	}
 	return nil
 }
 
-// timeMemo holds the last time appendRec rendered, as its bits and its
+// encoder is WriteJSONL's per-call state: the time memo and the trace's
+// names, each rendered once as a JSON string.
+type encoder struct {
+	memo  timeMemo
+	names []byte // the rendered names, back to back
+	ends  []int  // Name n's rendering is names[ends[n-1]:ends[n]]
+}
+
+var encoders sync.Pool
+
+// encoderKeep caps the rendered-name bytes a pooled encoder may hold.
+const encoderKeep = 16 << 10
+
+// getEncoder returns a pooled encoder holding names rendered.
+func getEncoder(names []string) *encoder {
+	enc, _ := encoders.Get().(*encoder)
+	if enc == nil {
+		enc = new(encoder)
+	}
+	enc.memo.n = 0
+	enc.names, enc.ends = enc.names[:0], append(enc.ends[:0], 0)
+	for _, name := range names {
+		enc.names = wire.AppendString(enc.names, name)
+		enc.ends = append(enc.ends, len(enc.names))
+	}
+	return enc
+}
+
+func putEncoder(enc *encoder) {
+	if cap(enc.names)+8*cap(enc.ends) <= encoderKeep {
+		encoders.Put(enc)
+	}
+}
+
+// appendName appends key and Name n's rendering, or nothing for the zero
+// Name.
+func (enc *encoder) appendName(b []byte, key string, n Name) ([]byte, error) {
+	if n == 0 {
+		return b, nil
+	}
+	if int(n) >= len(enc.ends) {
+		return b, fmt.Errorf("trace: name %d outside a table of %d", n, len(enc.ends)-1)
+	}
+	return append(append(b, key...), enc.names[enc.ends[n-1]:enc.ends[n]]...), nil
+}
+
+// timeMemo holds the last time appendTime rendered, as its bits and its
 // wire bytes. Consecutive records often share a time, and copying its
 // bytes is cheaper than formatting it again.
 type timeMemo struct {
@@ -85,48 +156,75 @@ type timeMemo struct {
 	b    [32]byte
 }
 
-// appendTime appends x's wire bytes.
-func (m *timeMemo) appendTime(b []byte, x float64) []byte {
+// appendTime appends `{"t":` and x's wire bytes. It reports false, and
+// appends nothing of x, when x is not finite.
+func (m *timeMemo) appendTime(b []byte, x float64) ([]byte, bool) {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return b, false
+	}
+	b = append(b, `{"t":`...)
 	bits := math.Float64bits(x)
 	if m.n > 0 && bits == m.bits {
-		return append(b, m.b[:m.n]...)
+		return append(b, m.b[:m.n]...), true
 	}
 	start := len(b)
 	b = wire.AppendFloat(b, x)
 	if len(b)-start <= len(m.b) { // a float64 renders in at most 24 bytes
 		m.bits, m.n = bits, copy(m.b[:], b[start:])
 	}
-	return b
+	return b, true
 }
 
-// appendRec appends e's wire line under kind name k.
-func appendRec(b []byte, memo *timeMemo, k string, e *Event) ([]byte, error) {
-	if math.IsNaN(e.Time) || math.IsInf(e.Time, 0) {
-		return b, fmt.Errorf("trace: unsupported time %v in a %s record", e.Time, k)
+// errTime is the error for a non-finite time in a record of kind k.
+func errTime(x float64, k string) error {
+	return fmt.Errorf("trace: unsupported time %v in a %s record", x, k)
+}
+
+// appendEvent appends e's wire line.
+func (enc *encoder) appendEvent(b []byte, e *Event) ([]byte, error) {
+	b, ok := enc.memo.appendTime(b, e.Time)
+	if !ok {
+		return b, errTime(e.Time, e.Kind.String())
 	}
-	b = memo.appendTime(append(b, `{"t":`...), e.Time)
-	b = wire.AppendString(append(b, `,"k":`...), k)
+	var err error
+	if int(e.Kind) < len(kindTokens) {
+		b = append(b, kindTokens[e.Kind]...)
+	} else {
+		b = wire.AppendString(append(b, `,"k":`...), e.Kind.String())
+	}
 	b = appendInt(b, `,"task":`, int64(e.Task))
-	if e.TaskKind != "" {
-		b = wire.AppendString(append(b, `,"tkind":`...), e.TaskKind)
+	if b, err = enc.appendName(b, `,"tkind":`, e.TaskKind); err != nil {
+		return b, err
 	}
 	b = appendInt(b, `,"w":`, int64(e.Worker))
 	b = appendInt(b, `,"obj":`, int64(e.Obj))
 	b = appendInt(b, `,"chunk":`, int64(e.Chunk))
 	if e.Kind.hasTier() {
-		name := e.To.String()
-		if e.To >= 0 && int(e.To) < len(tierNames) {
-			name = tierNames[e.To]
+		if e.To >= 0 && int(e.To) < len(tierTokens) {
+			b = append(b, tierTokens[e.To]...)
+		} else {
+			b = wire.AppendString(append(b, `,"to":`...), e.To.String())
 		}
-		b = wire.AppendString(append(b, `,"to":`...), name)
 	}
 	b = appendInt(b, `,"bytes":`, e.Bytes)
 	if !e.OK {
 		b = append(b, `,"fail":true`...)
 	}
-	if e.Label != "" {
-		b = wire.AppendString(append(b, `,"label":`...), e.Label)
+	if b, err = enc.appendName(b, `,"label":`, e.Label); err != nil {
+		return b, err
 	}
+	return append(b, "}\n"...), nil
+}
+
+// appendDispatch appends d's wire line.
+func (enc *encoder) appendDispatch(b []byte, d *Dispatch) ([]byte, error) {
+	b, ok := enc.memo.appendTime(b, d.Time)
+	if !ok {
+		return b, errTime(d.Time, dispatchKind)
+	}
+	b = append(b, `,"k":"`+dispatchKind+`"`...)
+	b = appendInt(b, `,"task":`, int64(d.Task))
+	b = appendInt(b, `,"w":`, int64(d.Worker))
 	return append(b, "}\n"...), nil
 }
 
@@ -145,9 +243,11 @@ func appendInt(b []byte, key string, n int64) []byte {
 // exponent and in range) and nothing after it; otherwise ReadJSONL fails
 // naming the line, counted from 1 at rd's current position. A line it
 // accepts decodes exactly as encoding/json would decode it. ReadJSONL
-// reads rd to its end before decoding.
+// reads rd to its end, into a pooled buffer, before decoding.
 func ReadJSONL(rd io.Reader) (*Trace, error) {
-	in, rerr := wire.ReadAll(rd)
+	bp := wire.GetBuf()
+	defer wire.PutBuf(bp)
+	in, rerr := wire.ReadAll(rd, bp)
 	t, err := DecodeJSONL(in, 0, 0)
 	if err == nil {
 		err = rerr
@@ -170,10 +270,13 @@ const minRecord = 12
 // them, in place; the Trace it returns holds nothing of b. Errors count
 // lines from first+1, so a caller that has consumed first lines of a
 // file before b names the file's lines. dispatches is the expected
-// number of dispatch records: clamped to the records b can hold, it
-// sizes the dispatch table, and the rest size the event table, so no
-// hint makes DecodeJSONL allocate beyond what b holds, and a wrong one
-// costs a regrowth. A table that receives no record stays nil.
+// number of dispatch records, clamped to the records b can hold; the
+// rest of b's lines size the event table. The dispatch table is sized
+// at the first dispatch record, for the larger of dispatches and the
+// lines left, which in a recording as WriteJSONL writes it are exactly
+// its dispatch records. So no hint makes DecodeJSONL allocate beyond
+// what b holds, and a wrong one costs a regrowth. A table that receives
+// no record stays nil.
 func DecodeJSONL(b []byte, first, dispatches int) (*Trace, error) {
 	lines := bytes.Count(b, []byte{'\n'})
 	if len(b) > 0 && b[len(b)-1] != '\n' {
@@ -181,9 +284,10 @@ func DecodeJSONL(b []byte, first, dispatches int) (*Trace, error) {
 	}
 	lines = min(lines, (len(b)+1)/(minRecord+1))
 	dispatches = min(max(dispatches, 0), lines)
-	d := decoder{names: map[string]string{}, events: lines - dispatches, dispatches: dispatches}
+	d := decoder{events: lines - dispatches, dispatches: dispatches}
 	t := &Trace{}
 	for line := first + 1; len(b) > 0; line++ {
+		d.left = lines - (line - first - 1)
 		raw := b
 		if i := bytes.IndexByte(b, '\n'); i >= 0 {
 			raw, b = b[:i], b[i+1:]
@@ -203,14 +307,13 @@ func DecodeJSONL(b []byte, first, dispatches int) (*Trace, error) {
 	return t, nil
 }
 
-// decoder parses one line at a time, in place. It interns the task kinds
-// and labels it decodes, which repeat across lines, and remembers the
-// last time token it parsed, which often repeats on the next line.
+// decoder parses one line at a time, in place. It remembers the last
+// time token it parsed, which often repeats on the next line.
 type decoder struct {
 	wire.Lexer
-	names map[string]string
-	// events and dispatches size the tables at their first record.
-	events, dispatches int
+	// events and dispatches size the tables at their first record, with
+	// left, the lines not yet decoded, the current one included.
+	events, dispatches, left int
 	// tTok is the last time token parsed (a slice of the input) and tVal
 	// its value; tTok is nil before the first.
 	tTok []byte
@@ -218,7 +321,8 @@ type decoder struct {
 }
 
 // line decodes one line into t: an event, a dispatch record, or nothing
-// for a blank line.
+// for a blank line. An event's task kind and label go into t's name
+// table, the task kind first.
 func (d *decoder) line(t *Trace, line []byte) error {
 	d.Reset(line)
 	if d.Space(); d.I == len(d.B) {
@@ -228,10 +332,10 @@ func (d *decoder) line(t *Trace, line []byte) error {
 		return d.Syntax("'{'")
 	}
 	var (
-		e        Event
-		kind, to []byte
-		fail     bool
-		seen     uint
+		e                      Event
+		kind, to, tkind, label []byte
+		fail                   bool
+		seen                   uint
 	)
 	for d.Space(); !d.Eat('}'); d.Space() {
 		if seen != 0 && !d.Eat(',') {
@@ -255,7 +359,7 @@ func (d *decoder) line(t *Trace, line []byte) error {
 		case "task":
 			bit, err = 1<<2, wire.Int(&d.Lexer, &e.Task)
 		case "tkind":
-			bit, err = 1<<3, d.name(&e.TaskKind)
+			bit, err = 1<<3, d.str(&tkind)
 		case "w":
 			bit, err = 1<<4, wire.Int(&d.Lexer, &e.Worker)
 		case "obj":
@@ -269,7 +373,7 @@ func (d *decoder) line(t *Trace, line []byte) error {
 		case "fail":
 			bit, err = 1<<9, d.Bool(&fail)
 		case "label":
-			bit, err = 1<<10, d.name(&e.Label)
+			bit, err = 1<<10, d.str(&label)
 		default:
 			return fmt.Errorf("unknown key %q", key)
 		}
@@ -287,7 +391,7 @@ func (d *decoder) line(t *Trace, line []byte) error {
 
 	if string(kind) == dispatchKind {
 		if t.Dispatches == nil {
-			t.Dispatches = make([]Dispatch, 0, d.dispatches)
+			t.Dispatches = make([]Dispatch, 0, max(d.dispatches, d.left))
 		}
 		t.AddDispatch(Dispatch{Time: e.Time, Task: e.Task, Worker: e.Worker})
 		return nil
@@ -303,6 +407,13 @@ func (d *decoder) line(t *Trace, line []byte) error {
 			return fmt.Errorf("invalid tier %q on a %s event", to, e.Kind)
 		}
 		e.To = mem.Tier(n)
+	}
+	var err error
+	if e.TaskKind, err = intern(t, tkind); err != nil {
+		return err
+	}
+	if e.Label, err = intern(t, label); err != nil {
+		return err
 	}
 	if t.Events == nil {
 		t.Events = make([]Event, 0, d.events)
@@ -346,19 +457,4 @@ func (d *decoder) str(p *[]byte) error {
 	b, err := d.Str()
 	*p = b
 	return err
-}
-
-// name decodes a string and interns it.
-func (d *decoder) name(p *string) error {
-	b, err := d.Str()
-	if err != nil {
-		return err
-	}
-	s, ok := d.names[string(b)]
-	if !ok {
-		s = string(b)
-		d.names[s] = s
-	}
-	*p = s
-	return nil
 }

@@ -47,16 +47,33 @@ func refParseTier(s string) (mem.Tier, error) {
 	return 0, fmt.Errorf("trace: unknown tier %q", s)
 }
 
-// RefWriteJSONL writes t through encoding/json.
+// refName resolves n through t's name table, failing on a Name past its
+// end.
+func refName(t *Trace, n Name) (string, error) {
+	if int(n) > len(t.names) {
+		return "", fmt.Errorf("trace: name %d outside a table of %d", n, len(t.names))
+	}
+	return t.Name(n), nil
+}
+
+// RefWriteJSONL writes t through encoding/json, each event's names
+// resolved through t's table.
 func RefWriteJSONL(t *Trace, w io.Writer) error {
 	enc := json.NewEncoder(w)
 	emit := func(r refRec) error { return enc.Encode(&r) }
 	for _, e := range t.Events {
 		r := refRec{
 			T: e.Time, K: e.Kind.String(),
-			Task: int(e.Task), TKind: e.TaskKind, W: e.Worker,
+			Task: int(e.Task), W: e.Worker,
 			Obj: int(e.Obj), Chunk: e.Chunk, Bytes: e.Bytes,
-			Fail: !e.OK, Label: e.Label,
+			Fail: !e.OK,
+		}
+		var err error
+		if r.TKind, err = refName(t, e.TaskKind); err != nil {
+			return err
+		}
+		if r.Label, err = refName(t, e.Label); err != nil {
+			return err
 		}
 		switch e.Kind {
 		case MigrationStart, MigrationEnd, MigrationRetry, FaultInject, TierQuarantine, TierReadmit:
@@ -74,7 +91,8 @@ func RefWriteJSONL(t *Trace, w io.Writer) error {
 	return nil
 }
 
-// RefReadJSONL reads JSONL through encoding/json.
+// RefReadJSONL reads JSONL through encoding/json. Each event's task kind
+// and then its label go into the trace's name table through Intern.
 func RefReadJSONL(rd io.Reader) (*Trace, error) {
 	t := &Trace{}
 	sc := bufio.NewScanner(rd)
@@ -100,14 +118,20 @@ func RefReadJSONL(rd io.Reader) (*Trace, error) {
 		}
 		e := Event{
 			Time: r.T, Kind: k,
-			Task: task.TaskID(r.Task), TaskKind: r.TKind, Worker: r.W,
+			Task: task.TaskID(r.Task), Worker: r.W,
 			Obj: task.ObjectID(r.Obj), Chunk: r.Chunk, Bytes: r.Bytes,
-			OK: !r.Fail, Label: r.Label,
+			OK: !r.Fail,
 		}
 		if r.To != "" {
 			if e.To, err = refParseTier(r.To); err != nil {
 				return nil, fmt.Errorf("trace: line %d: %w", line, err)
 			}
+		}
+		if e.TaskKind, err = t.Intern(r.TKind); err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+		}
+		if e.Label, err = t.Intern(r.Label); err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
 		t.Add(e)
 	}
@@ -123,7 +147,7 @@ func RefReadJSONL(rd io.Reader) (*Trace, error) {
 // hold the framing and the memo to it.
 func scanReadJSONL(rd io.Reader) (*Trace, error) {
 	t := &Trace{}
-	d := decoder{names: map[string]string{}}
+	var d decoder
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(nil, 1<<20)
 	for line := 1; sc.Scan(); line++ {

@@ -90,9 +90,10 @@ func (d *timeDraw) next() float64 {
 }
 
 // randTrace draws a trace of any kinds (out-of-range ones included),
-// tiers, strings, integers and float bit patterns. Every 50th trace is
-// long enough to cross WriteJSONL's flush threshold several times, and
-// its times are finite so that it writes.
+// tiers, names (now and then one past the table's end), integers and
+// float bit patterns. Every 50th trace is long enough to cross
+// WriteJSONL's flush threshold several times, and its times are finite
+// so that it writes.
 func randTrace(rng *rand.Rand, i int) *Trace {
 	n := rng.Intn(8)
 	times := &timeDraw{rng: rng}
@@ -100,13 +101,19 @@ func randTrace(rng *rand.Rand, i int) *Trace {
 		n, times.finite = 300, true
 	}
 	tr := &Trace{}
+	name := func() Name {
+		if i%50 != 0 && rng.Intn(100) == 0 {
+			return Name(len(tr.names) + 1)
+		}
+		return tr.must(randString(rng))
+	}
 	for j := 0; j < n; j++ {
 		tr.Add(Event{
 			Time: times.next(), Kind: Kind(rng.Intn(len(kindNames)+2) - 1),
-			Task: task.TaskID(randInt(rng)), TaskKind: randString(rng), Worker: int(randInt(rng)),
+			Task: task.TaskID(randInt(rng)), TaskKind: name(), Worker: int(randInt(rng)),
 			Obj: task.ObjectID(randInt(rng)), Chunk: int(randInt(rng)),
 			To: mem.Tier(rng.Intn(mem.MaxTiers+3) - 1), Bytes: randInt(rng),
-			OK: rng.Intn(2) == 0, Label: randString(rng),
+			OK: rng.Intn(2) == 0, Label: name(),
 		})
 	}
 	for j := rng.Intn(4); j > 0; j-- {
@@ -145,8 +152,9 @@ func countTimeShapes(t *Trace, n *[3]int) {
 }
 
 // TestWriteJSONLMatchesReference: on random traces WriteJSONL writes
-// exactly the bytes encoding/json writes, and fails exactly when it
-// does (on a non-finite time).
+// exactly the bytes encoding/json writes, names resolved through the
+// trace's table, and fails exactly when it does (on a non-finite time or
+// a name past the table's end).
 func TestWriteJSONLMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	var failed int
@@ -185,7 +193,7 @@ func TestWriteJSONLMatchesReference(t *testing.T) {
 func FuzzReadJSONL(f *testing.F) {
 	tr := failedSample()
 	tr.AddDispatch(Dispatch{Time: 1, Task: 2, Worker: 1})
-	tr.Add(Event{Time: 3e-7, Kind: FaultInject, To: 2, Label: "degrade"})
+	tr.Add(Event{Time: 3e-7, Kind: FaultInject, To: 2, Label: tr.must("degrade")})
 	var seed bytes.Buffer
 	if err := tr.WriteJSONL(&seed); err != nil {
 		f.Fatal(err)
@@ -204,6 +212,15 @@ func FuzzReadJSONL(f *testing.F) {
 	// A trailing '\r' is dropped before a line is decoded, so an
 	// unterminated string ends before it, as it did for the scanner.
 	f.Add([]byte("{\"t\":1,\"k\":\"plan\"}\r\n{\"t\":1,\"k\":\"pl\r\n"))
+	// Many distinct names, enough for the name table to outgrow its
+	// linear search, each repeated, some escaped, and labels before task
+	// kinds within a line.
+	var names bytes.Buffer
+	for i := 0; i < 3*scanNames; i++ {
+		fmt.Fprintf(&names, "{\"t\":%d,\"k\":\"task-start\",\"label\":\"l%d\",\"tkind\":\"k%d\\u00e9\"}\n", i, i, i/2)
+		fmt.Fprintf(&names, "{\"t\":%d,\"k\":\"plan\",\"label\":\"l%d\"}\n", i, i/3)
+	}
+	f.Add(names.Bytes())
 	f.Fuzz(func(t *testing.T, in []byte) {
 		got, err := ReadJSONL(bytes.NewReader(in))
 		scanned, scanErr := scanReadJSONL(bytes.NewReader(in))

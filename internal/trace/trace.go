@@ -18,7 +18,7 @@ import (
 )
 
 // Kind tags an event.
-type Kind int
+type Kind uint8
 
 const (
 	// TaskStart and TaskEnd bracket one task execution.
@@ -57,7 +57,7 @@ var kindNames = [...]string{
 
 // String names the event kind.
 func (k Kind) String() string {
-	if k >= 0 && int(k) < len(kindNames) {
+	if int(k) < len(kindNames) {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
@@ -71,26 +71,36 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("trace: unknown event kind %q", s)
 }
 
-// Event is one timeline entry.
+// Name stands for a string in its trace's name table (Trace.Name): the
+// zero Name for the empty string, Name n > 0 for the table's nth entry.
+// Events carry their task kind and label as Names, so an Event holds no
+// pointer and the many events of a run repeat a few strings for free.
+type Name uint16
+
+// MaxNames is the most distinct names one trace's table holds.
+const MaxNames = 1<<16 - 1
+
+// Event is one timeline entry. It holds no pointer and takes 64 bytes.
 type Event struct {
 	Time float64
 	Kind Kind
-	// Task fields (TaskStart/TaskEnd).
-	Task     task.TaskID
-	TaskKind string
-	Worker   int
-	// Migration fields (MigrationStart/MigrationEnd).
-	Obj   task.ObjectID
-	Chunk int
-	To    mem.Tier
-	Bytes int64
 	// OK reports the event's outcome: false only for a MigrationEnd whose
 	// movement did not happen (a promotion dropped or failed for lack of
 	// DRAM room — the data stayed put). A dropped promotion appears as a
 	// lone MigrationEnd with OK=false and no matching MigrationStart.
 	OK bool
-	// Plan fields.
-	Label string
+	// TaskKind names a task event's task kind; Label names a Plan event's
+	// plan kind and a FaultInject event's fault kind.
+	TaskKind Name
+	Label    Name
+	// Task fields (TaskStart/TaskEnd).
+	Task   task.TaskID
+	Worker int
+	// Migration fields (MigrationStart/MigrationEnd).
+	Obj   task.ObjectID
+	Chunk int
+	To    mem.Tier
+	Bytes int64
 }
 
 // Dispatch is one scheduler decision: the runtime handed task Task to
@@ -111,6 +121,12 @@ type Trace struct {
 	// Dispatches records the scheduler's decisions in order; together
 	// with Events it forms a complete, replayable run recording.
 	Dispatches []Dispatch
+
+	// names is the name table: names[n-1] is the string Name n stands
+	// for, each distinct and not empty. index maps each to its Name once
+	// the table is too long to search.
+	names []string
+	index map[string]Name
 }
 
 // Add appends one event.
@@ -118,6 +134,69 @@ func (t *Trace) Add(e Event) { t.Events = append(t.Events, e) }
 
 // AddDispatch appends one scheduler decision.
 func (t *Trace) AddDispatch(d Dispatch) { t.Dispatches = append(t.Dispatches, d) }
+
+// Name returns the string n stands for: "" for the zero Name and for a
+// Name past the end of t's table.
+func (t *Trace) Name(n Name) string {
+	if n == 0 || int(n) > len(t.names) {
+		return ""
+	}
+	return t.names[n-1]
+}
+
+// Intern returns the Name of s in t's table, adding s when it is not
+// there yet. The empty string is the zero Name. It fails when s is new
+// and the table already holds MaxNames names.
+func (t *Trace) Intern(s string) (Name, error) {
+	n, err := intern(t, s)
+	if err != nil {
+		return 0, fmt.Errorf("trace: %w", err)
+	}
+	return n, nil
+}
+
+// NameRoom returns how many more distinct names t's table can take.
+func (t *Trace) NameRoom() int { return MaxNames - len(t.names) }
+
+// scanNames is the longest table intern searches entry by entry; a
+// longer one gets an index.
+const scanNames = 32
+
+// intern is Intern for a string or the bytes of one, which it copies
+// only to add them.
+func intern[S string | []byte](t *Trace, s S) (Name, error) {
+	if len(s) == 0 {
+		return 0, nil
+	}
+	if t.index != nil {
+		if n, ok := t.index[string(s)]; ok {
+			return n, nil
+		}
+	} else {
+		for i, name := range t.names {
+			if name == string(s) {
+				return Name(i + 1), nil
+			}
+		}
+	}
+	if len(t.names) == MaxNames {
+		return 0, fmt.Errorf("more than %d distinct names", MaxNames)
+	}
+	if cap(t.names) == 0 {
+		t.names = make([]string, 0, 16) // most runs name fewer
+	}
+	t.names = append(t.names, string(s))
+	n := Name(len(t.names))
+	if t.index != nil {
+		t.index[t.names[n-1]] = n
+	} else if len(t.names) > scanNames {
+		t.index = make(map[string]Name, 2*len(t.names))
+		for i, name := range t.names {
+			t.index[name] = Name(i + 1)
+		}
+	}
+	return n, nil
+}
 
 // Grow ensures room for at least events more events and dispatches more
 // dispatch records without further allocation. Recorders that know the
@@ -136,17 +215,20 @@ func (t *Trace) Grow(events, dispatches int) {
 	}
 }
 
-// Reset empties the trace but keeps both buffers, so a caller recording
-// many runs back to back (replay verification, the chaos suite) reuses
-// one Trace with zero steady-state allocation.
+// Reset empties the trace and its name table but keeps the buffers, so a
+// caller recording many runs back to back (replay verification, the
+// chaos suite) reuses one Trace with zero steady-state allocation.
 func (t *Trace) Reset() {
 	t.Events = t.Events[:0]
 	t.Dispatches = t.Dispatches[:0]
+	clear(t.names)
+	t.names, t.index = t.names[:0], nil
 }
 
 // Footprint returns the bytes t's buffers hold.
 func (t *Trace) Footprint() int {
-	return cap(t.Events)*int(unsafe.Sizeof(Event{})) + cap(t.Dispatches)*int(unsafe.Sizeof(Dispatch{}))
+	return cap(t.Events)*int(unsafe.Sizeof(Event{})) + cap(t.Dispatches)*int(unsafe.Sizeof(Dispatch{})) +
+		cap(t.names)*int(unsafe.Sizeof(""))
 }
 
 // Len returns the number of recorded events.
@@ -198,10 +280,11 @@ func (t *Trace) ByKind() []KindStats {
 			}
 			delete(open, e.Task)
 			d := e.Time - start
-			s := agg[e.TaskKind]
+			kind := t.Name(e.TaskKind)
+			s := agg[kind]
 			if s == nil {
-				s = &KindStats{Kind: e.TaskKind, Min: d, Max: d}
-				agg[e.TaskKind] = s
+				s = &KindStats{Kind: kind, Min: d, Max: d}
+				agg[kind] = s
 			}
 			s.Count++
 			s.Total += d
@@ -340,7 +423,7 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	}
 	for _, e := range t.Events {
 		if _, err := fmt.Fprintf(w, "%.9f,%s,%d,%s,%d,%d,%d,%s,%d,%t,%s\n",
-			e.Time, e.Kind, e.Task, e.TaskKind, e.Worker, e.Obj, e.Chunk, e.To, e.Bytes, e.OK, e.Label); err != nil {
+			e.Time, e.Kind, e.Task, t.Name(e.TaskKind), e.Worker, e.Obj, e.Chunk, e.To, e.Bytes, e.OK, t.Name(e.Label)); err != nil {
 			return err
 		}
 	}

@@ -1,26 +1,40 @@
 package trace
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/task"
 )
 
+// must interns s in t; the tests' tables never fill.
+func (t *Trace) must(s string) Name {
+	n, err := t.Intern(s)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 func sample() *Trace {
 	t := &Trace{}
-	t.Add(Event{Time: 0, Kind: TaskStart, Task: task.TaskID(0), TaskKind: "a", Worker: 0, OK: true})
-	t.Add(Event{Time: 0, Kind: TaskStart, Task: 1, TaskKind: "b", Worker: 1, OK: true})
-	t.Add(Event{Time: 1, Kind: TaskEnd, Task: 0, TaskKind: "a", Worker: 0, OK: true})
-	t.Add(Event{Time: 1, Kind: TaskStart, Task: 2, TaskKind: "a", Worker: 0, OK: true})
-	t.Add(Event{Time: 2, Kind: TaskEnd, Task: 1, TaskKind: "b", Worker: 1, OK: true})
-	t.Add(Event{Time: 4, Kind: TaskEnd, Task: 2, TaskKind: "a", Worker: 0, OK: true})
+	a, b := t.must("a"), t.must("b")
+	t.Add(Event{Time: 0, Kind: TaskStart, Task: task.TaskID(0), TaskKind: a, Worker: 0, OK: true})
+	t.Add(Event{Time: 0, Kind: TaskStart, Task: 1, TaskKind: b, Worker: 1, OK: true})
+	t.Add(Event{Time: 1, Kind: TaskEnd, Task: 0, TaskKind: a, Worker: 0, OK: true})
+	t.Add(Event{Time: 1, Kind: TaskStart, Task: 2, TaskKind: a, Worker: 0, OK: true})
+	t.Add(Event{Time: 2, Kind: TaskEnd, Task: 1, TaskKind: b, Worker: 1, OK: true})
+	t.Add(Event{Time: 4, Kind: TaskEnd, Task: 2, TaskKind: a, Worker: 0, OK: true})
 	t.Add(Event{Time: 0.5, Kind: MigrationStart, Obj: 3, Chunk: 0, To: mem.InDRAM, Bytes: 1 << 20, OK: true})
 	t.Add(Event{Time: 1.5, Kind: MigrationEnd, Obj: 3, Chunk: 0, To: mem.InDRAM, Bytes: 1 << 20, OK: true})
-	t.Add(Event{Time: 2, Kind: Plan, Label: "global", OK: true})
+	t.Add(Event{Time: 2, Kind: Plan, Label: t.must("global"), OK: true})
 	return t
 }
 
@@ -156,7 +170,7 @@ func TestTimeline(t *testing.T) {
 
 func TestUnmatchedEventsIgnored(t *testing.T) {
 	tr := &Trace{}
-	tr.Add(Event{Time: 1, Kind: TaskEnd, Task: 9, TaskKind: "x", OK: true})
+	tr.Add(Event{Time: 1, Kind: TaskEnd, Task: 9, TaskKind: tr.must("x"), OK: true})
 	tr.Add(Event{Time: 1, Kind: MigrationEnd, Obj: 9, OK: true})
 	if len(tr.ByKind()) != 0 || len(tr.Migrations()) != 0 {
 		t.Fatal("unmatched ends produced records")
@@ -299,12 +313,13 @@ func TestKindStrings(t *testing.T) {
 // included.
 func TestJSONLRoundTripFaultKinds(t *testing.T) {
 	tr := &Trace{}
-	tr.Add(Event{Time: 0.5, Kind: FaultInject, Label: "degrade", To: mem.InDRAM, OK: true})
+	degrade := tr.must("degrade")
+	tr.Add(Event{Time: 0.5, Kind: FaultInject, Label: degrade, To: mem.InDRAM, OK: true})
 	tr.Add(Event{Time: 0.6, Kind: MigrationRetry, Obj: 3, Chunk: 1, To: mem.InDRAM, Bytes: 1 << 20, OK: true})
 	tr.Add(Event{Time: 0.7, Kind: MigrationRetry, Obj: 3, Chunk: 1, To: mem.InDRAM, Bytes: 1 << 20})
 	tr.Add(Event{Time: 0.8, Kind: TierQuarantine, To: mem.InDRAM, OK: true})
 	tr.Add(Event{Time: 0.9, Kind: TierReadmit, To: mem.InDRAM, OK: true})
-	tr.Add(Event{Time: 1.0, Kind: FaultInject, Label: "degrade", To: mem.InDRAM})
+	tr.Add(Event{Time: 1.0, Kind: FaultInject, Label: degrade, To: mem.InDRAM})
 
 	var first strings.Builder
 	if err := tr.WriteJSONL(&first); err != nil {
@@ -329,6 +344,90 @@ func TestJSONLRoundTripFaultKinds(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(first.String()), "\n") {
 		if !strings.Contains(line, `"to":`) {
 			t.Fatalf("line lost its tier: %s", line)
+		}
+	}
+}
+
+// TestEventLayout: an Event takes at most 64 bytes and holds no pointer,
+// so a run's event table costs the garbage collector nothing to scan.
+func TestEventLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 64 {
+		t.Errorf("an Event takes %d bytes, want at most 64", n)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+		}
+	}
+	walk("Event", reflect.TypeOf(Event{}))
+}
+
+// TestNameTable: Intern gives each distinct string one Name, the empty
+// string the zero Name, and fails once the table holds MaxNames names;
+// Name reads the table back, and Reset empties it.
+func TestNameTable(t *testing.T) {
+	var tr Trace
+	if n := tr.must(""); n != 0 || tr.NameRoom() != MaxNames {
+		t.Fatalf("the empty string interned as %d, room %d", n, tr.NameRoom())
+	}
+	for i := 0; i < MaxNames; i++ {
+		s := strconv.Itoa(i)
+		if n := tr.must(s); int(n) != i+1 || tr.Name(n) != s {
+			t.Fatalf("%q interned as %d, reads back %q", s, n, tr.Name(n))
+		}
+	}
+	for _, i := range []int{0, 1, scanNames, MaxNames - 1} {
+		if n := tr.must(strconv.Itoa(i)); int(n) != i+1 {
+			t.Fatalf("%d interned again as %d", i, n)
+		}
+	}
+	if _, err := tr.Intern("one more"); err == nil || !strings.Contains(err.Error(), "more than 65535 distinct names") {
+		t.Fatalf("a full table took one more name: %v", err)
+	}
+	if tr.NameRoom() != 0 || tr.Name(MaxNames) != strconv.Itoa(MaxNames-1) || tr.Name(0) != "" {
+		t.Fatalf("room %d, last name %q", tr.NameRoom(), tr.Name(MaxNames))
+	}
+	tr.Reset()
+	if tr.NameRoom() != MaxNames || tr.Name(1) != "" || tr.must("x") != 1 {
+		t.Fatalf("after Reset: room %d, Name(1) %q", tr.NameRoom(), tr.Name(1))
+	}
+}
+
+// TestReadJSONLNameCap: a recording naming more than MaxNames distinct
+// strings fails at the line of the first name past the cap, whether it
+// is a task kind or a label, and one naming exactly MaxNames reads.
+func TestReadJSONLNameCap(t *testing.T) {
+	var in bytes.Buffer
+	for i := 0; i < MaxNames-1; i++ {
+		fmt.Fprintf(&in, "{\"t\":1,\"k\":\"plan\",\"label\":\"n%d\"}\n", i)
+	}
+	fmt.Fprintf(&in, "{\"t\":1,\"k\":\"task-start\",\"tkind\":\"n0\",\"label\":\"last\"}\n")
+	full := in.Len()
+	tr, err := ReadJSONL(bytes.NewReader(in.Bytes()))
+	if err != nil || tr.NameRoom() != 0 || tr.Name(tr.Events[MaxNames-1].Label) != "last" {
+		t.Fatalf("%d distinct names: %v", MaxNames, err)
+	}
+	for _, line := range []string{
+		`{"t":1,"k":"task-end","tkind":"new"}`,
+		`{"t":1,"k":"task-end","tkind":"n1","label":"new"}`,
+		`{"t":1,"k":"fault","label":"new","to":"DRAM"}`,
+	} {
+		in.Truncate(full)
+		in.WriteString("{\"t\":2,\"k\":\"dispatch\",\"tkind\":\"not an event's\"}\n" + line + "\n")
+		_, err := ReadJSONL(bytes.NewReader(in.Bytes()))
+		want := fmt.Sprintf("trace: line %d: more than %d distinct names", MaxNames+2, MaxNames)
+		if err == nil || err.Error() != want {
+			t.Errorf("%s after a full table: error %v, want %q", line, err, want)
 		}
 	}
 }

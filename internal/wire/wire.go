@@ -6,8 +6,8 @@
 // and AppendString render values byte-identical to encoding/json. Each
 // codec keeps encoding/json in a _test.go file as the oracle its tests
 // and fuzz target compare against. GetBuf and PutBuf pool the buffers
-// the codecs write lines into, and ReadAll reads a whole input into one
-// buffer for a Lexer to decode in place.
+// the codecs write lines into and read whole inputs into; ReadAll reads
+// an input into one, for a Lexer to decode in place.
 package wire
 
 import (
@@ -18,6 +18,7 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // Lexer reads JSON tokens from B, starting at byte I.
@@ -233,43 +234,62 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// bufKeep caps the bytes a pooled buffer may hold. A pooled buffer
-// survives a garbage collection and counts in the live heap, so one that
-// a long line grew past the cap is dropped rather than left to pin its
-// bytes.
-const bufKeep = 16 << 10
+// bufKeep caps the bytes a kept buffer may hold: room for a 64 KiB
+// flush of the line writers with the line that crossed it, or for a
+// recording of that size read whole. A kept buffer counts in the live
+// heap, so one that a long input grew past the cap is dropped rather
+// than left to pin its bytes.
+const bufKeep = 128 << 10
 
-var bufs sync.Pool
+// spare holds one buffer that the garbage collector never empties, and
+// bufs the others. A sync.Pool moves its values aside at each
+// collection and drops them at the next, so a buffer held only there
+// counts in a live-heap reading or not depending on where the last
+// collection fell, and a process that writes a recording now and then
+// regrows it from 8 KiB. A lone user of the buffers, a sequence of
+// Save, Load and WriteJSONL calls, always takes and returns the spare.
+var (
+	spare atomic.Pointer[[]byte]
+	bufs  sync.Pool
+)
 
-// GetBuf returns an empty buffer from the pool, or a new one of 8 KiB:
-// room for the line writers' 4 KiB flushes.
+// GetBuf returns an empty buffer: the spare, a pooled one, or a new one
+// of 8 KiB that grows to what its first user needs.
 func GetBuf() *[]byte {
-	if b, ok := bufs.Get().(*[]byte); ok {
-		*b = (*b)[:0]
-		return b
+	b := spare.Swap(nil)
+	if b == nil {
+		b, _ = bufs.Get().(*[]byte)
 	}
-	b := make([]byte, 0, 8<<10)
-	return &b
+	if b == nil {
+		nb := make([]byte, 0, 8<<10)
+		return &nb
+	}
+	*b = (*b)[:0]
+	return b
 }
 
-// PutBuf returns b to the pool unless it holds more than 16 KiB. Nothing
-// may refer into *b afterwards.
+// PutBuf keeps b, as the spare if that is free and in the pool if not,
+// unless it holds more than 128 KiB. Nothing may refer into *b
+// afterwards.
 func PutBuf(b *[]byte) {
-	if cap(*b) <= bufKeep {
+	if cap(*b) > bufKeep {
+		return
+	}
+	if !spare.CompareAndSwap(nil, b) {
 		bufs.Put(b)
 	}
 }
 
-// ReadAll reads r to its end and returns its bytes with the error that
+// ReadAll reads r to its end into *bp, which it grows as needed and
+// leaves holding the input, and returns the input with the error that
 // ended it, or nil at io.EOF. A reader that knows its length (a
 // bytes.Reader, strings.Reader or bytes.Buffer) is read into room made
-// once.
-func ReadAll(r io.Reader) ([]byte, error) {
-	n := 512
-	if lr, ok := r.(interface{ Len() int }); ok {
-		n = lr.Len() + 1 // +1: room to read the EOF into
+// at most once.
+func ReadAll(r io.Reader, bp *[]byte) ([]byte, error) {
+	buf := (*bp)[:0]
+	if lr, ok := r.(interface{ Len() int }); ok && cap(buf) <= lr.Len() {
+		buf = make([]byte, 0, lr.Len()+1) // +1: room to read the EOF into
 	}
-	buf := make([]byte, 0, n)
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -280,6 +300,7 @@ func ReadAll(r io.Reader) ([]byte, error) {
 			if err == io.EOF {
 				err = nil
 			}
+			*bp = buf
 			return buf, err
 		}
 	}

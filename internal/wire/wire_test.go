@@ -1,6 +1,9 @@
 package wire
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestStr: Str returns a plain string in place and any other through
 // json.Unmarshal, leaves I after the closing quote, and names the column
@@ -33,5 +36,25 @@ func TestStr(t *testing.T) {
 		if msg != c.err || string(got) != c.want || l.I != c.end {
 			t.Errorf("Str(%q) = %q, %q, I %d; want %q, %q, I %d", c.in, got, msg, l.I, c.want, c.err, c.end)
 		}
+	}
+}
+
+// TestSpareBufSurvivesGC: a buffer returned by a lone user is the spare,
+// which garbage collections leave in place, so the next GetBuf returns
+// it with its room; one past 128 KiB is dropped.
+func TestSpareBufSurvivesGC(t *testing.T) {
+	b := GetBuf()
+	*b = append(*b, make([]byte, 40<<10)...)
+	PutBuf(b)
+	runtime.GC()
+	runtime.GC()
+	if got := GetBuf(); got != b || len(*got) != 0 || cap(*got) < 40<<10 {
+		t.Fatalf("GetBuf after two collections: same %v, len %d, cap %d; want the spare, empty, cap >= %d",
+			got == b, len(*got), cap(*got), 40<<10)
+	}
+	*b = append(*b, make([]byte, bufKeep+1)...)
+	PutBuf(b)
+	if got := GetBuf(); got == b {
+		t.Fatal("a buffer past bufKeep was kept")
 	}
 }

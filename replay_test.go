@@ -1,12 +1,18 @@
 package tahoe
 
 import (
+	"bytes"
+	"io"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -185,4 +191,64 @@ func TestReplaySaveLoadPublicAPI(t *testing.T) {
 	if orig != again {
 		t.Fatalf("loaded replay differs:\nrecorded: %+v\nreplayed: %+v", orig, again)
 	}
+}
+
+// TestTraceJSONLAllocs guards what a warm Save plus Load of
+// BenchmarkTraceJSONL's recording allocates: the loaded recording, its
+// trace with its two tables and name table, the names and the header's
+// strings, and nothing that grows with the recording beyond the tables:
+// the saved lines reach their writer in one Write, and Load decodes them
+// from a pooled buffer.
+func TestTraceJSONLAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	rec := traceJSONLRecording(t)
+	var saved bytes.Buffer
+	w := &countWriter{w: &saved}
+	var in bytes.Reader
+	roundTrip := func() {
+		saved.Reset()
+		if err := rec.Save(w); err != nil {
+			t.Fatal(err)
+		}
+		in.Reset(saved.Bytes())
+		if _, err := LoadRecording(&in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One P, as AllocsPerRun sets, from the warm-up on: a pooled buffer
+	// put on one P is not found from another.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	roundTrip() // warm the pools and size saved
+	w.writes = 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, roundTrip)
+	runtime.ReadMemStats(&after)
+	if w.writes != runs+1 {
+		t.Errorf("%d Saves made %d Writes, want one each", runs+1, w.writes)
+	}
+	tables := len(rec.Trace.Events)*int(unsafe.Sizeof(TraceEvent{})) + len(rec.Trace.Dispatches)*int(unsafe.Sizeof(trace.Dispatch{}))
+	bytesPerOp := int(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	t.Logf("%d bytes saved; %.0f allocs and %d bytes per round trip, %d of them the tables", saved.Len(), allocs, bytesPerOp, tables)
+	if allocs > 17 {
+		t.Errorf("a round trip allocates %.0f times, want at most 17", allocs)
+	}
+	if bytesPerOp > tables+4<<10 {
+		t.Errorf("a round trip allocates %d bytes, want at most the tables' %d and 4 KiB", bytesPerOp, tables)
+	}
+}
+
+// countWriter counts the Writes it passes on.
+type countWriter struct {
+	w      io.Writer
+	writes int
+}
+
+func (c *countWriter) Write(b []byte) (int, error) {
+	c.writes++
+	return c.w.Write(b)
 }

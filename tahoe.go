@@ -215,7 +215,9 @@ type (
 	Table = report.Table
 	// Trace is an in-memory event log of one run (set Config.Trace).
 	Trace = trace.Trace
-	// TraceEvent is one timeline entry.
+	// TraceEvent is one timeline entry: 64 bytes holding no pointer. Its
+	// task kind and label index its Trace's name table; Trace.Name reads
+	// them back and Trace.Intern enters a new one.
 	TraceEvent = trace.Event
 )
 
