@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -666,17 +667,31 @@ func BenchmarkProfilerRecord(b *testing.B) {
 }
 
 // serveBenchLoop is the shared body of the service benchmarks: each
-// client goroutine is its own tenant (so the tenant-shard fan-out is
-// exercised) issuing runs through the full admission + pool path.
+// client goroutine is its own tenant issuing runs through the full
+// admission + pool path.
 func serveBenchLoop(b *testing.B, s *serve.Server) {
-	// Warm the run context of every tenant the loop runs as: a context
-	// builds each graph in the storage of the one before, so its first
-	// run also allocates the graph's storage.
+	// Warm as many run contexts as the loop holds at once, one per client
+	// goroutine: idle contexts wait in one free list, and a context builds
+	// each graph in the storage of the one before, so its first run also
+	// allocates the graph's storage. Each warm client runs a few requests,
+	// so the clients hold their contexts at the same time.
+	var wg sync.WaitGroup
 	for p := 1; p <= runtime.GOMAXPROCS(0); p++ {
-		warm := serve.RunRequest{Tenant: fmt.Sprintf("bench-%d", p), Workload: "heat", Scale: 5}
-		if resp, err := s.Do(&warm); err != nil || resp.Error != "" {
-			b.Fatalf("warm run: %v %q", err, resp.Error)
-		}
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			warm := serve.RunRequest{Tenant: fmt.Sprintf("bench-%d", p), Workload: "heat", Scale: 5}
+			for i := 0; i < 4; i++ {
+				if resp, err := s.Do(&warm); err != nil || resp.Error != "" {
+					b.Errorf("warm run: %v %q", err, resp.Error)
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	if b.Failed() {
+		b.FailNow()
 	}
 	var tenants atomic.Int64
 	b.ReportAllocs()
@@ -702,8 +717,8 @@ func serveBenchLoop(b *testing.B, s *serve.Server) {
 }
 
 // BenchmarkServeThroughput is the service's headline number: runs/sec
-// through the multi-tenant daemon's in-process path (admission, tenant
-// shard, pooled run context, worker pool) at the default pool size.
+// through the multi-tenant daemon's in-process path (admission, pooled
+// run context, worker pool) at the default pool size.
 // allocs/op is gated: steady-state request handling must not allocate
 // beyond the run itself.
 func BenchmarkServeThroughput(b *testing.B) {

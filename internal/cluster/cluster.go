@@ -72,10 +72,20 @@ type Config struct {
 	Reration func(nodeDRAM int64, baseRanks, adopted int) int64
 }
 
-// Validate reports configuration errors.
+// MaxRanks bounds a job's nodes, its ranks per node and its rank count:
+// every rank builds and simulates its own graph, and E13 scales to 16
+// nodes. The shape arrives from flags.
+const MaxRanks = 1024
+
+// Validate reports configuration errors. It bounds the job's shape
+// before StrongScale sizes anything by it.
 func (c Config) Validate() error {
 	if c.Nodes < 1 || c.RanksPerNode < 1 {
 		return fmt.Errorf("cluster: %d nodes x %d ranks", c.Nodes, c.RanksPerNode)
+	}
+	// Each factor is bounded first, so their product cannot overflow.
+	if c.Nodes > MaxRanks || c.RanksPerNode > MaxRanks || c.Nodes*c.RanksPerNode > MaxRanks {
+		return fmt.Errorf("cluster: %d nodes x %d ranks, above the cap of %d ranks", c.Nodes, c.RanksPerNode, MaxRanks)
 	}
 	if c.NodeDRAM < 0 {
 		return fmt.Errorf("cluster: negative node DRAM")
@@ -155,9 +165,9 @@ type Result struct {
 	// RestageSec / ReexecSec total the recovery bill across failovers.
 	RestageSec float64
 	ReexecSec  float64
-	// DeviceQuarantines / DeviceReadmits aggregate the per-rank tier
-	// quarantine episodes across the cluster (via the runtime's
-	// OnQuarantine callback).
+	// DeviceQuarantines / DeviceReadmits sum the ranks' tier quarantine
+	// episodes (core.Result's Quarantines and Readmits) across the
+	// cluster.
 	DeviceQuarantines int
 	DeviceReadmits    int
 }
@@ -199,13 +209,6 @@ func StrongScale(d workloads.Distributed, p workloads.Params, cfg Config) (Resul
 				// preserving empty ≡ nil bit-identity.
 				if rs := cfg.Faults.RankSchedule(rank); !rs.Empty() {
 					rc.Faults = rs
-					rc.OnQuarantine = func(now float64, t mem.Tier, active bool) {
-						if active {
-							res.DeviceQuarantines++
-						} else {
-							res.DeviceReadmits++
-						}
-					}
 				}
 			}
 			rr, err := core.Run(built.Graph, rc)
@@ -213,6 +216,8 @@ func StrongScale(d workloads.Distributed, p workloads.Params, cfg Config) (Resul
 				return Result{}, fmt.Errorf("cluster: rank %d: %w", rank, err)
 			}
 			res.PerRank = append(res.PerRank, rr)
+			res.DeviceQuarantines += rr.Quarantines
+			res.DeviceReadmits += rr.Readmits
 			rankTime[rank] = rr.Time
 			dramHW[rank] = rr.DRAMHighWaterBytes
 			for _, o := range built.Graph.Objects {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -158,6 +159,30 @@ func TestConfigValidation(t *testing.T) {
 	bad.Net.Bandwidth = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero network bandwidth accepted")
+	}
+}
+
+// TestValidateCapsRanks: a job's shape is refused above MaxRanks before
+// anything is sized by it, whether one count is huge or the product of
+// two counts overflows int; the cap itself is legal. NodeDRAM is 0 so the
+// per-rank share check cannot refuse the shapes first.
+func TestValidateCapsRanks(t *testing.T) {
+	refused := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), "above the cap of 1024 ranks")
+	}
+	// StrongScale sizes its per-node tables by the node count.
+	if _, err := StrongScale(dist(t, "heat"), workloads.Params{}, cfgFor(1<<62, 1, 0, core.NVMOnly)); !refused(err) {
+		t.Fatalf("2^62 nodes: %v", err)
+	}
+	for _, shape := range [][2]int{{1 << 32, 1 << 32}, {1, 1 << 40}, {64, 32}} {
+		if err := cfgFor(shape[0], shape[1], 0, core.NVMOnly).Validate(); !refused(err) {
+			t.Fatalf("%d nodes x %d ranks: %v", shape[0], shape[1], err)
+		}
+	}
+	for _, shape := range [][2]int{{MaxRanks, 1}, {1, MaxRanks}, {32, 32}} {
+		if err := cfgFor(shape[0], shape[1], 0, core.NVMOnly).Validate(); err != nil {
+			t.Fatalf("%d nodes x %d ranks: %v", shape[0], shape[1], err)
+		}
 	}
 }
 

@@ -71,16 +71,6 @@ func boostInterval(ivl int64, err, tol float64) int64 {
 // replan cost.
 const adaptMaxRounds = 2
 
-// adaptPrecheck is the pre-plan gate: called when the first plan is
-// about to commit, it runs the sensitivity query against the would-be
-// knapsack and, if any kind's noise could flip a placement, densifies
-// those kinds and reports true — the caller then defers the plan until
-// the boosted re-profile lands, so the *first* plan is already made from
-// estimates tight enough to trust. Harmful migrations never enqueue.
-func (r *runner) adaptPrecheck() bool {
-	return r.adaptSampling() > 0
-}
-
 // marginsAudit, when set by tests, sees each sensitivity query's memo hit.
 var marginsAudit func(r *runner, hit bool)
 
@@ -101,7 +91,7 @@ func (r *runner) adaptSampling() (boosted int) {
 	// kind is Profiled again), drop the kind back to the base rate so
 	// later audits and coverage passes sample cheaply — the tightened
 	// estimates persist either way.
-	for ki, b := range r.kindBoosted {
+	for ki, b := range p.kindBoosted {
 		if !b {
 			continue
 		}
@@ -168,7 +158,7 @@ func (r *runner) adaptSampling() (boosted int) {
 				continue
 			}
 			ki := int(u.kind)
-			if r.kindBoosted[ki] || r.kindRemaining[ki] <= win {
+			if p.kindBoosted[ki] || r.kindRemaining[ki] <= win {
 				continue
 			}
 			errRel := r.profiler.RelErrorFor(ki, task.ObjectID(obj))
@@ -180,7 +170,7 @@ func (r *runner) adaptSampling() (boosted int) {
 			if boostIvl >= ivl {
 				continue // already at or beyond the calibrated floor
 			}
-			r.kindBoosted[ki] = true
+			p.kindBoosted[ki] = true
 			r.profiler.SetKindInterval(ki, boostIvl)
 			r.reopenKind(ki)
 			boosted++

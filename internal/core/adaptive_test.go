@@ -24,7 +24,7 @@ func TestAdaptiveSamplingBoostsAndSaves(t *testing.T) {
 	defer func() { testHook = nil }()
 	var boosted int
 	testHook = func(r *runner) {
-		for _, b := range r.kindBoosted {
+		for _, b := range r.pt.kindBoosted {
 			if b {
 				boosted++
 			}

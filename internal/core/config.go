@@ -259,12 +259,6 @@ type Config struct {
 	// per-copy timeouts, tier quarantine). nil — and, bit-identically, an
 	// empty schedule — reproduces the fault-free run exactly.
 	Faults *fault.Schedule
-	// OnQuarantine, if non-nil, observes every tier quarantine
-	// (active=true) and readmission (active=false) at its virtual time.
-	// The cluster layer hooks it to aggregate per-node degraded posture
-	// into cluster-level accounting; it is never called without fault
-	// injection and must not mutate runtime state.
-	OnQuarantine func(now float64, t mem.Tier, active bool)
 }
 
 // MaxWorkers bounds Config.Workers: runs size per-worker scheduler state

@@ -91,11 +91,3 @@ func (r *runner) observeFeedback(t *task.Task, ki int, d *model.Demand) {
 		r.needReplan = true
 	}
 }
-
-// feedbackStats returns the estimator's stats (zero when disabled).
-func (r *runner) feedbackStats() feedback.Stats {
-	if r.fb == nil {
-		return feedback.Stats{}
-	}
-	return r.fb.Stats()
-}

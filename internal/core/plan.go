@@ -199,6 +199,8 @@ type plannerState struct {
 
 	ahead, beyond []int // local-search cursors into users (usersAround)
 
+	// depth is the graph's level count, its deepest level plus one.
+	depth    int
 	byLevel  [][]*task.Task // level-plan (PhaseBased) scratch
 	agg      []float64
 	levelBuf []uint64 // backing store of perLevel's targets
@@ -207,8 +209,9 @@ type plannerState struct {
 	levelEnforced []bool
 
 	// Adaptive-sampling scratch (adaptive.go): the flip-margin query's
-	// items and margins, the per-object minimum relative margin, and the
-	// storage of runner.kindBoosted.
+	// items and margins, the per-object minimum relative margin, and a
+	// once-per-run guard so each kind's sampling rate is raised at most
+	// once.
 	adaptItems   []placement.Item
 	adaptMargins []float64
 	adaptObjRel  []float64
@@ -338,6 +341,10 @@ func (p *plannerState) reset(r *runner) *plannerState {
 	p.seen = reuse(p.seen, p.words)
 	p.globalBuf = reuse(p.globalBuf, p.words)
 	p.perTask = reuse(p.perTask, len(g.Tasks))
+	p.depth = 0
+	for _, lv := range r.levels {
+		p.depth = max(p.depth, lv+1)
+	}
 	p.byLevel, p.perLevel, p.levelEnforced = p.byLevel[:0], p.perLevel[:0], p.levelEnforced[:0]
 	return p
 }
@@ -759,14 +766,11 @@ func (r *runner) computeLevelPlan(future []*task.Task) planResult {
 	p := r.pt
 	levels := r.levels
 	if len(p.byLevel) == 0 {
-		maxLevel := 0
-		for _, lv := range levels {
-			maxLevel = max(maxLevel, lv)
-		}
 		// Keep the level lists' arrays: they hold only this run's tasks
 		// once the loop below has re-sliced them.
-		p.byLevel = slices.Grow(p.byLevel, maxLevel+1)[:maxLevel+1]
-		p.perLevel = reuse(p.perLevel, maxLevel+1)
+		p.byLevel = slices.Grow(p.byLevel, p.depth)[:p.depth]
+		p.perLevel = reuse(p.perLevel, p.depth)
+		p.levelEnforced = reuse(p.levelEnforced, p.depth)
 	}
 	byLevel, perLevel := p.byLevel, p.perLevel
 	for lv := range byLevel {

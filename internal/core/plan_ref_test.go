@@ -372,16 +372,16 @@ func (r *runner) refComputeLevelPlan(future []*task.Task) refPlanResult {
 
 // RefGlobal, RefLocal and RefReplan are the reference-planner twins.
 func (pb *PlannerBench) RefGlobal() float64 {
-	return pb.r.refComputeGlobalPlan(pb.future()).predicted
+	return pb.r.refComputeGlobalPlan(pb.r.futureTasks()).predicted
 }
 
 func (pb *PlannerBench) RefLocal() float64 {
-	return pb.r.refComputeLocalPlan(pb.future()).predicted
+	return pb.r.refComputeLocalPlan(pb.r.futureTasks()).predicted
 }
 
 func (pb *PlannerBench) RefReplan() float64 {
 	pb.perturb()
-	f := pb.future()
+	f := pb.r.futureTasks()
 	g := pb.r.refComputeGlobalPlan(f)
 	l := pb.r.refComputeLocalPlan(f)
 	if l.predicted < g.predicted {

@@ -139,12 +139,13 @@ func (r *runner) computeTierPlan(future []*task.Task) planResult {
 
 // enforceTierPlan enqueues the tier plan's migrations, fastest tier
 // first so its promotions claim the copy channel ahead of middle-tier
-// placements. Chunks the plan has no opinion on, and chunks assigned
-// tier 0, are left where they are — they demote only when a faster
-// tier's promotion needs their space, exactly like the two-tier
-// enforcement.
+// placements; the fastest tier's assignees are exactly plan.global.
+// Chunks the plan has no opinion on, and chunks assigned tier 0, are
+// left where they are — they demote only when a faster tier's promotion
+// needs their space, exactly like the two-tier enforcement.
 func (r *runner) enforceTierPlan() {
-	for t := r.st.Fastest(); t >= 1; t-- {
+	r.promote(r.plan.global)
+	for t := r.fastTier - 1; t >= 1; t-- {
 		for ix, to := range r.plan.tierTo {
 			if to != t {
 				continue

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/prof"
 	"repro/internal/task"
 )
 
@@ -36,62 +35,19 @@ func NewPlannerBench(g *task.Graph, cfg Config) (*PlannerBench, error) {
 	if r.pt == nil {
 		return nil, fmt.Errorf("core: policy %s does not plan", cfg.Policy)
 	}
-	pb := &PlannerBench{r: r}
-	// Feed the profiler one observation per task, exactly as complete()
-	// would, so every pair has an estimate and every kind a mean.
+	// Feed the profiler one observation per task, timed by the demand
+	// model, as complete() records it, so every pair has an estimate and
+	// every kind a mean.
+	var d model.Demand
 	for _, t := range g.Tasks {
-		pb.record(t)
+		d.FillTiered(t, r.machineHMS(), r.st.TierFraction)
+		r.recordProfile(t, g.KindIndex(t.ID), d.TotalSec(), &d)
 	}
 	// Advance the frontier past the first third of the graph.
 	for _, t := range g.Tasks[:len(g.Tasks)/3] {
-		pb.startTask(t)
+		r.markStarted(t)
 	}
-	return pb, nil
-}
-
-// record mirrors the profiling half of runner.complete: one Exec with
-// per-object time shares from the demand model, then the planner cache
-// invalidation that every Record triggers.
-func (pb *PlannerBench) record(t *task.Task) {
-	r := pb.r
-	d := model.TaskDemandTiered(t, r.machineHMS(), r.st.TierFraction)
-	dur := d.TotalSec()
-	obs := make([]prof.AccessObs, 0, len(t.Accesses))
-	for _, a := range t.Accesses {
-		share := 0.0
-		if dur > 0 {
-			share = d.ObjSecOf(a.Obj) / dur
-		}
-		obs = append(obs, prof.AccessObs{
-			Obj: a.Obj, Loads: a.Loads, Stores: a.Stores,
-			Size: r.g.Object(a.Obj).Size, TimeShare: share,
-		})
-	}
-	ki := r.g.KindIndex(t.ID)
-	r.profiler.Record(prof.Exec{Kind: ki, Duration: dur, Obs: obs})
-	r.pt.invalidateKind(ki)
-}
-
-// startTask mirrors the planner-relevant bookkeeping of runner.start.
-func (pb *PlannerBench) startTask(t *task.Task) {
-	r := pb.r
-	r.started[t.ID] = true
-	r.kindRemaining[r.g.KindIndex(t.ID)]--
-	r.pt.taskStarted(t)
-}
-
-// future rebuilds the unstarted-task list the way decidePlacement does;
-// both paths share it so its (small) cost is charged to both.
-func (pb *PlannerBench) future() []*task.Task {
-	r := pb.r
-	f := r.pt.future[:0]
-	for _, t := range r.g.Tasks {
-		if !r.started[t.ID] {
-			f = append(f, t)
-		}
-	}
-	r.pt.future = f
-	return f
+	return &PlannerBench{r: r}, nil
 }
 
 // perturb invalidates one kind's cached estimates, round-robin — the
@@ -104,24 +60,24 @@ func (pb *PlannerBench) perturb() {
 
 // Global runs the optimized global search once.
 func (pb *PlannerBench) Global() float64 {
-	return pb.r.computeGlobalPlan(pb.future()).predicted
+	return pb.r.computeGlobalPlan(pb.r.futureTasks()).predicted
 }
 
 // Local runs the optimized local search once.
 func (pb *PlannerBench) Local() float64 {
-	return pb.r.computeLocalPlan(pb.future()).predicted
+	return pb.r.computeLocalPlan(pb.r.futureTasks()).predicted
 }
 
 // Level runs the level search once (on a bench built for PhaseBased).
 func (pb *PlannerBench) Level() float64 {
-	return pb.r.computeLevelPlan(pb.future()).predicted
+	return pb.r.computeLevelPlan(pb.r.futureTasks()).predicted
 }
 
 // Replan models one workload-variation replan: a kind's estimates went
 // stale, and the runtime recomputes both searches and takes the winner.
 func (pb *PlannerBench) Replan() float64 {
 	pb.perturb()
-	f := pb.future()
+	f := pb.r.futureTasks()
 	g := pb.r.computeGlobalPlan(f)
 	l := pb.r.computeLocalPlan(f)
 	if l.predicted < g.predicted {

@@ -56,7 +56,7 @@ func TestGoldenRunsPooled(t *testing.T) {
 }
 
 // TestRunRecycle checks the pool's gate on runners that just served a
-// traced Tahoe run with queue and quarantine callbacks: a runner holding
+// traced Tahoe run with a queue callback: a runner holding
 // more than runBudget bytes is dropped, a smaller one is pooled, and
 // either way recycling clears every reference into the run it served.
 // (Both runners are genuine, so a later run in this binary may take the
@@ -72,7 +72,6 @@ func TestRunRecycle(t *testing.T) {
 		cfg.Policy = Tahoe
 		cfg.Trace = &trace.Trace{}
 		cfg.NewQueue = func(int, func(task.TaskID) bool) sched.Queue { return sched.NewFIFO() }
-		cfg.OnQuarantine = func(float64, mem.Tier, bool) {}
 		r := new(runner)
 		if _, err := r.run(g, cfg); err != nil {
 			t.Fatal(err)
@@ -87,7 +86,7 @@ func TestRunRecycle(t *testing.T) {
 		return r
 	}
 	clean := func(r *runner) bool {
-		if r.g != nil || r.cfg.Trace != nil || r.cfg.NewQueue != nil || r.cfg.OnQuarantine != nil ||
+		if r.g != nil || r.cfg.Trace != nil || r.cfg.NewQueue != nil ||
 			r.queue != nil || r.levels != nil || r.mig.Observer != nil || r.e.Now() != 0 {
 			return false
 		}

@@ -144,11 +144,7 @@ type runner struct {
 	// migration cost.
 	exposureSince float64
 
-	// Adaptive sampling (adaptive.go; nil/zero unless cfg.Prof.Adaptive
-	// and the policy profiles): a once-per-run guard so each kind's
-	// sampling rate is raised at most once, held in the planner's
-	// buffers, and the count of boost rounds.
-	kindBoosted []bool
+	// adaptRounds counts adaptive sampling's boost rounds (adaptive.go).
 	adaptRounds int
 
 	// Feedback state (nil/zero unless cfg.Feedback.Enabled and the policy
@@ -356,10 +352,12 @@ func (r *runner) run(g *task.Graph, cfg Config) (Result, error) {
 		Quarantines:          r.quarantines,
 		Readmits:             r.readmits,
 		FeedbackReplans:      r.fbReplans,
-		FeedbackCorrections:  r.feedbackStats().Corrections,
 	}
 	if r.profiler != nil {
 		res.ProfileSamples = r.profiler.SamplesTaken()
+	}
+	if r.fb != nil {
+		res.FeedbackCorrections = r.fb.Stats().Corrections
 	}
 	res.EnergyDynamicJ, res.EnergyStaticJ = r.energy(end)
 	res.EnergyJ = res.EnergyDynamicJ + res.EnergyStaticJ
@@ -508,12 +506,11 @@ func (r *runner) setup(g *task.Graph, cfg Config) error {
 	r.kindSinceAudit = reuse(r.kindSinceAudit, nk)
 	r.auditDrift = reuse(r.auditDrift, nk)
 	r.promoBlock = reuse(r.promoBlock, r.st.TotalChunks())
-	if r.profilesKinds() {
+	// The profiling policies run the online profiler and the planner; every
+	// profiling step below is gated on r.pt.
+	if r.cfg.Policy == Tahoe || r.cfg.Policy == PhaseBased {
 		r.profiler = r.profVal.Reset(r.cfg.Prof, kinds, nobj)
 		r.pt = r.ptVal.reset(r)
-		if r.cfg.Prof.Adaptive {
-			r.kindBoosted = r.pt.kindBoosted
-		}
 		if r.cfg.Feedback.Enabled {
 			r.fb = r.fbVal.Reset(nk, nobj)
 		}
@@ -701,8 +698,10 @@ func (r *runner) migBusy(t *task.Task) bool {
 	return blocked
 }
 
-// start launches task t on worker w as a simulation flow.
-func (r *runner) start(now float64, w int, t *task.Task) {
+// markStarted does the bookkeeping of task t's start and returns its
+// kind index: the task leaves the future (started, its kind's remaining
+// count, the planner's use tables) and its objects count as in use.
+func (r *runner) markStarted(t *task.Task) int {
 	r.started[t.ID] = true
 	ki := r.g.KindIndex(t.ID)
 	r.kindRemaining[ki]--
@@ -712,6 +711,12 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 	if r.pt != nil {
 		r.pt.taskStarted(t)
 	}
+	return ki
+}
+
+// start launches task t on worker w as a simulation flow.
+func (r *runner) start(now float64, w int, t *task.Task) {
+	ki := r.markStarted(t)
 	if hw := r.st.DRAMUsed(); hw > r.highWater {
 		r.highWater = hw
 	}
@@ -739,44 +744,46 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 			d.BytesWritten[tier]*dev.WritePJPerByte) * 1e-12
 	}
 	fixed := d.FixedSec
-	// Profile while the kind's window is open; additionally whenever the
-	// task touches a (kind, object) pair with no estimate yet — kinds
-	// that touch different objects in different executions (tiled
-	// kernels, shifting hot sets) would otherwise leave those pairs
-	// unestimated — and periodically as an audit, so a kind whose
-	// traffic shifts within known pairs is caught by its own counters.
-	// Coverage and audit profiling sample narrowly and cost a fraction
-	// of a full pass.
-	windowOpen := r.profilesKinds() && !r.profiler.Profiled(ki)
-	audit := false
-	if r.profilesKinds() && !windowOpen {
-		r.kindSinceAudit[ki]++
-		if r.kindSinceAudit[ki] >= auditEvery {
-			r.kindSinceAudit[ki] = 0
-			audit = true
+	profiling := false
+	if r.pt != nil {
+		// Profile while the kind's window is open; additionally whenever
+		// the task touches a (kind, object) pair with no estimate yet —
+		// kinds that touch different objects in different executions
+		// (tiled kernels, shifting hot sets) would otherwise leave those
+		// pairs unestimated — and periodically as an audit, so a kind
+		// whose traffic shifts within known pairs is caught by its own
+		// counters. Coverage and audit profiling sample narrowly and cost
+		// a fraction of a full pass.
+		windowOpen := !r.profiler.Profiled(ki)
+		coverage := false
+		if !windowOpen {
+			r.kindSinceAudit[ki]++
+			audit := r.kindSinceAudit[ki] >= auditEvery
+			if audit {
+				r.kindSinceAudit[ki] = 0
+			}
+			coverage = audit || !r.allPairsObserved(t, ki)
 		}
-	}
-	coverage := r.profilesKinds() && !windowOpen && (audit || !r.allPairsObserved(t, ki))
-	profiling := windowOpen || coverage
-	if profiling {
-		frac := profilingFrac
-		if coverage {
-			frac /= 4
+		profiling = windowOpen || coverage
+		if profiling {
+			frac := profilingFrac
+			if coverage {
+				frac /= 4
+			}
+			if r.cfg.Prof.Adaptive {
+				// The adaptive profiler is rate-aware end to end: the
+				// profiling tax scales with the kind's sampling rate,
+				// anchored at the default interval profilingFrac was
+				// calibrated for. Gated on Adaptive: the fixed-rate path
+				// keeps the flat calibrated fraction and stays
+				// bit-identical.
+				frac *= float64(prof.DefaultSamplingInterval) / float64(r.profiler.IntervalFor(ki))
+			}
+			over := d.MemSec() * frac
+			fixed += over
+			r.overheadSec += over
+			r.overheadProf += over
 		}
-		if r.cfg.Prof.Adaptive {
-			// The adaptive profiler is rate-aware end to end: the
-			// profiling tax scales with the kind's sampling rate,
-			// anchored at the default interval profilingFrac was
-			// calibrated for. Gated on Adaptive: the fixed-rate path
-			// keeps the flat calibrated fraction and stays bit-identical.
-			frac *= float64(prof.DefaultSamplingInterval) / float64(r.profiler.IntervalFor(ki))
-		}
-		over := d.MemSec() * frac
-		fixed += over
-		r.overheadSec += over
-		r.overheadProf += over
-	}
-	if r.cfg.Policy == Tahoe || r.cfg.Policy == PhaseBased {
 		over := syncPerRequestSec * float64(len(t.Accesses))
 		fixed += over
 		r.overheadSec += over
@@ -846,11 +853,6 @@ func (r *runner) machineHMS() mem.HMS {
 	return r.cfg.HMS
 }
 
-// profilesKinds reports whether this policy runs the online profiler.
-func (r *runner) profilesKinds() bool {
-	return r.cfg.Policy == Tahoe || r.cfg.Policy == PhaseBased
-}
-
 // complete finishes task t: profiling, drift detection, dependence
 // release, planning trigger, proactive scan, and redispatch.
 func (r *runner) complete(end, began float64, w int, t *task.Task, d *model.Demand, profiled bool) {
@@ -871,27 +873,10 @@ func (r *runner) complete(end, began float64, w int, t *task.Task, d *model.Dema
 		r.inUse[a.Obj]--
 	}
 
-	dur := end - began
 	ki := r.g.KindIndex(t.ID)
-	if r.profilesKinds() {
+	if r.pt != nil {
 		if profiled {
-			obs := r.obsScratch[:0]
-			for _, a := range t.Accesses {
-				share := 0.0
-				if dur > 0 {
-					share = d.ObjSecOf(a.Obj) / dur
-				}
-				obs = append(obs, prof.AccessObs{
-					Obj: a.Obj, Loads: a.Loads, Stores: a.Stores,
-					Size: r.g.Object(a.Obj).Size, TimeShare: share,
-				})
-			}
-			r.obsScratch = obs
-			dev := r.profiler.Record(prof.Exec{Kind: ki, Duration: dur, Obs: obs})
-			// Profiled estimates are running means: every Record shifts
-			// the kind's benefits, so its cached pairs and totals go
-			// stale.
-			r.pt.invalidateKind(ki)
+			dev := r.recordProfile(t, ki, end-began, d)
 			// Count-level drift: a periodic audit whose sampled counts
 			// disagree strongly with the stored profile means the kind's
 			// behaviour changed within known pairs. Two consecutive
@@ -919,18 +904,48 @@ func (r *runner) complete(end, began float64, w int, t *task.Task, d *model.Dema
 		}
 	}
 	r.freeWorkers = append(r.freeWorkers, w)
-
-	if r.planned && r.cfg.Tech.Proactive && r.cfg.Policy == Tahoe {
-		if r.plan.kind == "global" {
-			// Idempotent: enqueues only what is still missing, so global
-			// promotions that could not proceed earlier (target briefly in
-			// use, no room) are retried as execution unblocks them.
-			r.enforceGlobal()
-		} else {
-			r.proactiveScan()
-		}
-	}
+	r.enforce()
 	r.scheduleDispatch()
+}
+
+// recordProfile hands the profiler one execution of task t, of kind ki,
+// that took dur seconds under demand d: one observation per access, with
+// the object's share of the time from the demand model. It returns
+// Record's count deviation, which drives the count audit.
+func (r *runner) recordProfile(t *task.Task, ki int, dur float64, d *model.Demand) float64 {
+	obs := r.obsScratch[:0]
+	for _, a := range t.Accesses {
+		share := 0.0
+		if dur > 0 {
+			share = d.ObjSecOf(a.Obj) / dur
+		}
+		obs = append(obs, prof.AccessObs{
+			Obj: a.Obj, Loads: a.Loads, Stores: a.Stores,
+			Size: r.g.Object(a.Obj).Size, TimeShare: share,
+		})
+	}
+	r.obsScratch = obs
+	dev := r.profiler.Record(prof.Exec{Kind: ki, Duration: dur, Obs: obs})
+	// Profiled estimates are running means: every Record shifts the
+	// kind's benefits, so its cached pairs and totals go stale.
+	r.pt.invalidateKind(ki)
+	return dev
+}
+
+// enforce re-applies a proactive Tahoe plan once a completion or a tier's
+// readmission may have unblocked it. Both paths are idempotent and
+// enqueue only what is still missing, so promotions that could not
+// proceed earlier (target briefly in use, no room, tier quarantined) are
+// retried as execution unblocks them.
+func (r *runner) enforce() {
+	if !r.planned || !r.cfg.Tech.Proactive || r.cfg.Policy != Tahoe {
+		return
+	}
+	if r.plan.kind == "global" {
+		r.promote(r.plan.global)
+	} else {
+		r.proactiveScan()
+	}
 }
 
 // safeFor reports whether obj may be migrated for task t: every earlier
@@ -996,10 +1011,12 @@ func (r *runner) maybePlan(now float64) {
 		}
 	}
 	// Adaptive pre-plan gate: don't let the first plan commit off
-	// estimates whose noise could flip placements — densify the sensitive
-	// kinds and wait for their re-profile instead (bounded by
-	// adaptMaxRounds), so harmful migrations never enqueue.
-	if !r.planned && r.adaptPrecheck() {
+	// estimates whose noise could flip placements — run the sensitivity
+	// query against the would-be knapsack, densify the sensitive kinds and
+	// wait for their re-profile instead (bounded by adaptMaxRounds), so
+	// the first plan is made from estimates tight enough to trust and
+	// harmful migrations never enqueue.
+	if !r.planned && r.adaptSampling() > 0 {
 		return
 	}
 	if r.planned {
@@ -1019,15 +1036,7 @@ var planAudit func(r *runner, future []*task.Task, got planResult)
 // decidePlacement runs the searches the configuration enables, charges
 // the solver cost, and applies the winner.
 func (r *runner) decidePlacement(now float64) {
-	// Tasks are stored in ID order, so the future list is born sorted.
-	future := r.pt.future[:0]
-	for _, t := range r.g.Tasks {
-		if !r.started[t.ID] {
-			future = append(future, t)
-		}
-	}
-	r.pt.future = future
-
+	future := r.futureTasks()
 	if r.cfg.Policy == PhaseBased {
 		r.plan = r.computeLevelPlan(future)
 		if planAudit != nil {
@@ -1079,10 +1088,23 @@ func (r *runner) decidePlacement(now float64) {
 	r.finishPlan(now, best.solverSec)
 
 	if r.plan.kind == "global" {
-		r.enforceGlobal()
+		r.promote(r.plan.global)
 	} else if r.cfg.Tech.Proactive {
 		r.proactiveScan()
 	}
+}
+
+// futureTasks rebuilds the planner's list of unstarted tasks. Tasks are
+// stored in ID order, so the list is born sorted.
+func (r *runner) futureTasks() []*task.Task {
+	future := r.pt.future[:0]
+	for _, t := range r.g.Tasks {
+		if !r.started[t.ID] {
+			future = append(future, t)
+		}
+	}
+	r.pt.future = future
+	return future
 }
 
 // maxLabels bounds the distinct labels a traced run's events carry: the
@@ -1192,9 +1214,6 @@ func (r *runner) quarantineTier(now float64, t mem.Tier, until float64) {
 	}
 	r.quarantined[t] = true
 	r.quarantines++
-	if r.cfg.OnQuarantine != nil {
-		r.cfg.OnQuarantine(now, t, true)
-	}
 	if r.cfg.Trace != nil {
 		r.cfg.Trace.Add(trace.Event{Time: now, Kind: trace.TierQuarantine, To: t, OK: true})
 	}
@@ -1219,19 +1238,10 @@ func (r *runner) readmitTier(now float64, t mem.Tier) {
 	r.quarantined[t] = false
 	r.tierFaults[t] = 0
 	r.readmits++
-	if r.cfg.OnQuarantine != nil {
-		r.cfg.OnQuarantine(now, t, false)
-	}
 	if r.cfg.Trace != nil {
 		r.cfg.Trace.Add(trace.Event{Time: now, Kind: trace.TierReadmit, To: t, OK: true})
 	}
-	if r.planned && r.cfg.Tech.Proactive && r.cfg.Policy == Tahoe {
-		if r.plan.kind == "global" {
-			r.enforceGlobal()
-		} else {
-			r.proactiveScan()
-		}
-	}
+	r.enforce()
 	r.scheduleDispatch()
 }
 
@@ -1240,28 +1250,35 @@ func (r *runner) readmitTier(now float64, t mem.Tier) {
 // already moving. Chunks that cannot fit anywhere below stay put — data
 // is never lost, merely slow — and the planner simply stops adding more.
 func (r *runner) drainTier(t mem.Tier) {
-	below := t - 1
-	for below > 0 && r.quarantinedTier(below) {
-		below--
-	}
+	below := r.stepDown(t)
 	for _, o := range r.g.Objects {
 		if r.inUse[o.ID] > 0 || r.mig.BusyObject(o.ID) {
 			continue
 		}
 		for _, ref := range r.st.Refs(o.ID) {
-			if r.st.Tier(ref) != t || r.mig.Busy(ref) {
-				continue
+			if r.st.Tier(ref) == t && !r.mig.Busy(ref) && r.roomFor(below, r.st.ChunkSize(ref), nil) {
+				r.enqueueMove(ref, below, -1)
 			}
-			size := r.st.ChunkSize(ref)
-			if r.st.TierAvail(below)-r.pendingTier[below] < size {
-				r.makeRoomOn(below, size, nil)
-			}
-			if r.st.TierAvail(below)-r.pendingTier[below] < size {
-				continue
-			}
-			r.enqueueMove(ref, below, -1)
 		}
 	}
+}
+
+// stepDown returns the tier a resident of tier t demotes to: one step
+// down the hierarchy, skipping quarantined tiers. The backing store, tier
+// 0, is never quarantined.
+func (r *runner) stepDown(t mem.Tier) mem.Tier {
+	below := t - 1
+	for below > 0 && r.quarantinedTier(below) {
+		below--
+	}
+	return below
+}
+
+// roomFor makes room for size bytes on tier t, demoting residents outside
+// keep, and reports whether the projected headroom then covers them.
+func (r *runner) roomFor(t mem.Tier, size int64, keep planSet) bool {
+	r.makeRoomOn(t, size, keep)
+	return r.st.TierAvail(t)-r.pendingTier[t] >= size
 }
 
 // finishPlan charges the solver's runtime cost.
@@ -1308,19 +1325,21 @@ func (pf *planFlow) onDone(float64) {
 	r.scheduleDispatch()
 }
 
-// enforceGlobal enqueues the one-time migrations of the global plan.
-// Residents outside the target are demoted only when a promotion needs
-// their space; gratuitous eviction of unmentioned data would churn.
-// Bitset iteration is ascending (object, chunk) order — the order the
-// map-based version sorted into. Filtering inline is equivalent to the
-// old collect-then-promote: a promotion's eviction victims are never in
-// the target set, so earlier promotions cannot change a later target
-// chunk's tier or busy state within this pass.
-func (r *runner) enforceGlobal() {
-	r.plan.global.forEach(func(ix int) {
+// promote enqueues the promotions a target set still needs to reach the
+// fastest tier: the one-time migrations of a global plan, a tier plan's
+// fastest tier, or a PhaseBased level. Residents outside the target are
+// demoted only when a promotion needs their space; gratuitous eviction of
+// unmentioned data would churn. Bitset iteration is ascending (object,
+// chunk) order — the order the map-based version sorted into. Filtering
+// inline is equivalent to the old collect-then-promote: a promotion's
+// eviction victims are never in the target set, so earlier promotions
+// cannot change a later target chunk's tier or busy state within this
+// pass.
+func (r *runner) promote(target planSet) {
+	target.forEach(func(ix int) {
 		ref := r.st.RefAt(ix)
 		if r.st.TierAt(ix) != r.fastTier && !r.mig.Busy(ref) && !r.promoBlock[ix] {
-			r.tryPromoteTo(ref, r.fastTier, r.plan.global, -1)
+			r.tryPromoteTo(ref, r.fastTier, target, -1)
 		}
 	})
 }
@@ -1328,7 +1347,7 @@ func (r *runner) enforceGlobal() {
 // enforceLevel enqueues the PhaseBased plan for a level (once per level),
 // plus the next level's, giving the comparator its one-phase lookahead.
 func (r *runner) enforceLevel(lv int) {
-	done := r.levelDone()
+	done := r.pt.levelEnforced
 	for _, l := range [2]int{lv, lv + 1} {
 		if l >= len(done) || done[l] {
 			continue
@@ -1337,30 +1356,8 @@ func (r *runner) enforceLevel(lv int) {
 			continue
 		}
 		done[l] = true
-		target := r.plan.perLevel[l]
-		// Promote the level's targets, demoting only as space requires.
-		target.forEach(func(ix int) {
-			ref := r.st.RefAt(ix)
-			if r.st.TierAt(ix) != r.fastTier && !r.mig.Busy(ref) && !r.promoBlock[ix] {
-				r.tryPromoteTo(ref, r.fastTier, target, -1)
-			}
-		})
+		r.promote(r.plan.perLevel[l])
 	}
-}
-
-// levelDone sizes the planner's levelEnforced slice lazily.
-func (r *runner) levelDone() []bool {
-	p := r.pt
-	if len(p.levelEnforced) == 0 {
-		maxLevel := 0
-		for _, lv := range r.levels {
-			if lv > maxLevel {
-				maxLevel = lv
-			}
-		}
-		p.levelEnforced = reuse(p.levelEnforced, maxLevel+2)
-	}
-	return p.levelEnforced
 }
 
 // proactiveScan looks ahead over the next Lookahead undispatched tasks in
@@ -1426,12 +1423,7 @@ func (r *runner) proactiveScan() {
 // quarantined target refuses the promotion outright; the scan retries
 // after readmission.
 func (r *runner) tryPromoteTo(ref heap.ChunkRef, to mem.Tier, keep planSet, forTask task.TaskID) bool {
-	if r.quarantinedTier(to) {
-		return false
-	}
-	size := r.st.ChunkSize(ref)
-	r.makeRoomOn(to, size, keep)
-	if r.st.TierAvail(to)-r.pendingTier[to] < size {
+	if r.quarantinedTier(to) || !r.roomFor(to, r.st.ChunkSize(ref), keep) {
 		return false
 	}
 	r.enqueueMove(ref, to, forTask)
@@ -1483,23 +1475,16 @@ func (r *runner) makeRoomOn(t mem.Tier, size int64, keep planSet) {
 		return cmp.Or(cmp.Compare(b.nextUse, a.nextUse),
 			cmp.Compare(a.ref.Obj, b.ref.Obj), cmp.Compare(a.ref.Index, b.ref.Index))
 	})
-	below := t - 1
-	for below > 0 && r.quarantinedTier(below) {
-		below-- // evictions skip quarantined tiers on the way down
-	}
+	below := r.stepDown(t)
 	// Cascading calls push above this call's victims and pop back to
 	// end, but may move the stack: index it afresh.
 	for i, end := lo, len(r.victims); i < end && free < size; i++ {
 		v := r.victims[i]
 		vsize := r.st.ChunkSize(v.ref)
-		if below > 0 {
-			// The tier below is bounded too: cascade the eviction down.
-			if r.st.TierAvail(below)-r.pendingTier[below] < vsize {
-				r.makeRoomOn(below, vsize, keep)
-			}
-			if r.st.TierAvail(below)-r.pendingTier[below] < vsize {
-				continue // no room anywhere below; try the next victim
-			}
+		// A bounded tier below cascades the eviction down; with no room
+		// anywhere below, try the next victim.
+		if below > 0 && !r.roomFor(below, vsize, keep) {
+			continue
 		}
 		free += vsize
 		r.enqueueMove(v.ref, below, -1)

@@ -65,6 +65,41 @@ func TestClusterSpecRoundTripSeeded(t *testing.T) {
 	}
 }
 
+// FuzzFaultSpec feeds one string to both spec parsers, seeded with the
+// specs of this package's tests. Neither may panic, and a schedule either
+// parser accepts must re-parse from its String() to a deeply equal one.
+func FuzzFaultSpec(f *testing.F) {
+	for _, spec := range []string{
+		"", "none", "  none  ", "rate=1", "rate=x,horizon=1", "rate=-1,horizon=1",
+		"rate=1,horizon=1,bogus=2", "rate=NaN,horizon=1", "rate=1,horizon=Inf",
+		"rate=2,seed=9,horizon=0.5", "rate=3,seed=42,horizon=2,tiers=3",
+		"rate=200,seed=7,horizon=0.05,tiers=2", "rate=1e9,horizon=1", "rate=1,horizon=1e300",
+		"nodes=4", "nodes=0,horizon=1", "nodes=4,rpn=0,horizon=1", "nodes=4,horizon=1,node-rate=",
+		"nodes=4,horizon=1,node-rate=NaN", "nodes=1000000,horizon=1,node-rate=2",
+		"nodes=4,node-rate=10,dev-rate=200,seed=7,horizon=0.05",
+		"nodes=4,rpn=2,node-rate=0.5,dev-rate=2,seed=7,horizon=1.5,tiers=3",
+		"cluster:nodes=2,horizon=1", "cluster:nodes=2,horizon=1;rank=9", "cluster:;rank=0",
+		"cluster:nodes=2,horizon=1,dev-rate=1e9;rank=0",
+		"cluster:nodes=2,rpn=2,node-rate=0.5,dev-rate=3,seed=11,horizon=0.5,tiers=2;rank=3",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		if s, err := ParseSpec(spec); err == nil {
+			back, err := ParseSpec(s.String())
+			if err != nil || !reflect.DeepEqual(s, back) {
+				t.Fatalf("ParseSpec(%q) does not round-trip through %q: %v", spec, s.String(), err)
+			}
+		}
+		if cs, err := ParseClusterSpec(spec); err == nil {
+			back, err := ParseClusterSpec(cs.String())
+			if err != nil || !reflect.DeepEqual(cs, back) {
+				t.Fatalf("ParseClusterSpec(%q) does not round-trip through %q: %v", spec, cs.String(), err)
+			}
+		}
+	})
+}
+
 // TestRankSchedulesShareNode: co-located ranks see one device schedule
 // (same events, distinct per-rank spec); separate nodes decorrelate.
 func TestRankSchedulesShareNode(t *testing.T) {

@@ -8,14 +8,16 @@
 //
 // Scaling discipline:
 //
-//   - Per-tenant state is sharded: each tenant hashes to a shard owning
-//     a free list of pooled run contexts (reused trace arenas, hashers,
-//     completion channels), so two tenants never contend on a lock on
-//     the hot path. The planner/heap state of a run is private to the
-//     run by construction; the one shared, synchronized exception is
-//     the singleflight calibration cache (calib.Shared), so a thousand
-//     concurrent tenants asking for the same machine spec pay for
-//     calibration once.
+//   - Idle run contexts (reused trace arenas, graph builders, hashers,
+//     completion channels) wait in one bounded free list: it keeps as
+//     many as the pool and the queue can hold at once, Workers +
+//     QueueDepth, and drops a context returned past that, so a burst of
+//     blocked callers does not leave its contexts pinned for the life of
+//     the daemon. Its lock is held for one push or pop. The
+//     planner/heap state of a run is private to the run by construction;
+//     the other shared, synchronized state is the singleflight
+//     calibration cache (calib.Shared), so a thousand concurrent tenants
+//     asking for the same machine spec pay for calibration once.
 //   - Admission control is a bounded queue: when it overflows, the
 //     HTTP layer sheds load with 429 + Retry-After (estimated from the
 //     observed run-time EWMA and the backlog) instead of queueing
@@ -127,20 +129,6 @@ type Stats struct {
 	AvgRunMS    float64 `json:"avg_run_ms"`
 }
 
-// shardCount is the tenant-shard fan-out; a power of two so the hash
-// maps with a mask. 64 shards keep even a thousand tenants' pools
-// nearly contention-free.
-const shardCount = 64
-
-// shard owns one slice of the tenant space: a free list of pooled run
-// contexts. Only the shard's own tenants touch its lock, so tenants in
-// different shards never serialize against each other.
-type shard struct {
-	mu   sync.Mutex
-	free []*job
-	_    [40]byte // keep neighboring shards off one cache line
-}
-
 // jobKeep caps the bytes of scratch a pooled run context keeps between
 // requests: its trace arena and its graph builder together. A request
 // that grows them past it leaves its context without the larger, and
@@ -167,16 +155,18 @@ type job struct {
 	// this context builds over it.
 	bld    task.Builder
 	hasher hash.Hash
-	home   *shard
 }
 
 // Server is the placement service. Build with New; it is ready (and its
 // worker pool running) on return.
 type Server struct {
-	cfg    Config
-	queue  chan *job
-	shards [shardCount]shard
-	shed   *fault.Hysteresis
+	cfg   Config
+	queue chan *job
+	shed  *fault.Hysteresis
+
+	// free holds idle run contexts, at most Workers+QueueDepth of them.
+	freeMu sync.Mutex
+	free   []*job
 
 	admitMu  sync.Mutex
 	draining bool
@@ -216,38 +206,24 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// fnv1a hashes a tenant name without allocating.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// shardFor maps a tenant to its shard.
-func (s *Server) shardFor(tenant string) *shard {
-	return &s.shards[fnv1a(tenant)&(shardCount-1)]
-}
-
-// prepare resolves req and takes a pooled run context for it from the
-// tenant's shard (or builds the shard's first few). An invalid request
-// fails here, fast (HTTP 400), without consuming the worker pool.
+// prepare resolves req and takes an idle run context for it from the
+// free list, or builds one. An invalid request fails here, fast (HTTP
+// 400), without consuming the worker pool.
 func (s *Server) prepare(req *RunRequest) (*job, error) {
 	run, err := req.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	sh := s.shardFor(req.Tenant)
-	sh.mu.Lock()
 	var j *job
-	if n := len(sh.free); n > 0 {
-		j, sh.free = sh.free[n-1], sh.free[:n-1]
+	s.freeMu.Lock()
+	if n := len(s.free); n > 0 {
+		j = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
 	}
-	sh.mu.Unlock()
+	s.freeMu.Unlock()
 	if j == nil {
-		j = &job{done: make(chan struct{}, 1), hasher: sha256.New(), home: sh}
+		j = &job{done: make(chan struct{}, 1), hasher: sha256.New()}
 	}
 	j.req, j.run = *req, run
 	j.resp = RunResponse{}
@@ -255,8 +231,8 @@ func (s *Server) prepare(req *RunRequest) (*job, error) {
 	return j, nil
 }
 
-// putJob returns a run context to its shard's pool, holding no more
-// than jobKeep bytes of scratch.
+// putJob returns a run context to the free list, holding no more than
+// jobKeep bytes of scratch, or drops it when the list is full.
 func (s *Server) putJob(j *job) {
 	for j.tr.Footprint()+j.bld.Footprint() > jobKeep {
 		if j.tr.Footprint() >= j.bld.Footprint() {
@@ -265,10 +241,11 @@ func (s *Server) putJob(j *job) {
 			j.bld = task.Builder{}
 		}
 	}
-	sh := j.home
-	sh.mu.Lock()
-	sh.free = append(sh.free, j)
-	sh.mu.Unlock()
+	s.freeMu.Lock()
+	if len(s.free) < s.cfg.Workers+s.cfg.QueueDepth {
+		s.free = append(s.free, j)
+	}
+	s.freeMu.Unlock()
 }
 
 // admit places a resolved job on the queue. Non-blocking admission

@@ -194,7 +194,7 @@ func TestJobKeep(t *testing.T) {
 		if err != nil || resp.Error != "" {
 			t.Fatalf("%+v: %v %s", req, err, resp.Error)
 		}
-		free := s.shardFor(req.Tenant).free
+		free := s.free
 		if len(free) != 1 {
 			t.Fatalf("%d pooled run contexts, want 1", len(free))
 		}
@@ -218,6 +218,33 @@ func TestJobKeep(t *testing.T) {
 	run(small)
 	if _, j := run(big); j.bld.Footprint() != 0 || j.tr.Footprint() == 0 {
 		t.Fatalf("after a build past the budget the context keeps %d builder and %d trace bytes", j.bld.Footprint(), j.tr.Footprint())
+	}
+}
+
+// TestFreeListBounded: a burst of more concurrent callers than the
+// server can admit at once leaves at most Workers+QueueDepth idle run
+// contexts pooled, each of which may keep up to jobKeep bytes of scratch;
+// the burst's other contexts are dropped.
+func TestFreeListBounded(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 2})
+	defer s.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 40; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := RunRequest{Tenant: fmt.Sprintf("t%d", i), Workload: "heat", Scale: 2, Policy: "nvm"}
+			if resp, err := s.Do(&req); err != nil || resp.Error != "" {
+				t.Errorf("request %d: %v %s", i, err, resp.Error)
+			}
+		}(i)
+	}
+	wg.Wait()
+	s.freeMu.Lock()
+	n := len(s.free)
+	s.freeMu.Unlock()
+	if n > 3 {
+		t.Fatalf("%d idle run contexts pooled after the burst, want at most Workers+QueueDepth = 3", n)
 	}
 }
 
