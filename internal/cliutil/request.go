@@ -17,8 +17,8 @@ import (
 // and posted over HTTP. A zero field takes its default; Resolve checks
 // the rest.
 type RunRequest struct {
-	// Tenant names the requesting application; runs of one tenant share
-	// a pooled-context shard. Empty is a valid (anonymous) tenant.
+	// Tenant names the requesting application. It is only echoed in the
+	// response. Empty is a valid (anonymous) tenant.
 	Tenant string `json:"tenant,omitempty"`
 	// Workload names a registered benchmark (GET /v1/workloads lists
 	// them). Exactly one of Workload and Graph must be set.

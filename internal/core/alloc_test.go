@@ -1,27 +1,24 @@
 package core
 
 import (
-	"runtime/debug"
+	"runtime"
 	"testing"
 
 	"repro/internal/mem"
 	"repro/internal/workloads"
 )
 
-// TestRunAllocFree pins the pooled steady state: once a warm-up run has
-// grown a pooled runner's buffers for a graph, every further fault-free
-// run of it allocates nothing, under NVM-only, FirstTouch, HW-Cache,
-// DRAM-only, Tahoe and PhaseBased on both golden-grid machines, with
-// each of the four schedulers (work stealing, FIFO, LIFO, Rank). The GC
-// stays off so that it cannot empty the pool between runs, and the
-// measurement runs on one processor, so each run takes the runner the
-// last one returned. Under the race detector sync.Pool drops items at
-// random, so the counts mean nothing there.
+// TestRunAllocFree pins the steady state of kept runners: once a warm-up
+// run has grown a kept runner's buffers for a graph, every further
+// fault-free run of it allocates nothing, under NVM-only, FirstTouch,
+// HW-Cache, DRAM-only, Tahoe and PhaseBased on both golden-grid
+// machines, with each of the four schedulers (work stealing, FIFO, LIFO,
+// Rank). Each run takes the runner the last one returned, which no
+// garbage collection drops, so the counts hold with the GC on and under
+// the race detector. One collection before counting lets the runtime's
+// own first-collection set-up happen outside the counts.
 func TestRunAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under -race")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
 	const runs = 5
 	for _, m := range goldenMachines {
 		for _, app := range []string{"heat", "cholesky"} {
@@ -55,15 +52,11 @@ func TestRunAllocFree(t *testing.T) {
 // TestTaskPathAllocFree checks that a run's dispatch → start → complete
 // path allocates nothing per task and that the planning policies
 // allocate nothing per migration, replan or profiled pair: growing a
-// graph several times over may add only the few allocations a pool miss
-// or a larger table costs, not one per task or per event. Runs are
-// pooled, so like TestRunAllocFree it keeps the GC off and skips under
-// the race detector, where sync.Pool drops items at random.
+// graph several times over may add only the few allocations a larger
+// table costs, not one per task or per event. Like TestRunAllocFree it
+// counts with the GC on, after one collection.
 func TestTaskPathAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under -race")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
 	h := mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), 128*mem.MB)
 	cases := []struct {
 		app          string

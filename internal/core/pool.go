@@ -1,36 +1,31 @@
 package core
 
 import (
-	"sync"
+	"runtime"
 	"unsafe"
+
+	"repro/internal/freelist"
 )
 
-// runPool recycles whole runners, each with its runSet: the engine, the
-// heap ledger, the migration engine, the deques, the planner, profiler
-// and feedback estimator, the flow carriers and every table. Run takes
-// one and setup re-slices it for the new graph, so a steady stream of
-// runs under any policy allocates nothing.
-var runPool sync.Pool
+// runners keeps idle runners, one per processor, each with its runSet:
+// the engine, the heap ledger, the migration engine, the deques, the
+// planner, profiler and feedback estimator, the flow carriers and every
+// table. Run takes one and setup re-slices it for the new graph, so a
+// steady stream of runs under any policy allocates nothing; runs beyond
+// one per processor at once build fresh runners. A runner grown past
+// runBudget bytes by a huge graph is dropped rather than pinned for the
+// life of a long-running process.
+var runners = freelist.New[*runner](runtime.GOMAXPROCS(0), runBudget)
 
-// runBudget caps the bytes a pooled runner may hold. A run on a huge
-// graph grows its set past it, and recycle then drops the runner instead
-// of pinning its buffers for the life of a long-running process.
 const runBudget = 8 << 20
-
-// takeRunner returns a pooled runner, or a new one.
-func takeRunner() *runner {
-	if r, ok := runPool.Get().(*runner); ok {
-		return r
-	}
-	return new(runner)
-}
 
 // recycle clears r's references into its finished run (the graph and its
 // tasks, the Config with its trace and callbacks, blocked tasks, the
 // engine's leftover timers, the planner's task lists) and returns r to
-// the pool unless its buffers exceed runBudget; it reports whether r was
-// pooled. Run calls it only after a run that returned without error, so
-// every flow has completed and every carrier is back in flowPool.
+// runners unless its buffers exceed runBudget or the list is full; it
+// reports whether r was kept. Run calls it only after a run that
+// returned without error, so every flow has completed and every carrier
+// is back in flowPool.
 func (r *runner) recycle() bool {
 	*r = runner{runSet: r.runSet}
 	r.e.Reset()
@@ -42,11 +37,7 @@ func (r *runner) recycle() bool {
 	for _, lv := range p.byLevel[:cap(p.byLevel)] {
 		clear(lv[:cap(lv)])
 	}
-	if r.footprint() > runBudget {
-		return false
-	}
-	runPool.Put(r)
-	return true
+	return runners.Put(r, r.footprint())
 }
 
 // footprint returns the bytes r's runSet holds.

@@ -55,12 +55,11 @@ func TestGoldenRunsPooled(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRunRecycle checks the pool's gate on runners that just served a
-// traced Tahoe run with a queue callback: a runner holding
-// more than runBudget bytes is dropped, a smaller one is pooled, and
-// either way recycling clears every reference into the run it served.
-// (Both runners are genuine, so a later run in this binary may take the
-// pooled one.)
+// TestRunRecycle checks the gate of the runner list on runners that just
+// served a traced Tahoe run with a queue callback: a runner holding more
+// than runBudget bytes is dropped, a smaller one is kept, and either way
+// recycling clears every reference into the run it served. (Both runners
+// are genuine, so a later run in this binary may take the kept one.)
 func TestRunRecycle(t *testing.T) {
 	s, err := workloads.ByName("heat")
 	if err != nil {
@@ -131,6 +130,9 @@ func TestRunRecycle(t *testing.T) {
 	}
 
 	small := served()
+	for _, ok := runners.Get(); ok; _, ok = runners.Get() {
+		// Earlier runs in this binary may have filled the list.
+	}
 	if !small.recycle() {
 		t.Errorf("a runner of %d bytes was dropped; the budget is %d", small.footprint(), runBudget)
 	}

@@ -299,12 +299,15 @@ func Run(g *task.Graph, cfg Config) (Result, error) {
 	if err := g.Validate(); err != nil {
 		return Result{}, err
 	}
-	r := takeRunner()
+	r, ok := runners.Get()
+	if !ok {
+		r = new(runner)
+	}
 	res, err := r.run(g, cfg)
 	if err == nil {
-		// Only a run that returns without error pools its runner. A panic
+		// Only a run that returns without error keeps its runner. A panic
 		// unwinds past this line, so a runner with a flow still in flight
-		// never reaches the pool; a failed run's runner is dropped too.
+		// never reaches runners; a failed run's runner is dropped too.
 		r.recycle()
 	}
 	return res, err

@@ -6,11 +6,12 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"slices"
 	"strconv"
-	"sync"
 
 	"repro/internal/cliutil"
+	"repro/internal/freelist"
 	"repro/internal/wire"
 )
 
@@ -21,11 +22,11 @@ import (
 // (FuzzRunRequest). DESIGN.md "Service architecture" lists the bodies
 // the strict parser refuses that encoding/json accepted.
 
-// codecKeep caps the bytes a pooled codec may hold. A request past it
-// drops its codec rather than pinning the buffers in the pool.
-const codecKeep = 64 << 10
+// codecs keeps one idle codec per processor. A request that grows its
+// codec's buffers past codecKeep bytes drops it rather than pinning them.
+var codecs = freelist.New[*codec](runtime.GOMAXPROCS(0), codecKeep)
 
-var codecs = sync.Pool{New: func() any { return &codec{buf: make([]byte, 0, 4<<10)} }}
+const codecKeep = 64 << 10
 
 // codec is one request's reader, parser and writer.
 type codec struct {
@@ -37,20 +38,20 @@ type codec struct {
 	out []byte // the answer being written
 }
 
-// getCodec returns a pooled codec reading the body rd.
+// getCodec returns an idle or new codec reading the body rd.
 func getCodec(rd io.Reader) *codec {
-	c := codecs.Get().(*codec)
+	c, ok := codecs.Get()
+	if !ok {
+		c = &codec{buf: make([]byte, 0, 4<<10)}
+	}
 	c.rd, c.buf, c.off, c.err = rd, c.buf[:0], 0, nil
 	return c
 }
 
-// putCodec returns c to the pool unless it has grown past codecKeep.
+// putCodec returns c to codecs.
 func putCodec(c *codec) {
 	c.rd = nil
-	if cap(c.buf)+cap(c.out) > codecKeep {
-		return
-	}
-	codecs.Put(c)
+	codecs.Put(c, cap(c.buf)+cap(c.out))
 }
 
 // fill reads more of the body into buf, first moving the unconsumed
@@ -204,7 +205,7 @@ func (c *codec) writeError(w http.ResponseWriter, status int, msg string) {
 // accesses array, where json.Marshal writes it for a nil slice) and
 // anything after the request but whitespace.
 func DecodeRequest(body []byte, req *RunRequest) error {
-	c := codecs.Get().(*codec)
+	c := getCodec(nil)
 	err := c.dec.request(body, req)
 	putCodec(c)
 	return err

@@ -9,15 +9,14 @@
 // Scaling discipline:
 //
 //   - Idle run contexts (reused trace arenas, graph builders, hashers,
-//     completion channels) wait in one bounded free list: it keeps as
-//     many as the pool and the queue can hold at once, Workers +
-//     QueueDepth, and drops a context returned past that, so a burst of
+//     completion channels) wait in one free list of Workers + QueueDepth,
+//     as many as the pool and the queue hold at once, so a burst of
 //     blocked callers does not leave its contexts pinned for the life of
-//     the daemon. Its lock is held for one push or pop. The
-//     planner/heap state of a run is private to the run by construction;
-//     the other shared, synchronized state is the singleflight
-//     calibration cache (calib.Shared), so a thousand concurrent tenants
-//     asking for the same machine spec pay for calibration once.
+//     the daemon. The planner/heap state of a run is private to the run
+//     by construction; the other shared, synchronized state is the
+//     singleflight calibration cache (calib.Shared), so a thousand
+//     concurrent tenants asking for the same machine spec pay for
+//     calibration once.
 //   - Admission control is a bounded queue: when it overflows, the
 //     HTTP layer sheds load with 429 + Retry-After (estimated from the
 //     observed run-time EWMA and the backlog) instead of queueing
@@ -48,6 +47,7 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/freelist"
 	"repro/internal/prof"
 	"repro/internal/task"
 	"repro/internal/trace"
@@ -129,11 +129,10 @@ type Stats struct {
 	AvgRunMS    float64 `json:"avg_run_ms"`
 }
 
-// jobKeep caps the bytes of scratch a pooled run context keeps between
-// requests: its trace arena and its graph builder together. A request
-// that grows them past it leaves its context without the larger, and
-// then the other if still over, rather than pinning them in the free
-// list. Every graph of perfbench's serve mix fits with its trace.
+// jobKeep caps the bytes of scratch an idle run context keeps: its trace
+// arena and graph builder together. A request that grows them past it
+// drops its context rather than pin them in the free list. Every graph
+// of perfbench's serve mix fits with its trace.
 const jobKeep = 1 << 20
 
 // job is a pooled run context: one admitted request, its response, and
@@ -165,8 +164,7 @@ type Server struct {
 	shed  *fault.Hysteresis
 
 	// free holds idle run contexts, at most Workers+QueueDepth of them.
-	freeMu sync.Mutex
-	free   []*job
+	free *freelist.List[*job]
 
 	admitMu  sync.Mutex
 	draining bool
@@ -197,6 +195,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		queue:   make(chan *job, cfg.QueueDepth),
 		shed:    fault.NewHysteresis(cfg.ShedHigh, cfg.ShedLow),
+		free:    freelist.New[*job](cfg.Workers+cfg.QueueDepth, jobKeep),
 		drained: make(chan struct{}),
 	}
 	s.workersWG.Add(cfg.Workers)
@@ -214,38 +213,19 @@ func (s *Server) prepare(req *RunRequest) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	var j *job
-	s.freeMu.Lock()
-	if n := len(s.free); n > 0 {
-		j = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	}
-	s.freeMu.Unlock()
-	if j == nil {
+	j, ok := s.free.Get()
+	if !ok {
 		j = &job{done: make(chan struct{}, 1), hasher: sha256.New()}
 	}
 	j.req, j.run = *req, run
-	j.resp = RunResponse{}
-	j.degraded = false
 	return j, nil
 }
 
-// putJob returns a run context to the free list, holding no more than
-// jobKeep bytes of scratch, or drops it when the list is full.
+// putJob clears j's request, run and response, so an idle context pins
+// nothing of the request it served, and returns j to the free list.
 func (s *Server) putJob(j *job) {
-	for j.tr.Footprint()+j.bld.Footprint() > jobKeep {
-		if j.tr.Footprint() >= j.bld.Footprint() {
-			j.tr = trace.Trace{}
-		} else {
-			j.bld = task.Builder{}
-		}
-	}
-	s.freeMu.Lock()
-	if len(s.free) < s.cfg.Workers+s.cfg.QueueDepth {
-		s.free = append(s.free, j)
-	}
-	s.freeMu.Unlock()
+	j.req, j.run, j.resp = RunRequest{}, cliutil.Run{}, RunResponse{}
+	s.free.Put(j, j.tr.Footprint()+j.bld.Footprint())
 }
 
 // admit places a resolved job on the queue. Non-blocking admission

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -172,9 +173,18 @@ func TestJobReuseIsolation(t *testing.T) {
 	}
 }
 
-// TestJobKeep: a pooled run context keeps its trace arena and graph
-// builder while they fit in jobKeep together, and drops whichever has
-// grown past it.
+// idle empties s's free list and returns the run contexts it held.
+func idle(s *Server) []*job {
+	var js []*job
+	for j, ok := s.free.Get(); ok; j, ok = s.free.Get() {
+		js = append(js, j)
+	}
+	return js
+}
+
+// TestJobKeep: an idle run context is kept while its trace arena and
+// graph builder fit in jobKeep together, and dropped whole once a
+// request has grown either past it.
 func TestJobKeep(t *testing.T) {
 	big := RunRequest{Tenant: "t", Workload: "cholesky", Scale: 32, Policy: "nvm"}
 	var b task.Builder
@@ -186,45 +196,68 @@ func TestJobKeep(t *testing.T) {
 
 	s := New(Config{Workers: 1, QueueDepth: 4, ShedHigh: 0.99, ShedLow: 0.5})
 	defer s.Close()
-	// run serves req and returns the run context it went back to the
-	// free list in.
-	run := func(req RunRequest) (RunResponse, *job) {
+	// run serves req and returns the run contexts left idle after it.
+	run := func(req RunRequest) (RunResponse, []*job) {
 		t.Helper()
 		resp, err := s.Do(&req)
 		if err != nil || resp.Error != "" {
 			t.Fatalf("%+v: %v %s", req, err, resp.Error)
 		}
-		free := s.free
-		if len(free) != 1 {
-			t.Fatalf("%d pooled run contexts, want 1", len(free))
-		}
-		return resp, free[0]
+		return resp, idle(s)
 	}
 	small := RunRequest{Tenant: "t", Workload: "heat", Scale: 2, Policy: "nvm", Trace: true}
-	if _, j := run(small); j.tr.Footprint() == 0 || j.bld.Footprint() == 0 {
-		t.Fatal("a run within the budget dropped its trace arena or its builder")
+	if _, js := run(small); len(js) != 1 || js[0].tr.Footprint() == 0 || js[0].bld.Footprint() == 0 {
+		t.Fatalf("a run within the budget left %d idle contexts, want 1 with its trace arena and builder", len(js))
 	}
 	// A traced run past the budget on its trace alone: 64-byte events
 	// let big's trace fit.
 	traced := big
 	traced.Scale, traced.Trace = 36, true
-	resp, j := run(traced)
+	resp, js := run(traced)
 	if resp.TraceEvents*int(unsafe.Sizeof(trace.Event{}))+resp.Tasks*int(unsafe.Sizeof(trace.Dispatch{})) <= jobKeep {
 		t.Fatalf("%d trace events and %d dispatches fit in jobKeep", resp.TraceEvents, resp.Tasks)
 	}
-	if j.tr.Footprint() != 0 || j.bld.Footprint() != 0 {
-		t.Fatalf("after a traced run past the budget the context keeps %d trace and %d builder bytes", j.tr.Footprint(), j.bld.Footprint())
+	if len(js) != 0 {
+		t.Fatalf("a traced run past the budget left %d idle contexts, want 0", len(js))
 	}
-	run(small)
-	if _, j := run(big); j.bld.Footprint() != 0 || j.tr.Footprint() == 0 {
-		t.Fatalf("after a build past the budget the context keeps %d builder and %d trace bytes", j.bld.Footprint(), j.tr.Footprint())
+	if _, js := run(big); len(js) != 0 {
+		t.Fatalf("a build past the budget left %d idle contexts, want 0", len(js))
+	}
+}
+
+// TestIdleContextReleasesRequest is the leak check for idle run
+// contexts: once Do has returned and its context waits in the free
+// list, nothing the context holds may keep the request alive. After the
+// run, one GC must finalize the request's inline graph.
+func TestIdleContextReleasesRequest(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	defer s.Close()
+	post := func() chan struct{} {
+		g := seededGraph(3, 8, 40)
+		gone := make(chan struct{})
+		runtime.SetFinalizer(g, func(*GraphSpec) { close(gone) })
+		req := RunRequest{Graph: g, Policy: "tahoe", Faults: "rate=200,seed=7,horizon=0.05", Trace: true}
+		if resp, err := s.Do(&req); err != nil || resp.Error != "" {
+			t.Fatalf("%v %s", err, resp.Error)
+		}
+		return gone
+	}
+	gone := post()
+	runtime.GC()
+	select {
+	case <-gone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the request's inline graph was not finalized: its idle run context still references it")
+	}
+	if n := len(idle(s)); n != 1 {
+		t.Fatalf("%d idle run contexts after the run, want 1", n)
 	}
 }
 
 // TestFreeListBounded: a burst of more concurrent callers than the
 // server can admit at once leaves at most Workers+QueueDepth idle run
-// contexts pooled, each of which may keep up to jobKeep bytes of scratch;
-// the burst's other contexts are dropped.
+// contexts, each of which may keep up to jobKeep bytes of scratch; the
+// burst's other contexts are dropped.
 func TestFreeListBounded(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 2})
 	defer s.Close()
@@ -240,11 +273,8 @@ func TestFreeListBounded(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	s.freeMu.Lock()
-	n := len(s.free)
-	s.freeMu.Unlock()
-	if n > 3 {
-		t.Fatalf("%d idle run contexts pooled after the burst, want at most Workers+QueueDepth = 3", n)
+	if n := len(idle(s)); n > 3 {
+		t.Fatalf("%d idle run contexts after the burst, want at most Workers+QueueDepth = 3", n)
 	}
 }
 

@@ -6,9 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/mem"
 	"repro/internal/wire"
 )
@@ -73,7 +74,7 @@ func (t *Trace) WriteJSONLAfter(w io.Writer, head []byte) error {
 	defer func() {
 		*bp = b
 		wire.PutBuf(bp)
-		putEncoder(enc)
+		encoders.Put(enc, cap(enc.names)+8*cap(enc.ends))
 	}()
 	n := len(t.Events) + len(t.Dispatches)
 	for i := 0; i < n; i++ {
@@ -109,15 +110,16 @@ type encoder struct {
 	ends  []int  // Name n's rendering is names[ends[n-1]:ends[n]]
 }
 
-var encoders sync.Pool
+// encoders keeps one idle encoder per processor, each within
+// encoderKeep bytes of rendered names.
+var encoders = freelist.New[*encoder](runtime.GOMAXPROCS(0), encoderKeep)
 
-// encoderKeep caps the rendered-name bytes a pooled encoder may hold.
 const encoderKeep = 16 << 10
 
-// getEncoder returns a pooled encoder holding names rendered.
+// getEncoder returns an idle or new encoder holding names rendered.
 func getEncoder(names []string) *encoder {
-	enc, _ := encoders.Get().(*encoder)
-	if enc == nil {
+	enc, ok := encoders.Get()
+	if !ok {
 		enc = new(encoder)
 	}
 	enc.memo.n = 0
@@ -127,12 +129,6 @@ func getEncoder(names []string) *encoder {
 		enc.ends = append(enc.ends, len(enc.names))
 	}
 	return enc
-}
-
-func putEncoder(enc *encoder) {
-	if cap(enc.names)+8*cap(enc.ends) <= encoderKeep {
-		encoders.Put(enc)
-	}
 }
 
 // appendName appends key and Name n's rendering, or nothing for the zero

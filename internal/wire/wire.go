@@ -5,7 +5,7 @@
 // accepts exactly JSON's grammar for each token it reads; AppendFloat
 // and AppendString render values byte-identical to encoding/json. Each
 // codec keeps encoding/json in a _test.go file as the oracle its tests
-// and fuzz target compare against. GetBuf and PutBuf pool the buffers
+// and fuzz target compare against. GetBuf and PutBuf reuse the buffers
 // the codecs write lines into and read whole inputs into; ReadAll reads
 // an input into one, for a Lexer to decode in place.
 package wire
@@ -16,9 +16,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/freelist"
 )
 
 // Lexer reads JSON tokens from B, starting at byte I.
@@ -241,43 +242,25 @@ func AppendString(b []byte, s string) []byte {
 // than left to pin its bytes.
 const bufKeep = 128 << 10
 
-// spare holds one buffer that the garbage collector never empties, and
-// bufs the others. A sync.Pool moves its values aside at each
-// collection and drops them at the next, so a buffer held only there
-// counts in a live-heap reading or not depending on where the last
-// collection fell, and a process that writes a recording now and then
-// regrows it from 8 KiB. A lone user of the buffers, a sequence of
-// Save, Load and WriteJSONL calls, always takes and returns the spare.
-var (
-	spare atomic.Pointer[[]byte]
-	bufs  sync.Pool
-)
+// bufs keeps one idle buffer per processor, so a process that writes a
+// recording now and then does not regrow it from 8 KiB.
+var bufs = freelist.New[*[]byte](runtime.GOMAXPROCS(0), bufKeep)
 
-// GetBuf returns an empty buffer: the spare, a pooled one, or a new one
-// of 8 KiB that grows to what its first user needs.
+// GetBuf returns an empty buffer: an idle one, or a new one of 8 KiB
+// that grows to what its first user needs.
 func GetBuf() *[]byte {
-	b := spare.Swap(nil)
-	if b == nil {
-		b, _ = bufs.Get().(*[]byte)
+	if b, ok := bufs.Get(); ok {
+		*b = (*b)[:0]
+		return b
 	}
-	if b == nil {
-		nb := make([]byte, 0, 8<<10)
-		return &nb
-	}
-	*b = (*b)[:0]
-	return b
+	nb := make([]byte, 0, 8<<10)
+	return &nb
 }
 
-// PutBuf keeps b, as the spare if that is free and in the pool if not,
-// unless it holds more than 128 KiB. Nothing may refer into *b
-// afterwards.
+// PutBuf keeps b for a later GetBuf, unless it holds more than bufKeep
+// bytes or the list is full. Nothing may refer into *b afterwards.
 func PutBuf(b *[]byte) {
-	if cap(*b) > bufKeep {
-		return
-	}
-	if !spare.CompareAndSwap(nil, b) {
-		bufs.Put(b)
-	}
+	bufs.Put(b, cap(*b))
 }
 
 // ReadAll reads r to its end into *bp, which it grows as needed and

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // TestStr: Str returns a plain string in place and any other through
 // json.Unmarshal, leaves I after the closing quote, and names the column
@@ -39,17 +36,14 @@ func TestStr(t *testing.T) {
 	}
 }
 
-// TestSpareBufSurvivesGC: a buffer returned by a lone user is the spare,
-// which garbage collections leave in place, so the next GetBuf returns
-// it with its room; one past 128 KiB is dropped.
-func TestSpareBufSurvivesGC(t *testing.T) {
+// TestBufKeep: GetBuf hands back the buffer PutBuf kept last, empty and
+// with its room; PutBuf drops one past bufKeep.
+func TestBufKeep(t *testing.T) {
 	b := GetBuf()
 	*b = append(*b, make([]byte, 40<<10)...)
 	PutBuf(b)
-	runtime.GC()
-	runtime.GC()
 	if got := GetBuf(); got != b || len(*got) != 0 || cap(*got) < 40<<10 {
-		t.Fatalf("GetBuf after two collections: same %v, len %d, cap %d; want the spare, empty, cap >= %d",
+		t.Fatalf("GetBuf after PutBuf: same %v, len %d, cap %d; want the kept buffer, empty, cap >= %d",
 			got == b, len(*got), cap(*got), 40<<10)
 	}
 	*b = append(*b, make([]byte, bufKeep+1)...)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 	"unsafe"
@@ -198,11 +197,8 @@ func TestReplaySaveLoadPublicAPI(t *testing.T) {
 // trace with its two tables and name table, the names and the header's
 // strings, and nothing that grows with the recording beyond the tables:
 // the saved lines reach their writer in one Write, and Load decodes them
-// from a pooled buffer.
+// from a kept buffer. It counts with the GC on, after one collection.
 func TestTraceJSONLAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled buffers at random")
-	}
 	rec := traceJSONLRecording(t)
 	var saved bytes.Buffer
 	w := &countWriter{w: &saved}
@@ -217,11 +213,8 @@ func TestTraceJSONLAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One P, as AllocsPerRun sets, from the warm-up on: a pooled buffer
-	// put on one P is not found from another.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	roundTrip() // warm the pools and size saved
+	roundTrip() // warm the kept buffers and size saved
+	runtime.GC()
 	w.writes = 0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
