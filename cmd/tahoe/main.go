@@ -66,6 +66,11 @@ func main() {
 	}
 	cfg := &run.Config
 	cfg.RunKernels = *kernels
+	if *kernels {
+		if err := run.Workload.CheckKernels(run.Scale); err != nil {
+			fail("%v", err)
+		}
+	}
 	if cfg.Prof, err = cliutil.ParseSampling(*sampling, cfg.Prof); err != nil {
 		fail("%v", err)
 	}

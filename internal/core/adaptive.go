@@ -153,11 +153,11 @@ func (r *runner) adaptSampling() (boosted int) {
 		if math.IsInf(tol, 1) {
 			continue
 		}
-		for _, u := range p.uses[obj] {
-			if r.started[u.task] {
+		for _, u := range r.g.Uses(task.ObjectID(obj)) {
+			if r.started[u.Task] {
 				continue
 			}
-			ki := int(u.kind)
+			ki := int(u.Kind)
 			if p.kindBoosted[ki] || r.kindRemaining[ki] <= win {
 				continue
 			}

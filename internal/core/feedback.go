@@ -81,7 +81,7 @@ func (r *runner) observeFeedback(t *task.Task, ki int, d *model.Demand) {
 	}
 	if invalidated {
 		// The kind's cached benefits were computed under the old factors.
-		r.pt.invalidateKind(ki)
+		r.pt.invalidateKind(r.g, ki)
 	}
 	// A factor moving past the threshold requests one replan, against the
 	// feedback budget — separate from maxReplans, which still bounds the

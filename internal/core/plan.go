@@ -137,32 +137,19 @@ type planResult struct {
 	solverSec float64
 }
 
-// objUse is one access entry to an object: the task and its kind index.
-// An object's uses are stored in (task, access-position) order — the
-// exact order the reference's objBenefitTotals adds benefits in, so a
-// per-object re-fold reproduces its float sum bit for bit.
-type objUse struct {
-	task int32
-	kind int32
-}
-
 // plannerState is the incremental planning state a runner keeps for the
 // profiling policies (Tahoe, PhaseBased). Everything here is derived
 // from the graph, the heap's chunk index, and the profiler; it persists
-// across maybePlan calls so a replan touches only what changed.
+// across maybePlan calls so a replan touches only what changed. The
+// tables that depend on the graph alone (each object's users and uses,
+// each kind's objects, the reference order) are the graph's, built once
+// by task.Builder.Build.
 type plannerState struct {
 	words int // bitset words per planSet
 	nobj  int
 	nk    int
 
 	chunkSize []int64 // per global chunk index (immutable)
-
-	uses     [][]objUse        // per object: future-relevant access entries, in useBuf
-	kindObjs [][]task.ObjectID // per kind: distinct objects it touches, in kindBuf
-	users    [][]task.TaskID   // per object: the graph's user list (g.Users)
-	useBuf   []objUse
-	kindBuf  []task.ObjectID
-	kindOff  []int // kindObjs offsets into kindBuf, during reset
 
 	// futureUses[obj] counts access entries among not-yet-started tasks;
 	// decremented as tasks start. Integer, hence exactly the reference's
@@ -197,7 +184,7 @@ type plannerState struct {
 	seen     planSet // proactiveScan dedup
 	wants    []wantPromo
 
-	ahead, beyond []int // local-search cursors into users (usersAround)
+	ahead, beyond []int // local-search cursors into g.Users (usersAround)
 
 	// depth is the graph's level count, its deepest level plus one.
 	depth    int
@@ -229,8 +216,6 @@ type plannerState struct {
 	tierW      []float64
 	tierTo     []mem.Tier
 
-	refCounts []refCount // initial reference-count placement (policy.go)
-
 	// Plan storage, overwritten by the next plan: the global target, the
 	// per-task view table and its flat backing buffer (consecutive tasks
 	// with identical targets alias one committed copy).
@@ -246,9 +231,9 @@ type wantPromo struct {
 	id  task.TaskID
 }
 
-// reset re-derives the planner's tables for r's graph and heap in p's
-// buffers and returns p. All objects start dirty; the first plan folds
-// every total once.
+// reset sizes and clears p's per-run state for r's graph and heap and
+// returns p. All objects start dirty; the first plan folds every total
+// once.
 func (p *plannerState) reset(r *runner) *plannerState {
 	g, st := r.g, &r.st
 	nobj := len(g.Objects)
@@ -259,8 +244,6 @@ func (p *plannerState) reset(r *runner) *plannerState {
 	for ix := range p.chunkSize {
 		p.chunkSize[ix] = st.ChunkSize(st.RefAt(ix))
 	}
-	p.users = reuse(p.users, nobj)
-	p.uses = reuse(p.uses, nobj)
 	p.futureUses = reuse(p.futureUses, nobj)
 	p.pairB = reuse(p.pairB, nk*nobj)
 	p.pairOK = reuse(p.pairOK, nk*nobj)
@@ -275,64 +258,9 @@ func (p *plannerState) reset(r *runner) *plannerState {
 	p.kindBoosted = reuse(p.kindBoosted, nk)
 	p.solver.Reset()
 
-	// Use tables, one flat buffer in (task, access-position) order per
-	// object: each user's entries for the object, users ascending.
-	var accesses int
-	for _, t := range g.Tasks {
-		accesses += len(t.Accesses)
-	}
-	flat := reuse(p.useBuf, accesses)[:0]
-	for obj := range p.uses {
-		users := g.Users(task.ObjectID(obj))
-		p.users[obj] = users
-		lo := len(flat)
-		for _, id := range users {
-			k := int32(g.KindIndex(id))
-			for _, a := range g.Task(id).Accesses {
-				if a.Obj == task.ObjectID(obj) {
-					flat = append(flat, objUse{task: int32(id), kind: k})
-				}
-			}
-		}
-		p.uses[obj] = flat[lo:len(flat):len(flat)]
-		p.futureUses[obj] = int32(len(flat) - lo)
-	}
-	p.useBuf = flat
-
-	// Kind tables, one flat buffer in first-touch order per kind. The
-	// first pass counts each kind's distinct objects, marking pairs in
-	// pairOK; the second fills them and clears the marks again.
-	off := reuse(p.kindOff, nk+1)
-	for _, t := range g.Tasks {
-		k := g.KindIndex(t.ID)
-		for _, a := range t.Accesses {
-			if ix := k*nobj + int(a.Obj); !p.pairOK[ix] {
-				p.pairOK[ix] = true
-				off[k+1]++
-			}
-		}
-	}
-	for k := 0; k < nk; k++ {
-		off[k+1] += off[k]
-	}
-	p.kindOff = off
-	p.kindBuf = reuse(p.kindBuf, off[nk])
-	p.kindObjs = reuse(p.kindObjs, nk)
-	for k := range p.kindObjs {
-		p.kindObjs[k] = p.kindBuf[off[k]:off[k]:off[k+1]]
-	}
-	for _, t := range g.Tasks {
-		k := g.KindIndex(t.ID)
-		for _, a := range t.Accesses {
-			if ix := k*nobj + int(a.Obj); p.pairOK[ix] {
-				p.pairOK[ix] = false
-				p.kindObjs[k] = append(p.kindObjs[k], a.Obj)
-			}
-		}
-	}
-
 	p.dirty = p.dirty[:0]
 	for obj := 0; obj < nobj; obj++ {
+		p.futureUses[obj] = int32(len(g.Uses(task.ObjectID(obj))))
 		p.objDirty[obj] = true
 		p.dirty = append(p.dirty, task.ObjectID(obj))
 	}
@@ -367,11 +295,12 @@ func (p *plannerState) taskStarted(t *task.Task) {
 }
 
 // invalidateKind drops the kind's cached benefits and dirties every
-// object it touches — called when the kind records a profile (estimates
-// are running means, so every Record shifts them) or is marked stale.
-func (p *plannerState) invalidateKind(k int) {
+// object it touches in g — called when the kind records a profile
+// (estimates are running means, so every Record shifts them) or is
+// marked stale.
+func (p *plannerState) invalidateKind(g *task.Graph, k int) {
 	clear(p.pairOK[k*p.nobj : (k+1)*p.nobj])
-	for _, obj := range p.kindObjs[k] {
+	for _, obj := range g.KindObjects(k) {
 		p.markDirty(obj)
 	}
 }
@@ -396,11 +325,11 @@ func (p *plannerState) refreshTotals(r *runner) {
 	for _, obj := range p.dirty {
 		p.objDirty[obj] = false
 		var sum float64
-		for _, u := range p.uses[obj] {
-			if r.started[u.task] {
+		for _, u := range r.g.Uses(obj) {
+			if r.started[u.Task] {
 				continue
 			}
-			sum += p.benefit(r, int(u.kind), obj)
+			sum += p.benefit(r, int(u.Kind), obj)
 		}
 		p.totals[obj] = sum
 	}
@@ -485,12 +414,11 @@ func (r *runner) estTaskSec(t *task.Task, target planSet) float64 {
 	return dur
 }
 
-// usersAround moves obj's user-list cursors up to task t and returns how
-// many of obj's users fall within (t, t+horizon] and the last user
-// before t (-1 if none). Between cursor resets t must not decrease, so
-// each cursor crosses each user at most once per plan.
-func (p *plannerState) usersAround(obj task.ObjectID, t, horizon task.TaskID) (uses int, prev task.TaskID) {
-	users := p.users[obj]
+// usersAround moves obj's cursors into users, its user list, up to task
+// t and returns how many of those users fall within (t, t+horizon] and
+// the last user before t (-1 if none). Between cursor resets t must not
+// decrease, so each cursor crosses each user at most once per plan.
+func (p *plannerState) usersAround(users []task.TaskID, obj task.ObjectID, t, horizon task.TaskID) (uses int, prev task.TaskID) {
 	ahead, beyond := p.ahead[obj], p.beyond[obj]
 	for ahead < len(users) && users[ahead] <= t {
 		ahead++
@@ -699,7 +627,7 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 				continue
 			}
 			// The last user before t is the earliest safe promotion point.
-			uses, from := p.usersAround(obj, t.ID, horizon)
+			uses, from := p.usersAround(r.g.Users(obj), obj, t.ID, horizon)
 			overlap := r.overlapSec(from, t.ID, meanSec)
 			refs := r.st.Refs(obj)
 			each := pu * float64(uses) / float64(len(refs))

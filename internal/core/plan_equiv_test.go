@@ -279,10 +279,7 @@ func TestUsersAroundMatchesSearch(t *testing.T) {
 		g := equivGraph(seed)
 		rng := rand.New(rand.NewSource(seed))
 		nobj := len(g.Objects)
-		p := &plannerState{users: make([][]task.TaskID, nobj), ahead: make([]int, nobj), beyond: make([]int, nobj)}
-		for obj := range p.users {
-			p.users[obj] = g.Users(task.ObjectID(obj))
-		}
+		p := &plannerState{ahead: make([]int, nobj), beyond: make([]int, nobj)}
 		for _, horizon := range []task.TaskID{1, 2, 7, 64, task.TaskID(len(g.Tasks))} {
 			clear(p.ahead)
 			clear(p.beyond)
@@ -290,15 +287,15 @@ func TestUsersAroundMatchesSearch(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					continue
 				}
-				for obj := range p.users {
-					users := p.users[obj]
+				for obj := range g.Objects {
+					users := g.Users(task.ObjectID(obj))
 					lo := sort.Search(len(users), func(i int) bool { return users[i] > tk.ID })
 					hi := sort.Search(len(users), func(i int) bool { return users[i] > tk.ID+horizon })
 					want := task.TaskID(-1)
 					if pu, ok := g.PrevUser(task.ObjectID(obj), tk.ID); ok {
 						want = pu
 					}
-					uses, prev := p.usersAround(task.ObjectID(obj), tk.ID, horizon)
+					uses, prev := p.usersAround(users, task.ObjectID(obj), tk.ID, horizon)
 					if uses != hi-lo || prev != want {
 						t.Fatalf("seed %d horizon %d task %d obj %d: usersAround = (%d, %d), search = (%d, %d)",
 							seed, horizon, tk.ID, obj, uses, prev, hi-lo, want)

@@ -39,16 +39,16 @@ func (r *runner) computeTierPlan(future []*task.Task) planResult {
 	p.tierLive = reuse(p.tierLive, p.nobj)
 	for obj := 0; obj < p.nobj; obj++ {
 		sum := p.tierTotals[obj*nt : (obj+1)*nt]
-		for _, u := range p.uses[obj] {
-			if r.started[u.task] {
+		for _, u := range r.g.Uses(task.ObjectID(obj)) {
+			if r.started[u.Task] {
 				continue
 			}
-			ix := int(u.kind)*p.nobj + obj
+			ix := int(u.Kind)*p.nobj + obj
 			b := p.tierPair[ix*nt : (ix+1)*nt]
 			if !p.tierPairOK[ix] {
 				p.tierPairOK[ix] = true
 				for t := 1; t < nt; t++ {
-					b[t] = r.benefitPerExecTo(int(u.kind), task.ObjectID(obj), mem.Tier(t))
+					b[t] = r.benefitPerExecTo(int(u.Kind), task.ObjectID(obj), mem.Tier(t))
 				}
 			}
 			for t := 1; t < nt; t++ {

@@ -54,7 +54,7 @@ func NewPlannerBench(g *task.Graph, cfg Config) (*PlannerBench, error) {
 // state a drift re-profile leaves behind, and the Δ a replan refreshes.
 func (pb *PlannerBench) perturb() {
 	p := pb.r.pt
-	p.invalidateKind(pb.nextKind)
+	p.invalidateKind(pb.r.g, pb.nextKind)
 	pb.nextKind = (pb.nextKind + 1) % p.nk
 }
 

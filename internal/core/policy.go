@@ -1,9 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"slices"
-
 	"repro/internal/heap"
 	"repro/internal/model"
 	"repro/internal/placement"
@@ -164,33 +161,10 @@ func (r *runner) placeXMem() error {
 // memory reference counts (no cache modeling, no sensitivity analysis —
 // just reference totals) fills DRAM with the most-referenced objects.
 func (r *runner) placeByReferenceCount() error {
-	counts := reuse(r.pt.refCounts, len(r.g.Objects))
-	r.pt.refCounts = counts
-	for obj := range counts {
-		counts[obj].obj = task.ObjectID(obj)
-	}
-	for _, t := range r.g.Tasks {
-		for _, a := range t.Accesses {
-			counts[a.Obj].refs += a.Loads + a.Stores
-		}
-	}
-	slices.SortFunc(counts, func(a, b refCount) int {
-		return cmp.Or(cmp.Compare(b.refs, a.refs), cmp.Compare(a.obj, b.obj))
-	})
-	for _, c := range counts {
-		if c.refs == 0 {
-			continue
-		}
-		r.placeIfFits(c.obj)
+	for _, obj := range r.g.RefOrder() {
+		r.placeIfFits(obj)
 	}
 	return nil
-}
-
-// refCount is one object's total memory references, for
-// placeByReferenceCount.
-type refCount struct {
-	obj  task.ObjectID
-	refs int64
 }
 
 // hwCacheHitRatio models Memory Mode: DRAM as a direct-mapped,

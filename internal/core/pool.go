@@ -32,7 +32,6 @@ func (r *runner) recycle() bool {
 	r.mig.Observer, r.mig.Faults = nil, nil
 	clear(r.blocked[:cap(r.blocked)])
 	p := &r.ptVal
-	clear(p.users)
 	clear(p.future[:cap(p.future)])
 	for _, lv := range p.byLevel[:cap(p.byLevel)] {
 		clear(lv[:cap(lv)])
@@ -62,8 +61,7 @@ func (r *runner) footprint() int {
 // footprint returns the bytes p's buffers hold.
 func (p *plannerState) footprint() int {
 	n := p.solver.Footprint() +
-		bytesOf(p.chunkSize) + bytesOf(p.uses) + bytesOf(p.useBuf) + bytesOf(p.kindObjs) +
-		bytesOf(p.kindBuf) + bytesOf(p.kindOff) + bytesOf(p.users) + bytesOf(p.futureUses) +
+		bytesOf(p.chunkSize) + bytesOf(p.futureUses) +
 		bytesOf(p.pairB) + bytesOf(p.pairOK) + bytesOf(p.totals) + bytesOf(p.objDirty) +
 		bytesOf(p.dirty) + bytesOf(p.future) + bytesOf(p.items) + bytesOf(p.chosen) +
 		bytesOf(p.accObjs) + bytesOf(p.candObjs) + bytesOf(p.resObjs) + bytesOf(p.objMark) +
@@ -74,7 +72,7 @@ func (p *plannerState) footprint() int {
 		bytesOf(p.adaptItems) + bytesOf(p.adaptMargins) + bytesOf(p.adaptObjRel) +
 		bytesOf(p.kindBoosted) + bytesOf(p.tierPair) + bytesOf(p.tierPairOK) +
 		bytesOf(p.tierTotals) + bytesOf(p.tierLive) + bytesOf(p.tierItems) + bytesOf(p.tierW) +
-		bytesOf(p.tierTo) + bytesOf(p.refCounts)
+		bytesOf(p.tierTo)
 	for _, lv := range p.byLevel[:cap(p.byLevel)] {
 		n += bytesOf(lv)
 	}

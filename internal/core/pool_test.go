@@ -95,11 +95,6 @@ func TestRunRecycle(t *testing.T) {
 			}
 		}
 		p := &r.ptVal
-		for _, u := range p.users {
-			if u != nil {
-				return false
-			}
-		}
 		for _, tk := range p.future[:cap(p.future)] {
 			if tk != nil {
 				return false

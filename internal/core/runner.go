@@ -656,7 +656,7 @@ const (
 func (r *runner) reopenKind(ki int) {
 	r.profiler.MarkStale(ki)
 	r.needReplan = true
-	r.pt.invalidateKind(ki)
+	r.pt.invalidateKind(r.g, ki)
 }
 
 // allPairsObserved reports whether every (kind, object) pair of task t,
@@ -931,7 +931,7 @@ func (r *runner) recordProfile(t *task.Task, ki int, dur float64, d *model.Deman
 	dev := r.profiler.Record(prof.Exec{Kind: ki, Duration: dur, Obs: obs})
 	// Profiled estimates are running means: every Record shifts the
 	// kind's benefits, so its cached pairs and totals go stale.
-	r.pt.invalidateKind(ki)
+	r.pt.invalidateKind(r.g, ki)
 	return dev
 }
 

@@ -135,13 +135,20 @@ func (sc *knapScratch) solve(dst []int, items []Item, capacity int64, gran int64
 			best[x] = best[top]
 		}
 		top = rw.top
-		// Bulk-clear the row (memclr), then mark only the improvements.
-		tr := taken[rw.off : rw.off+rw.top-rw.lo+1]
+		// Cell j of the row is capacity rw.lo+j: row[j] is its best,
+		// under[j] the best c.cells below it and tr[j] its taken flag.
+		// Slicing all three to one length lets the compiler drop the
+		// loop's bounds checks; descending j still reads each under cell
+		// before this row writes it. Bulk-clear the flags (memclr), then
+		// mark only the improvements.
+		row := best[rw.lo : rw.top+1]
+		under := best[rw.lo-c.cells : rw.top+1-c.cells][:len(row)]
+		tr := taken[rw.off : rw.off+len(row)]
 		clear(tr)
-		for cap := rw.top; cap >= rw.lo; cap-- {
-			if v := best[cap-c.cells] + c.w; v > best[cap] {
-				best[cap] = v
-				tr[cap-rw.lo] = true
+		for j := len(row) - 1; j >= 0; j-- {
+			if v := under[j] + c.w; v > row[j] {
+				row[j] = v
+				tr[j] = true
 			}
 		}
 	}

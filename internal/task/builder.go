@@ -1,6 +1,7 @@
 package task
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"unsafe"
@@ -45,16 +46,26 @@ type Builder struct {
 	nDeps int
 
 	// Build's tables, refilled by every Build: a count scratch, the
-	// arrays the successor and user lists are carved from, the user
-	// lists, the levels and the kind table.
+	// arrays the successor, user and use lists are carved from, the user
+	// and use lists, the levels, the kind table, each kind's objects with
+	// the scratch that orders them, and the reference order with its
+	// per-object totals.
 	count     []int32
 	succFlat  []TaskID
 	userFlat  []TaskID
 	usersOf   [][]TaskID
+	useFlat   []Use
+	usesOf    [][]Use
 	levels    []int
 	kindNames []string
 	kindOf    []int32
 	kindIndex map[string]int32
+	kindEnd   []int32
+	byKind    []int32
+	kindFlat  []ObjectID
+	kindObjs  [][]ObjectID
+	refs      []int64
+	refOrder  []ObjectID
 }
 
 // readEntry is one read in Builder.readLog.
@@ -152,9 +163,9 @@ func (b *Builder) Submit(kind string, cpuSec float64, accesses []Access, run fun
 }
 
 // Build finalizes and returns the graph: it derives the successor lists,
-// the per-object user lists, the level table and the kind table. The
-// graph is valid until b's next Reset, which must come before b declares
-// anything else.
+// the per-object user and use lists, the level table, the kind table
+// with each kind's objects, and the reference order. The graph is valid
+// until b's next Reset, which must come before b declares anything else.
 func (b *Builder) Build() *Graph {
 	if b.kindIndex == nil {
 		b.kindIndex = make(map[string]int32, 8)
@@ -163,6 +174,9 @@ func (b *Builder) Build() *Graph {
 	b.kindNames, b.kindOf = buildKindTable(b.tasks, b.kindNames, b.kindOf, b.kindIndex)
 	b.buildSuccs()
 	b.buildUsers()
+	b.buildKindObjects()
+	b.refs = reuse(b.refs, len(b.objects))
+	b.refOrder = fillRefOrder(b.tasks, b.refs, b.refOrder)
 	b.levels = fillLevels(b.tasks, resize(b.levels, len(b.tasks)))
 	nObj, nTasks := len(b.objects), len(b.tasks)
 	return &Graph{
@@ -170,9 +184,12 @@ func (b *Builder) Build() *Graph {
 		Objects:   b.objects[:nObj:nObj],
 		Tasks:     b.tasks[:nTasks:nTasks],
 		usersOf:   b.usersOf,
+		usesOf:    b.usesOf,
 		levels:    b.levels,
 		kindNames: b.kindNames,
 		kindOf:    b.kindOf,
+		kindObjs:  b.kindObjs,
+		refOrder:  b.refOrder,
 	}
 }
 
@@ -182,8 +199,10 @@ func (b *Builder) Build() *Graph {
 func (b *Builder) Footprint() int {
 	n := bytesOf(b.objects) + bytesOf(b.tasks) + bytesOf(b.lastWriter) + bytesOf(b.lastRead) +
 		bytesOf(b.readLog) + bytesOf(b.deps) + bytesOf(b.count) + bytesOf(b.succFlat) +
-		bytesOf(b.userFlat) + bytesOf(b.usersOf) + bytesOf(b.levels) + bytesOf(b.kindNames) +
-		bytesOf(b.kindOf)
+		bytesOf(b.userFlat) + bytesOf(b.usersOf) + bytesOf(b.useFlat) + bytesOf(b.usesOf) +
+		bytesOf(b.levels) + bytesOf(b.kindNames) + bytesOf(b.kindOf) + bytesOf(b.kindEnd) +
+		bytesOf(b.byKind) + bytesOf(b.kindFlat) + bytesOf(b.kindObjs) + bytesOf(b.refs) +
+		bytesOf(b.refOrder)
 	for _, o := range b.objects[:cap(b.objects)] {
 		if o != nil {
 			n += int(unsafe.Sizeof(*o))
@@ -225,9 +244,11 @@ func (b *Builder) buildSuccs() {
 	}
 }
 
-// buildUsers carves every object's user list, in submission order, from
-// one array with a slot per access. A task naming an object more than
-// once is listed once, so such an object's list keeps spare slots.
+// buildUsers carves every object's user list, in submission order, and
+// its use list, in (task, access-position) order, each from one array
+// with a slot per access. A task naming an object more than once is
+// listed once among its users, so such an object's user list keeps
+// spare slots; its use list has an entry per access.
 func (b *Builder) buildUsers() {
 	count := reuse(b.count, len(b.objects))
 	total := 0
@@ -237,22 +258,91 @@ func (b *Builder) buildUsers() {
 		}
 		total += len(t.Accesses)
 	}
-	flat := resize(b.userFlat, total)
-	usersOf := reuse(b.usersOf, len(b.objects))
-	b.count, b.userFlat, b.usersOf = count, flat, usersOf
+	flat, useFlat := resize(b.userFlat, total), resize(b.useFlat, total)
+	usersOf, usesOf := reuse(b.usersOf, len(b.objects)), reuse(b.usesOf, len(b.objects))
+	b.count, b.userFlat, b.usersOf, b.useFlat, b.usesOf = count, flat, usersOf, useFlat, usesOf
 	for obj, n := range count {
 		if n > 0 {
 			usersOf[obj], flat = flat[:0:n], flat[n:]
+			usesOf[obj], useFlat = useFlat[:0:n], useFlat[n:]
 		}
 	}
 	for _, t := range b.tasks {
+		k := b.kindOf[t.ID]
 		for _, a := range t.Accesses {
+			usesOf[a.Obj] = append(usesOf[a.Obj], Use{Task: int32(t.ID), Kind: k})
 			// A repeat of this task's object was the last user recorded.
 			if u := usersOf[a.Obj]; len(u) == 0 || u[len(u)-1] != t.ID {
 				usersOf[a.Obj] = append(u, t.ID)
 			}
 		}
 	}
+}
+
+// buildKindObjects lists each kind's distinct objects in first-touch
+// order, from one array. It visits the tasks kind by kind, each kind's
+// in ID order (a counting sort by kind index), with mark[obj] holding
+// the last kind, plus one, that listed obj.
+func (b *Builder) buildKindObjects() {
+	nk := len(b.kindNames)
+	end := reuse(b.kindEnd, nk+1)
+	for _, k := range b.kindOf {
+		end[k+1]++
+	}
+	for k := range nk {
+		end[k+1] += end[k]
+	}
+	// Bucket the tasks: end[k] advances from kind k's start to its end.
+	byKind := resize(b.byKind, len(b.tasks))
+	for id, k := range b.kindOf {
+		byKind[end[k]] = int32(id)
+		end[k]++
+	}
+	mark := reuse(b.count, len(b.objects))
+	// Every touched object is some kind's, so the list has at least as
+	// many entries as there are touched objects.
+	flat := slices.Grow(b.kindFlat[:0], len(b.objects))
+	start := int32(0)
+	for k := range nk {
+		for _, id := range byKind[start:end[k]] {
+			for _, a := range b.tasks[id].Accesses {
+				if mark[a.Obj] != int32(k+1) {
+					mark[a.Obj] = int32(k + 1)
+					flat = append(flat, a.Obj)
+				}
+			}
+		}
+		// From here end[k] ends kind k's objects in flat, not its tasks.
+		start, end[k] = end[k], int32(len(flat))
+	}
+	kindObjs := resize(b.kindObjs, nk)
+	lo := int32(0)
+	for k := range kindObjs {
+		kindObjs[k], lo = flat[lo:end[k]:end[k]], end[k]
+	}
+	b.count, b.kindEnd, b.byKind, b.kindFlat, b.kindObjs = mark, end, byKind, flat, kindObjs
+}
+
+// fillRefOrder adds each object's loads and stores into refs, which must
+// be zeroed and hold an entry per object, and returns order refilled
+// with the objects whose total is nonzero, the largest total first and
+// ties by ascending ID.
+func fillRefOrder(tasks []*Task, refs []int64, order []ObjectID) []ObjectID {
+	for _, t := range tasks {
+		for _, a := range t.Accesses {
+			refs[a.Obj] += a.Loads + a.Stores
+		}
+	}
+	order = slices.Grow(order[:0], len(refs))
+	for obj, n := range refs {
+		if n != 0 {
+			order = append(order, ObjectID(obj))
+		}
+	}
+	slices.SortFunc(order, func(x, y ObjectID) int {
+		return cmp.Or(cmp.Compare(refs[y], refs[x]), cmp.Compare(x, y))
+	})
+	return order
 }
 
 // fillLevels writes each task's topological level into levels and

@@ -159,6 +159,60 @@ func (g *refGraph) kindTable() ([]string, []int) {
 	return names, of
 }
 
+// uses lists an entry per access to obj, scanning every task in order.
+func (g *refGraph) uses(obj task.ObjectID) []task.Use {
+	_, kindOf := g.kindTable()
+	var uses []task.Use
+	for _, t := range g.Tasks {
+		for _, a := range t.Accesses {
+			if a.Obj == obj {
+				uses = append(uses, task.Use{Task: int32(t.ID), Kind: int32(kindOf[t.ID])})
+			}
+		}
+	}
+	return uses
+}
+
+// kindObjects lists each kind's distinct objects in the order the
+// kind's tasks first touch them.
+func (g *refGraph) kindObjects() [][]task.ObjectID {
+	names, kindOf := g.kindTable()
+	objs := make([][]task.ObjectID, len(names))
+	for _, t := range g.Tasks {
+		k := kindOf[t.ID]
+		for _, a := range t.Accesses {
+			if !slices.Contains(objs[k], a.Obj) {
+				objs[k] = append(objs[k], a.Obj)
+			}
+		}
+	}
+	return objs
+}
+
+// refOrder sorts the objects with nonzero loads plus stores by that
+// total, descending, ties by ascending ID.
+func (g *refGraph) refOrder() []task.ObjectID {
+	refs := make(map[task.ObjectID]int64)
+	for _, t := range g.Tasks {
+		for _, a := range t.Accesses {
+			refs[a.Obj] += a.Loads + a.Stores
+		}
+	}
+	var order []task.ObjectID
+	for obj, n := range refs {
+		if n != 0 {
+			order = append(order, obj)
+		}
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if ri, rj := refs[order[i]], refs[order[j]]; ri != rj {
+			return ri > rj
+		}
+		return order[i] < order[j]
+	})
+	return order
+}
+
 // rebuild replays g's declarations and submissions through the
 // reference builder.
 func rebuild(g *task.Graph) *refGraph {
@@ -182,6 +236,19 @@ func sameGraph(t testing.TB, g *task.Graph, ref *refGraph) {
 	if !slices.Equal(g.Kinds(), kinds) {
 		t.Fatalf("Kinds = %v, reference %v", g.Kinds(), kinds)
 	}
+	kindObjs := ref.kindObjects()
+	for k := -1; k <= len(kinds); k++ {
+		var want []task.ObjectID
+		if k >= 0 && k < len(kinds) {
+			want = kindObjs[k]
+		}
+		if !slices.Equal(g.KindObjects(k), want) {
+			t.Fatalf("KindObjects(%d) = %v, reference %v", k, g.KindObjects(k), want)
+		}
+	}
+	if !slices.Equal(g.RefOrder(), ref.refOrder()) {
+		t.Fatalf("RefOrder = %v, reference %v", g.RefOrder(), ref.refOrder())
+	}
 	if !slices.Equal(g.Levels(), ref.Levels()) {
 		t.Fatalf("Levels = %v, reference %v", g.Levels(), ref.Levels())
 	}
@@ -203,6 +270,9 @@ func sameGraph(t testing.TB, g *task.Graph, ref *refGraph) {
 		users := ref.usersOf[obj]
 		if !slices.Equal(g.Users(obj), users) {
 			t.Fatalf("object %d: Users = %v, reference %v", o, g.Users(obj), users)
+		}
+		if uses := ref.uses(obj); !slices.Equal(g.Uses(obj), uses) {
+			t.Fatalf("object %d: Uses = %v, reference %v", o, g.Uses(obj), uses)
 		}
 		// Probe either side of every user and both ends.
 		probes := []task.TaskID{-1, 0, n - 1, n}
@@ -327,9 +397,18 @@ func sameBuild(t testing.TB, g, want *task.Graph) {
 		if *g.Objects[i] != *o {
 			t.Fatalf("object %d = %+v, fresh %+v", i, *g.Objects[i], *o)
 		}
-		if !slices.Equal(g.Users(o.ID), want.Users(o.ID)) {
-			t.Fatalf("object %d: Users = %v, fresh %v", i, g.Users(o.ID), want.Users(o.ID))
+		if !slices.Equal(g.Users(o.ID), want.Users(o.ID)) || !slices.Equal(g.Uses(o.ID), want.Uses(o.ID)) {
+			t.Fatalf("object %d: Users = %v and Uses = %v, fresh %v and %v",
+				i, g.Users(o.ID), g.Uses(o.ID), want.Users(o.ID), want.Uses(o.ID))
 		}
+	}
+	for k := range want.Kinds() {
+		if !slices.Equal(g.KindObjects(k), want.KindObjects(k)) {
+			t.Fatalf("KindObjects(%d) = %v, fresh %v", k, g.KindObjects(k), want.KindObjects(k))
+		}
+	}
+	if !slices.Equal(g.RefOrder(), want.RefOrder()) {
+		t.Fatalf("RefOrder = %v, fresh %v", g.RefOrder(), want.RefOrder())
 	}
 	for i, w := range want.Tasks {
 		tk := g.Tasks[i]

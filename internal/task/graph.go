@@ -21,6 +21,9 @@ type Graph struct {
 	// that dependence-safety requires to finish before the object may be
 	// migrated for t.
 	usersOf [][]TaskID
+	// usesOf[obj] holds an entry per access to the object, in (task,
+	// access-position) order.
+	usesOf [][]Use
 
 	// levels[t] is task t's topological level, computed by Build.
 	levels []int
@@ -31,11 +34,25 @@ type Graph struct {
 	// per-kind arrays instead of map lookups.
 	kindNames []string
 	kindOf    []int32
+	// kindObjs[k] lists the distinct objects kind k touches, in
+	// first-touch order.
+	kindObjs [][]ObjectID
+	// refOrder lists the objects with nonzero loads plus stores, the
+	// most referenced first (fillRefOrder).
+	refOrder []ObjectID
 
 	// validated latches a successful Validate. The graph is immutable
 	// once built, so the structural checks cannot change answer, and
 	// every run re-validates its input graph.
 	validated atomic.Bool
+}
+
+// Use is one access to an object: the accessing task and its kind index
+// (KindIndex). Both are int32 to keep an entry at 8 bytes, since the
+// planner folds these lists on every replan.
+type Use struct {
+	Task int32
+	Kind int32
 }
 
 // buildKindTable derives the kind table from a task list into the
@@ -88,6 +105,37 @@ func (g *Graph) Users(obj ObjectID) []TaskID {
 		return nil
 	}
 	return g.usersOf[obj]
+}
+
+// Uses returns an entry per access to obj, in (task, access-position)
+// order, so a task naming obj twice appears twice; nil where Users is
+// nil.
+func (g *Graph) Uses(obj ObjectID) []Use {
+	if obj < 0 || int(obj) >= len(g.usesOf) {
+		return nil
+	}
+	return g.usesOf[obj]
+}
+
+// KindObjects returns the distinct objects the tasks of kind k (a
+// KindIndex) touch, in the order the kind first touches them; nil for a
+// graph built without a Builder, which has no use lists either.
+func (g *Graph) KindObjects(k int) []ObjectID {
+	if k < 0 || k >= len(g.kindObjs) {
+		return nil
+	}
+	return g.kindObjs[k]
+}
+
+// RefOrder returns the objects the tasks reference, the most loads plus
+// stores first and ties by ascending ID; objects whose total is zero are
+// left out. This is the reference count a compiler analysis would give,
+// the order of the paper's initial placement.
+func (g *Graph) RefOrder() []ObjectID {
+	if g.refOrder == nil && len(g.Tasks) > 0 {
+		return fillRefOrder(g.Tasks, make([]int64, len(g.Objects)), nil) // graph built without Builder
+	}
+	return g.refOrder
 }
 
 // PrevUser returns the last task before t (in submission order) that

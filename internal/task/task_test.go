@@ -268,14 +268,16 @@ func TestRandomGraphInvariants(t *testing.T) {
 }
 
 // TestHandAssembledGraph: a graph assembled without a Builder has no
-// user lists or level table; the accessors answer as for unused objects
-// and level-0 tasks instead of indexing out of range.
+// user, use or kind-object lists and no level table; the accessors
+// answer as for unused objects and level-0 tasks instead of indexing out
+// of range. The reference order, which initial placement reads, is
+// derived from the tasks instead.
 func TestHandAssembledGraph(t *testing.T) {
 	g := &Graph{
-		Objects: []*Object{{ID: 0, Name: "A", Size: 64}},
+		Objects: []*Object{{ID: 0, Name: "A", Size: 64}, {ID: 1, Name: "B", Size: 64}, {ID: 2, Name: "C", Size: 64}},
 		Tasks: []*Task{
-			{ID: 0, Kind: "k", Accesses: []Access{{Obj: 0, Mode: Out, Stores: 1, MLP: 1}}},
-			{ID: 1, Kind: "k", Accesses: []Access{{Obj: 0, Mode: In, Loads: 1, MLP: 1}}},
+			{ID: 0, Kind: "k", Accesses: []Access{{Obj: 0, Mode: Out, Stores: 1, MLP: 1}, {Obj: 2, Mode: Out, MLP: 1}}},
+			{ID: 1, Kind: "k", Accesses: []Access{{Obj: 0, Mode: In, Loads: 1, MLP: 1}, {Obj: 1, Mode: InOut, Loads: 2, Stores: 1, MLP: 1}}},
 		},
 	}
 	if err := g.Validate(); err != nil {
@@ -283,6 +285,16 @@ func TestHandAssembledGraph(t *testing.T) {
 	}
 	if u := g.Users(0); u != nil {
 		t.Fatalf("Users(0) = %v, want nil", u)
+	}
+	if u := g.Uses(0); u != nil {
+		t.Fatalf("Uses(0) = %v, want nil", u)
+	}
+	if o := g.KindObjects(0); o != nil {
+		t.Fatalf("KindObjects(0) = %v, want nil", o)
+	}
+	// B has 3 references and A 2; C, touched without traffic, has none.
+	if o := g.RefOrder(); len(o) != 2 || o[0] != 1 || o[1] != 0 {
+		t.Fatalf("RefOrder = %v, want [1 0]", o)
 	}
 	if _, ok := g.PrevUser(0, 1); ok {
 		t.Fatal("PrevUser found a user")
@@ -317,6 +329,15 @@ func TestGraphConcurrentReads(t *testing.T) {
 			}
 			if k := g.KindIndex(3); g.Kinds()[k] != "sink" {
 				t.Errorf("KindIndex(3) = %d", k)
+			}
+			if u := g.Uses(0); len(u) != 4 || u[3] != (Use{Task: 3, Kind: 3}) {
+				t.Errorf("Uses(A) = %v", u)
+			}
+			if o := g.KindObjects(3); len(o) != 3 || o[0] != 1 || o[1] != 2 || o[2] != 0 {
+				t.Errorf("KindObjects(sink) = %v", o)
+			}
+			if o := g.RefOrder(); len(o) != 3 || o[0] != 0 || o[1] != 1 || o[2] != 2 {
+				t.Errorf("RefOrder = %v", o)
 			}
 		}()
 	}

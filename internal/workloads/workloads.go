@@ -108,6 +108,31 @@ func (s Spec) CheckScale(scale int) error {
 	return nil
 }
 
+// MaxKernelBytes bounds the object bytes of a workload whose real
+// kernels run. Built without kernels, a recipe's graph is never smaller
+// than with them (the dense recipes run their kernels on smaller tiles),
+// and no recipe's kernels allocate more than 4/3 of that graph's object
+// bytes, besides the graph itself: sort's two arrays are exactly them,
+// and fft's data with the copy its check compares against is 4/3 of
+// them. So Kernels allocates at most about 1.3 GiB.
+const MaxKernelBytes = 1 << 30
+
+// CheckKernels reports an error when the workload at scale, built
+// without kernels, has more than MaxKernelBytes of objects. It allocates
+// no kernel array, so callers that take a scale from users check it
+// before building with Kernels set.
+func (s Spec) CheckKernels(scale int) error {
+	var total int64
+	for _, o := range s.Build(Params{Scale: scale}).Graph.Objects {
+		if o.Size > MaxKernelBytes-total {
+			return fmt.Errorf("workloads: %s at scale %d has more object bytes than the %d (1 GiB) its kernels may allocate",
+				s.Name, scale, MaxKernelBytes)
+		}
+		total += o.Size
+	}
+	return nil
+}
+
 var registry = map[string]Spec{}
 
 func register(s Spec) {

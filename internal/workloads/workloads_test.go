@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -70,6 +71,38 @@ func TestAllKernelsCorrect(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestCheckKernels: sort's kernel arrays are exactly its objects' bytes,
+// so -kernels is refused from scale 27 (2 GiB) up, without allocating
+// them; scale 46 used to panic in make. Every workload's default scale
+// passes, and sort at its perfbench scale, 20, still verifies.
+func TestCheckKernels(t *testing.T) {
+	sortSpec, _ := ByName("sort")
+	for _, scale := range []int{27, 46, sortSpec.MaxScale} {
+		err := sortSpec.CheckKernels(scale)
+		if err == nil || !strings.Contains(err.Error(), "1 GiB") {
+			t.Fatalf("sort at scale %d: CheckKernels = %v, want the 1 GiB limit", scale, err)
+		}
+	}
+	if err := sortSpec.CheckKernels(26); err != nil {
+		t.Fatalf("sort at scale 26, exactly 1 GiB: %v", err)
+	}
+	for _, s := range All() {
+		if err := s.CheckKernels(0); err != nil {
+			t.Fatalf("%s at its default scale: %v", s.Name, err)
+		}
+	}
+	if err := sortSpec.CheckKernels(20); err != nil {
+		t.Fatal(err)
+	}
+	b := sortSpec.Build(Params{Scale: 20, Kernels: true})
+	if err := exec.NewPool(2).Run(b.Graph); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -46,6 +46,7 @@ Replay internals (record once, vary placement)
 Fault model & degraded modes
 Cluster fault tolerance & failover
 Memory layout & allocation discipline
+Host-time ledger (CPU by layer)
 Service architecture (placement as a service)
 Profiler fidelity & adaptive sampling
 Feedback loop: observed vs predicted
